@@ -156,7 +156,7 @@ rsrMrefsPerSec(const func::Program &program, std::uint64_t log_refs,
 
 /**
  * End-to-end quick-mode Table-2 matrix: every policy, one workload,
- * sampled exactly as `rsr_sim sample` runs it. Returns instructions
+ * sampled exactly as `rsr_sim run --jobs 1` runs it. Returns instructions
  * simulated (skip + measure) per second of wall time.
  */
 double

@@ -15,6 +15,7 @@
 
 #include "bench_common.hh"
 #include "core/livepoint_store.hh"
+#include "harness/parallel_run.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
 
@@ -61,7 +62,7 @@ main()
             auto machine = store.meta().machine;
             machine.core.issueWidth = sweep[i].issueWidth;
             machine.core.robSize = sweep[i].robSize;
-            const auto r = store.replay(machine);
+            const auto r = harness::replayStoreParallel(store, machine, 1);
             replay_s += r.seconds;
             ipcs[i] = r.estimate.mean;
         }

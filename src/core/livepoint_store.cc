@@ -1,8 +1,8 @@
 /**
  * @file
  * Cold half of the live-point store: capture, index
- * serialization/parsing, and validation. The replay hot path lives in
- * livepoint_replay.cc.
+ * serialization/parsing, and validation. The replay-task decode hot path
+ * lives in livepoint_replay.cc.
  */
 
 #include "livepoint_store.hh"
@@ -189,7 +189,7 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
 
     // The deferred front half is the producer pass: skip + reconstruct +
     // capture, no timing. Replays from the store therefore compute the
-    // same estimator as runSampledParallel, by construction.
+    // same estimator as runSampled, by construction.
     ClusterScheduleDriver driver(program, policy, config);
     const SampledResult front = driver.runDeferred(sink);
     if (front_half)

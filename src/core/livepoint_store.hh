@@ -15,15 +15,14 @@
  * metadata — workload, policy, schedule, machine configuration — plus
  * one entry per cluster referencing the blobs by hash.
  *
- * Any number of *consumer* passes (`rsr_sim replay`) then measure the
- * stored clusters with zero functional re-simulation, in any order, on
- * any thread (harness/parallel_run.hh schedules them on the ThreadPool).
- * Because capture goes through the same CapturePhase as the deferred
- * runner and the measurement context round-trips bit-exactly, a replay
- * from the store reproduces `runSampledParallel`'s Table-2 statistics
- * bit-identically for every warm-up policy — including RSR's on-demand
- * branch reconstruction, which the retired LivePointLibrary could not
- * capture.
+ * Any number of *consumer* passes (`rsr_sim replay`,
+ * harness::replayStoreParallel) then measure the stored clusters with
+ * zero functional re-simulation, in any order, on any thread. Because
+ * capture goes through the same CapturePhase as every sampled run and
+ * the measurement context round-trips bit-exactly, a replay from the
+ * store reproduces `runSampled`'s Table-2 statistics bit-identically for
+ * every warm-up policy — including RSR's on-demand branch
+ * reconstruction.
  */
 
 #ifndef RSR_CORE_LIVEPOINT_STORE_HH
@@ -68,7 +67,7 @@ struct LivePointEntry
 /**
  * A validated, immutable live-point store for one
  * (workload, policy, schedule, machine) capture. Move-only; lookups and
- * replays are const and thread-safe.
+ * task decodes are const and thread-safe.
  */
 class LivePointStore
 {
@@ -147,20 +146,12 @@ class LivePointStore
     /**
      * Decode stored cluster @p index into a ready-to-measure replay
      * task. Const and thread-safe: replay workers decode concurrently.
+     * The consumer is harness::replayStoreParallel(), which measures
+     * every task under a machine configuration whose cache/predictor
+     * geometry matches the capture (the core may differ — that is what
+     * makes one capture serve a design-space sweep).
      */
     ClusterReplayTask makeReplayTask(std::size_t index) const;
-
-    /**
-     * Consumer: measure every stored cluster serially under
-     * @p machine_config (the cache/predictor geometry must match the
-     * capture; the core may differ — that is what makes one capture
-     * serve a design-space sweep). See harness/parallel_run.hh for the
-     * out-of-order parallel version.
-     */
-    SampledResult replay(const MachineConfig &machine_config) const;
-
-    /** Replay with the capture-time machine configuration. */
-    SampledResult replay() const { return replay(meta_.machine); }
 
     /** FNV-1a-64 over the whole serialized container. */
     std::uint64_t storeHash() const;

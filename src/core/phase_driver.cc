@@ -9,30 +9,6 @@ namespace rsr::core
 namespace
 {
 
-/** FuncSource that also reports each streamed instruction to hooks. */
-class HookedFuncSource : public uarch::InstSource
-{
-  public:
-    HookedFuncSource(func::FuncSim &fs,
-                     ClusterScheduleDriver::MeasureHooks *hooks)
-        : fs(fs), hooks(hooks)
-    {}
-
-    bool
-    next(func::DynInst &out) override
-    {
-        if (!fs.step(&out))
-            return false;
-        if (hooks)
-            hooks->onMeasuredInst(out);
-        return true;
-    }
-
-  private:
-    func::FuncSim &fs;
-    ClusterScheduleDriver::MeasureHooks *hooks;
-};
-
 /**
  * The skip inner loop, templated on the concrete policy type. When @p P
  * is one of the final policy classes the onSkipInst() call resolves
@@ -116,20 +92,6 @@ ReconstructPhase::run()
     counters.reconstructSeconds += timer.seconds();
 }
 
-uarch::RunResult
-MeasurePhase::run(uarch::InstSource &src, std::uint64_t n_insts)
-{
-    WallTimer timer;
-    machine.hier.l1Bus().reset();
-    machine.hier.l2Bus().reset();
-    uarch::OoOCore core(coreParams, machine.hier, machine.bp);
-    const uarch::RunResult rr = core.run(src, n_insts);
-    rsr_assert(rr.insts == n_insts, "workload halted inside a cluster");
-    counters.measureInsts += rr.insts;
-    counters.measureSeconds += timer.seconds();
-    return rr;
-}
-
 ClusterReplayTask
 CapturePhase::run(std::size_t index, const Cluster &cluster)
 {
@@ -183,71 +145,6 @@ ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
         Rng rng(config.scheduleSeed);
         schedule_ = makeSchedule(config.regimen, config.totalInsts, rng);
     }
-}
-
-SampledResult
-ClusterScheduleDriver::runInline(MeasureHooks *hooks)
-{
-    SampledResult res;
-    WallTimer timer;
-
-    func::FuncSim fs(program);
-    Machine machine(config.machine);
-    policy.clearWork();
-    policy.attach(machine);
-
-    const std::uint64_t iline_mask =
-        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
-
-    SkipPhase skip(fs, policy, config.deadline, iline_mask, res.phases);
-    ReconstructPhase reconstruct(policy, res.phases);
-    MeasurePhase measure(machine, config.machine.core, res.phases);
-
-    std::uint64_t pos = 0;
-    std::size_t index = 0;
-    for (const Cluster &cluster : schedule_) {
-        if (config.deadline && config.deadline->expired())
-            throw TimeoutError("sampled run exceeded its deadline at "
-                               "cluster boundary");
-        // ---- cold/warm phases: functionally skip to the cluster.
-        skip.run(cluster.start - pos);
-        res.skippedInsts += cluster.start - pos;
-
-        // ---- cluster boundary: eager warm-up, then measurement state.
-        reconstruct.run();
-        std::unique_ptr<MeasureContext> ctx = policy.makeMeasureContext();
-        if (ctx)
-            ctx->attach(machine);
-        if (hooks) {
-            WallTimer capture;
-            const std::uint64_t snapshot_bytes =
-                hooks->beforeMeasure(index, cluster, machine);
-            res.phases.peakSnapshotBytes =
-                std::max(res.phases.peakSnapshotBytes, snapshot_bytes);
-            res.phases.captureSeconds += capture.seconds();
-        }
-
-        // ---- hot phase: cycle-accurate measurement of the cluster.
-        HookedFuncSource src(fs, hooks);
-        const uarch::RunResult rr = measure.run(src, cluster.size);
-        if (ctx)
-            policy.addReconstructionWork(ctx->detach(machine));
-        if (hooks)
-            hooks->afterMeasure(index, cluster, machine);
-        policy.afterCluster();
-
-        res.clusterIpc.push_back(rr.ipc());
-        res.hotInsts += rr.insts;
-        res.hotCycles += rr.cycles;
-        res.branchMispredicts += rr.branchMispredicts;
-        pos = cluster.start + cluster.size;
-        ++index;
-    }
-
-    res.estimate = summarizeClusters(res.clusterIpc);
-    res.warmWork = policy.work();
-    res.seconds = timer.seconds();
-    return res;
 }
 
 SampledResult
@@ -409,15 +306,13 @@ ReplayArena::acquire(const MachineConfig &machine_config)
     return *machine;
 }
 
-namespace
-{
-
 uarch::RunResult
-replayOnMachine(ClusterReplayTask &task,
-                const MachineConfig &machine_config, Machine &m,
-                std::uint64_t *recon_updates, double *seconds)
+replayCluster(ClusterReplayTask &task,
+              const MachineConfig &machine_config, ReplayArena &arena,
+              std::uint64_t *recon_updates, double *seconds)
 {
     WallTimer timer;
+    Machine &m = arena.acquire(machine_config);
     restoreFromBytes(m, task.machineState);
     if (task.context)
         task.context->attach(m);
@@ -436,28 +331,6 @@ replayOnMachine(ClusterReplayTask &task,
     if (seconds)
         *seconds = timer.seconds();
     return rr;
-}
-
-} // namespace
-
-uarch::RunResult
-replayCluster(ClusterReplayTask &task,
-              const MachineConfig &machine_config,
-              std::uint64_t *recon_updates, double *seconds)
-{
-    Machine m(machine_config);
-    return replayOnMachine(task, machine_config, m, recon_updates,
-                           seconds);
-}
-
-uarch::RunResult
-replayCluster(ClusterReplayTask &task,
-              const MachineConfig &machine_config, ReplayArena &arena,
-              std::uint64_t *recon_updates, double *seconds)
-{
-    return replayOnMachine(task, machine_config,
-                           arena.acquire(machine_config), recon_updates,
-                           seconds);
 }
 
 } // namespace rsr::core

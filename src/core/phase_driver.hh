@@ -7,27 +7,19 @@
  *                    the warm-up policy and polling the watchdog;
  *   ReconstructPhase the policy's cluster-boundary warm-up work (cache
  *                    reconstruction, log finalization);
- *   MeasurePhase     the cycle-accurate out-of-order run of one cluster.
+ *   CapturePhase     the warm machine snapshot, measurement context and
+ *                    committed trace of one cluster.
  *
- * ClusterScheduleDriver composes the phases in two modes:
- *
- *   runInline()   — the classic serial loop: every cluster is measured
- *                   on the shared machine the moment it is reached.
- *                   Sampled runs, live-points capture (via MeasureHooks),
- *                   and the campaign harness all use this mode.
- *   runDeferred() — the parallel front half: at each cluster boundary
- *                   the warm machine state is snapshotted and the
- *                   cluster's committed trace recorded, and the pair is
- *                   emitted as a ClusterReplayTask. The timing replays
- *                   can then run on any thread in any order (see
- *                   harness/parallel_run.hh); replayCluster() executes
- *                   one task against a private machine. While the trace
- *                   is recorded, the shared machine receives the
- *                   cluster's state effects *functionally* (commit-order
- *                   warm accesses), so deferred results are deterministic
- *                   and independent of the number of replay workers —
- *                   but a slightly different estimator than runInline(),
- *                   whose timed clusters touch the caches in issue order.
+ * ClusterScheduleDriver::runDeferred() composes them into the front half
+ * of every sampled run: each cluster is emitted as a ClusterReplayTask,
+ * and replayCluster() measures it on the cycle-accurate timing model
+ * against a machine restored from the snapshot — serially in
+ * core::runSampled(), on pool workers in harness/parallel_run.hh, or
+ * later from a live-point store. While the trace is recorded, the shared
+ * machine receives the cluster's state effects *functionally*
+ * (commit-order warm accesses), so there is one estimator: the result
+ * does not depend on where, when, or on how many threads the timing
+ * replays run.
  */
 
 #ifndef RSR_CORE_PHASE_DRIVER_HH
@@ -154,7 +146,7 @@ class ReconstructPhase
  * While the trace is recorded, the shared machine receives the cluster's
  * state effects *functionally* in commit order, so the following skip
  * region starts from hot state no matter where or when the timing replay
- * runs. Used by runDeferred() and by the live-point store producer.
+ * runs. Used by runDeferred().
  */
 class CapturePhase
 {
@@ -176,70 +168,10 @@ class CapturePhase
     PhaseCounters &counters;
 };
 
-/**
- * Cycle-accurate measurement of one cluster on a given machine: resets
- * the buses, runs the out-of-order core over @p src, and accounts the
- * time and instructions into PhaseCounters.
- */
-class MeasurePhase
-{
-  public:
-    MeasurePhase(Machine &machine, const uarch::CoreParams &core_params,
-                 PhaseCounters &counters)
-        : machine(machine), coreParams(core_params), counters(counters)
-    {}
-
-    uarch::RunResult run(uarch::InstSource &src, std::uint64_t n_insts);
-
-  private:
-    Machine &machine;
-    const uarch::CoreParams &coreParams;
-    PhaseCounters &counters;
-};
-
 /** Drives the phases over a whole cluster schedule (single-use). */
 class ClusterScheduleDriver
 {
   public:
-    /**
-     * Optional inline-mode hooks, used by live-points capture to observe
-     * each measured cluster without owning a copy of the loop.
-     */
-    class MeasureHooks
-    {
-      public:
-        virtual ~MeasureHooks() = default;
-
-        /**
-         * The cluster is about to be measured (warm-up already applied,
-         * measurement context attached). @return the size of any machine
-         * snapshot the hook took, for peak-footprint accounting (0 if
-         * none).
-         */
-        virtual std::uint64_t
-        beforeMeasure(std::size_t index, const Cluster &cluster,
-                      Machine &machine)
-        {
-            (void)index;
-            (void)cluster;
-            (void)machine;
-            return 0;
-        }
-
-        /** One committed instruction streamed into the timing model. */
-        virtual void onMeasuredInst(const func::DynInst &d) { (void)d; }
-
-        /** The cluster finished measuring. */
-        virtual void
-        afterMeasure(std::size_t index, const Cluster &cluster,
-                     Machine &machine)
-        {
-            (void)index;
-            (void)cluster;
-            (void)machine;
-        }
-    };
-
     ClusterScheduleDriver(const func::Program &program,
                           WarmupPolicy &policy,
                           const SampledConfig &config);
@@ -247,17 +179,12 @@ class ClusterScheduleDriver
     const std::vector<Cluster> &schedule() const { return schedule_; }
 
     /**
-     * Serial loop, measuring each cluster on the shared machine as it is
-     * reached. Bit-identical to the pre-driver controller.
-     */
-    SampledResult runInline(MeasureHooks *hooks = nullptr);
-
-    /**
      * Deferred front half: skip + reconstruct + snapshot + record each
      * cluster, emitting ClusterReplayTasks to @p sink in schedule order.
      * The returned result carries the front-half accounting (skipped
      * instructions, warm work, phase counters); the sink's replays
-     * supply the per-cluster timing that harness/parallel_run.hh merges.
+     * supply the per-cluster timing that runSampled() and
+     * harness/parallel_run.hh merge.
      */
     SampledResult runDeferred(ReplaySink &sink);
 
@@ -292,13 +219,13 @@ profileClusterProxies(const func::Program &program,
                       const Deadline *deadline = nullptr);
 
 /**
- * A worker-private machine reused across cluster replays. Building a
+ * A thread-private machine reused across cluster replays. Building a
  * Machine allocates every cache array and predictor table; doing that
- * per cluster makes parallel replay a global-heap contention benchmark
- * instead of a simulation. One arena per replay worker amortizes the
- * allocation: restoreFromBytes() overwrites the entire hierarchy and
- * predictor state (Machine::restore covers both), and replayCluster()
- * resets the buses, so a reused machine is bit-identical to a fresh one.
+ * per cluster makes replay a global-heap contention benchmark instead of
+ * a simulation. One arena per replaying thread amortizes the allocation:
+ * restoreFromBytes() overwrites the entire hierarchy and predictor state
+ * (Machine::restore covers both), and replayCluster() resets the buses,
+ * so a reused machine is bit-identical to a fresh one.
  */
 class ReplayArena
 {
@@ -313,28 +240,17 @@ class ReplayArena
 };
 
 /**
- * Measure one deferred cluster on a private machine built from
- * @p machine_config: restore the snapshot, attach the measurement
- * context, run the timing model over the stored trace. This is the
- * restore-entry that bypasses SkipPhase entirely — the snapshot already
- * holds the warmed state a skip would have produced — so a stored
- * ClusterReplayTask (e.g. from a live-point store) replays with zero
- * functional simulation. Thread-safe with respect to other replays
- * (shares nothing mutable).
+ * Measure one deferred cluster on @p arena's machine: restore the
+ * snapshot, attach the measurement context, run the timing model over
+ * the stored trace. This is the restore-entry that bypasses SkipPhase
+ * entirely — the snapshot already holds the warmed state a skip would
+ * have produced — so a stored ClusterReplayTask (e.g. from a live-point
+ * store) replays with zero functional simulation. The arena must be
+ * private to the calling thread; replays share nothing else mutable.
  *
  * @param recon_updates receives the context's on-demand reconstruction
  *        work (0 when the task has no context); may be null.
  * @param seconds receives the wall time of this replay; may be null.
- */
-uarch::RunResult replayCluster(ClusterReplayTask &task,
-                               const MachineConfig &machine_config,
-                               std::uint64_t *recon_updates = nullptr,
-                               double *seconds = nullptr);
-
-/**
- * replayCluster() on a reusable arena machine instead of a fresh one.
- * Bit-identical to the fresh-machine overload (the snapshot restore is
- * total); the arena must be private to the calling thread.
  */
 uarch::RunResult replayCluster(ClusterReplayTask &task,
                                const MachineConfig &machine_config,

@@ -1,5 +1,7 @@
 #include "sampled_sim.hh"
 
+#include <utility>
+
 #include "core/phase_driver.hh"
 #include "func/funcsim.hh"
 #include "util/timer.hh"
@@ -7,12 +9,65 @@
 namespace rsr::core
 {
 
+namespace
+{
+
+/**
+ * The serial consumer of the deferred front half: measures each cluster
+ * the moment it is captured, on one reused arena machine.
+ */
+class SerialReplaySink : public ReplaySink
+{
+  public:
+    explicit SerialReplaySink(const MachineConfig &machine)
+        : machine(machine)
+    {}
+
+    void
+    onCluster(ClusterReplayTask task) override
+    {
+        std::uint64_t recon = 0;
+        double seconds = 0.0;
+        const uarch::RunResult rr =
+            replayCluster(task, machine, arena, &recon, &seconds);
+        clusterIpc.push_back(rr.ipc());
+        stats.insts += rr.insts;
+        stats.cycles += rr.cycles;
+        stats.branchMispredicts += rr.branchMispredicts;
+        stats.reconUpdates += recon;
+        stats.measureSeconds += seconds;
+    }
+
+    std::vector<double> clusterIpc;
+    ReplayStatShard stats;
+
+  private:
+    const MachineConfig &machine;
+    ReplayArena arena;
+};
+
+} // namespace
+
 SampledResult
 runSampled(const func::Program &program, WarmupPolicy &policy,
            const SampledConfig &config)
 {
+    WallTimer timer;
     ClusterScheduleDriver driver(program, policy, config);
-    return driver.runInline();
+    SerialReplaySink sink(config.machine);
+    SampledResult res = driver.runDeferred(sink);
+
+    res.clusterIpc = std::move(sink.clusterIpc);
+    res.hotInsts = sink.stats.insts;
+    res.hotCycles = sink.stats.cycles;
+    res.branchMispredicts = sink.stats.branchMispredicts;
+    res.phases.measureInsts = sink.stats.insts;
+    res.phases.measureSeconds = sink.stats.measureSeconds;
+    policy.addReconstructionWork(sink.stats.reconUpdates);
+    res.warmWork = policy.work();
+    res.estimate = summarizeClusters(res.clusterIpc);
+    res.seconds = timer.seconds();
+    return res;
 }
 
 FullRunResult

@@ -102,7 +102,11 @@ struct SampledResult
     PhaseCounters phases;
 };
 
-/** Run one sampled simulation of @p program under @p policy. */
+/**
+ * Run one sampled simulation of @p program under @p policy: the deferred
+ * front half of core/phase_driver.hh, with each cluster's timing replay
+ * run on the calling thread as soon as it is captured.
+ */
 SampledResult runSampled(const func::Program &program, WarmupPolicy &policy,
                          const SampledConfig &config);
 

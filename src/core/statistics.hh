@@ -42,28 +42,22 @@ struct alignas(64) ReplayStatShard
 
 /**
  * Shared-nothing accumulator for parallel cluster replay: one
- * ReplayStatShard per pool worker plus one for the producer/serial
- * thread. merged() folds shards in ascending shard index, so the result
- * is independent of which worker replayed which cluster — the integer
- * sums are order-free, and the only double (wall seconds) is
- * nondeterministic timing data that never feeds deterministic output.
+ * ReplayStatShard per pool worker. merged() folds shards in ascending
+ * shard index, so the result is independent of which worker replayed
+ * which cluster — the integer sums are order-free, and the only double
+ * (wall seconds) is nondeterministic timing data that never feeds
+ * deterministic output.
  */
 class ShardedReplayStats
 {
   public:
-    explicit ShardedReplayStats(unsigned workers)
-        : shards(static_cast<std::size_t>(workers) + 1)
-    {
-    }
+    explicit ShardedReplayStats(unsigned workers) : shards(workers) {}
 
-    /**
-     * The shard for pool worker @p worker_index, or the producer shard
-     * when the caller is not a pool worker (index -1).
-     */
+    /** The shard for pool worker @p worker_index (0-based). */
     ReplayStatShard &
-    shard(int worker_index)
+    shard(std::size_t worker_index)
     {
-        return shards[static_cast<std::size_t>(worker_index + 1)];
+        return shards[worker_index];
     }
 
     /** Deterministic fold over shards, in shard-index order. */

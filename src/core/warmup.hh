@@ -62,8 +62,8 @@ struct WarmupWork
  * example. A context is created by the policy at the cluster boundary
  * (after beforeCluster()), owns everything it needs (it may outlive the
  * policy's per-skip log), and is attached to whichever machine actually
- * executes the cluster: the shared machine in inline mode, or a private
- * replay machine on a worker thread in deferred/parallel mode.
+ * executes the cluster: the replay machine restored from the cluster's
+ * snapshot, on whichever thread replays it.
  */
 class MeasureContext
 {

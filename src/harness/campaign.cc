@@ -80,9 +80,9 @@ CampaignRunner::fingerprint(const CampaignConfig &config)
     for (std::uint64_t v : {config.insts, config.clusters,
                             config.clusterSize, config.seed})
         h.update(&v, sizeof(v));
-    // Live-point campaigns compute a different (deferred) estimator, so
-    // they must not resume a classic campaign's manifest or vice versa.
-    // Classic fingerprints are unchanged by this marker.
+    // Live-point campaigns write different job artifacts (store hashes
+    // and sizes), so they must not resume a classic campaign's manifest
+    // or vice versa. Classic fingerprints are unchanged by this marker.
     if (!config.livepointDir.empty())
         h.update("|livepoints");
     // Same reasoning for estimator campaigns: a different selection

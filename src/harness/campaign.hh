@@ -60,9 +60,8 @@ struct CampaignConfig
      * policy) live-point stores in this directory: an existing store
      * whose configHash matches is replayed directly (zero functional
      * re-simulation); a missing or stale store is recreated first —
-     * never silently reused. Jobs then compute the deferred estimator
-     * (see phase_driver.hh), matching `rsr_sim run`/`replay`, whereas
-     * classic campaign jobs run the inline estimator.
+     * never silently reused. The job's estimate is bit-identical to a
+     * classic job's; the store only saves the functional front half.
      */
     std::string livepointDir;
 

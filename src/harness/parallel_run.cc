@@ -24,40 +24,27 @@ namespace
  */
 struct ReplayLanes
 {
-    /** @param workers pool worker count (0 for the serial path). */
     explicit ReplayLanes(std::size_t clusters, unsigned workers)
-        : slots(clusters), stats(workers),
-          arenas(static_cast<std::size_t>(workers) + 1)
+        : slots(clusters), stats(workers), arenas(workers)
     {
     }
 
-    /** The calling thread's arena (producer thread = slot 0). */
-    core::ReplayArena &
-    myArena()
-    {
-        return arenas[static_cast<std::size_t>(ThreadPool::workerIndex()) +
-                      1];
-    }
-
-    /** The calling pool worker's stat shard. Only valid from a task
-     *  submitted to *this run's* pool — the serial path must pass
-     *  `stats.shard(-1)` explicitly (see SerialSink). */
-    core::ReplayStatShard &
-    myShard()
-    {
-        return stats.shard(ThreadPool::workerIndex());
-    }
-
-    /** Replay @p task into @p shard and the task's commit slot. */
+    /**
+     * Replay @p task on the calling pool worker's arena, into its stat
+     * shard and the task's commit slot. Only valid from a task submitted
+     * to *this run's* pool: the worker index selects the lane.
+     */
     void
     replay(core::ClusterReplayTask &task,
-           const core::MachineConfig &machine, core::ReplayArena &arena,
-           core::ReplayStatShard &shard)
+           const core::MachineConfig &machine)
     {
+        const auto lane =
+            static_cast<std::size_t>(ThreadPool::workerIndex());
+        core::ReplayStatShard &shard = stats.shard(lane);
         std::uint64_t recon = 0;
         double secs = 0.0;
-        const uarch::RunResult rr =
-            core::replayCluster(task, machine, arena, &recon, &secs);
+        const uarch::RunResult rr = core::replayCluster(
+            task, machine, arenas[lane], &recon, &secs);
         shard.insts += rr.insts;
         shard.cycles += rr.cycles;
         shard.branchMispredicts += rr.branchMispredicts;
@@ -87,29 +74,6 @@ struct ReplayLanes
     std::vector<core::ReplayArena> arenas;
 };
 
-/** Runs every replay task inline on the producing thread. */
-class SerialSink : public core::ReplaySink
-{
-  public:
-    SerialSink(const core::MachineConfig &machine, ReplayLanes &lanes)
-        : machine(machine), lanes(lanes)
-    {}
-
-    void
-    onCluster(core::ClusterReplayTask task) override
-    {
-        // Always the producer arena/shard: the serial path may itself be
-        // running on an *outer* pool's worker (the policy sweep does
-        // this), whose index must not select into this run's lanes.
-        lanes.replay(task, machine, lanes.arenas[0],
-                     lanes.stats.shard(-1));
-    }
-
-  private:
-    const core::MachineConfig &machine;
-    ReplayLanes &lanes;
-};
-
 /**
  * Hands each replay task to a pool worker, weighted by trace length so
  * placement favours the least-loaded lane and long clusters spread out.
@@ -128,12 +92,7 @@ class PoolSink : public core::ReplaySink
         const std::uint64_t weight = task.trace.size();
         auto t = std::make_shared<core::ClusterReplayTask>(
             std::move(task));
-        pool.submit(
-            [this, t] {
-                lanes.replay(*t, machine, lanes.myArena(),
-                             lanes.myShard());
-            },
-            weight);
+        pool.submit([this, t] { lanes.replay(*t, machine); }, weight);
     }
 
   private:
@@ -150,29 +109,21 @@ runSampledParallel(const func::Program &program,
                    const core::SampledConfig &config, unsigned jobs,
                    std::uint64_t steal_seed)
 {
+    if (jobs <= 1)
+        return core::runSampled(program, policy, config);
+
     WallTimer timer;
     core::ClusterScheduleDriver driver(program, policy, config);
-    const std::size_t n = driver.schedule().size();
-
-    core::SampledResult res;
-    if (jobs <= 1) {
-        ReplayLanes lanes(n, 0);
-        SerialSink sink(config.machine, lanes);
-        res = driver.runDeferred(sink);
-        lanes.fold(res);
-        policy.addReconstructionWork(lanes.stats.merged().reconUpdates);
-    } else {
-        ReplayLanes lanes(n, jobs);
-        // Pool declared after the lanes so in-flight replays finish (and
-        // abandoned ones are discarded) before the result slots die if
-        // the front half throws.
-        ThreadPool pool(jobs, steal_seed);
-        PoolSink sink(pool, config.machine, lanes);
-        res = driver.runDeferred(sink);
-        pool.wait();
-        lanes.fold(res);
-        policy.addReconstructionWork(lanes.stats.merged().reconUpdates);
-    }
+    ReplayLanes lanes(driver.schedule().size(), jobs);
+    // Pool declared after the lanes so in-flight replays finish (and
+    // abandoned ones are discarded) before the result slots die if the
+    // front half throws.
+    ThreadPool pool(jobs, steal_seed);
+    PoolSink sink(pool, config.machine, lanes);
+    core::SampledResult res = driver.runDeferred(sink);
+    pool.wait();
+    lanes.fold(res);
+    policy.addReconstructionWork(lanes.stats.merged().reconUpdates);
 
     res.warmWork = policy.work();
     res.estimate = core::summarizeClusters(res.clusterIpc);
@@ -209,8 +160,7 @@ replayStoreParallel(const core::LivePointStore &store,
         pool.submit(
             [&store, &machine_config, &lanes, i] {
                 core::ClusterReplayTask task = store.makeReplayTask(i);
-                lanes.replay(task, machine_config, lanes.myArena(),
-                             lanes.myShard());
+                lanes.replay(task, machine_config);
             },
             store.entries()[i].cluster.size);
     }

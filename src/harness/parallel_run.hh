@@ -6,7 +6,8 @@
  * each cluster runs on a ThreadPool worker against a private machine
  * restored from the cluster's snapshot. Statistics are merged in schedule
  * order, so the result is bit-identical for any worker count — including
- * jobs == 1, which runs the very same deferred pipeline serially.
+ * jobs == 1, which is core::runSampled(): the same deferred pipeline,
+ * replayed serially on the calling thread.
  */
 
 #ifndef RSR_HARNESS_PARALLEL_RUN_HH

@@ -463,7 +463,7 @@ Server::execute(const SimRequest &request, bool *warm_reuse,
     if (request.policy == "mrrl" || request.policy == "blrl")
         rsr_throw_user("policy '", request.policy,
                        "' needs the reuse-latency profiling pass and is "
-                       "not served; use rsr_sim sample directly");
+                       "not served; use rsr_sim run directly");
 
     const std::uint64_t capture_hash = request.captureHash();
     std::shared_ptr<const core::LivePointStore> store =

@@ -356,13 +356,15 @@ TEST(RsrLintModel, IndexesRealTreeSnapshotables)
         EXPECT_TRUE(t.versionKnown)
             << t.name << ": " << t.versionExpr;
     }
-    for (const SnapType &t : model.types)
-        if (t.name == "Cache")
+    for (const SnapType &t : model.types) {
+        if (t.name == "Cache") {
             EXPECT_EQ(t.serializedMembers(),
                       (std::vector<std::string>{"numSets_", "assoc_",
                                                 "tags_", "flags_",
                                                 "order_",
                                                 "reconCount_"}));
+        }
+    }
     // The ThreadPool lock discipline is documented and holds.
     ASSERT_EQ(model.lockSpecs.size(), 1u);
     EXPECT_TRUE(model.lockSpecs[0].parsed);

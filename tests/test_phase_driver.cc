@@ -136,13 +136,12 @@ TEST_F(ParallelReplay, PhaseCountersAreConsistent)
 
 TEST_F(ParallelReplay, InlineDriverCountersMatchLegacyResult)
 {
-    // The inline path must keep the legacy accounting intact and fill
-    // the new per-phase counters consistently.
+    // The serial entry point keeps the legacy accounting intact and
+    // fills the per-phase counters consistently.
     auto policy = core::makePolicyByName("smarts");
     const auto r = core::runSampled(*prog, *policy, *cfg);
     EXPECT_EQ(r.phases.skipInsts, r.skippedInsts);
     EXPECT_EQ(r.phases.measureInsts, r.hotInsts);
-    EXPECT_EQ(r.phases.peakSnapshotBytes, 0u); // no hooks, no snapshots
 }
 
 TEST_F(ParallelReplay, OnDemandReconstructionWorkIsJobIndependent)
@@ -250,7 +249,7 @@ TEST(WorkStealing, ArenaReplayMatchesFreshMachine)
     auto p2 = core::makePolicyByName("rsr40");
     const auto b = harness::runSampledParallel(prog, *p2, cfg, 3);
     // jobs=3 replays each worker's clusters through one reused arena;
-    // jobs=1 uses the producer arena for all of them.
+    // jobs=1 (core::runSampled) uses one arena for all of them.
     EXPECT_EQ(a.clusterIpc, b.clusterIpc);
     EXPECT_EQ(a.estimate.mean, b.estimate.mean);
     EXPECT_EQ(a.hotCycles, b.hotCycles);

@@ -56,7 +56,7 @@ TEST(Regression, SampledEstimatePinnedTwolf)
     cfg.machine = core::MachineConfig::scaledDefault();
     auto rsr = core::ReverseReconstructionWarmup::full(0.2);
     const auto r = core::runSampled(prog, *rsr, cfg);
-    EXPECT_EQ(r.hotCycles, 56307u);
+    EXPECT_EQ(r.hotCycles, 56714u);
     EXPECT_EQ(r.warmWork.loggedRecords, 92153u);
 }
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,9 @@
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
 #include "harness/campaign.hh"
+#include "harness/json.hh"
 #include "harness/manifest.hh"
+#include "harness/parallel_run.hh"
 #include "simpoint/simpoint.hh"
 #include "trace/trace.hh"
 #include "util/error.hh"
@@ -272,7 +275,8 @@ TEST(Robustness, BitFlippedLivePointStoreThrowsCorruptInput)
     const std::string path = savedSmallStore("flip");
 
     // Sanity: the pristine file loads and replays.
-    EXPECT_NO_THROW(core::LivePointStore::loadFile(path).replay());
+    EXPECT_NO_THROW(harness::replayStoreParallel(
+        core::LivePointStore::loadFile(path), 1));
 
     const auto pristine = slurpFile(path);
     ASSERT_GT(pristine.size(), 64u);
@@ -500,6 +504,91 @@ TEST(Robustness, ResumeRejectsMismatchedCampaign)
     other.policies = {"smarts"}; // different matrix, same directory
     harness::CampaignRunner second(other);
     EXPECT_THROW(second.run(/*resume=*/true), UserError);
+}
+
+/** The estimate fields of a campaign job result, as written. */
+std::map<std::string, std::string>
+estimateFields(const std::string &json)
+{
+    const auto all = harness::parseJsonObject(json);
+    std::map<std::string, std::string> out;
+    for (const char *key :
+         {"ipc", "ci_low", "ci_high", "aggregate_ipc", "clusters"})
+        out[key] = all.at(key);
+    return out;
+}
+
+TEST(Robustness, EverySampledRunSurfaceAgrees)
+{
+    // One estimator behind every surface: the serial entry point, pooled
+    // replay at any job count, a live-point store round trip, and a
+    // campaign job with or without live-points all report the same
+    // cluster IPCs and estimate, bit for bit.
+    auto camp = smallCampaign("surfaces");
+    camp.workloads = {"gcc"};
+    const auto prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    core::SampledConfig cfg;
+    cfg.totalInsts = camp.insts;
+    cfg.regimen = {camp.clusters, camp.clusterSize};
+    cfg.scheduleSeed = camp.seed;
+    cfg.machine = camp.machine;
+
+    for (const char *name : {"rsr40", "smarts"}) {
+        const auto serial =
+            core::runSampled(prog, *core::makePolicyByName(name), cfg);
+        ASSERT_EQ(serial.clusterIpc.size(), camp.clusters) << name;
+
+        const auto same = [&](const core::SampledResult &r,
+                              const char *surface) {
+            EXPECT_EQ(r.clusterIpc, serial.clusterIpc)
+                << name << " via " << surface;
+            EXPECT_EQ(r.estimate.mean, serial.estimate.mean)
+                << name << " via " << surface;
+            EXPECT_EQ(r.estimate.ciLow, serial.estimate.ciLow)
+                << name << " via " << surface;
+            EXPECT_EQ(r.estimate.ciHigh, serial.estimate.ciHigh)
+                << name << " via " << surface;
+            EXPECT_EQ(r.hotCycles, serial.hotCycles)
+                << name << " via " << surface;
+        };
+        for (const unsigned jobs : {1u, 3u})
+            same(harness::runSampledParallel(
+                     prog, *core::makePolicyByName(name), cfg, jobs),
+                 jobs == 1 ? "runSampledParallel(1)"
+                           : "runSampledParallel(3)");
+        same(harness::replayStoreParallel(
+                 core::LivePointStore::create(
+                     prog, *core::makePolicyByName(name), cfg, "gcc", name),
+                 1),
+             "live-point store");
+
+        const auto want = estimateFields(
+            harness::JsonWriter()
+                .put("ipc", serial.estimate.mean)
+                .put("ci_low", serial.estimate.ciLow)
+                .put("ci_high", serial.estimate.ciHigh)
+                .put("aggregate_ipc", serial.aggregateIpc())
+                .put("clusters",
+                     static_cast<std::uint64_t>(serial.clusterIpc.size()))
+                .str());
+        for (const bool livepoints : {false, true}) {
+            auto job = camp;
+            job.policies = {name};
+            job.outDir += livepoints ? "_lvpt" : "_plain";
+            job.livepointDir = livepoints ? job.outDir + "/stores" : "";
+            std::remove(
+                harness::CampaignRunner::manifestPath(job.outDir).c_str());
+            harness::CampaignRunner runner(job);
+            ASSERT_TRUE(runner.run().allComplete()) << name;
+            const auto bytes = slurpFile(job.outDir + "/job-0.json");
+            EXPECT_EQ(estimateFields(std::string(bytes.begin(),
+                                                 bytes.end())),
+                      want)
+                << name << (livepoints ? " campaign --livepoints"
+                                       : " campaign");
+        }
+    }
 }
 
 TEST(Robustness, FaultInjectorIsDeterministicPerSeed)

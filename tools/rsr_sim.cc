@@ -5,12 +5,12 @@
  *
  *   rsr_sim list-workloads
  *   rsr_sim true-ipc     --workload gcc [--insts N] [--machine scaled|paper]
- *   rsr_sim sample       --workload gcc --policy rsr20 [--insts N]
+ *   rsr_sim run          --workload gcc --policy rsr20 [--insts N]
  *                        [--clusters C] [--cluster-size S] [--seed X]
  *                        [--machine scaled|paper] [--true-ipc] [--csv]
- *   rsr_sim run          --workload gcc --policy rsr20 [--jobs N]
- *                        [sample flags] — deferred-replay pipeline whose
- *                        result is bit-identical for any --jobs value
+ *                        [--jobs N] — the sampled run, whose result is
+ *                        bit-identical for any --jobs value (`sample` is
+ *                        an alias)
  *                        [--sampling uniform|ranked-set|two-phase
  *                         --proxy ipc|bbv --set-size M --strata H
  *                         --phase1 P --rank-seed X] — estimator sampling
@@ -18,10 +18,10 @@
  *                        (run, mklvpt, replay, and campaign all accept
  *                        the sampling flags)
  *   rsr_sim compare      --workload gcc [--policies P1,P2,...] [--jobs N]
- *                        [sample flags] — Table-2-style policy sweep,
+ *                        [run flags] — Table-2-style policy sweep,
  *                        one pool task per policy
  *   rsr_sim mklvpt       --workload gcc --policy rsr40 --out file.lvpt
- *                        [sample flags] — producer pass: run functional
+ *                        [run flags] — producer pass: run functional
  *                        simulation + warming once, write the per-cluster
  *                        live-point store
  *   rsr_sim replay       --store file.lvpt [--jobs N] [--csv]
@@ -53,6 +53,7 @@
 #include "core/config_file.hh"
 #include "core/estimator.hh"
 #include "core/livepoint_store.hh"
+#include "core/phase_driver.hh"
 #include "core/stats_report.hh"
 #include "func/funcsim.hh"
 #include "core/reuse_latency.hh"
@@ -141,15 +142,10 @@ cmdTrueIpc(const ArgParser &args)
     const auto insts = args.getU64("insts", 4'000'000);
     const auto mc = machineFor(args);
     if (args.has("stats")) {
-        // Run inline so the machine's counters survive for the report.
+        // Own the machine so its counters survive for the report.
         core::Machine machine(mc);
         func::FuncSim fs(program);
-        struct Src : uarch::InstSource
-        {
-            func::FuncSim &fs;
-            explicit Src(func::FuncSim &fs) : fs(fs) {}
-            bool next(func::DynInst &out) override { return fs.step(&out); }
-        } src(fs);
+        core::FuncSource src(fs);
         uarch::OoOCore core(mc.core, machine.hier, machine.bp);
         const auto r = core.run(src, insts);
         std::printf("%s", core::formatStats(machine, r).c_str());
@@ -207,48 +203,6 @@ policyFor(const ArgParser &args, const func::Program &program,
             core::profileReuseLatency(program, schedule, kind));
     }
     return core::makePolicyByName(policy_name);
-}
-
-int
-cmdSample(const ArgParser &args)
-{
-    const auto program = workloadFor(args);
-    const auto cfg = sampledConfigFor(args);
-    const auto policy = policyFor(args, program, cfg, "rsr20");
-
-    const auto r = core::runSampled(program, *policy, cfg);
-
-    if (args.has("csv")) {
-        std::printf("cluster,ipc\n");
-        for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
-            std::printf("%zu,%.6f\n", i, r.clusterIpc[i]);
-    }
-
-    std::printf("policy %s on %s: IPC estimate %.4f  "
-                "CI [%.4f, %.4f]  aggregate %.4f\n",
-                policy->name().c_str(), args.get("workload").c_str(),
-                r.estimate.mean, r.estimate.ciLow, r.estimate.ciHigh,
-                r.aggregateIpc());
-    std::printf("  %llu clusters x %llu insts, %llu skipped; %.3fs; "
-                "warm updates %llu; logged %llu (peak %llu bytes)\n",
-                static_cast<unsigned long long>(r.clusterIpc.size()),
-                static_cast<unsigned long long>(cfg.regimen.clusterSize),
-                static_cast<unsigned long long>(r.skippedInsts),
-                r.seconds,
-                static_cast<unsigned long long>(
-                    r.warmWork.totalUpdates()),
-                static_cast<unsigned long long>(
-                    r.warmWork.loggedRecords),
-                static_cast<unsigned long long>(r.warmWork.peakLogBytes));
-
-    if (args.has("true-ipc")) {
-        const auto full =
-            core::runFull(program, cfg.totalInsts, cfg.machine);
-        std::printf("  true IPC %.4f  relative error %.4f  CI %s\n",
-                    full.ipc(), r.estimate.relativeError(full.ipc()),
-                    r.estimate.passesCi(full.ipc()) ? "pass" : "FAIL");
-    }
-    return 0;
 }
 
 /**
@@ -800,21 +754,20 @@ usage()
         "usage: rsr_sim <command> [--flags]\n"
         "  list-workloads\n"
         "  true-ipc     --workload W [--insts N] [--machine scaled|paper]\n"
-        "  sample       --workload W --policy P [--insts N] [--clusters C]\n"
+        "  run          --workload W --policy P [--insts N] [--clusters C]\n"
         "               [--cluster-size S] [--seed X] [--true-ipc] [--csv]\n"
-        "  run          --workload W --policy P [--jobs N] "
-        "[--steal-seed X]\n"
-        "               [sample flags] [sampling flags] (parallel\n"
-        "               per-cluster replay; bit-identical for any --jobs\n"
-        "               and --steal-seed)\n"
+        "               [--jobs N] [--steal-seed X] [sampling flags]\n"
+        "               (per-cluster timing replays on N workers;\n"
+        "               bit-identical for any --jobs and --steal-seed)\n"
+        "  sample       alias of run\n"
         "  compare      --workload W [--policies P1,P2,...] [--jobs N]\n"
-        "               [sample flags] (policy sweep; defaults to the\n"
+        "               [run flags] (policy sweep; defaults to the\n"
         "               full Table-2 matrix)\n"
         "  record-trace --workload W --out FILE [--insts N]\n"
         "  sim-trace    --trace FILE [--insts N]\n"
         "  simpoint     --workload W [--insts N] [--interval I] [--max-k K]"
         " [--warm]\n"
-        "  mklvpt       --workload W --policy P --out FILE [sample flags]\n"
+        "  mklvpt       --workload W --policy P --out FILE [run flags]\n"
         "               [sampling flags] (producer: run functional\n"
         "               simulation + warming once, write a\n"
         "               content-addressed live-point store)\n"
@@ -885,6 +838,10 @@ dispatch(const ArgParser &args)
         "shed-fill", "io-timeout", "result-cache-mb", "store-cache-mb",
         "journal",   "fault-torn", "sampling", "proxy", "set-size",
         "strata",    "phase1",   "rank-seed", "steal-seed"};
+    if (args.has("help")) {
+        usage();
+        return 0;
+    }
     args.requireKnown(allowed);
 
     const std::string cmd = args.command();
@@ -892,9 +849,7 @@ dispatch(const ArgParser &args)
         return cmdListWorkloads();
     if (cmd == "true-ipc")
         return cmdTrueIpc(args);
-    if (cmd == "sample")
-        return cmdSample(args);
-    if (cmd == "run")
+    if (cmd == "run" || cmd == "sample")
         return cmdRun(args);
     if (cmd == "compare")
         return cmdCompare(args);
