@@ -137,7 +137,7 @@ main(int argc, char **argv)
                      "2phase %", "best", "pair CI"});
     std::vector<double> u_means, r_means, t_means;
     unsigned ranked_wins = 0, twophase_wins = 0, est_wins = 0;
-    unsigned significant_wins = 0;
+    unsigned significant_wins = 0, significant_losses = 0;
     auto j = bench::benchJson("estimator_frontier", /*jobs=*/1);
     j.put("mode", quick ? "quick" : "full")
         .put("policy", policy)
@@ -173,6 +173,7 @@ main(int argc, char **argv)
         twophase_wins += twophase_better;
         est_wins += ranked_better || twophase_better;
         significant_wins += pair.significant() && pair.meanDiff > 0.0;
+        significant_losses += pair.significant() && pair.meanDiff < 0.0;
         u_means.push_back(u.meanErr());
         r_means.push_back(r.meanErr());
         t_means.push_back(t.meanErr());
@@ -201,10 +202,10 @@ main(int argc, char **argv)
     table.print();
 
     std::printf("estimator wins %u/%zu workloads (ranked-set %u, "
-                "two-phase %u; %u matched-pair significant) at equal "
-                "measured budget\n",
+                "two-phase %u; %u matched-pair significant wins, %u "
+                "significant losses) at equal measured budget\n",
                 est_wins, setups.size(), ranked_wins, twophase_wins,
-                significant_wins);
+                significant_wins, significant_losses);
 
     // Gated metrics: pure functions of integer-deterministic estimates,
     // identical on every runner. Counts and capped mean error ratios
@@ -213,6 +214,8 @@ main(int argc, char **argv)
         .put("twophase_wins", static_cast<std::uint64_t>(twophase_wins))
         .put("significant_wins",
              static_cast<std::uint64_t>(significant_wins))
+        .put("significant_losses",
+             static_cast<std::uint64_t>(significant_losses))
         .put("norm_est_win_workloads",
              static_cast<std::uint64_t>(est_wins))
         .put("norm_ranked_gain", meanGain(u_means, r_means))

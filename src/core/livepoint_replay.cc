@@ -2,7 +2,7 @@
  * @file
  * Hot half of the live-point store: decoding a stored cluster into a
  * replay task. Every container byte was validated when the store was
- * opened (content hashes, blob presence, trace sizes), so this path runs
+ * opened (content hashes, blob presence, trace records), so this path runs
  * assertion-checked decode only — no exceptional control flow.
  *
  * rsrlint: hot — decode runs once per replayed cluster on every consumer
@@ -11,7 +11,7 @@
 
 #include "livepoint_store.hh"
 
-#include "isa/inst.hh"
+#include "trace/trace.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
 #include "util/snapshot.hh"
@@ -31,23 +31,13 @@ LivePointStore::makeReplayTask(std::size_t index) const
     task.cluster = e.cluster;
     task.machineState = reader_->blob(e.stateHash);
 
-    // Decode the committed trace. `taken` is recomputed exactly as the
-    // functional simulator defines it (nextPc != pc + 4), and sequence
-    // numbers are regenerated from the entry's firstSeq — the trace is a
-    // contiguous commit stream, and the timing model indexes its ROB by
-    // absolute sequence number.
-    const auto &trace = reader_->blob(e.traceHash);
-    ByteSource in(trace);
+    // Decode the committed trace. Sequence numbers are regenerated from
+    // the entry's firstSeq — the trace is a contiguous commit stream, and
+    // the timing model indexes its ROB by absolute sequence number.
+    trace::TraceDecoder in(reader_->blob(e.traceHash), e.firstSeq);
     task.trace.resize(e.cluster.size);
-    std::uint64_t seq = e.firstSeq;
-    for (auto &d : task.trace) {
-        d.pc = in.getU64();
-        d.nextPc = in.getU64();
-        d.effAddr = in.getU64();
-        d.inst = isa::decode(in.getU32());
-        d.taken = d.nextPc != d.pc + 4;
-        d.seq = seq++;
-    }
+    for (auto &d : task.trace)
+        in.next(d);
     rsr_assert(in.exhausted(), "trace blob decode left trailing bytes");
 
     if (e.hasContext) {

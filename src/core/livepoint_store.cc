@@ -8,6 +8,7 @@
 #include "livepoint_store.hh"
 
 #include "func/funcsim.hh"
+#include "trace/trace.hh"
 #include "util/checksum.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
@@ -23,14 +24,10 @@ namespace
 {
 
 /** Index frame tag and version (rides on the v3 Snapshotable framing).
- *  v2 appends estimator capture metadata and a per-entry group word;
- *  v1 stores still load, with uniform-sampling defaults. */
+ *  v3 trace blobs hold src/trace record payloads; older stores are
+ *  rejected as version skew and must be recaptured. */
 constexpr std::uint32_t indexTag = fourcc('L', 'V', 'P', 'T');
-constexpr std::uint32_t indexVersion = 2;
-constexpr std::uint32_t oldestReadableIndexVersion = 1;
-
-/** Bytes per encoded trace instruction: pc, nextPc, effAddr, opcode. */
-constexpr std::size_t traceRecordBytes = 8 + 8 + 8 + 4;
+constexpr std::uint32_t indexVersion = 3;
 
 void
 putCacheParams(ByteSink &out, const cache::CacheParams &p)
@@ -149,14 +146,10 @@ class CaptureSink : public ReplaySink
         e.firstSeq = task.trace.empty() ? 0 : task.trace.front().seq;
         e.stateHash = writer.add(task.machineState);
 
-        ByteSink trace;
-        for (const auto &d : task.trace) {
-            trace.putU64(d.pc);
-            trace.putU64(d.nextPc);
-            trace.putU64(d.effAddr);
-            trace.putU32(isa::encode(d.inst));
-        }
-        e.traceHash = writer.add(trace.take());
+        trace::TraceEncoder encoder;
+        for (const auto &d : task.trace)
+            encoder.append(d);
+        e.traceHash = writer.add(encoder.bytes());
 
         if (task.context) {
             ByteSink ctx;
@@ -255,34 +248,32 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
     ByteSource src(store.reader_->index());
     Deserializer in(src);
     const std::uint32_t version = in.begin(indexTag);
-    if (version < oldestReadableIndexVersion || version > indexVersion)
+    if (version != indexVersion)
         rsr_throw_corrupt("live-point index version skew: file is v",
-                          version, ", this build reads v",
-                          oldestReadableIndexVersion, "..v", indexVersion);
+                          version, ", this build reads v", indexVersion,
+                          " (recapture the store)");
     store.meta_.workload = getString(in);
     store.meta_.policy = getString(in);
     store.meta_.totalInsts = in.getU64();
     store.meta_.scheduleSeed = in.getU64();
     store.meta_.regimen.numClusters = in.getU64();
     store.meta_.regimen.clusterSize = in.getU64();
-    if (version >= 2) {
-        const std::uint8_t kind = in.getU8();
-        const std::uint8_t proxy = in.getU8();
-        if (kind > static_cast<std::uint8_t>(
-                       SamplingPolicyKind::TwoPhaseStratified))
-            rsr_throw_corrupt("live-point index names unknown sampling "
-                              "policy kind ", int{kind});
-        if (proxy > static_cast<std::uint8_t>(ProxyKind::BbvDistance))
-            rsr_throw_corrupt("live-point index names unknown proxy "
-                              "kind ", int{proxy});
-        store.meta_.estimator.kind = static_cast<SamplingPolicyKind>(kind);
-        store.meta_.estimator.proxy = static_cast<ProxyKind>(proxy);
-        store.meta_.estimator.setSize = in.getU64();
-        store.meta_.estimator.strata = in.getU64();
-        store.meta_.estimator.phase1PerStratum = in.getU64();
-        store.meta_.estimator.rankSeed = in.getU64();
-        store.meta_.candidateCount = in.getU64();
-    }
+    const std::uint8_t kind = in.getU8();
+    const std::uint8_t proxy = in.getU8();
+    if (kind >
+        static_cast<std::uint8_t>(SamplingPolicyKind::TwoPhaseStratified))
+        rsr_throw_corrupt("live-point index names unknown sampling "
+                          "policy kind ", int{kind});
+    if (proxy > static_cast<std::uint8_t>(ProxyKind::BbvDistance))
+        rsr_throw_corrupt("live-point index names unknown proxy kind ",
+                          int{proxy});
+    store.meta_.estimator.kind = static_cast<SamplingPolicyKind>(kind);
+    store.meta_.estimator.proxy = static_cast<ProxyKind>(proxy);
+    store.meta_.estimator.setSize = in.getU64();
+    store.meta_.estimator.strata = in.getU64();
+    store.meta_.estimator.phase1PerStratum = in.getU64();
+    store.meta_.estimator.rankSeed = in.getU64();
+    store.meta_.candidateCount = in.getU64();
     const std::uint64_t machine_len = in.getU64();
     FaultInjector::global().checkAlloc("livepoint_store:machine",
                                        machine_len);
@@ -309,19 +300,18 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
         e.traceHash = in.getU64();
         e.hasContext = in.getU8() != 0;
         e.contextHash = in.getU64();
-        if (version >= 2)
-            e.group = in.getU32();
+        e.group = in.getU32();
 
         // Fail at load, not mid-replay: every referenced blob must be
-        // present, and the trace blob must decode to exactly
-        // cluster.size records.
+        // present, and the trace blob must hold exactly cluster.size
+        // well-formed records.
         store.reader_->blob(e.stateHash);
-        const auto &trace = store.reader_->blob(e.traceHash);
-        if (trace.size() != e.cluster.size * traceRecordBytes)
-            rsr_throw_corrupt("live-point entry ", i, " trace blob is ",
-                              trace.size(), " bytes, cluster of ",
-                              e.cluster.size, " insts needs ",
-                              e.cluster.size * traceRecordBytes);
+        const std::uint64_t records =
+            trace::countTraceRecords(store.reader_->blob(e.traceHash));
+        if (records != e.cluster.size)
+            rsr_throw_corrupt("live-point entry ", i, " trace blob holds ",
+                              records, " records, cluster has ",
+                              e.cluster.size, " insts");
         if (e.hasContext)
             store.reader_->blob(e.contextHash);
         store.entries_.push_back(e);

@@ -10,10 +10,14 @@
  * snapshot, committed trace, and measurement context as content-addressed
  * blobs in a BlobStoreWriter: frames are keyed by their FNV-1a-64 content
  * hash, so identical state across clusters (common for small predictors
- * or quickly-saturating caches) is stored once. A versioned index frame
- * ('LVPT', built on the v3 Snapshotable framing) records the capture
- * metadata — workload, policy, schedule, machine configuration — plus
- * one entry per cluster referencing the blobs by hash.
+ * or quickly-saturating caches) is stored once. Trace blobs are record
+ * payloads of the src/trace delta codec, the same records a trace file
+ * holds. A versioned index frame ('LVPT' v3, built on the v3
+ * Snapshotable framing) records the capture metadata — workload, policy,
+ * schedule, machine configuration, estimator selection — plus one entry
+ * per cluster referencing the blobs by hash. Stores written with an
+ * older index version are rejected as version skew and must be
+ * recaptured.
  *
  * Any number of *consumer* passes (`rsr_sim replay`,
  * harness::replayStoreParallel) then measure the stored clusters with
@@ -52,12 +56,12 @@ struct LivePointEntry
     std::uint64_t firstSeq = 0;
     /** Content hash of the framed machine snapshot. */
     std::uint64_t stateHash = 0;
-    /** Content hash of the encoded committed trace. */
+    /** Content hash of the committed trace's record payload. */
     std::uint64_t traceHash = 0;
     /** Does this cluster carry a measurement context (RSR/RBP)? */
     bool hasContext = false;
     std::uint64_t contextHash = 0;
-    /** Estimator group of this cluster (index v2): the rank class for
+    /** Estimator group of this cluster: the rank class for
      *  ranked-set captures, the stratum id for two-phase captures, 0 for
      *  uniform. Replays feed these straight into rankedSetEstimate() /
      *  stratifiedEstimate() without recomputing the selection. */
@@ -81,9 +85,8 @@ class LivePointStore
         std::uint64_t scheduleSeed = 0;
         SamplingRegimen regimen;
         MachineConfig machine;
-        /** Sampling-estimator capture parameters (index v2; defaults
-         *  describe a plain uniform capture, which is also what a v1
-         *  store deserializes to). */
+        /** Sampling-estimator capture parameters (defaults describe a
+         *  plain uniform capture). */
         EstimatorOptions estimator;
         /** Size of the candidate pool the estimator's selection plan
          *  drew from (0 for uniform captures). */
@@ -123,7 +126,8 @@ class LivePointStore
     /**
      * Open a serialized store, validating the whole container (magic,
      * version, index checksum, every blob's content hash, every index
-     * reference). Throws CorruptInputError on any damage.
+     * reference, every trace blob's record count). Throws
+     * CorruptInputError on any damage.
      */
     static LivePointStore deserialize(std::vector<std::uint8_t> bytes);
 

@@ -135,7 +135,8 @@ CampaignRunner::executeJob(const JobSpec &spec)
     } else {
         // Live-point mode: replay from a per-(workload, policy) store,
         // creating it (or recreating a stale one — never silent reuse)
-        // when its configHash does not match this campaign's parameters.
+        // when its configHash does not match this campaign's parameters
+        // or it does not open (an older index version, damaged bytes).
         const std::string store_path = config.livepointDir + "/" +
                                        spec.workload + "-" + spec.policy +
                                        ".lvpt";
@@ -143,10 +144,15 @@ CampaignRunner::executeJob(const JobSpec &spec)
             spec.workload, spec.policy, sim);
         std::unique_ptr<core::LivePointStore> store;
         if (fileExists(store_path)) {
-            auto loaded = core::LivePointStore::loadFile(store_path);
-            if (loaded.configHash() == want)
-                store = std::make_unique<core::LivePointStore>(
-                    std::move(loaded));
+            try {
+                auto loaded = core::LivePointStore::loadFile(store_path);
+                if (loaded.configHash() == want)
+                    store = std::make_unique<core::LivePointStore>(
+                        std::move(loaded));
+            } catch (const CorruptInputError &e) {
+                rsr_warn("recapturing unreadable live-point store ",
+                         store_path, ": ", e.what());
+            }
         }
         if (!store) {
             store = std::make_unique<core::LivePointStore>(

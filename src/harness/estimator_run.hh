@@ -86,7 +86,7 @@ EstimatorRunResult runEstimator(const func::Program &program,
 /**
  * Producer: run the selection (proxy pass + pilot when two-phase) and
  * capture the final schedule into a live-point store annotated with the
- * estimator metadata (index v2). replayEstimatorStore() then reproduces
+ * estimator metadata. replayEstimatorStore() then reproduces
  * runEstimator()'s estimate bit-identically with zero functional work —
  * minus the pilot cost, which the capture already paid.
  */
@@ -101,7 +101,7 @@ captureEstimatorStore(const func::Program &program,
 /**
  * Consumer: measure every stored cluster under @p machine_config and
  * compute the estimate the store's capture-time estimator metadata
- * calls for (rank classes / strata come from the v2 entry groups;
+ * calls for (rank classes / strata come from the entry groups;
  * stratum candidate sizes are re-derived from candidateCount, which the
  * equal-size quantile split makes exact). Bit-identical to the direct
  * runEstimator() run for any @p jobs / @p steal_seed.

@@ -1,18 +1,11 @@
 #include "trace.hh"
 
-#include <cerrno>
-#include <cstring>
-
-#include <unistd.h>
-
 #include "func/funcsim.hh"
 #include "isa/inst.hh"
 #include "util/checksum.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/fileio.hh"
-#include "util/logging.hh"
-#include "util/serial.hh"
 
 namespace rsr::trace
 {
@@ -24,43 +17,33 @@ constexpr std::uint64_t traceMagic = 0x52535254524143ull; // "RSRTRAC"
 constexpr std::uint32_t traceVersion = 2;
 // magic (8) + version (4) + record count (8) + payload checksum (8)
 constexpr std::size_t headerBytes = 28;
-constexpr std::size_t flushThreshold = 1 << 20;
 
 constexpr std::uint8_t kindSequential = 1;
 constexpr std::uint8_t kindMem = 2;
 constexpr std::uint8_t kindTaken = 4;
+constexpr std::uint8_t kindBits = kindSequential | kindMem | kindTaken;
+
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t maxVarintBytes = 10;
+
+std::int64_t
+delta(std::uint64_t to, std::uint64_t from)
+{
+    return static_cast<std::int64_t>(to) - static_cast<std::int64_t>(from);
+}
+
+std::uint64_t
+addDelta(std::uint64_t base, std::uint64_t zigzag)
+{
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(base) +
+                                      zigzagDecode(zigzag));
+}
 
 } // namespace
 
-TraceWriter::TraceWriter(const std::string &path)
-    : path(path), tmpPath(path + ".partial." + std::to_string(::getpid()))
-{
-    if (FaultInjector::global().shouldFailIo("write:" + path))
-        rsr_throw_io("injected I/O fault opening trace ", path);
-    file = std::fopen(tmpPath.c_str(), "wb");
-    if (!file)
-        rsr_throw_user("cannot open trace file for writing: ", path,
-                       ": ", std::strerror(errno));
-    // Placeholder header; patched in close().
-    const std::uint8_t zeros[headerBytes] = {};
-    std::fwrite(zeros, 1, headerBytes, file);
-}
-
-TraceWriter::~TraceWriter()
-{
-    // Abandoned writer (exception unwind): drop the partial file rather
-    // than publish a torn trace.
-    if (file) {
-        std::fclose(file);
-        file = nullptr;
-        std::remove(tmpPath.c_str());
-    }
-}
-
 void
-TraceWriter::append(const func::DynInst &d)
+TraceEncoder::append(const func::DynInst &d)
 {
-    ByteSink sink;
     std::uint8_t kind = 0;
     if (records_ > 0 && d.pc == prevNextPc)
         kind |= kindSequential;
@@ -68,69 +51,86 @@ TraceWriter::append(const func::DynInst &d)
         kind |= kindMem;
     if (d.taken)
         kind |= kindTaken;
-    sink.putU8(kind);
+    out.putU8(kind);
     if (!(kind & kindSequential))
-        putVarint(sink, zigzagEncode(static_cast<std::int64_t>(d.pc) -
-                                     static_cast<std::int64_t>(prevPc)));
-    sink.putU32(isa::encode(d.inst));
+        putVarint(out, zigzagEncode(delta(d.pc, prevPc)));
+    out.putU32(isa::encode(d.inst));
     if (kind & kindTaken)
-        putVarint(sink,
-                  zigzagEncode(static_cast<std::int64_t>(d.nextPc) -
-                               static_cast<std::int64_t>(d.pc + 4)));
-    if (kind & kindMem)
-        putVarint(sink,
-                  zigzagEncode(static_cast<std::int64_t>(d.effAddr) -
-                               static_cast<std::int64_t>(prevEffAddr)));
-
-    const auto &bytes = sink.bytes();
-    buffer.insert(buffer.end(), bytes.begin(), bytes.end());
-    checksum.update(bytes.data(), bytes.size());
-    payloadBytes_ += bytes.size();
+        putVarint(out, zigzagEncode(delta(d.nextPc, d.pc + 4)));
+    if (kind & kindMem) {
+        putVarint(out, zigzagEncode(delta(d.effAddr, prevEffAddr)));
+        prevEffAddr = d.effAddr;
+    }
     ++records_;
     prevPc = d.pc;
     prevNextPc = d.nextPc;
-    if (kind & kindMem)
-        prevEffAddr = d.effAddr;
-    if (buffer.size() >= flushThreshold)
-        flushBuffer();
 }
 
 void
-TraceWriter::flushBuffer()
+TraceDecoder::next(func::DynInst &out)
 {
-    if (!buffer.empty()) {
-        if (std::fwrite(buffer.data(), 1, buffer.size(), file) !=
-            buffer.size())
-            rsr_throw_io("write error on trace ", path);
-        buffer.clear();
+    const std::uint8_t kind = in.getU8();
+    const std::uint64_t pc =
+        kind & kindSequential ? prevNextPc : addDelta(prevPc, getVarint(in));
+    out.inst = isa::decode(in.getU32());
+    out.nextPc = kind & kindTaken ? addDelta(pc + 4, getVarint(in)) : pc + 4;
+    out.effAddr = 0;
+    if (kind & kindMem) {
+        prevEffAddr = addDelta(prevEffAddr, getVarint(in));
+        out.effAddr = prevEffAddr;
     }
+    out.seq = seq++;
+    out.pc = pc;
+    out.taken = (kind & kindTaken) != 0;
+    prevPc = pc;
+    prevNextPc = out.nextPc;
+}
+
+std::uint64_t
+countTraceRecords(const std::vector<std::uint8_t> &payload)
+{
+    const std::size_t size = payload.size();
+    std::size_t pos = 0;
+    const auto skip = [&](std::size_t n) {
+        if (size - pos < n)
+            return false;
+        pos += n;
+        return true;
+    };
+    const auto skipVarint = [&] {
+        for (std::size_t i = 0; i < maxVarintBytes && pos < size; ++i)
+            if (!(payload[pos++] & 0x80))
+                return true;
+        return false;
+    };
+
+    std::uint64_t records = 0;
+    while (pos < size) {
+        const std::uint8_t kind = payload[pos++];
+        const bool ok = (kind & ~kindBits) == 0 &&
+                        ((kind & kindSequential) || skipVarint()) &&
+                        skip(4) && (!(kind & kindTaken) || skipVarint()) &&
+                        (!(kind & kindMem) || skipVarint());
+        if (!ok)
+            rsr_throw_corrupt("trace record ", records,
+                              " is malformed or cut short (byte ", pos,
+                              " of ", size, ")");
+        ++records;
+    }
+    return records;
 }
 
 void
 TraceWriter::close()
 {
-    if (!file)
-        return;
-    flushBuffer();
-    // Patch the header with the magic, version, count, and checksum,
-    // then atomically publish the finished trace.
-    std::fseek(file, 0, SEEK_SET);
-    ByteSink header;
-    header.putU64(traceMagic);
-    header.putU32(traceVersion);
-    header.putU64(records_);
-    header.putU64(checksum.value());
-    bool ok = std::fwrite(header.bytes().data(), 1, header.size(),
-                          file) == header.size();
-    ok = std::fflush(file) == 0 && ok;
-    ok = ::fsync(::fileno(file)) == 0 && ok;
-    ok = std::fclose(file) == 0 && ok;
-    file = nullptr;
-    if (!ok || std::rename(tmpPath.c_str(), path.c_str()) != 0) {
-        std::remove(tmpPath.c_str());
-        rsr_throw_io("cannot finalize trace ", path, ": ",
-                     std::strerror(errno));
-    }
+    const auto &payload = encoder.bytes();
+    ByteSink file;
+    file.putU64(traceMagic);
+    file.putU32(traceVersion);
+    file.putU64(encoder.records());
+    file.putU64(fnv64(payload.data(), payload.size()));
+    file.putBytes(payload.data(), payload.size());
+    atomicWriteFile(path, file.bytes());
 }
 
 TraceReader::TraceReader(const std::string &path)
@@ -159,60 +159,20 @@ TraceReader::TraceReader(const std::string &path)
     if (fnv64(payload.data(), payload.size()) != want_checksum)
         rsr_throw_corrupt("trace payload checksum mismatch in ", path,
                           " (truncated or corrupted file)");
+    const std::uint64_t held = countTraceRecords(payload);
+    if (held != records_)
+        rsr_throw_corrupt("trace ", path, " holds ", held,
+                          " records, header says ", records_);
+    rewind();
 }
 
 bool
 TraceReader::next(func::DynInst &out)
 {
-    if (consumed_ >= records_)
+    if (decoder.exhausted())
         return false;
-    ByteSource in(payload.data() + pos, payload.size() - pos);
-    const std::size_t before = in.remaining();
-
-    const std::uint8_t kind = in.getU8();
-    std::uint64_t pc;
-    if (kind & kindSequential) {
-        pc = prevNextPc;
-    } else {
-        pc = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(prevPc) +
-            zigzagDecode(getVarint(in)));
-    }
-    const isa::Inst inst = isa::decode(in.getU32());
-    std::uint64_t next_pc = pc + 4;
-    if (kind & kindTaken)
-        next_pc = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(pc + 4) +
-            zigzagDecode(getVarint(in)));
-    std::uint64_t eff = 0;
-    if (kind & kindMem) {
-        eff = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(prevEffAddr) +
-            zigzagDecode(getVarint(in)));
-        prevEffAddr = eff;
-    }
-
-    pos += before - in.remaining();
-    prevPc = pc;
-    prevNextPc = next_pc;
-
-    out.seq = consumed_++;
-    out.pc = pc;
-    out.nextPc = next_pc;
-    out.effAddr = eff;
-    out.inst = inst;
-    out.taken = (kind & kindTaken) != 0;
+    decoder.next(out);
     return true;
-}
-
-void
-TraceReader::rewind()
-{
-    consumed_ = 0;
-    pos = 0;
-    prevPc = 0;
-    prevNextPc = 0;
-    prevEffAddr = 0;
 }
 
 std::uint64_t

@@ -445,7 +445,7 @@ TEST_F(EstimatorRun, TwoPhaseStoreSurvivesSerializationRoundTrip)
         runEstimator(*prog, "smarts", *cfg, twoPhaseOpts(), 1);
     const auto store = captureEstimatorStore(*prog, "smarts", *cfg,
                                              twoPhaseOpts(), "twolf");
-    // Round-trip through bytes: the v2 index must preserve the
+    // Round-trip through bytes: the index must preserve the
     // estimator annotations that drive the stratified estimate.
     const auto reloaded =
         core::LivePointStore::deserialize(store.serialize());
@@ -462,7 +462,7 @@ TEST_F(EstimatorRun, CaptureAnnotationsSurviveBytesAndRejectReorder)
 {
     const auto store = captureEstimatorStore(*prog, "rsr40", *cfg,
                                              rankedOpts(), "twolf");
-    // The v2 index round-trips every capture annotation: estimator
+    // The index round-trips every capture annotation: estimator
     // options, candidate-pool size, and the per-cluster groups that
     // drive rankedSetEstimate() on replay.
     const auto reloaded =

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ios>
 #include <sstream>
 
@@ -18,6 +19,8 @@
 #include "core/livepoint_store.hh"
 #include "core/warmup.hh"
 #include "harness/parallel_run.hh"
+#include "trace/trace.hh"
+#include "util/checksum.hh"
 #include "util/error.hh"
 #include "util/random.hh"
 #include "util/serial.hh"
@@ -205,12 +208,101 @@ TEST_F(LivePoints, CaptureShapes)
 
 TEST_F(LivePoints, TraceSequenceNumbersAreContiguousFromFirstSeq)
 {
+    // The traces the capture pass produced, before any encoding.
+    struct Collect : ReplaySink
+    {
+        std::vector<std::vector<func::DynInst>> traces;
+        void
+        onCluster(ClusterReplayTask task) override
+        {
+            traces.push_back(std::move(task.trace));
+        }
+    } captured;
+    auto smarts = FunctionalWarmup::smarts();
+    ClusterScheduleDriver(*prog, *smarts, *cfg).runDeferred(captured);
+    ASSERT_EQ(captured.traces.size(), store->clusterCount());
+
     for (std::size_t i = 0; i < store->clusterCount(); ++i) {
         const auto task = store->makeReplayTask(i);
+        const auto &want = captured.traces[i];
+        ASSERT_EQ(task.trace.size(), want.size()) << i;
         std::uint64_t seq = store->entries()[i].firstSeq;
-        for (const auto &d : task.trace)
-            EXPECT_EQ(d.seq, seq++) << i;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+            const auto &got = task.trace[k];
+            EXPECT_EQ(got.seq, seq++) << i << ":" << k;
+            EXPECT_EQ(got.seq, want[k].seq) << i << ":" << k;
+            EXPECT_EQ(got.pc, want[k].pc) << i << ":" << k;
+            EXPECT_EQ(got.nextPc, want[k].nextPc) << i << ":" << k;
+            EXPECT_EQ(got.effAddr, want[k].effAddr) << i << ":" << k;
+            EXPECT_EQ(got.inst, want[k].inst) << i << ":" << k;
+            EXPECT_EQ(got.taken, want[k].taken) << i << ":" << k;
+        }
     }
+}
+
+TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
+{
+    // Rebuild the store with entry 0's trace blob replaced: the new
+    // blob's content hash is valid, so only the load-time trace check
+    // stands between a malformed payload and the replay path.
+    const BlobStoreReader original(store->serialize());
+    const auto &entries = store->entries();
+    const auto withTrace0 = [&](const std::vector<std::uint8_t> &trace) {
+        BlobStoreWriter w;
+        for (const auto &e : entries) {
+            w.add(original.blob(e.stateHash));
+            if (e.hasContext)
+                w.add(original.blob(e.contextHash));
+            if (&e != &entries[0])
+                w.add(original.blob(e.traceHash));
+        }
+        const std::uint64_t hash = w.add(trace);
+
+        // Point entry 0 at the new blob and re-seal the index frame:
+        // tag (4) + version (4) + payload length (8) + checksum (8).
+        auto index = original.index();
+        ByteSink old_hash, new_hash, checksum;
+        old_hash.putU64(entries[0].traceHash);
+        new_hash.putU64(hash);
+        const auto at = std::search(index.begin() + 24, index.end(),
+                                    old_hash.bytes().begin(),
+                                    old_hash.bytes().end());
+        if (at == index.end()) {
+            ADD_FAILURE() << "entry 0 trace hash not found in the index";
+            return std::vector<std::uint8_t>{};
+        }
+        std::copy(new_hash.bytes().begin(), new_hash.bytes().end(), at);
+        checksum.putU64(fnv64(index.data() + 24, index.size() - 24));
+        std::copy(checksum.bytes().begin(), checksum.bytes().end(),
+                  index.begin() + 16);
+        return w.finish(index);
+    };
+
+    // Control: a well-formed blob of the right length opens, so the
+    // failures below come from the trace check, not the rebuild.
+    ASSERT_EQ(entries[0].cluster.size, entries[1].cluster.size);
+    const auto swapped = LivePointStore::deserialize(
+        withTrace0(original.blob(entries[1].traceHash)));
+    EXPECT_EQ(swapped.entries()[0].traceHash, entries[1].traceHash);
+
+    const auto &good = original.blob(entries[0].traceHash);
+    auto truncated = good;
+    truncated.pop_back(); // every record ends in a word or varint byte
+    EXPECT_THROW(LivePointStore::deserialize(withTrace0(truncated)),
+                 CorruptInputError);
+
+    auto trailing = good;
+    trailing.push_back(1); // a sequential record missing its word
+    EXPECT_THROW(LivePointStore::deserialize(withTrace0(trailing)),
+                 CorruptInputError);
+
+    const auto decoded = store->makeReplayTask(0).trace;
+    trace::TraceEncoder short_one;
+    for (std::size_t k = 0; k + 1 < decoded.size(); ++k)
+        short_one.append(decoded[k]);
+    EXPECT_THROW(
+        LivePointStore::deserialize(withTrace0(short_one.bytes())),
+        CorruptInputError);
 }
 
 TEST_F(LivePoints, ReplayMatchesDeferredRunExactly)

@@ -35,6 +35,7 @@
 #include "trace/trace.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
+#include "util/fileio.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr
@@ -589,6 +590,25 @@ TEST(Robustness, EverySampledRunSurfaceAgrees)
                                        : " campaign");
         }
     }
+}
+
+TEST(Robustness, CampaignRecapturesUnreadableLivePointStore)
+{
+    // A store this build cannot open (an older index version, damaged
+    // bytes) is stale: campaign --livepoints recaptures it instead of
+    // failing the job.
+    auto camp = smallCampaign("unreadable_store");
+    camp.workloads = {"twolf"};
+    camp.policies = {"smarts"};
+    camp.livepointDir = camp.outDir + "/stores";
+    makeDirs(camp.livepointDir);
+    const std::string store = camp.livepointDir + "/twolf-smarts.lvpt";
+    spillFile(store, std::vector<std::uint8_t>(64, 0xab));
+    ASSERT_THROW(core::LivePointStore::loadFile(store), CorruptInputError);
+
+    harness::CampaignRunner runner(camp);
+    ASSERT_TRUE(runner.run().allComplete());
+    EXPECT_NO_THROW(core::LivePointStore::loadFile(store));
 }
 
 TEST(Robustness, FaultInjectorIsDeterministicPerSeed)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "func/funcsim.hh"
 #include "trace/trace.hh"
 #include "util/error.hh"
+#include "util/fileio.hh"
 #include "workload/program_builder.hh"
 #include "workload/synthetic.hh"
 
@@ -49,9 +51,13 @@ TEST(Trace, RoundTripExact)
     TraceReader reader(path);
     EXPECT_EQ(reader.records(), n);
 
+    // The in-memory encoder (what live-point stores hold) produces
+    // exactly the file's payload: one codec for both.
+    TraceEncoder encoder;
     func::DynInst expect, got;
     for (std::uint64_t i = 0; i < n; ++i) {
         ASSERT_TRUE(fs.step(&expect));
+        encoder.append(expect);
         ASSERT_TRUE(reader.next(got));
         ASSERT_EQ(got.pc, expect.pc) << i;
         ASSERT_EQ(got.nextPc, expect.nextPc) << i;
@@ -61,6 +67,12 @@ TEST(Trace, RoundTripExact)
         ASSERT_EQ(got.seq, i);
     }
     ASSERT_FALSE(reader.next(got));
+    const auto file = readFileBytes(path);
+    const std::size_t header = 28;
+    ASSERT_EQ(file.size(), header + encoder.bytes().size());
+    EXPECT_TRUE(std::equal(encoder.bytes().begin(), encoder.bytes().end(),
+                           file.begin() + header));
+    EXPECT_EQ(encoder.records(), n);
     std::remove(path.c_str());
 }
 

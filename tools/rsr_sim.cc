@@ -405,7 +405,7 @@ cmdReplay(const ArgParser &args)
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
     const std::uint64_t steal_seed = args.getU64("steal-seed", 0);
-    // Estimator-annotated stores (index v2) recompute the ranked-set /
+    // Estimator-annotated stores recompute the ranked-set /
     // stratified estimate from the stored groups; plain stores take the
     // classic per-cluster path. Both are bit-identical to a direct run.
     const bool uniform = store.meta().estimator.kind ==
