@@ -534,6 +534,35 @@ stratifiedEstimate(const std::vector<double> &ipc,
     return est;
 }
 
+std::vector<std::uint64_t>
+quantileStratumSizes(std::uint64_t candidate_count, std::uint64_t strata)
+{
+    const std::uint64_t h_eff = std::max<std::uint64_t>(
+        1, std::min(strata, candidate_count));
+    std::vector<std::uint64_t> sizes(h_eff, candidate_count / h_eff);
+    for (std::uint64_t h = 0; h < candidate_count % h_eff; ++h)
+        ++sizes[h];
+    return sizes;
+}
+
+ClusterEstimate
+estimateFor(const EstimatorOptions &opts, std::uint64_t candidate_count,
+            const std::vector<double> &ipc,
+            const std::vector<std::uint32_t> &groups)
+{
+    switch (opts.kind) {
+      case SamplingPolicyKind::UniformCluster:
+        return summarizeClusters(ipc);
+      case SamplingPolicyKind::RankedSet:
+        return rankedSetEstimate(ipc, groups, opts.setSize);
+      case SamplingPolicyKind::TwoPhaseStratified:
+        return stratifiedEstimate(
+            ipc, groups, quantileStratumSizes(candidate_count, opts.strata));
+    }
+    rsr_throw_internal("unknown SamplingPolicyKind ",
+                       static_cast<int>(opts.kind));
+}
+
 PairedComparison
 matchedPairCompare(const std::vector<double> &a, const std::vector<double> &b)
 {

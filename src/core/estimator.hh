@@ -190,6 +190,28 @@ stratifiedEstimate(const std::vector<double> &ipc,
                    const std::vector<std::uint32_t> &stratum,
                    const std::vector<std::uint64_t> &stratum_size);
 
+/**
+ * The per-stratum candidate counts stratifyByScore() would produce for
+ * @p candidate_count candidates in @p strata quantile strata — the
+ * exact sizes, re-derivable because the split is equal-size by
+ * construction.
+ */
+std::vector<std::uint64_t> quantileStratumSizes(std::uint64_t candidate_count,
+                                                std::uint64_t strata);
+
+/**
+ * The estimate @p opts calls for over measured clusters @p ipc with
+ * estimator groups @p groups (parallel to @p ipc) drawn from a pool of
+ * @p candidate_count candidates: summarizeClusters() for uniform,
+ * rankedSetEstimate() for ranked-set, stratifiedEstimate() over the
+ * quantile stratum sizes for two-phase. Direct runs and store replays
+ * both estimate through here.
+ */
+ClusterEstimate estimateFor(const EstimatorOptions &opts,
+                            std::uint64_t candidate_count,
+                            const std::vector<double> &ipc,
+                            const std::vector<std::uint32_t> &groups);
+
 /** Matched-pair comparison of two methods over paired observations. */
 struct PairedComparison
 {

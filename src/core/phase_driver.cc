@@ -333,4 +333,42 @@ replayCluster(ClusterReplayTask &task,
     return rr;
 }
 
+ReplayLedger::ReplayLedger(std::size_t clusters, unsigned lanes,
+                           const MachineConfig &machine)
+    : machine(machine), slots(clusters), arenas(lanes)
+{}
+
+void
+ReplayLedger::replay(ClusterReplayTask &task, std::size_t lane)
+{
+    rsr_assert(lane < arenas.size(), "replay lane out of range");
+    rsr_assert(task.index < slots.size(), "replay slot out of range");
+    Slot &slot = slots[task.index];
+    const uarch::RunResult rr = replayCluster(
+        task, machine, arenas[lane], &slot.reconUpdates, &slot.seconds);
+    slot.ipc = rr.ipc();
+    slot.insts = rr.insts;
+    slot.cycles = rr.cycles;
+    slot.branchMispredicts = rr.branchMispredicts;
+}
+
+std::uint64_t
+ReplayLedger::fold(SampledResult &res) const
+{
+    std::uint64_t insts = 0, recon = 0;
+    for (const Slot &slot : slots) {
+        res.clusterIpc.push_back(slot.ipc);
+        insts += slot.insts;
+        res.hotCycles += slot.cycles;
+        res.branchMispredicts += slot.branchMispredicts;
+        res.phases.measureSeconds += slot.seconds;
+        recon += slot.reconUpdates;
+    }
+    res.hotInsts += insts;
+    res.phases.measureInsts += insts;
+    res.warmWork.reconstructionUpdates += recon;
+    res.estimate = summarizeClusters(res.clusterIpc);
+    return recon;
+}
+
 } // namespace rsr::core

@@ -12,8 +12,8 @@
  *
  * ClusterScheduleDriver::runDeferred() composes them into the front half
  * of every sampled run: each cluster is emitted as a ClusterReplayTask,
- * and replayCluster() measures it on the cycle-accurate timing model
- * against a machine restored from the snapshot — serially in
+ * and a ReplayLedger measures it on the cycle-accurate timing model
+ * against a machine restored from the snapshot — inline in
  * core::runSampled(), on pool workers in harness/parallel_run.hh, or
  * later from a live-point store. While the trace is recorded, the shared
  * machine receives the cluster's state effects *functionally*
@@ -182,9 +182,8 @@ class ClusterScheduleDriver
      * Deferred front half: skip + reconstruct + snapshot + record each
      * cluster, emitting ClusterReplayTasks to @p sink in schedule order.
      * The returned result carries the front-half accounting (skipped
-     * instructions, warm work, phase counters); the sink's replays
-     * supply the per-cluster timing that runSampled() and
-     * harness/parallel_run.hh merge.
+     * instructions, warm work, phase counters); ReplayLedger::fold()
+     * adds the per-cluster timing.
      */
     SampledResult runDeferred(ReplaySink &sink);
 
@@ -257,6 +256,63 @@ uarch::RunResult replayCluster(ClusterReplayTask &task,
                                ReplayArena &arena,
                                std::uint64_t *recon_updates = nullptr,
                                double *seconds = nullptr);
+
+/**
+ * The replay ledger: the one place a sampled run measures its clusters
+ * and accounts for them. Each lane owns a ReplayArena; replay() measures
+ * a task on its lane's arena and commits the cluster's whole outcome
+ * into a cache-line-padded slot keyed by the task's schedule index,
+ * never by completion order. fold() walks the slots in index order on
+ * one thread, so the result does not depend on which lane replayed
+ * which cluster, or when.
+ *
+ * core::runSampled() feeds the ledger inline on lane 0 (it is itself a
+ * ReplaySink); harness/parallel_run.hh replays on pool workers with
+ * lane = ThreadPool::workerIndex(). Distinct lanes may replay
+ * concurrently; one lane must not, and every slot is written once.
+ */
+class ReplayLedger : public ReplaySink
+{
+  public:
+    /** @p machine must outlive the ledger. */
+    ReplayLedger(std::size_t clusters, unsigned lanes,
+                 const MachineConfig &machine);
+    ReplayLedger(const ReplayLedger &) = delete;
+    ReplayLedger &operator=(const ReplayLedger &) = delete;
+
+    /** Measure @p task on @p lane's arena and commit its slot. */
+    void replay(ClusterReplayTask &task, std::size_t lane);
+
+    /** Inline consumer of the deferred front half: replay on lane 0. */
+    void
+    onCluster(ClusterReplayTask task) override
+    {
+        replay(task, 0);
+    }
+
+    /**
+     * Fold the slots, in schedule-index order, into @p res: per-cluster
+     * IPC, the hot and measure-phase counters, the reconstruction work,
+     * and the uniform cluster estimate. Returns the replays' on-demand
+     * reconstruction updates (already added to res.warmWork).
+     */
+    std::uint64_t fold(SampledResult &res) const;
+
+  private:
+    struct alignas(64) Slot
+    {
+        double ipc = 0.0;
+        std::uint64_t insts = 0;
+        std::uint64_t cycles = 0;
+        std::uint64_t branchMispredicts = 0;
+        std::uint64_t reconUpdates = 0;
+        double seconds = 0.0;
+    };
+
+    const MachineConfig &machine;
+    std::vector<Slot> slots;
+    std::vector<ReplayArena> arenas;
+};
 
 } // namespace rsr::core
 

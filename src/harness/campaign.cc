@@ -49,14 +49,6 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
                        "policy");
     if (this->config.threads == 0)
         this->config.threads = 1;
-    if (this->config.sampling.kind !=
-            core::SamplingPolicyKind::UniformCluster &&
-        !this->config.livepointDir.empty())
-        rsr_throw_user("campaign --livepoints does not compose with "
-                       "--sampling ",
-                       core::samplingPolicyName(this->config.sampling.kind),
-                       "; capture estimator stores with `rsr_sim mklvpt "
-                       "--sampling ...` and replay them directly");
 }
 
 std::vector<JobSpec>
@@ -105,7 +97,6 @@ CampaignRunner::executeJob(const JobSpec &spec)
 {
     const auto program = workload::buildSynthetic(
         workload::standardWorkloadParams(spec.workload));
-    const auto policy = core::makePolicyByName(spec.policy);
 
     core::SampledConfig sim;
     sim.totalInsts = config.insts;
@@ -117,21 +108,15 @@ CampaignRunner::executeJob(const JobSpec &spec)
     if (config.jobTimeoutSec > 0.0)
         sim.deadline = &deadline;
 
+    // Serial within the job (campaign parallelism is across jobs), and
+    // bit-identical to `rsr_sim run` of the same parameters either way.
     core::SampledResult r;
-    std::string store_hash;
-    std::uint64_t store_bytes = 0;
-    const bool estimator_job =
-        config.sampling.kind != core::SamplingPolicyKind::UniformCluster;
     EstimatorRunResult est;
-    if (estimator_job) {
-        // Selection + explicit-schedule measurement, serial within the
-        // job (campaign parallelism is across jobs): bit-identical to
-        // any `rsr_sim run --sampling ...` of the same parameters.
+    std::unique_ptr<core::LivePointStore> store;
+    if (config.livepointDir.empty()) {
         est = runEstimator(program, spec.policy, sim, config.sampling,
                            /*jobs=*/1);
         r = est.sampled;
-    } else if (config.livepointDir.empty()) {
-        r = core::runSampled(program, *policy, sim);
     } else {
         // Live-point mode: replay from a per-(workload, policy) store,
         // creating it (or recreating a stale one — never silent reuse)
@@ -141,8 +126,8 @@ CampaignRunner::executeJob(const JobSpec &spec)
                                        spec.workload + "-" + spec.policy +
                                        ".lvpt";
         const std::uint64_t want = core::LivePointStore::configHash(
-            spec.workload, spec.policy, sim);
-        std::unique_ptr<core::LivePointStore> store;
+            spec.workload, spec.policy, sim, config.sampling,
+            estimatorCandidateCount(config.clusters, config.sampling));
         if (fileExists(store_path)) {
             try {
                 auto loaded = core::LivePointStore::loadFile(store_path);
@@ -156,13 +141,11 @@ CampaignRunner::executeJob(const JobSpec &spec)
         }
         if (!store) {
             store = std::make_unique<core::LivePointStore>(
-                core::LivePointStore::create(program, *policy, sim,
-                                             spec.workload, spec.policy));
+                captureEstimatorStore(program, spec.policy, sim,
+                                      config.sampling, spec.workload));
             store->saveFile(store_path);
         }
         r = replayStoreParallel(*store, 1);
-        store_hash = checksumHex(store->storeHash());
-        store_bytes = store->serialize().size();
     }
 
     JsonWriter w;
@@ -182,16 +165,26 @@ CampaignRunner::executeJob(const JobSpec &spec)
         .put("measure_insts", r.phases.measureInsts)
         .put("measure_seconds", r.phases.measureSeconds)
         .put("peak_snapshot_bytes", r.phases.peakSnapshotBytes);
-    if (estimator_job)
-        w.put("sampling",
-              core::samplingPolicyName(config.sampling.kind))
-            .put("proxy", core::proxyKindName(config.sampling.proxy))
-            .put("candidates", est.candidateCount)
-            .put("proxy_insts", est.proxyInsts)
-            .put("pilot_measure_insts", est.pilotMeasuredInsts)
-            .put("total_measure_insts", est.measuredInsts());
-    if (!store_hash.empty())
-        w.put("store_hash", store_hash).put("store_bytes", store_bytes);
+    const core::EstimatorOptions &sampling =
+        store ? store->meta().estimator : config.sampling;
+    if (sampling.kind != core::SamplingPolicyKind::UniformCluster) {
+        w.put("sampling", core::samplingPolicyName(sampling.kind))
+            .put("proxy", core::proxyKindName(sampling.proxy))
+            .put("candidates", store ? store->meta().candidateCount
+                                     : est.candidateCount);
+        // A store replay pays no proxy or pilot cost: the capture did.
+        if (!store)
+            w.put("proxy_insts", est.proxyInsts)
+                .put("pilot_measure_insts", est.pilotMeasuredInsts)
+                .put("total_measure_insts", est.measuredInsts());
+    }
+    std::string store_hash;
+    if (store) {
+        store_hash = checksumHex(store->storeHash());
+        w.put("store_hash", store_hash)
+            .put("store_bytes",
+                 static_cast<std::uint64_t>(store->serialize().size()));
+    }
     const std::string text = w.str() + "\n";
 
     JobOutcome out;

@@ -49,19 +49,19 @@ struct CampaignConfig
      * the classic campaign; ranked-set / two-phase jobs run the
      * selection + explicit-schedule pipeline of estimator_run.hh with
      * the same budget (`clusters` timed clusters). Non-uniform sampling
-     * folds into the resume fingerprint and is rejected together with
-     * `livepointDir` (capture estimator stores with `rsr_sim mklvpt
-     * --sampling ...` instead).
+     * folds into the resume fingerprint.
      */
     core::EstimatorOptions sampling;
 
     /**
      * When non-empty, jobs source their clusters from per-(workload,
      * policy) live-point stores in this directory: an existing store
-     * whose configHash matches is replayed directly (zero functional
-     * re-simulation); a missing or stale store is recreated first —
-     * never silently reused. The job's estimate is bit-identical to a
-     * classic job's; the store only saves the functional front half.
+     * whose configHash (sampling included) matches is replayed directly
+     * (zero functional re-simulation); a missing or stale store is
+     * captured first — never silently reused. The job's estimate is
+     * bit-identical to a direct job's; the store saves the functional
+     * front half and, for estimator sampling, the proxy and pilot
+     * passes, which its job JSON therefore does not report.
      */
     std::string livepointDir;
 

@@ -69,24 +69,6 @@ measureSchedule(const func::Program &program,
     return runSampledParallel(program, *policy, cfg, jobs, steal_seed);
 }
 
-core::ClusterEstimate
-estimateFor(const core::EstimatorOptions &opts,
-            std::uint64_t candidate_count, const std::vector<double> &ipc,
-            const std::vector<std::uint32_t> &groups)
-{
-    switch (opts.kind) {
-      case core::SamplingPolicyKind::UniformCluster:
-        return core::summarizeClusters(ipc);
-      case core::SamplingPolicyKind::RankedSet:
-        return core::rankedSetEstimate(ipc, groups, opts.setSize);
-      case core::SamplingPolicyKind::TwoPhaseStratified:
-        return core::stratifiedEstimate(
-            ipc, groups, quantileStratumSizes(candidate_count, opts.strata));
-    }
-    rsr_throw_internal("unknown SamplingPolicyKind ",
-                       static_cast<int>(opts.kind));
-}
-
 Selection
 selectRankedSet(const func::Program &program,
                 const core::SampledConfig &config,
@@ -208,17 +190,6 @@ estimatorCandidateCount(std::uint64_t budget,
                        static_cast<int>(opts.kind));
 }
 
-std::vector<std::uint64_t>
-quantileStratumSizes(std::uint64_t candidate_count, std::uint64_t strata)
-{
-    const std::uint64_t h_eff = std::max<std::uint64_t>(
-        1, std::min(strata, candidate_count));
-    std::vector<std::uint64_t> sizes(h_eff, candidate_count / h_eff);
-    for (std::uint64_t h = 0; h < candidate_count % h_eff; ++h)
-        ++sizes[h];
-    return sizes;
-}
-
 EstimatorRunResult
 runEstimator(const func::Program &program, const std::string &policy_name,
              const core::SampledConfig &config,
@@ -227,9 +198,6 @@ runEstimator(const func::Program &program, const std::string &policy_name,
 {
     EstimatorRunResult out;
     if (opts.kind == core::SamplingPolicyKind::UniformCluster) {
-        const auto policy = core::makePolicyByName(policy_name);
-        out.sampled =
-            runSampledParallel(program, *policy, config, jobs, steal_seed);
         Rng rng(config.scheduleSeed);
         out.schedule = config.explicitSchedule.empty()
                            ? core::makeSchedule(config.regimen,
@@ -237,22 +205,21 @@ runEstimator(const func::Program &program, const std::string &policy_name,
                            : config.explicitSchedule;
         out.groups.assign(out.schedule.size(), 0);
         out.candidateCount = out.schedule.size();
-        out.estimate = out.sampled.estimate;
-        return out;
+    } else {
+        Selection sel = selectFor(program, policy_name, config, opts, jobs,
+                                  steal_seed);
+        out.schedule =
+            core::subsetSchedule(sel.candidates, sel.plan.chosen);
+        out.groups = sel.plan.group;
+        out.candidateCount = sel.candidates.size();
+        out.proxyInsts = sel.proxyInsts;
+        out.pilotMeasuredInsts = sel.pilotMeasuredInsts;
     }
-
-    Selection sel = selectFor(program, policy_name, config, opts, jobs,
-                              steal_seed);
-    out.schedule = core::subsetSchedule(sel.candidates, sel.plan.chosen);
-    out.groups = sel.plan.group;
-    out.candidateCount = sel.candidates.size();
-    out.proxyInsts = sel.proxyInsts;
-    out.pilotMeasuredInsts = sel.pilotMeasuredInsts;
 
     out.sampled = measureSchedule(program, policy_name, config,
                                   out.schedule, jobs, steal_seed);
-    out.estimate = estimateFor(opts, out.candidateCount,
-                               out.sampled.clusterIpc, out.groups);
+    out.estimate = core::estimateFor(opts, out.candidateCount,
+                                     out.sampled.clusterIpc, out.groups);
     out.sampled.estimate = out.estimate;
     return out;
 }
@@ -289,27 +256,6 @@ captureEstimatorStore(const func::Program &program,
     return core::LivePointStore::create(program, *policy, cfg,
                                         workload_name, policy_name,
                                         front_half, &notes);
-}
-
-EstimatorRunResult
-replayEstimatorStore(const core::LivePointStore &store,
-                     const core::MachineConfig &machine_config,
-                     unsigned jobs, std::uint64_t steal_seed)
-{
-    EstimatorRunResult out;
-    out.sampled =
-        replayStoreParallel(store, machine_config, jobs, steal_seed);
-    out.candidateCount = store.meta().candidateCount;
-    out.schedule.reserve(store.clusterCount());
-    out.groups.reserve(store.clusterCount());
-    for (const core::LivePointEntry &e : store.entries()) {
-        out.schedule.push_back(e.cluster);
-        out.groups.push_back(e.group);
-    }
-    out.estimate = estimateFor(store.meta().estimator, out.candidateCount,
-                               out.sampled.clusterIpc, out.groups);
-    out.sampled.estimate = out.estimate;
-    return out;
 }
 
 } // namespace rsr::harness

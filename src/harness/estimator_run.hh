@@ -86,9 +86,9 @@ EstimatorRunResult runEstimator(const func::Program &program,
 /**
  * Producer: run the selection (proxy pass + pilot when two-phase) and
  * capture the final schedule into a live-point store annotated with the
- * estimator metadata. replayEstimatorStore() then reproduces
+ * estimator metadata. replayStoreParallel() then reproduces
  * runEstimator()'s estimate bit-identically with zero functional work —
- * minus the pilot cost, which the capture already paid.
+ * minus the proxy and pilot costs, which the capture already paid.
  */
 core::LivePointStore
 captureEstimatorStore(const func::Program &program,
@@ -99,19 +99,6 @@ captureEstimatorStore(const func::Program &program,
                       core::SampledResult *front_half = nullptr);
 
 /**
- * Consumer: measure every stored cluster under @p machine_config and
- * compute the estimate the store's capture-time estimator metadata
- * calls for (rank classes / strata come from the entry groups;
- * stratum candidate sizes are re-derived from candidateCount, which the
- * equal-size quantile split makes exact). Bit-identical to the direct
- * runEstimator() run for any @p jobs / @p steal_seed.
- */
-EstimatorRunResult
-replayEstimatorStore(const core::LivePointStore &store,
-                     const core::MachineConfig &machine_config,
-                     unsigned jobs, std::uint64_t steal_seed = 0);
-
-/**
  * Size of the candidate pool an estimator run with measurement budget
  * @p budget (= regimen.numClusters) draws: uniform measures the budget
  * itself, ranked-set draws effective-budget * m, two-phase draws
@@ -120,15 +107,6 @@ replayEstimatorStore(const core::LivePointStore &store,
  */
 std::uint64_t estimatorCandidateCount(std::uint64_t budget,
                                       const core::EstimatorOptions &opts);
-
-/**
- * The per-stratum candidate counts stratifyByScore() would produce for
- * @p candidate_count candidates in @p strata quantile strata — the
- * exact sizes, re-derivable because the split is equal-size by
- * construction. Shared by the replay path and tests.
- */
-std::vector<std::uint64_t> quantileStratumSizes(std::uint64_t candidate_count,
-                                                std::uint64_t strata);
 
 } // namespace rsr::harness
 

@@ -4,8 +4,8 @@
 #include <memory>
 #include <numeric>
 
+#include "core/estimator.hh"
 #include "core/phase_driver.hh"
-#include "core/statistics.hh"
 #include "harness/thread_pool.hh"
 #include "util/timer.hh"
 
@@ -15,64 +15,12 @@ namespace rsr::harness
 namespace
 {
 
-/**
- * Shared-nothing replay accumulation: each worker owns a ReplayStatShard
- * (scalar sums, order-free) and a ReplayArena (reused private machine),
- * and per-cluster results land in padded commit slots indexed by cluster
- * — never by completion order. The only cross-worker writes are the
- * disjoint slot commits, each on its own cache line.
- */
-struct ReplayLanes
+/** The ledger lane of the calling pool worker. */
+std::size_t
+workerLane()
 {
-    explicit ReplayLanes(std::size_t clusters, unsigned workers)
-        : slots(clusters), stats(workers), arenas(workers)
-    {
-    }
-
-    /**
-     * Replay @p task on the calling pool worker's arena, into its stat
-     * shard and the task's commit slot. Only valid from a task submitted
-     * to *this run's* pool: the worker index selects the lane.
-     */
-    void
-    replay(core::ClusterReplayTask &task,
-           const core::MachineConfig &machine)
-    {
-        const auto lane =
-            static_cast<std::size_t>(ThreadPool::workerIndex());
-        core::ReplayStatShard &shard = stats.shard(lane);
-        std::uint64_t recon = 0;
-        double secs = 0.0;
-        const uarch::RunResult rr = core::replayCluster(
-            task, machine, arenas[lane], &recon, &secs);
-        shard.insts += rr.insts;
-        shard.cycles += rr.cycles;
-        shard.branchMispredicts += rr.branchMispredicts;
-        shard.reconUpdates += recon;
-        shard.measureSeconds += secs;
-        // rsrlint: commit-zone — per-cluster slot, disjoint by index.
-        slots[task.index].ipc = rr.ipc();
-        slots[task.index].seconds = secs;
-    }
-
-    /** Deterministic merge: slots in index order, shards in shard order. */
-    void
-    fold(core::SampledResult &res) const
-    {
-        for (const core::ClusterCommitSlot &slot : slots)
-            res.clusterIpc.push_back(slot.ipc);
-        const core::ReplayStatShard total = stats.merged();
-        res.hotInsts += total.insts;
-        res.hotCycles += total.cycles;
-        res.branchMispredicts += total.branchMispredicts;
-        res.phases.measureInsts += total.insts;
-        res.phases.measureSeconds += total.measureSeconds;
-    }
-
-    std::vector<core::ClusterCommitSlot> slots;
-    core::ShardedReplayStats stats;
-    std::vector<core::ReplayArena> arenas;
-};
+    return static_cast<std::size_t>(ThreadPool::workerIndex());
+}
 
 /**
  * Hands each replay task to a pool worker, weighted by trace length so
@@ -81,9 +29,8 @@ struct ReplayLanes
 class PoolSink : public core::ReplaySink
 {
   public:
-    PoolSink(ThreadPool &pool, const core::MachineConfig &machine,
-             ReplayLanes &lanes)
-        : pool(pool), machine(machine), lanes(lanes)
+    PoolSink(ThreadPool &pool, core::ReplayLedger &ledger)
+        : pool(pool), ledger(ledger)
     {}
 
     void
@@ -92,13 +39,13 @@ class PoolSink : public core::ReplaySink
         const std::uint64_t weight = task.trace.size();
         auto t = std::make_shared<core::ClusterReplayTask>(
             std::move(task));
-        pool.submit([this, t] { lanes.replay(*t, machine); }, weight);
+        pool.submit([this, t] { ledger.replay(*t, workerLane()); },
+                    weight);
     }
 
   private:
     ThreadPool &pool;
-    const core::MachineConfig &machine;
-    ReplayLanes &lanes;
+    core::ReplayLedger &ledger;
 };
 
 } // namespace
@@ -114,19 +61,16 @@ runSampledParallel(const func::Program &program,
 
     WallTimer timer;
     core::ClusterScheduleDriver driver(program, policy, config);
-    ReplayLanes lanes(driver.schedule().size(), jobs);
-    // Pool declared after the lanes so in-flight replays finish (and
-    // abandoned ones are discarded) before the result slots die if the
-    // front half throws.
+    core::ReplayLedger ledger(driver.schedule().size(), jobs,
+                              config.machine);
+    // Pool declared after the ledger so in-flight replays finish (and
+    // abandoned ones are discarded) before the slots die if the front
+    // half throws.
     ThreadPool pool(jobs, steal_seed);
-    PoolSink sink(pool, config.machine, lanes);
+    PoolSink sink(pool, ledger);
     core::SampledResult res = driver.runDeferred(sink);
     pool.wait();
-    lanes.fold(res);
-    policy.addReconstructionWork(lanes.stats.merged().reconUpdates);
-
-    res.warmWork = policy.work();
-    res.estimate = core::summarizeClusters(res.clusterIpc);
+    policy.addReconstructionWork(ledger.fold(res));
     res.seconds = timer.seconds();
     return res;
 }
@@ -152,25 +96,31 @@ replayStoreParallel(const core::LivePointStore &store,
                                 store.entries()[b].cluster.size;
                      });
 
-    ReplayLanes lanes(n, jobs);
+    core::ReplayLedger ledger(n, jobs, machine_config);
     ThreadPool pool(jobs, steal_seed);
     for (std::size_t i : order) {
         // Out-of-order consumer pass: each worker decodes and measures
         // its cluster independently (makeReplayTask is const).
         pool.submit(
-            [&store, &machine_config, &lanes, i] {
+            [&store, &ledger, i] {
                 core::ClusterReplayTask task = store.makeReplayTask(i);
-                lanes.replay(task, machine_config);
+                ledger.replay(task, workerLane());
             },
             store.entries()[i].cluster.size);
     }
     pool.wait();
 
     core::SampledResult res;
-    lanes.fold(res);
-    res.warmWork.reconstructionUpdates +=
-        lanes.stats.merged().reconUpdates;
-    res.estimate = core::summarizeClusters(res.clusterIpc);
+    ledger.fold(res);
+    // The estimate the capture's estimator calls for, from the stored
+    // groups (uniform stores get the plain cluster estimate).
+    std::vector<std::uint32_t> groups;
+    groups.reserve(n);
+    for (const core::LivePointEntry &e : store.entries())
+        groups.push_back(e.group);
+    const core::LivePointStore::Metadata &meta = store.meta();
+    res.estimate = core::estimateFor(meta.estimator, meta.candidateCount,
+                                     res.clusterIpc, groups);
     res.seconds = timer.seconds();
     return res;
 }

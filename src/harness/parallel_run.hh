@@ -38,13 +38,16 @@ core::SampledResult runSampledParallel(const func::Program &program,
                                        std::uint64_t steal_seed = 0);
 
 /**
- * Consumer pass over a live-point store: measure every stored cluster
- * under @p machine_config on @p jobs ThreadPool workers, out of order —
- * zero functional simulation. Each worker decodes its own blobs
- * (makeReplayTask is const/thread-safe), so decode parallelizes with the
- * timing replay. Statistics merge in schedule order; the result is
- * bit-identical to the direct `runSampledParallel` run that capture
- * mirrors, for any worker count.
+ * Consumer pass over a live-point store — the one store replay entry:
+ * measure every stored cluster under @p machine_config on @p jobs
+ * ThreadPool workers, out of order — zero functional simulation. Each
+ * worker decodes its own blobs (makeReplayTask is const/thread-safe),
+ * so decode parallelizes with the timing replay. Statistics merge in
+ * schedule order, and the estimate is the one the store's capture-time
+ * estimator calls for (core::estimateFor over the stored groups; the
+ * plain cluster estimate for uniform stores). The result is
+ * bit-identical to the direct `runSampledParallel` / `runEstimator` run
+ * that the capture mirrors, for any worker count.
  */
 core::SampledResult replayStoreParallel(const core::LivePointStore &store,
                                         const core::MachineConfig &machine_config,

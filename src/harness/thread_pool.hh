@@ -84,8 +84,8 @@ class ThreadPool
 
     /**
      * 0-based index of the calling pool worker, or -1 when the caller is
-     * not a pool worker thread. Sinks use this to select their private
-     * stats shard / replay arena without any shared lookup structure.
+     * not a pool worker thread. Replays use it as their ReplayLedger
+     * lane, selecting a private arena without any shared lookup.
      * Each pool assigns indices to its own threads, so nested pools see
      * their own numbering.
      */

@@ -196,7 +196,7 @@ TEST(EstimatorSelect, StratifyByScoreMakesEqualQuantiles)
     const auto plan = core::stratifyByScore(scores, 4);
     ASSERT_EQ(plan.stratumOf.size(), scores.size());
     EXPECT_EQ(plan.stratumSize,
-              quantileStratumSizes(scores.size(), 4));
+              core::quantileStratumSizes(scores.size(), 4));
 
     // Stratum ids are monotone in the proxy score: everything in
     // stratum h scores at or below everything in stratum h+1.
@@ -209,14 +209,14 @@ TEST(EstimatorSelect, StratifyByScoreMakesEqualQuantiles)
 
 TEST(EstimatorSelect, QuantileStratumSizesSplitEqually)
 {
-    EXPECT_EQ(quantileStratumSizes(10, 4),
+    EXPECT_EQ(core::quantileStratumSizes(10, 4),
               (std::vector<std::uint64_t>{3, 3, 2, 2}));
-    EXPECT_EQ(quantileStratumSizes(8, 4),
+    EXPECT_EQ(core::quantileStratumSizes(8, 4),
               (std::vector<std::uint64_t>{2, 2, 2, 2}));
     // Fewer candidates than strata: one singleton stratum each.
-    EXPECT_EQ(quantileStratumSizes(2, 4),
+    EXPECT_EQ(core::quantileStratumSizes(2, 4),
               (std::vector<std::uint64_t>{1, 1}));
-    EXPECT_EQ(quantileStratumSizes(5, 1),
+    EXPECT_EQ(core::quantileStratumSizes(5, 1),
               (std::vector<std::uint64_t>{5}));
 }
 
@@ -382,6 +382,24 @@ class EstimatorRun : public ::testing::Test
         // reproduce the estimate bit-exactly.
     }
 
+    /** A store replay in the shape of a direct run: the measurement,
+     *  plus the schedule, groups and pool size the store recorded. */
+    static EstimatorRunResult
+    replayed(const core::LivePointStore &store, unsigned jobs,
+             std::uint64_t steal_seed = 0)
+    {
+        EstimatorRunResult out;
+        out.sampled =
+            replayStoreParallel(store, cfg->machine, jobs, steal_seed);
+        out.estimate = out.sampled.estimate;
+        for (const core::LivePointEntry &e : store.entries()) {
+            out.schedule.push_back(e.cluster);
+            out.groups.push_back(e.group);
+        }
+        out.candidateCount = store.meta().candidateCount;
+        return out;
+    }
+
     static func::Program *prog;
     static core::SampledConfig *cfg;
 };
@@ -434,9 +452,7 @@ TEST_F(EstimatorRun, RankedSetStoreReplayMatchesDirectRun)
         runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 1);
     const auto store = captureEstimatorStore(*prog, "rsr40", *cfg,
                                              rankedOpts(), "twolf");
-    const auto replayed =
-        replayEstimatorStore(store, cfg->machine, 3, /*steal_seed=*/7);
-    expectSameRun(direct, replayed);
+    expectSameRun(direct, replayed(store, 3, /*steal_seed=*/7));
 }
 
 TEST_F(EstimatorRun, TwoPhaseStoreSurvivesSerializationRoundTrip)
@@ -454,8 +470,7 @@ TEST_F(EstimatorRun, TwoPhaseStoreSurvivesSerializationRoundTrip)
     EXPECT_EQ(reloaded.meta().candidateCount, 48u);
     EXPECT_EQ(reloaded.configHash(), store.configHash());
 
-    const auto replayed = replayEstimatorStore(reloaded, cfg->machine, 4);
-    expectSameRun(direct, replayed);
+    expectSameRun(direct, replayed(reloaded, 4));
 }
 
 TEST_F(EstimatorRun, CaptureAnnotationsSurviveBytesAndRejectReorder)

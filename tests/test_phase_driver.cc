@@ -13,6 +13,7 @@
 #include <mutex>
 #include <set>
 
+#include "core/livepoint_store.hh"
 #include "core/phase_driver.hh"
 #include "core/warmup.hh"
 #include "harness/parallel_run.hh"
@@ -256,11 +257,14 @@ TEST(WorkStealing, ArenaReplayMatchesFreshMachine)
 }
 
 /**
- * The satellite stress test: the full Table-2 policy matrix swept at
+ * The satellite stress test: the full Table-2 policy matrix at
  * jobs ∈ {1, 2, 7, 16} under randomized steal order must emit a
- * byte-identical CSV. The CSV serializes every per-policy estimate and
- * per-cluster IPC at full precision, so any cross-thread reordering of
- * a single FP accumulation flips a byte.
+ * byte-identical CSV — swept per policy (runPolicySweep), replayed per
+ * cluster on pool workers (runSampledParallel), and replayed from
+ * live-point stores (replayStoreParallel), so the replay ledger's
+ * worker lanes are stressed at cluster grain too. The CSV serializes
+ * every per-policy estimate and per-cluster IPC at full precision, so
+ * any cross-thread reordering of a single FP accumulation flips a byte.
  */
 TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobsAndStealOrder)
 {
@@ -289,16 +293,43 @@ TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobsAndStealOrder)
         csvOf(harness::runPolicySweep(*prog, names, *cfg, 1));
     ASSERT_NE(ref.find("rsr40"), std::string::npos);
 
+    std::vector<core::LivePointStore> stores;
+    for (const std::string &name : names)
+        stores.push_back(core::LivePointStore::create(
+            *prog, *core::makePolicyByName(name), *cfg, "gcc", name));
+    // One sweep-shaped CSV from per-policy results of @p run.
+    const auto csvFrom = [&](const auto &run) {
+        std::vector<harness::PolicySweepEntry> sweep(names.size());
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            sweep[i].cliName = names[i];
+            sweep[i].result = run(i);
+        }
+        return csvOf(sweep);
+    };
+
     // Each (jobs, seed) cell randomizes victim selection differently;
     // every cell must reproduce the serial CSV byte for byte.
     const unsigned job_counts[] = {2, 7, 16};
     const std::uint64_t seeds[] = {1, 0xdecafbadULL};
     for (const unsigned jobs : job_counts)
         for (const std::uint64_t seed : seeds) {
-            const std::string csv = csvOf(
-                harness::runPolicySweep(*prog, names, *cfg, jobs, seed));
-            ASSERT_EQ(ref, csv)
-                << "CSV diverged at jobs=" << jobs << " seed=" << seed;
+            ASSERT_EQ(ref, csvOf(harness::runPolicySweep(*prog, names,
+                                                         *cfg, jobs, seed)))
+                << "sweep CSV diverged at jobs=" << jobs
+                << " seed=" << seed;
+            ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
+                          return harness::runSampledParallel(
+                              *prog, *core::makePolicyByName(names[i]),
+                              *cfg, jobs, seed);
+                      }))
+                << "cluster-grain CSV diverged at jobs=" << jobs
+                << " seed=" << seed;
+            ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
+                          return harness::replayStoreParallel(
+                              stores[i], cfg->machine, jobs, seed);
+                      }))
+                << "store-replay CSV diverged at jobs=" << jobs
+                << " seed=" << seed;
         }
 }
 

@@ -28,6 +28,7 @@
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
 #include "harness/campaign.hh"
+#include "harness/estimator_run.hh"
 #include "harness/json.hh"
 #include "harness/manifest.hh"
 #include "harness/parallel_run.hh"
@@ -589,6 +590,47 @@ TEST(Robustness, EverySampledRunSurfaceAgrees)
                 << name << (livepoints ? " campaign --livepoints"
                                        : " campaign");
         }
+    }
+
+    // Ranked-set sampling is another estimate over the same measured
+    // clusters: a campaign job reports runEstimator()'s estimate whether
+    // it measures directly or through a live-point store, and the
+    // store leg really captures and replays one.
+    auto ranked = camp;
+    ranked.policies = {"rsr40"};
+    ranked.clusters = 8;
+    ranked.sampling.kind = core::SamplingPolicyKind::RankedSet;
+    cfg.regimen.numClusters = ranked.clusters;
+    const auto direct =
+        harness::runEstimator(prog, "rsr40", cfg, ranked.sampling, 1);
+    const auto want = estimateFields(
+        harness::JsonWriter()
+            .put("ipc", direct.estimate.mean)
+            .put("ci_low", direct.estimate.ciLow)
+            .put("ci_high", direct.estimate.ciHigh)
+            .put("aggregate_ipc", direct.sampled.aggregateIpc())
+            .put("clusters",
+                 static_cast<std::uint64_t>(direct.sampled.clusterIpc.size()))
+            .str());
+    for (const bool livepoints : {false, true}) {
+        auto job = ranked;
+        job.outDir += livepoints ? "_ranked_lvpt" : "_ranked_plain";
+        job.livepointDir = livepoints ? job.outDir + "/stores" : "";
+        std::remove(harness::CampaignRunner::manifestPath(job.outDir).c_str());
+        std::remove((job.outDir + "/stores/gcc-rsr40.lvpt").c_str());
+        harness::CampaignRunner runner(job);
+        ASSERT_TRUE(runner.run().allComplete()) << livepoints;
+        const auto bytes = slurpFile(job.outDir + "/job-0.json");
+        const std::string text(bytes.begin(), bytes.end());
+        EXPECT_EQ(estimateFields(text), want) << livepoints;
+        const auto all = harness::parseJsonObject(text);
+        EXPECT_EQ(all.at("sampling"), "ranked-set");
+        EXPECT_EQ(all.at("candidates"),
+                  std::to_string(direct.candidateCount));
+        EXPECT_EQ(all.count("store_hash"), livepoints ? 1u : 0u);
+        EXPECT_EQ(all.count("proxy_insts"), livepoints ? 0u : 1u);
+        EXPECT_EQ(fileExists(job.outDir + "/stores/gcc-rsr40.lvpt"),
+                  livepoints);
     }
 }
 

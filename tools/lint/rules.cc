@@ -474,9 +474,8 @@ checkSharedHotWrite(const SourceFile &file, std::vector<Finding> &out)
                          "' is shared with the submitting thread and "
                          "every pool worker — commit results by index "
                          "inside a '// rsrlint: commit-zone' (after "
-                         "proving the writes disjoint), or accumulate "
-                         "into a per-worker shard and merge after "
-                         "wait()");
+                         "proving the writes disjoint) and fold them "
+                         "after wait()");
             }
         };
         scan(sub_write_re,

@@ -80,6 +80,29 @@ namespace
 
 using namespace rsr;
 
+/** Apply a `--set key=value` machine option, when given, to @p mc. */
+void
+applySetFlag(const ArgParser &args, core::MachineConfig &mc)
+{
+    if (!args.has("set"))
+        return;
+    const std::string kv = args.get("set");
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos)
+        rsr_throw_user("--set expects key=value, got '", kv, "'");
+    core::applyMachineOption(mc, kv.substr(0, eq), kv.substr(eq + 1));
+}
+
+/** The `cluster,ipc` CSV of run and replay: full precision, so two
+ *  outputs can be diffed bit for bit. */
+void
+printClusterCsv(const std::vector<double> &cluster_ipc)
+{
+    std::printf("cluster,ipc\n");
+    for (std::size_t i = 0; i < cluster_ipc.size(); ++i)
+        std::printf("%zu,%.17g\n", i, cluster_ipc[i]);
+}
+
 core::MachineConfig
 machineFor(const ArgParser &args)
 {
@@ -94,13 +117,7 @@ machineFor(const ArgParser &args)
                        kind, "'");
     if (args.has("config"))
         mc = core::loadMachineConfig(args.get("config"), mc);
-    if (args.has("set")) {
-        const std::string kv = args.get("set");
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos)
-            rsr_throw_user("--set expects key=value, got '", kv, "'");
-        core::applyMachineOption(mc, kv.substr(0, eq), kv.substr(eq + 1));
-    }
+    applySetFlag(args, mc);
     return mc;
 }
 
@@ -226,12 +243,8 @@ cmdRunEstimator(const ArgParser &args, const func::Program &program,
                                           jobs, steal_seed);
     const auto &r = er.sampled;
 
-    if (args.has("csv")) {
-        // Full precision so two runs can be diffed bit-for-bit.
-        std::printf("cluster,ipc\n");
-        for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
-            std::printf("%zu,%.17g\n", i, r.clusterIpc[i]);
-    }
+    if (args.has("csv"))
+        printClusterCsv(r.clusterIpc);
 
     std::printf("policy %s on %s (%u jobs, %s): IPC estimate %.4f  "
                 "CI [%.4f, %.4f]\n",
@@ -274,12 +287,8 @@ cmdRun(const ArgParser &args)
     const auto r = harness::runSampledParallel(
         program, *policy, cfg, jobs, args.getU64("steal-seed", 0));
 
-    if (args.has("csv")) {
-        // Full precision so two runs can be diffed bit-for-bit.
-        std::printf("cluster,ipc\n");
-        for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
-            std::printf("%zu,%.17g\n", i, r.clusterIpc[i]);
-    }
+    if (args.has("csv"))
+        printClusterCsv(r.clusterIpc);
 
     std::printf("policy %s on %s (%u jobs): IPC estimate %.4f  "
                 "CI [%.4f, %.4f]  aggregate %.4f\n",
@@ -389,42 +398,22 @@ cmdReplay(const ArgParser &args)
                 core::samplingPolicyName(opts.kind), " --out ", path);
     }
 
+    // Core overrides only: cache and predictor geometry must match the
+    // capture (the snapshots refuse to restore into different geometry).
     auto machine = store.meta().machine;
-    if (args.has("set")) {
-        // Reuse the machine-option syntax for core overrides (cache and
-        // predictor geometry must match the capture; the snapshots
-        // refuse to restore into different geometry).
-        const std::string kv = args.get("set");
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos)
-            rsr_throw_user("--set expects key=value");
-        core::applyMachineOption(machine, kv.substr(0, eq),
-                                 kv.substr(eq + 1));
-    }
+    applySetFlag(args, machine);
 
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
     const std::uint64_t steal_seed = args.getU64("steal-seed", 0);
-    // Estimator-annotated stores recompute the ranked-set /
-    // stratified estimate from the stored groups; plain stores take the
-    // classic per-cluster path. Both are bit-identical to a direct run.
-    const bool uniform = store.meta().estimator.kind ==
-                         core::SamplingPolicyKind::UniformCluster;
+    // The replay computes the estimate the store's capture calls for
+    // (ranked-set / stratified from the stored groups), bit-identical to
+    // a direct run.
     const auto r =
-        uniform
-            ? harness::replayStoreParallel(store, machine, jobs,
-                                           steal_seed)
-            : harness::replayEstimatorStore(store, machine, jobs,
-                                            steal_seed)
-                  .sampled;
+        harness::replayStoreParallel(store, machine, jobs, steal_seed);
 
-    if (args.has("csv")) {
-        // Full precision, same format as `run --csv`, so the two can be
-        // diffed bit-for-bit.
-        std::printf("cluster,ipc\n");
-        for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
-            std::printf("%zu,%.17g\n", i, r.clusterIpc[i]);
-    }
+    if (args.has("csv"))
+        printClusterCsv(r.clusterIpc);
 
     std::printf("replayed %s/%s from %s (%u jobs): IPC estimate %.4f  "
                 "CI [%.4f, %.4f]  aggregate %.4f\n",
@@ -436,7 +425,8 @@ cmdReplay(const ArgParser &args)
                 "store hash %016llx\n",
                 store.clusterCount(), r.seconds,
                 static_cast<unsigned long long>(store.storeHash()));
-    if (!uniform)
+    if (store.meta().estimator.kind !=
+        core::SamplingPolicyKind::UniformCluster)
         std::printf("  sampling %s over %llu candidates\n",
                     store.meta().estimator.describe().c_str(),
                     static_cast<unsigned long long>(
