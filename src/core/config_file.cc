@@ -137,6 +137,28 @@ applyMachineOption(MachineConfig &config, const std::string &key,
     }
 }
 
+void
+applyMachineSetting(MachineConfig &config, const std::string &key_value)
+{
+    const auto eq = key_value.find('=');
+    if (eq == std::string::npos)
+        rsr_throw_user("machine setting expects key=value, got '",
+                       key_value, "'");
+    applyMachineOption(config, key_value.substr(0, eq),
+                       key_value.substr(eq + 1));
+}
+
+MachineConfig
+baseMachine(const std::string &kind)
+{
+    if (kind == "scaled")
+        return MachineConfig::scaledDefault();
+    if (kind == "paper")
+        return MachineConfig::paperDefault();
+    rsr_throw_user("machine must be 'scaled' or 'paper', got '", kind,
+                   "'");
+}
+
 MachineConfig
 parseMachineConfig(const std::string &text, MachineConfig base)
 {

@@ -36,6 +36,14 @@ namespace rsr::core
 void applyMachineOption(MachineConfig &config, const std::string &key,
                         const std::string &value);
 
+/** Apply one `key=value` override (a `--set` flag or a serve request
+ *  override) to @p config. Fatal if there is no '='. */
+void applyMachineSetting(MachineConfig &config,
+                         const std::string &key_value);
+
+/** The built-in base machine named @p kind: `scaled` or `paper`. */
+MachineConfig baseMachine(const std::string &kind);
+
 /** Parse `key = value` lines from @p text over @p base. */
 MachineConfig parseMachineConfig(const std::string &text,
                                  MachineConfig base);

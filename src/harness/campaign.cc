@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
 
 #include "core/livepoint_store.hh"
 #include "core/warmup.hh"
@@ -237,12 +235,11 @@ CampaignRunner::run(bool resume)
         }
     }
 
-    const ManifestWriter::OpenMode manifest_mode =
-        config.sharedManifest ? ManifestWriter::OpenMode::SharedAppend
-        : resume              ? ManifestWriter::OpenMode::Resume
-                              : ManifestWriter::OpenMode::Fresh;
+    using Mode = ManifestWriter::OpenMode;
     ManifestWriter manifest(manifest_path, fp, jobs.size(),
-                            manifest_mode);
+                            config.sharedManifest ? Mode::Shared
+                            : resume              ? Mode::Resume
+                                                  : Mode::Fresh);
 
     // Sharded workers race siblings for job ownership; claims are held
     // until process exit (see shard.hh for the protocol).
@@ -265,89 +262,80 @@ CampaignRunner::run(bool resume)
     };
 
     auto runJob = [&](const JobSpec &spec) {
-        {
-            if (done[spec.id]) {
+        if (done[spec.id]) {
+            ++skipped;
+            return;
+        }
+        // Graceful shutdown: a job that has not started yet is simply
+        // not dispatched. It gets no manifest entry, so --resume runs
+        // it next time.
+        if (stopRequested()) {
+            ++stopped;
+            return;
+        }
+        if (claims) {
+            if (!claims->tryClaim(spec.id)) {
+                // A live sibling process owns this job.
                 ++skipped;
                 return;
             }
-            // Graceful shutdown: a job that has not started yet is simply
-            // not dispatched. It gets no manifest entry, so --resume runs
-            // it next time.
-            if (stopRequested()) {
-                ++stopped;
+            // The claim is won, but the previous owner may have
+            // completed the job and exited (its lock died with it).
+            // Re-check the journal before running.
+            const ManifestState now = loadManifest(manifest_path);
+            const auto it = now.jobs.find(spec.id);
+            if (it != now.jobs.end() &&
+                it->second.status == JobStatus::Complete) {
+                ++skipped;
                 return;
             }
-            if (claims) {
-                if (!claims->tryClaim(spec.id)) {
-                    // A live sibling process owns this job.
-                    ++skipped;
-                    return;
-                }
-                // The claim is won, but the previous owner may have
-                // completed the job and exited (its lock died with it).
-                // Re-check the journal before running.
-                const ManifestState now = loadManifest(manifest_path);
-                const auto it = now.jobs.find(spec.id);
-                if (it != now.jobs.end() &&
-                    it->second.status == JobStatus::Complete) {
-                    ++skipped;
-                    return;
-                }
-            }
+        }
 
-            JobRecord rec;
-            rec.id = spec.id;
-            rec.workload = spec.workload;
-            rec.policy = spec.policy;
-            rec.attempts = prior_attempts[spec.id];
+        JobRecord rec;
+        rec.id = spec.id;
+        rec.workload = spec.workload;
+        rec.policy = spec.policy;
+        rec.attempts = prior_attempts[spec.id];
 
-            for (unsigned attempt = 0;; ++attempt) {
-                ++rec.attempts;
-                rec.status = JobStatus::Running;
-                manifest.append(rec);
-                try {
+        try {
+            retryTransient(
+                config.maxRetries, config.backoffMs,
+                [&] {
+                    if (stopRequested())
+                        return false;
+                    ++retries;
+                    return true;
+                },
+                [&] {
+                    ++rec.attempts;
+                    rec.status = JobStatus::Running;
+                    manifest.append(rec);
                     const JobOutcome out = executeJob(spec);
                     rec.status = out.status;
-                    rec.errorKind.clear();
-                    rec.error.clear();
                     rec.resultFile = out.resultFile;
                     rec.checksum = out.checksum;
                     rec.storeHash = out.storeHash;
                     rec.ipc = out.ipc;
                     rec.seconds = out.seconds;
                     manifest.append(rec);
-                    ++completed;
-                    break;
-                } catch (const SimError &e) {
-                    if (e.retryable() && attempt < config.maxRetries &&
-                        !stopRequested()) {
-                        ++retries;
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(
-                                std::uint64_t{config.backoffMs}
-                                << attempt));
-                        continue;
-                    }
-                    rec.status = e.kind() == ErrorKind::Timeout
-                                     ? JobStatus::TimedOut
-                                     : JobStatus::Failed;
-                    rec.errorKind = errorKindName(e.kind());
-                    rec.error = e.what();
-                    manifest.append(rec);
-                    ++failed;
-                    break;
-                } catch (const std::exception &e) {
-                    // bad_alloc and anything else unexpected: treat as
-                    // an internal failure of this job only.
-                    rec.status = JobStatus::Failed;
-                    rec.errorKind =
-                        errorKindName(ErrorKind::InternalInvariant);
-                    rec.error = e.what();
-                    manifest.append(rec);
-                    ++failed;
-                    break;
-                }
-            }
+                });
+            ++completed;
+        } catch (const SimError &e) {
+            rec.status = e.kind() == ErrorKind::Timeout
+                             ? JobStatus::TimedOut
+                             : JobStatus::Failed;
+            rec.errorKind = errorKindName(e.kind());
+            rec.error = e.what();
+            manifest.append(rec);
+            ++failed;
+        } catch (const std::exception &e) {
+            // bad_alloc and anything else unexpected: treat as an
+            // internal failure of this job only.
+            rec.status = JobStatus::Failed;
+            rec.errorKind = errorKindName(ErrorKind::InternalInvariant);
+            rec.error = e.what();
+            manifest.append(rec);
+            ++failed;
         }
     };
 

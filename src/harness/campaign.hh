@@ -87,9 +87,10 @@ struct CampaignConfig
     std::string claimPath;
 
     /**
-     * Open the manifest in SharedAppend mode: no header write and no
+     * Open the manifest in Shared mode: no header write and no
      * torn-line repair, because several worker processes append to the
-     * same journal (the sharded driver's parent writes the header).
+     * same journal (the sharded driver's parent writes the header or
+     * repairs the tail before it forks).
      */
     bool sharedManifest = false;
 

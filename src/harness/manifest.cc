@@ -1,16 +1,9 @@
 #include "manifest.hh"
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
-
-#include <fcntl.h>
-#include <sys/types.h>
-#include <unistd.h>
 
 #include "json.hh"
 #include "util/error.hh"
-#include "util/fileio.hh"
 
 namespace rsr::harness
 {
@@ -122,104 +115,27 @@ parseJobRecord(const std::string &line)
 ManifestWriter::ManifestWriter(const std::string &path,
                                const std::string &fingerprint,
                                std::uint64_t num_jobs, OpenMode mode)
-    : path(path)
+    : journal_(path, mode)
 {
-    // Every mode opens with O_APPEND: the kernel positions each write()
-    // at end-of-file atomically, which is what makes SharedAppend safe
-    // across shard worker processes.
-    switch (mode) {
-      case OpenMode::Fresh:
-        fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
-                    0644);
-        if (fd < 0)
-            rsr_throw_io("cannot create manifest ", path, ": ",
-                         std::strerror(errno));
-        break;
-      case OpenMode::Resume:
-      case OpenMode::SharedAppend:
-        fd = ::open(path.c_str(), O_RDWR | O_APPEND);
-        if (fd < 0)
-            rsr_throw_user("cannot open manifest for ",
-                           mode == OpenMode::Resume ? "resume"
-                                                    : "shared append",
-                           ": ", path, ": ", std::strerror(errno));
-        break;
-    }
-
-    if (mode == OpenMode::Resume) {
-        // Repair a torn trailing line (SIGKILL mid-append) so the next
-        // append starts on a fresh line. Only safe single-writer —
-        // SharedAppend skips it and relies on the loader dropping the
-        // torn line instead.
-        const off_t size = ::lseek(fd, 0, SEEK_END);
-        char last = '\n';
-        if (size > 0 && ::pread(fd, &last, 1, size - 1) == 1 &&
-            last != '\n') {
-            if (::write(fd, "\n", 1) != 1)
-                rsr_throw_io("cannot repair manifest ", path);
-        }
+    if (mode != OpenMode::Fresh)
         return;
-    }
-    if (mode == OpenMode::SharedAppend)
-        return;
-
     JsonWriter header;
     header.put("manifest", manifestTag)
         .put("version", manifestVersion)
         .put("fingerprint", fingerprint)
         .put("jobs", num_jobs);
-    appendLine(header.str());
-}
-
-ManifestWriter::~ManifestWriter()
-{
-    if (fd >= 0)
-        ::close(fd);
-}
-
-void
-ManifestWriter::appendLine(const std::string &line)
-{
-    // One write() per line: with O_APPEND this is atomic with respect to
-    // other appenders, so concurrent shard processes can never interleave
-    // partial lines (a crash mid-write tears at most this line, which the
-    // loader drops).
-    const std::string out = line + "\n";
-    const ssize_t n = ::write(fd, out.data(), out.size());
-    if (n != static_cast<ssize_t>(out.size()))
-        rsr_throw_io("cannot append to manifest ", path, ": ",
-                     std::strerror(errno));
-    ::fsync(fd);
-}
-
-void
-ManifestWriter::append(const JobRecord &r)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    appendLine(formatJobRecord(r));
+    journal_.append(header.str());
 }
 
 ManifestState
 loadManifest(const std::string &path)
 {
-    const auto bytes = readFileBytes(path);
-    const std::string text(bytes.begin(), bytes.end());
-
     ManifestState state;
-    std::size_t pos = 0;
     bool have_header = false;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-
+    for (const std::string &line : readJournalLines(path)) {
         if (!have_header) {
-            // The header is written first and fsynced before any job
-            // record; it must parse.
+            // The header is durably written before any job record; it
+            // must parse.
             const auto obj = parseJsonObject(line);
             if (toStr(obj, "manifest") != manifestTag)
                 rsr_throw_corrupt(path, " is not a campaign manifest");

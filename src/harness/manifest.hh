@@ -1,22 +1,23 @@
 /**
  * @file
  * The campaign manifest: an append-only JSON-lines journal of per-job
- * state transitions. Appends are single write()+fsync lines, so a crash
- * or SIGKILL can tear at most the final line; the loader drops torn
- * lines (the affected job simply reruns — at-least-once semantics) and
- * the writer repairs a missing trailing newline before appending more.
- * The first line is a header carrying a fingerprint of the job matrix so
- * --resume refuses to continue a different campaign.
+ * state transitions, written through the durable LineJournal
+ * (util/fileio.hh). A crash or SIGKILL can tear at most the final line;
+ * the loader drops torn lines (the affected job simply reruns —
+ * at-least-once semantics) and a Resume open truncates the torn tail
+ * before appending more. The first line is a header carrying a
+ * fingerprint of the job matrix so --resume refuses to continue a
+ * different campaign.
  */
 
 #ifndef RSR_HARNESS_MANIFEST_HH
 #define RSR_HARNESS_MANIFEST_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
-#include <mutex>
 #include <string>
+
+#include "util/fileio.hh"
 
 namespace rsr::harness
 {
@@ -65,57 +66,23 @@ std::string formatJobRecord(const JobRecord &r);
 JobRecord parseJobRecord(const std::string &line);
 
 /**
- * Append-only, fsync-per-line manifest journal. Thread-safe, and — in
- * SharedAppend mode — multi-process safe: every line goes out as one
- * write() on an O_APPEND descriptor, so concurrent shard workers
- * appending to the same journal interleave whole lines, never bytes.
+ * Writes JobRecord lines (and, opened Fresh, the header line) to a
+ * manifest. Thread-safe; in Shared mode several writer processes may
+ * append to the same manifest (see LineJournal).
  */
 class ManifestWriter
 {
   public:
-    enum class OpenMode
-    {
-        /** Truncate and write a fresh header line. */
-        Fresh,
-        /**
-         * Reopen an existing journal for more appends, repairing a torn
-         * trailing line (SIGKILL mid-append) first. Single-writer: the
-         * repair step must not race another live writer.
-         */
-        Resume,
-        /**
-         * Open an existing journal for appends from one of several
-         * concurrent writer processes. No header, no torn-line repair
-         * (a peer may be mid-append); the loader drops torn lines.
-         */
-        SharedAppend,
-    };
+    using OpenMode = LineJournal::OpenMode;
 
     ManifestWriter(const std::string &path, const std::string &fingerprint,
                    std::uint64_t num_jobs, OpenMode mode);
 
-    /** Legacy spelling: append=false → Fresh, append=true → Resume. */
-    ManifestWriter(const std::string &path, const std::string &fingerprint,
-                   std::uint64_t num_jobs, bool append)
-        : ManifestWriter(path, fingerprint, num_jobs,
-                         append ? OpenMode::Resume : OpenMode::Fresh)
-    {
-    }
-
-    ~ManifestWriter();
-
-    ManifestWriter(const ManifestWriter &) = delete;
-    ManifestWriter &operator=(const ManifestWriter &) = delete;
-
-    /** Durably append one record (one write()+fsync line). */
-    void append(const JobRecord &r);
+    /** Durably append one record. */
+    void append(const JobRecord &r) { journal_.append(formatJobRecord(r)); }
 
   private:
-    void appendLine(const std::string &line);
-
-    std::mutex mutex_;
-    int fd = -1;
-    std::string path;
+    LineJournal journal_;
 };
 
 /** Everything recovered from a manifest on resume. */

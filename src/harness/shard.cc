@@ -78,12 +78,13 @@ runShardedCampaign(const CampaignConfig &config, const ShardOptions &opts)
             rsr_throw_user("manifest in ", config.outDir, " belongs to a "
                            "different campaign (fingerprint ",
                            state.fingerprint, ", expected ", fp, ")");
-    } else {
-        // The parent writes the header exactly once; workers open the
-        // journal in SharedAppend mode and never write headers.
-        ManifestWriter header(manifest_path, fp, jobs.size(),
-                              ManifestWriter::OpenMode::Fresh);
     }
+    // Until it forks, the parent is the manifest's only writer: it writes
+    // the header (fresh) or truncates a torn tail (resume) exactly once.
+    // Workers open the journal Shared and do neither.
+    { ManifestWriter parent(manifest_path, fp, jobs.size(),
+                            opts.resume ? ManifestWriter::OpenMode::Resume
+                                        : ManifestWriter::OpenMode::Fresh); }
     // Create the claim table up front so every worker opens the same
     // inode (locks attach to the inode, not the path).
     { ShardClaimTable table(ShardClaimTable::claimPath(config.outDir),

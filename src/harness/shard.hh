@@ -90,7 +90,8 @@ struct ShardOptions
 /**
  * Run @p config as @p opts.shards forked worker processes sharing the
  * campaign's manifest journal and claim table. The parent writes the
- * manifest header (fresh runs), forks the workers, reaps them, and
+ * manifest header (fresh runs) or truncates a torn manifest tail
+ * (resume), forks the workers, reaps them, and
  * derives the aggregate result from the reloaded manifest — so the
  * numbers reflect what is durably journaled, not what any worker
  * believed. Jobs owned by a worker that died are reported in `stopped`

@@ -1,8 +1,6 @@
 #include "daemon.hh"
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/config_file.hh"
@@ -24,44 +22,6 @@ namespace
 constexpr int kAcceptSliceMs = 100;
 /** Deadline for control-plane replies sent from the accept loop. */
 constexpr double kInlineReplySec = 1.0;
-
-/** Base machine for @p request with its geometry overrides applied. */
-core::MachineConfig
-captureMachineFor(const SimRequest &request)
-{
-    core::MachineConfig mc;
-    if (request.machineKind == "scaled")
-        mc = core::MachineConfig::scaledDefault();
-    else if (request.machineKind == "paper")
-        mc = core::MachineConfig::paperDefault();
-    else
-        rsr_throw_user("machine kind must be 'scaled' or 'paper', got '",
-                       request.machineKind, "'");
-    for (const auto &kv : request.captureOverrides()) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos)
-            rsr_throw_user("override expects key=value, got '", kv, "'");
-        core::applyMachineOption(mc, kv.substr(0, eq),
-                                 kv.substr(eq + 1));
-    }
-    return mc;
-}
-
-/** @p base with the request's `core.*` timing overrides applied. */
-core::MachineConfig
-replayMachineFor(const SimRequest &request,
-                 const core::MachineConfig &base)
-{
-    core::MachineConfig mc = base;
-    for (const auto &kv : request.timingOverrides()) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos)
-            rsr_throw_user("override expects key=value, got '", kv, "'");
-        core::applyMachineOption(mc, kv.substr(0, eq),
-                                 kv.substr(eq + 1));
-    }
-    return mc;
-}
 
 /** Append `"cached":<bool>` to a stored result-JSON object. */
 std::string
@@ -432,18 +392,13 @@ std::string
 Server::executeWithRetry(const SimRequest &request, bool *warm_reuse,
                          bool *cold_capture)
 {
-    for (unsigned attempt = 0;; ++attempt) {
-        try {
-            return execute(request, warm_reuse, cold_capture);
-        } catch (const SimError &e) {
-            if (!e.retryable() || attempt >= config_.maxRetries)
-                throw;
+    return retryTransient(
+        config_.maxRetries, config_.backoffMs,
+        [this] {
             counters_->retries.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                static_cast<std::uint64_t>(config_.backoffMs)
-                << attempt));
-        }
-    }
+            return true;
+        },
+        [&] { return execute(request, warm_reuse, cold_capture); });
 }
 
 std::string
@@ -485,7 +440,9 @@ Server::execute(const SimRequest &request, bool *warm_reuse,
         cfg.regimen.numClusters = request.clusters;
         cfg.regimen.clusterSize = request.clusterSize;
         cfg.scheduleSeed = request.seed;
-        cfg.machine = captureMachineFor(request);
+        cfg.machine = core::baseMachine(request.machineKind);
+        for (const auto &kv : request.captureOverrides())
+            core::applyMachineSetting(cfg.machine, kv);
         cfg.deadline = &deadline;
 
         auto created = std::make_shared<core::LivePointStore>(
@@ -497,8 +454,9 @@ Server::execute(const SimRequest &request, bool *warm_reuse,
         store = std::move(created);
     }
 
-    const core::MachineConfig machine =
-        replayMachineFor(request, store->meta().machine);
+    core::MachineConfig machine = store->meta().machine;
+    for (const auto &kv : request.timingOverrides())
+        core::applyMachineSetting(machine, kv);
     const core::SampledResult result =
         harness::replayStoreParallel(*store, machine, 1);
 

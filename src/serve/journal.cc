@@ -1,16 +1,11 @@
 #include "journal.hh"
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-
-#include <unistd.h>
 
 #include "harness/json.hh"
 #include "util/checksum.hh"
 #include "util/error.hh"
-#include "util/fileio.hh"
 
 namespace rsr::serve
 {
@@ -45,20 +40,10 @@ loadJournal(const std::string &path)
     JournalState state;
     if (!fileExists(path))
         return state;
-    const auto bytes = readFileBytes(path);
-    const std::string text(bytes.begin(), bytes.end());
 
     // Latest record wins per id; ordered map keeps the backlog sorted.
     std::map<std::uint64_t, std::pair<RequestStatus, SimRequest>> latest;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
+    for (const std::string &line : readJournalLines(path)) {
         try {
             const auto obj = harness::parseJsonObject(line);
             const auto id_it = obj.find("id");
@@ -91,37 +76,6 @@ loadJournal(const std::string &path)
     return state;
 }
 
-RequestJournal::RequestJournal(const std::string &path) : path_(path)
-{
-    // Repair a torn trailing line (SIGKILL mid-append) by truncating
-    // back to the last complete line, so the tear is dropped once at
-    // reopen instead of polluting every future load.
-    if (fileExists(path)) {
-        const auto bytes = readFileBytes(path);
-        std::size_t keep = 0;
-        for (std::size_t i = bytes.size(); i > 0; --i) {
-            if (bytes[i - 1] == '\n') {
-                keep = i;
-                break;
-            }
-        }
-        if (keep != bytes.size() &&
-            ::truncate(path.c_str(), static_cast<off_t>(keep)) != 0)
-            rsr_throw_io("cannot repair request journal ", path, ": ",
-                         std::strerror(errno));
-    }
-    file_ = std::fopen(path.c_str(), "ab");
-    if (!file_)
-        rsr_throw_io("cannot open request journal ", path, ": ",
-                     std::strerror(errno));
-}
-
-RequestJournal::~RequestJournal()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
 void
 RequestJournal::append(std::uint64_t id, RequestStatus status,
                        const SimRequest &request)
@@ -135,13 +89,7 @@ RequestJournal::append(std::uint64_t id, RequestStatus status,
             "\"";
     line += ",\"request_hash\":\"" +
             checksumHex(request.requestHash()) + "\"}";
-    line += "\n";
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-        std::fflush(file_) != 0)
-        rsr_throw_io("cannot append to request journal ", path_);
-    ::fsync(::fileno(file_));
+    journal_.append(line);
 }
 
 } // namespace rsr::serve

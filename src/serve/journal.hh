@@ -1,26 +1,25 @@
 /**
  * @file
- * The serve daemon's request journal: the same crash-safe append-only
- * JSON-lines machinery as the campaign manifest (src/harness/manifest),
- * applied to admitted simulation requests. Every admitted cache-miss
- * request is journaled `queued` before execution and `done`/`failed`
- * after, each line a single fsynced write — so SIGTERM (graceful drain)
- * or even SIGKILL leaves a journal from which a restarted daemon
- * resumes: entries whose latest status is still `queued` are re-executed
- * into the cache at startup. Torn trailing lines are dropped on load
- * (the request simply reruns — at-least-once semantics).
+ * The serve daemon's request journal: admitted simulation requests
+ * written through the same durable LineJournal (util/fileio.hh) as the
+ * campaign manifest. Every admitted cache-miss request is journaled
+ * `queued` before execution and `done`/`failed` after — so SIGTERM
+ * (graceful drain) or even SIGKILL leaves a journal from which a
+ * restarted daemon resumes: entries whose latest status is still
+ * `queued` are re-executed into the cache at startup. Torn trailing
+ * lines are dropped on load (the request simply reruns — at-least-once
+ * semantics).
  */
 
 #ifndef RSR_SERVE_JOURNAL_HH
 #define RSR_SERVE_JOURNAL_HH
 
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "serve/protocol.hh"
+#include "util/fileio.hh"
 
 namespace rsr::serve
 {
@@ -56,28 +55,25 @@ struct JournalState
  */
 JournalState loadJournal(const std::string &path);
 
-/** Append-only, fsync-per-line request journal. Thread-safe. */
+/** Writes request status lines to a journal. Thread-safe. */
 class RequestJournal
 {
   public:
     /**
-     * Open @p path for appending, creating it if missing and repairing
+     * Open @p path for appending, creating it if missing and truncating
      * a torn trailing line first (crash mid-append).
      */
-    explicit RequestJournal(const std::string &path);
-    ~RequestJournal();
-
-    RequestJournal(const RequestJournal &) = delete;
-    RequestJournal &operator=(const RequestJournal &) = delete;
+    explicit RequestJournal(const std::string &path)
+        : journal_(path, LineJournal::OpenMode::Resume)
+    {
+    }
 
     /** Durably append one status line for request @p id. */
     void append(std::uint64_t id, RequestStatus status,
                 const SimRequest &request);
 
   private:
-    std::mutex mutex_;
-    std::FILE *file_ = nullptr;
-    std::string path_;
+    LineJournal journal_;
 };
 
 } // namespace rsr::serve

@@ -19,9 +19,12 @@
 #ifndef RSR_UTIL_ERROR_HH
 #define RSR_UTIL_ERROR_HH
 
+#include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace rsr
@@ -60,6 +63,30 @@ class SimError : public std::runtime_error
   private:
     ErrorKind kind_;
 };
+
+/**
+ * Run @p attempt, retrying transient failures. When it throws a
+ * retryable() SimError, fewer than @p max_retries retries have run and
+ * @p before_retry() returns true, retry k (from 0) runs it again after
+ * sleeping `backoff_ms << k`. Every other error propagates. Returns what
+ * @p attempt returns.
+ */
+template <typename BeforeRetry, typename Attempt>
+auto
+retryTransient(unsigned max_retries, unsigned backoff_ms,
+               BeforeRetry &&before_retry, Attempt &&attempt)
+{
+    for (unsigned n = 0;; ++n) {
+        try {
+            return attempt();
+        } catch (const SimError &e) {
+            if (!e.retryable() || n >= max_retries || !before_retry())
+                throw;
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                std::uint64_t{backoff_ms} << n));
+        }
+    }
+}
 
 /** Bad configuration/arguments supplied by the user. */
 class UserError : public SimError

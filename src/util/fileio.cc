@@ -1,9 +1,11 @@
 #include "fileio.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -83,6 +85,72 @@ makeDirs(const std::string &path)
         if (i < path.size())
             partial.push_back('/');
     }
+}
+
+LineJournal::LineJournal(const std::string &path, OpenMode mode)
+    : path_(path)
+{
+    const int trunc = mode == OpenMode::Fresh ? O_TRUNC : 0;
+    fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | trunc, 0644);
+    if (fd_ < 0)
+        rsr_throw_io("cannot open journal ", path, ": ",
+                     std::strerror(errno));
+    if (mode != OpenMode::Resume)
+        return;
+
+    // Truncate a torn tail back to the end of the last complete line.
+    const off_t size = ::lseek(fd_, 0, SEEK_END);
+    off_t keep = size;
+    bool ok = size >= 0;
+    char buf[4096];
+    while (ok && keep > 0) {
+        const off_t from = std::max<off_t>(keep - off_t{sizeof(buf)}, 0);
+        const auto n = static_cast<std::size_t>(keep - from);
+        ok = ::pread(fd_, buf, n, from) == static_cast<ssize_t>(n);
+        const void *nl = ok ? ::memrchr(buf, '\n', n) : nullptr;
+        if (nl) {
+            keep = from + (static_cast<const char *>(nl) - buf) + 1;
+            break;
+        }
+        keep = from;
+    }
+    if (!ok || (keep != size && ::ftruncate(fd_, keep) != 0)) {
+        ::close(fd_);
+        rsr_throw_io("cannot repair journal ", path, ": ",
+                     std::strerror(errno));
+    }
+}
+
+LineJournal::~LineJournal()
+{
+    ::close(fd_);
+}
+
+void
+LineJournal::append(const std::string &line)
+{
+    const std::string out = line + "\n";
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (::write(fd_, out.data(), out.size()) !=
+            static_cast<ssize_t>(out.size()) ||
+        ::fsync(fd_) != 0)
+        rsr_throw_io("cannot append to journal ", path_, ": ",
+                     std::strerror(errno));
+}
+
+std::vector<std::string>
+readJournalLines(const std::string &path)
+{
+    const auto bytes = readFileBytes(path);
+    std::vector<std::string> lines;
+    auto begin = bytes.begin();
+    while (begin != bytes.end()) {
+        const auto end = std::find(begin, bytes.end(), '\n');
+        if (end != begin)
+            lines.emplace_back(begin, end);
+        begin = end == bytes.end() ? end : end + 1;
+    }
+    return lines;
 }
 
 } // namespace rsr

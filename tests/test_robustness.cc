@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -492,6 +493,33 @@ TEST(Robustness, CampaignStopFlagLeavesResumableManifest)
     EXPECT_TRUE(r2.allComplete());
     EXPECT_EQ(r2.stopped, 0u);
     EXPECT_EQ(r2.exitStatus(), 0);
+}
+
+TEST(Robustness, ResumeTruncatesTornManifestTail)
+{
+    // The manifest counterpart of
+    // ServeJournal.TornTrailingLineDroppedAndRepaired: a resume truncates
+    // a line torn by SIGKILL mid-append, so it is dropped once and never
+    // glued to, or left in front of, the records that follow.
+    auto cfg = smallCampaign("torntail");
+    cfg.workloads = {"twolf"};
+    std::atomic<bool> stop{true}; // header only: nothing dispatched
+    cfg.stopFlag = &stop;
+    harness::CampaignRunner(cfg).run();
+    const auto manifest =
+        harness::CampaignRunner::manifestPath(cfg.outDir);
+    {
+        std::ofstream out(manifest, std::ios::app);
+        out << "{\"id\":0,\"wor";
+    }
+    EXPECT_EQ(harness::loadManifest(manifest).droppedLines, 1u);
+
+    stop.store(false);
+    harness::CampaignRunner resumed(cfg);
+    EXPECT_TRUE(resumed.run(/*resume=*/true).allComplete());
+    const auto state = harness::loadManifest(manifest);
+    EXPECT_EQ(state.droppedLines, 0u);
+    EXPECT_EQ(state.jobs.size(), 2u);
 }
 
 TEST(Robustness, ResumeRejectsMismatchedCampaign)

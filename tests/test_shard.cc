@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,19 +70,12 @@ readJournal(const std::string &out_dir)
         harness::CampaignRunner::manifestPath(out_dir);
     const harness::ManifestState state = harness::loadManifest(path);
     j.latest = state.jobs;
-    const auto bytes = readFileBytes(path);
-    std::string line;
-    for (const char c : std::string(bytes.begin(), bytes.end())) {
-        if (c != '\n') {
-            line += c;
+    for (const std::string &line : readJournalLines(path)) {
+        if (line.find("\"status\"") == std::string::npos)
             continue;
-        }
-        if (line.find("\"status\"") != std::string::npos) {
-            const harness::JobRecord r = harness::parseJobRecord(line);
-            if (r.status == harness::JobStatus::Complete)
-                ++j.completeCount[r.id];
-        }
-        line.clear();
+        const harness::JobRecord r = harness::parseJobRecord(line);
+        if (r.status == harness::JobStatus::Complete)
+            ++j.completeCount[r.id];
     }
     return j;
 }
@@ -238,6 +233,39 @@ TEST(ShardedCampaign, KilledWorkerLosesNothingAfterResume)
         EXPECT_TRUE(std::filesystem::is_regular_file(
             cfg.outDir + "/" + j.latest.at(id).resultFile));
     }
+}
+
+TEST(ShardedCampaign, ResumeTruncatesTornManifestTailBeforeForking)
+{
+    harness::CampaignConfig cfg = shardCampaign("torn");
+    const std::string manifest =
+        harness::CampaignRunner::manifestPath(cfg.outDir);
+
+    // A header-only manifest: the stop flag is up before any dispatch.
+    std::atomic<bool> stop{true};
+    cfg.stopFlag = &stop;
+    harness::CampaignRunner(cfg).run();
+    { // SIGKILL mid-append: a torn, unterminated final line.
+        std::ofstream out(manifest, std::ios::app);
+        out << "{\"id\":0,\"wor";
+    }
+
+    // The workers append Shared and never repair; the parent must
+    // truncate the tear before forking, or the first worker record
+    // glues onto it and is lost to every later load.
+    stop.store(false);
+    harness::ShardOptions opts;
+    opts.shards = 4;
+    opts.resume = true;
+    const harness::CampaignResult r =
+        harness::runShardedCampaign(cfg, opts);
+    EXPECT_TRUE(r.allComplete())
+        << "completed " << r.completed << " stopped " << r.stopped;
+    const harness::ManifestState state = harness::loadManifest(manifest);
+    EXPECT_EQ(state.droppedLines, 0u);
+    ASSERT_EQ(state.jobs.size(), r.total);
+    for (const auto &[id, rec] : state.jobs)
+        EXPECT_EQ(rec.status, harness::JobStatus::Complete) << "job " << id;
 }
 
 } // namespace

@@ -1,19 +1,27 @@
 /**
  * @file
- * Unit tests for the util module: bit helpers, the deterministic RNG, and
- * the table formatter.
+ * Unit tests for the util module: bit helpers, the deterministic RNG,
+ * the table formatter, the durable line journal, and the transient-retry
+ * helper.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include <sys/stat.h>
 
 #include "util/bitutil.hh"
 #include "util/deadline.hh"
+#include "util/error.hh"
+#include "util/fileio.hh"
 #include "util/random.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -238,6 +246,149 @@ TEST(Deadline, PollTimeoutRoundsUpAndHonoursTheCap)
 
     // A zero cap is respected even with time remaining.
     EXPECT_EQ(Deadline(60.0).pollTimeoutMs(0), 0);
+}
+
+// ---------------------------------------------------------------------
+// LineJournal — the durable append-only journal behind the campaign
+// manifest and the serve request journal.
+// ---------------------------------------------------------------------
+
+std::string
+journalFile(const char *tag)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "/rsr_line_journal_" + tag;
+    std::remove(path.c_str());
+    return path;
+}
+
+std::string
+fileText(const std::string &path)
+{
+    const auto bytes = readFileBytes(path);
+    return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(LineJournal, FreshTruncatesAndEveryAppendIsOneLine)
+{
+    const std::string path = journalFile("fresh");
+    atomicWriteFile(path, std::string("stale\n"));
+    {
+        LineJournal journal(path, LineJournal::OpenMode::Fresh);
+        journal.append("{\"a\":1}");
+        journal.append("{\"b\":2}");
+    }
+    EXPECT_EQ(fileText(path), "{\"a\":1}\n{\"b\":2}\n");
+}
+
+TEST(LineJournal, ResumeTruncatesTornTailSharedLeavesIt)
+{
+    const std::string path = journalFile("torn");
+    atomicWriteFile(path, std::string("one\n\ntwo\n{\"id\":0,\"wor"));
+    // Empty lines are skipped; the torn tail is returned for the loader
+    // to drop.
+    EXPECT_EQ(readJournalLines(path),
+              (std::vector<std::string>{"one", "two", "{\"id\":0,\"wor"}));
+
+    { LineJournal shared(path, LineJournal::OpenMode::Shared); }
+    EXPECT_EQ(fileText(path), "one\n\ntwo\n{\"id\":0,\"wor");
+
+    {
+        LineJournal journal(path, LineJournal::OpenMode::Resume);
+        journal.append("three");
+    }
+    EXPECT_EQ(fileText(path), "one\n\ntwo\nthree\n");
+
+    // A tail with no newline at all is torn in full.
+    atomicWriteFile(path, std::string("{\"id\""));
+    { LineJournal journal(path, LineJournal::OpenMode::Resume); }
+    EXPECT_EQ(fileText(path), "");
+}
+
+TEST(LineJournal, ConcurrentAppendsInterleaveWholeLines)
+{
+    const std::string path = journalFile("threads");
+    constexpr int kThreads = 4;
+    constexpr int kLines = 25;
+    {
+        LineJournal journal(path, LineJournal::OpenMode::Fresh);
+        std::vector<std::thread> writers;
+        for (int t = 0; t < kThreads; ++t)
+            writers.emplace_back([&journal, t] {
+                for (int i = 0; i < kLines; ++i)
+                    journal.append(std::string(40, char('a' + t)) +
+                                   std::to_string(i));
+            });
+        for (auto &w : writers)
+            w.join();
+    }
+    const auto lines = readJournalLines(path);
+    ASSERT_EQ(lines.size(), std::size_t{kThreads * kLines});
+    std::set<std::string> distinct(lines.begin(), lines.end());
+    EXPECT_EQ(distinct.size(), lines.size());
+    for (const std::string &line : lines)
+        EXPECT_EQ(line.find_first_not_of(line[0]), 40u) << line;
+}
+
+TEST(LineJournal, FsyncFailureThrowsIoError)
+{
+    // A FIFO accepts the write but rejects fsync (EINVAL): the append
+    // must not report success for a line it could not make durable.
+    const std::string path = journalFile("fifo");
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    LineJournal journal(path, LineJournal::OpenMode::Shared);
+    EXPECT_THROW(journal.append("{\"id\":0}"), IoError);
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// retryTransient — the one retry loop for campaign jobs and requests.
+// ---------------------------------------------------------------------
+
+TEST(RetryTransient, RetriesTransientErrorsUpToTheLimit)
+{
+    int calls = 0;
+    int retries = 0;
+    const auto count_retry = [&] {
+        ++retries;
+        return true;
+    };
+    EXPECT_EQ(retryTransient(3, 0, count_retry,
+                             [&] {
+                                 if (++calls < 3)
+                                     rsr_throw_io("transient");
+                                 return calls;
+                             }),
+              3);
+    EXPECT_EQ(retries, 2);
+
+    calls = 0;
+    EXPECT_THROW(retryTransient(2, 0, count_retry,
+                                [&] {
+                                    ++calls;
+                                    rsr_throw_io("always");
+                                }),
+                 IoError);
+    EXPECT_EQ(calls, 3); // the first attempt plus two retries
+
+    calls = 0;
+    EXPECT_THROW(retryTransient(5, 0, count_retry,
+                                [&] {
+                                    ++calls;
+                                    rsr_throw_user("permanent");
+                                }),
+                 UserError);
+    EXPECT_EQ(calls, 1);
+
+    // A false predicate (a raised stop flag) ends the retries early.
+    calls = 0;
+    EXPECT_THROW(retryTransient(5, 0, [] { return false; },
+                                [&] {
+                                    ++calls;
+                                    rsr_throw_io("transient");
+                                }),
+                 IoError);
+    EXPECT_EQ(calls, 1);
 }
 
 } // namespace

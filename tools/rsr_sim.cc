@@ -84,13 +84,8 @@ using namespace rsr;
 void
 applySetFlag(const ArgParser &args, core::MachineConfig &mc)
 {
-    if (!args.has("set"))
-        return;
-    const std::string kv = args.get("set");
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos)
-        rsr_throw_user("--set expects key=value, got '", kv, "'");
-    core::applyMachineOption(mc, kv.substr(0, eq), kv.substr(eq + 1));
+    if (args.has("set"))
+        core::applyMachineSetting(mc, args.get("set"));
 }
 
 /** The `cluster,ipc` CSV of run and replay: full precision, so two
@@ -106,15 +101,8 @@ printClusterCsv(const std::vector<double> &cluster_ipc)
 core::MachineConfig
 machineFor(const ArgParser &args)
 {
-    const std::string kind = args.get("machine", "scaled");
-    core::MachineConfig mc;
-    if (kind == "scaled")
-        mc = core::MachineConfig::scaledDefault();
-    else if (kind == "paper")
-        mc = core::MachineConfig::paperDefault();
-    else
-        rsr_throw_user("--machine must be 'scaled' or 'paper', got '",
-                       kind, "'");
+    core::MachineConfig mc =
+        core::baseMachine(args.get("machine", "scaled"));
     if (args.has("config"))
         mc = core::loadMachineConfig(args.get("config"), mc);
     applySetFlag(args, mc);
