@@ -49,8 +49,9 @@ main()
 
     bench::runAndPrintFigure("Ablation", factories, setups, "S$BP");
 
-    // MRRL/BLRL need a per-workload profiling pass against the exact
-    // cluster schedule the sampled run will draw.
+    // MRRL/BLRL profile the exact cluster schedule the sampled run draws
+    // (ClusterScheduleDriver prepares the policy with it); time(s)
+    // includes that pass.
     for (const auto kind :
          {core::ReuseLatencyKind::Mrrl, core::ReuseLatencyKind::Blrl}) {
         std::printf("\n%s baseline (99.5th-percentile reuse coverage)\n",
@@ -58,18 +59,13 @@ main()
         TextTable t({"workload", "rel-error", "time(s)", "profile insts",
                      "mean warm len"});
         for (const auto &s : setups) {
-            Rng rng(s.cfg.scheduleSeed);
-            const auto schedule =
-                core::makeSchedule(s.cfg.regimen, s.cfg.totalInsts, rng);
-            const auto profile =
-                core::profileReuseLatency(s.program, schedule, kind, 0.995);
+            core::ReuseLatencyWarmup policy(kind, 0.995);
+            const auto r = core::runSampled(s.program, policy, s.cfg);
+            const auto &profile = policy.profile();
             double mean_len = 0;
             for (auto l : profile.warmupLengths)
                 mean_len += static_cast<double>(l);
             mean_len /= static_cast<double>(profile.warmupLengths.size());
-
-            core::ReuseLatencyWarmup policy(profile);
-            const auto r = core::runSampled(s.program, policy, s.cfg);
             t.addRow({s.params.name,
                       TextTable::num(r.estimate.relativeError(s.trueIpc)),
                       TextTable::num(r.seconds, 3),

@@ -1,10 +1,10 @@
 #include "config_file.hh"
 
-#include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 
+#include "util/error.hh"
+#include "util/fileio.hh"
 #include "util/logging.hh"
 
 namespace rsr::core
@@ -34,107 +34,159 @@ parseValue(const std::string &key, const std::string &value)
     return v;
 }
 
+/** What a machine field shapes. */
+enum class FieldRole : std::uint8_t
+{
+    Capture, ///< the warmed state a capture holds: in the capture key
+    Timing,  ///< `core.*`: the timing model only
+};
+
+/** One row of the machine schema. */
+struct MachineField
+{
+    /** The `section.field` key, or nullptr for a field no key sets (the
+     *  cache write policies, which the base machine fixes). */
+    const char *key;
+    /** Bytes the field takes in schema bytes: 1, 4 or 8. */
+    unsigned width;
+    FieldRole role;
+    std::uint64_t (*get)(const MachineConfig &);
+    void (*set)(MachineConfig &, std::uint64_t);
+};
+
+/** The config-error noun for @p section ("cache" for il1/dl1/l2). */
+std::string
+sectionKind(const std::string &section)
+{
+    if (section == "il1" || section == "dl1" || section == "l2")
+        return "cache";
+    if (section == "l1bus" || section == "l2bus")
+        return "bus";
+    return section;
+}
+
+/** A schema row for MachineConfig member @p m. */
+#define RSR_FIELD(key, width, role, m)                                      \
+    MachineField{key, width, FieldRole::role,                               \
+                 [](const MachineConfig &c) {                               \
+                     return static_cast<std::uint64_t>(c.m);                \
+                 },                                                         \
+                 [](MachineConfig &c, std::uint64_t v) {                    \
+                     c.m = static_cast<decltype(c.m)>(v);                   \
+                 }}
+#define RSR_CACHE_FIELDS(sec)                                               \
+    RSR_FIELD(#sec ".size_bytes", 8, Capture, hier.sec.sizeBytes),          \
+        RSR_FIELD(#sec ".assoc", 4, Capture, hier.sec.assoc),               \
+        RSR_FIELD(#sec ".line_bytes", 4, Capture, hier.sec.lineBytes),      \
+        RSR_FIELD(nullptr, 1, Capture, hier.sec.writePolicy),               \
+        RSR_FIELD(#sec ".hit_latency", 4, Capture, hier.sec.hitLatency)
+#define RSR_CORE_FIELD(name, m) RSR_FIELD("core." name, 4, Timing, core.m)
+
+/** Every MachineConfig field, in schema-byte order. */
+const std::vector<MachineField> &
+machineSchema()
+{
+    static const std::vector<MachineField> schema{
+        RSR_CACHE_FIELDS(il1),
+        RSR_CACHE_FIELDS(dl1),
+        RSR_CACHE_FIELDS(l2),
+        RSR_FIELD("l1bus.width_bytes", 4, Capture, hier.l1Bus.widthBytes),
+        RSR_FIELD("l1bus.cpu_cycles_per_bus_cycle", 4, Capture,
+                  hier.l1Bus.cpuCyclesPerBusCycle),
+        RSR_FIELD("l2bus.width_bytes", 4, Capture, hier.l2Bus.widthBytes),
+        RSR_FIELD("l2bus.cpu_cycles_per_bus_cycle", 4, Capture,
+                  hier.l2Bus.cpuCyclesPerBusCycle),
+        RSR_FIELD("mem.latency", 8, Capture, hier.memLatency),
+        RSR_FIELD("bp.pht_entries", 4, Capture, bp.phtEntries),
+        RSR_FIELD("bp.history_bits", 4, Capture, bp.historyBits),
+        RSR_FIELD("bp.btb_entries", 4, Capture, bp.btbEntries),
+        RSR_FIELD("bp.ras_entries", 4, Capture, bp.rasEntries),
+        RSR_CORE_FIELD("fetch_width", fetchWidth),
+        RSR_CORE_FIELD("dispatch_width", dispatchWidth),
+        RSR_CORE_FIELD("issue_width", issueWidth),
+        RSR_CORE_FIELD("retire_width", retireWidth),
+        RSR_CORE_FIELD("rob_size", robSize),
+        RSR_CORE_FIELD("iq_size", iqSize),
+        RSR_CORE_FIELD("lsq_size", lsqSize),
+        RSR_CORE_FIELD("num_fus", numFUs),
+        RSR_CORE_FIELD("frontend_delay", frontendDelay),
+        RSR_CORE_FIELD("min_mispredict_penalty", minMispredictPenalty),
+        RSR_CORE_FIELD("max_unresolved_branches", maxUnresolvedBranches),
+        RSR_CORE_FIELD("fetch_buffer_size", fetchBufferSize),
+        RSR_CORE_FIELD("int_alu_lat", intAluLat),
+        RSR_CORE_FIELD("int_mul_lat", intMulLat),
+        RSR_CORE_FIELD("int_div_lat", intDivLat),
+        RSR_CORE_FIELD("fp_add_lat", fpAddLat),
+        RSR_CORE_FIELD("fp_mul_lat", fpMulLat),
+        RSR_CORE_FIELD("fp_div_lat", fpDivLat),
+        RSR_CORE_FIELD("forward_latency", forwardLatency),
+        RSR_FIELD("core.store_forwarding", 1, Timing,
+                  core.storeForwarding),
+    };
+    return schema;
+}
+
+#undef RSR_CORE_FIELD
+#undef RSR_CACHE_FIELDS
+#undef RSR_FIELD
+
 } // namespace
+
+std::vector<std::uint8_t>
+machineBytes(const MachineConfig &m, bool capture_only)
+{
+    std::vector<std::uint8_t> out;
+    for (const MachineField &f : machineSchema()) {
+        if (capture_only && f.role != FieldRole::Capture)
+            continue;
+        const std::uint64_t v = f.get(m);
+        for (unsigned i = 0; i < f.width; ++i)
+            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    return out;
+}
+
+MachineConfig
+machineFromBytes(const std::vector<std::uint8_t> &bytes)
+{
+    std::size_t want = 0;
+    for (const MachineField &f : machineSchema())
+        want += f.width;
+    if (bytes.size() != want)
+        rsr_throw_corrupt("machine config holds ", bytes.size(),
+                          " bytes, the machine schema ", want);
+    MachineConfig m;
+    std::size_t pos = 0;
+    for (const MachineField &f : machineSchema()) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < f.width; ++i)
+            v |= std::uint64_t{bytes[pos++]} << (8 * i);
+        f.set(m, v);
+    }
+    return m;
+}
 
 void
 applyMachineOption(MachineConfig &config, const std::string &key,
                    const std::string &value)
 {
     const std::uint64_t v = parseValue(key, value);
-    const auto u32 = static_cast<std::uint32_t>(v);
-
-    auto cache_field = [&](cache::CacheParams &p,
-                           const std::string &field) {
-        if (field == "size_bytes")
-            p.sizeBytes = v;
-        else if (field == "assoc")
-            p.assoc = u32;
-        else if (field == "line_bytes")
-            p.lineBytes = u32;
-        else if (field == "hit_latency")
-            p.hitLatency = u32;
-        else
-            rsr_throw_user("unknown cache config field in key '", key,
-                           "'");
-    };
-
     const auto dot = key.find('.');
     if (dot == std::string::npos)
         rsr_throw_user("config key '", key,
                        "' needs a '<section>.<field>' form");
-    const std::string section = key.substr(0, dot);
-    const std::string field = key.substr(dot + 1);
-
-    if (section == "il1") {
-        cache_field(config.hier.il1, field);
-    } else if (section == "dl1") {
-        cache_field(config.hier.dl1, field);
-    } else if (section == "l2") {
-        cache_field(config.hier.l2, field);
-    } else if (section == "l1bus" || section == "l2bus") {
-        auto &bus = section == "l1bus" ? config.hier.l1Bus
-                                       : config.hier.l2Bus;
-        if (field == "width_bytes")
-            bus.widthBytes = u32;
-        else if (field == "cpu_cycles_per_bus_cycle")
-            bus.cpuCyclesPerBusCycle = u32;
-        else
-            rsr_throw_user("unknown bus config field in key '", key, "'");
-    } else if (section == "mem") {
-        if (field == "latency")
-            config.hier.memLatency = v;
-        else
-            rsr_throw_user("unknown mem config field in key '", key, "'");
-    } else if (section == "bp") {
-        if (field == "pht_entries")
-            config.bp.phtEntries = u32;
-        else if (field == "history_bits")
-            config.bp.historyBits = u32;
-        else if (field == "btb_entries")
-            config.bp.btbEntries = u32;
-        else if (field == "ras_entries")
-            config.bp.rasEntries = u32;
-        else
-            rsr_throw_user("unknown bp config field in key '", key, "'");
-    } else if (section == "core") {
-        static const std::map<std::string,
-                              unsigned uarch::CoreParams::*>
-            fields{
-                {"fetch_width", &uarch::CoreParams::fetchWidth},
-                {"dispatch_width", &uarch::CoreParams::dispatchWidth},
-                {"issue_width", &uarch::CoreParams::issueWidth},
-                {"retire_width", &uarch::CoreParams::retireWidth},
-                {"rob_size", &uarch::CoreParams::robSize},
-                {"iq_size", &uarch::CoreParams::iqSize},
-                {"lsq_size", &uarch::CoreParams::lsqSize},
-                {"num_fus", &uarch::CoreParams::numFUs},
-                {"frontend_delay", &uarch::CoreParams::frontendDelay},
-                {"min_mispredict_penalty",
-                 &uarch::CoreParams::minMispredictPenalty},
-                {"max_unresolved_branches",
-                 &uarch::CoreParams::maxUnresolvedBranches},
-                {"fetch_buffer_size",
-                 &uarch::CoreParams::fetchBufferSize},
-                {"int_alu_lat", &uarch::CoreParams::intAluLat},
-                {"int_mul_lat", &uarch::CoreParams::intMulLat},
-                {"int_div_lat", &uarch::CoreParams::intDivLat},
-                {"fp_add_lat", &uarch::CoreParams::fpAddLat},
-                {"fp_mul_lat", &uarch::CoreParams::fpMulLat},
-                {"fp_div_lat", &uarch::CoreParams::fpDivLat},
-                {"forward_latency", &uarch::CoreParams::forwardLatency},
-            };
-        if (field == "store_forwarding") {
-            config.core.storeForwarding = v != 0;
+    for (const MachineField &f : machineSchema()) {
+        if (f.key && key == f.key) {
+            f.set(config, v);
             return;
         }
-        const auto it = fields.find(field);
-        if (it == fields.end())
-            rsr_throw_user("unknown core config field in key '", key,
-                           "'");
-        config.core.*(it->second) = u32;
-    } else {
-        rsr_throw_user("unknown config section in key '", key, "'");
     }
+    const std::string section = key.substr(0, dot + 1);
+    for (const MachineField &f : machineSchema())
+        if (f.key && std::string(f.key).rfind(section, 0) == 0)
+            rsr_throw_user("unknown ", sectionKind(key.substr(0, dot)),
+                           " config field in key '", key, "'");
+    rsr_throw_user("unknown config section in key '", key, "'");
 }
 
 void
@@ -185,16 +237,9 @@ parseMachineConfig(const std::string &text, MachineConfig base)
 MachineConfig
 loadMachineConfig(const std::string &path, MachineConfig base)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        rsr_throw_user("cannot open config file: ", path);
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    return parseMachineConfig(text, base);
+    const auto bytes = readFileBytes(path);
+    return parseMachineConfig(std::string(bytes.begin(), bytes.end()),
+                              base);
 }
 
 } // namespace rsr::core

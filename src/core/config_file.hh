@@ -1,9 +1,17 @@
 /**
  * @file
- * Plain-text machine configuration: `key = value` lines (with `#`
- * comments) that override fields of a MachineConfig, so experiments can
- * be described in files and swept from the command line without
- * recompiling. Unknown keys are fatal (typo safety).
+ * The machine schema: one table (config_file.cc) lists every
+ * MachineConfig field once — its `section.field` key, its width, and
+ * whether it is a *capture* field (cache, bus, memory and predictor
+ * geometry: the warmed state a live-point store holds) or a *timing*
+ * field (`core.*`). The config parser, the store's machine metadata, the
+ * capture key (LivePointStore::configHash) and the campaign fingerprint
+ * all walk that table.
+ *
+ * Configuration text is `key = value` lines (with `#` comments) that
+ * override fields of a MachineConfig, so experiments can be described in
+ * files and swept from the command line without recompiling. Unknown
+ * keys are fatal (typo safety).
  *
  * Keys (all integers unless noted):
  *   il1.size_bytes il1.assoc il1.line_bytes il1.hit_latency
@@ -18,18 +26,30 @@
  *   core.max_unresolved_branches core.fetch_buffer_size
  *   core.int_alu_lat core.int_mul_lat core.int_div_lat
  *   core.fp_add_lat core.fp_mul_lat core.fp_div_lat
+ *   core.forward_latency
  *   core.store_forwarding            (0 or 1)
  */
 
 #ifndef RSR_CORE_CONFIG_FILE_HH
 #define RSR_CORE_CONFIG_FILE_HH
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/machine.hh"
 
 namespace rsr::core
 {
+
+/** @p m's schema bytes: each field little-endian at its width, in table
+ *  order — every field, or only the capture fields. */
+std::vector<std::uint8_t> machineBytes(const MachineConfig &m,
+                                       bool capture_only = false);
+
+/** Inverse of machineBytes() over every field. Throws CorruptInputError
+ *  when @p bytes is not exactly one schema long. */
+MachineConfig machineFromBytes(const std::vector<std::uint8_t> &bytes);
 
 /** Apply a single `key`/`value` override to @p config. Fatal on unknown
  *  keys or malformed values. */

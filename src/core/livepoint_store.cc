@@ -7,6 +7,7 @@
 
 #include "livepoint_store.hh"
 
+#include "core/config_file.hh"
 #include "func/funcsim.hh"
 #include "trace/trace.hh"
 #include "util/checksum.hh"
@@ -24,93 +25,11 @@ namespace
 {
 
 /** Index frame tag and version (rides on the v3 Snapshotable framing).
- *  v3 trace blobs hold src/trace record payloads; older stores are
- *  rejected as version skew and must be recaptured. */
+ *  v4 machine metadata is the machine schema's bytes (config_file.hh),
+ *  store forwarding included; older stores are rejected as version skew
+ *  and must be recaptured. */
 constexpr std::uint32_t indexTag = fourcc('L', 'V', 'P', 'T');
-constexpr std::uint32_t indexVersion = 3;
-
-void
-putCacheParams(ByteSink &out, const cache::CacheParams &p)
-{
-    out.putU64(p.sizeBytes);
-    out.putU32(p.assoc);
-    out.putU32(p.lineBytes);
-    out.putU8(static_cast<std::uint8_t>(p.writePolicy));
-    out.putU32(p.hitLatency);
-}
-
-cache::CacheParams
-getCacheParams(ByteSource &in, const char *name)
-{
-    cache::CacheParams p;
-    p.name = name;
-    p.sizeBytes = in.getU64();
-    p.assoc = in.getU32();
-    p.lineBytes = in.getU32();
-    p.writePolicy = static_cast<cache::WritePolicy>(in.getU8());
-    p.hitLatency = in.getU32();
-    return p;
-}
-
-void
-putMachineConfig(ByteSink &out, const MachineConfig &m)
-{
-    putCacheParams(out, m.hier.il1);
-    putCacheParams(out, m.hier.dl1);
-    putCacheParams(out, m.hier.l2);
-    out.putU32(m.hier.l1Bus.widthBytes);
-    out.putU32(m.hier.l1Bus.cpuCyclesPerBusCycle);
-    out.putU32(m.hier.l2Bus.widthBytes);
-    out.putU32(m.hier.l2Bus.cpuCyclesPerBusCycle);
-    out.putU64(m.hier.memLatency);
-    out.putU32(m.bp.phtEntries);
-    out.putU32(m.bp.historyBits);
-    out.putU32(m.bp.btbEntries);
-    out.putU32(m.bp.rasEntries);
-    const auto &c = m.core;
-    for (std::uint32_t v :
-         {c.fetchWidth, c.dispatchWidth, c.issueWidth, c.retireWidth,
-          c.robSize, c.iqSize, c.lsqSize, c.numFUs, c.frontendDelay,
-          c.minMispredictPenalty, c.maxUnresolvedBranches,
-          c.fetchBufferSize, c.intAluLat, c.intMulLat, c.intDivLat,
-          c.fpAddLat, c.fpMulLat, c.fpDivLat})
-        out.putU32(v);
-}
-
-MachineConfig
-getMachineConfig(ByteSource &in)
-{
-    MachineConfig m;
-    m.hier.il1 = getCacheParams(in, "il1");
-    m.hier.dl1 = getCacheParams(in, "dl1");
-    m.hier.l2 = getCacheParams(in, "l2");
-    m.hier.l1Bus.widthBytes = in.getU32();
-    m.hier.l1Bus.cpuCyclesPerBusCycle = in.getU32();
-    m.hier.l2Bus.widthBytes = in.getU32();
-    m.hier.l2Bus.cpuCyclesPerBusCycle = in.getU32();
-    m.hier.memLatency = in.getU64();
-    m.bp.phtEntries = in.getU32();
-    m.bp.historyBits = in.getU32();
-    m.bp.btbEntries = in.getU32();
-    m.bp.rasEntries = in.getU32();
-    auto &c = m.core;
-    for (std::uint32_t *v :
-         {&c.fetchWidth, &c.dispatchWidth, &c.issueWidth, &c.retireWidth,
-          &c.robSize, &c.iqSize, &c.lsqSize, &c.numFUs, &c.frontendDelay,
-          &c.minMispredictPenalty, &c.maxUnresolvedBranches,
-          &c.fetchBufferSize, &c.intAluLat, &c.intMulLat, &c.intDivLat,
-          &c.fpAddLat, &c.fpMulLat, &c.fpDivLat})
-        *v = in.getU32();
-    return m;
-}
-
-std::vector<std::uint8_t>
-machineConfigBytes(const MachineConfig &m)
-{
-    ByteSink out;
-    putMachineConfig(out, m);
-    return out.take();
-}
+constexpr std::uint32_t indexVersion = 4;
 
 void
 putString(Serializer &out, const std::string &s)
@@ -217,7 +136,7 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
     index.putU64(est_opts.phase1PerStratum);
     index.putU64(est_opts.rankSeed);
     index.putU64(candidate_count);
-    const auto machine_bytes = machineConfigBytes(config.machine);
+    const auto machine_bytes = machineBytes(config.machine);
     index.putU64(machine_bytes.size());
     index.putBytes(machine_bytes.data(), machine_bytes.size());
     index.putU64(writer.addedBytes());
@@ -279,13 +198,7 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
                                        machine_len);
     std::vector<std::uint8_t> machine_bytes(machine_len);
     in.getBytes(machine_bytes.data(), machine_bytes.size());
-    {
-        ByteSource msrc(machine_bytes);
-        store.meta_.machine = getMachineConfig(msrc);
-        if (!msrc.exhausted())
-            rsr_throw_corrupt("live-point index machine config has ",
-                              msrc.remaining(), " trailing bytes");
-    }
+    store.meta_.machine = machineFromBytes(machine_bytes);
     store.offeredBytes_ = in.getU64();
     const std::uint64_t count = in.getU64();
     FaultInjector::global().checkAlloc("livepoint_store:entries",
@@ -338,17 +251,6 @@ LivePointStore::loadFile(const std::string &path)
     return deserialize(readFileBytes(path));
 }
 
-SampledConfig
-LivePointStore::sampledConfig() const
-{
-    SampledConfig config;
-    config.regimen = meta_.regimen;
-    config.totalInsts = meta_.totalInsts;
-    config.scheduleSeed = meta_.scheduleSeed;
-    config.machine = meta_.machine;
-    return config;
-}
-
 std::uint64_t
 LivePointStore::storeHash() const
 {
@@ -370,7 +272,8 @@ LivePointStore::configHash(const std::string &workload,
     params.putU64(config.scheduleSeed);
     params.putU64(config.regimen.numClusters);
     params.putU64(config.regimen.clusterSize);
-    putMachineConfig(params, config.machine);
+    const auto capture = machineBytes(config.machine, /*capture_only=*/true);
+    params.putBytes(capture.data(), capture.size());
     h.update(params.bytes().data(), params.size());
     return h.value();
 }
@@ -398,6 +301,12 @@ LivePointStore::configHash(const std::string &workload,
     params.putU64(estimator.phase1PerStratum);
     params.putU64(estimator.rankSeed);
     params.putU64(candidate_count);
+    // Two-phase picks its final schedule from pilot clusters timed on
+    // the whole machine, so its selection depends on core.* too.
+    if (estimator.kind == SamplingPolicyKind::TwoPhaseStratified) {
+        const auto machine = machineBytes(config.machine);
+        params.putBytes(machine.data(), machine.size());
+    }
     fold.update(params.bytes().data(), params.size());
     return fold.value();
 }
@@ -405,8 +314,13 @@ LivePointStore::configHash(const std::string &workload,
 std::uint64_t
 LivePointStore::configHash() const
 {
-    return configHash(meta_.workload, meta_.policy, sampledConfig(),
-                      meta_.estimator, meta_.candidateCount);
+    SampledConfig config;
+    config.regimen = meta_.regimen;
+    config.totalInsts = meta_.totalInsts;
+    config.scheduleSeed = meta_.scheduleSeed;
+    config.machine = meta_.machine;
+    return configHash(meta_.workload, meta_.policy, config, meta_.estimator,
+                      meta_.candidateCount);
 }
 
 std::uint64_t

@@ -12,9 +12,9 @@
  * hash, so identical state across clusters (common for small predictors
  * or quickly-saturating caches) is stored once. Trace blobs are record
  * payloads of the src/trace delta codec, the same records a trace file
- * holds. A versioned index frame ('LVPT' v3, built on the v3
+ * holds. A versioned index frame ('LVPT' v4, built on the v3
  * Snapshotable framing) records the capture metadata — workload, policy,
- * schedule, machine configuration, estimator selection — plus one entry
+ * schedule, machine schema bytes, estimator selection — plus one entry
  * per cluster referencing the blobs by hash. Stores written with an
  * older index version are rejected as version skew and must be
  * recaptured.
@@ -144,9 +144,6 @@ class LivePointStore
     const std::vector<LivePointEntry> &entries() const { return entries_; }
     std::size_t clusterCount() const { return entries_.size(); }
 
-    /** The capture-time SampledConfig (deadline unset). */
-    SampledConfig sampledConfig() const;
-
     /**
      * Decode stored cluster @p index into a ready-to-measure replay
      * task. Const and thread-safe: replay workers decode concurrently.
@@ -161,9 +158,11 @@ class LivePointStore
     std::uint64_t storeHash() const;
 
     /**
-     * Hash of the capture configuration — what a store *should* contain.
-     * replay-side validation compares the expected hash (from CLI flags)
-     * against a loaded store's configHash() to reject stale stores.
+     * The capture key: what a store *should* contain — workload,
+     * policy, schedule parameters and the machine's capture (non-
+     * `core.*`) fields, so one store replays under any core. Replay
+     * validation, campaign store reuse and the serve store cache all
+     * compare it.
      */
     static std::uint64_t configHash(const std::string &workload,
                                     const std::string &policy,
@@ -176,7 +175,10 @@ class LivePointStore
      * options), so hashing the inputs is equivalent and lets replay-side
      * validation compute the expected hash from CLI flags without
      * re-running the proxy pass. Identical to the plain overload when
-     * the options describe uniform sampling.
+     * the options describe uniform sampling. Two-phase also folds in the
+     * machine's `core.*` fields: its pilot clusters are timed on the
+     * whole machine, so a two-phase store serves only the core it was
+     * captured on.
      */
     static std::uint64_t configHash(const std::string &workload,
                                     const std::string &policy,

@@ -15,9 +15,6 @@ namespace
  * statically and inlines; the WarmupPolicy instantiation is the generic
  * virtual fallback for user-defined policies.
  */
-/** Watchdog poll mask: cheap enough to check inside long skips. */
-constexpr std::uint64_t deadlineCheckMask = (1u << 16) - 1;
-
 template <typename P>
 void
 skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
@@ -26,7 +23,7 @@ skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
 {
     func::DynInst d;
     for (std::uint64_t i = begin; i < end; ++i) {
-        if (deadline && (i & deadlineCheckMask) == 0 &&
+        if (deadline && (i & Deadline::pollMask) == 0 &&
             deadline->expired())
             throw TimeoutError("sampled run exceeded its deadline "
                                "inside a skip region");
@@ -57,7 +54,7 @@ SkipPhase::run(std::uint64_t skip_len)
     if (observe_from > 0) {
         std::uint64_t last_pc = 0;
         for (std::uint64_t i = 0; i < observe_from; ++i) {
-            if (deadline && (i & deadlineCheckMask) == 0 &&
+            if (deadline && (i & Deadline::pollMask) == 0 &&
                 deadline->expired())
                 throw TimeoutError("sampled run exceeded its deadline "
                                    "inside a skip region");
@@ -153,6 +150,7 @@ ClusterScheduleDriver::runDeferred(ReplaySink &sink)
     SampledResult res;
     WallTimer timer;
 
+    policy.prepare(program, schedule_, config.deadline);
     func::FuncSim fs(program);
     Machine machine(config.machine);
     policy.clearWork();
@@ -254,7 +252,7 @@ profileClusterProxies(const func::Program &program,
     func::DynInst d;
     std::uint64_t last_iblock = ~std::uint64_t{0};
     for (std::uint64_t i = 0; i < end; ++i) {
-        if (deadline && (i & deadlineCheckMask) == 0 &&
+        if (deadline && (i & Deadline::pollMask) == 0 &&
             deadline->expired())
             throw TimeoutError("proxy-rank pass exceeded its deadline");
         const bool ok = fs.step(&d);

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "func/funcsim.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace rsr::core
@@ -12,7 +13,8 @@ namespace rsr::core
 ReuseLatencyProfile
 profileReuseLatency(const func::Program &program,
                     const std::vector<Cluster> &schedule,
-                    ReuseLatencyKind kind, double percentile)
+                    ReuseLatencyKind kind, double percentile,
+                    const Deadline *deadline)
 {
     rsr_assert(percentile > 0.0 && percentile <= 1.0,
                "percentile out of range");
@@ -37,6 +39,10 @@ profileReuseLatency(const func::Program &program,
                                   : schedule.back().start +
                                         schedule.back().size;
     for (std::uint64_t i = 0; i < end; ++i) {
+        if (deadline && (i & Deadline::pollMask) == 0 &&
+            deadline->expired())
+            throw TimeoutError("reuse-latency profiling exceeded its "
+                               "deadline");
         const bool ok = fs.step(&d);
         rsr_assert(ok, "workload halted during reuse-latency profiling");
         ++prof.profiledInsts;
@@ -103,9 +109,22 @@ profileReuseLatency(const func::Program &program,
     return prof;
 }
 
-ReuseLatencyWarmup::ReuseLatencyWarmup(ReuseLatencyProfile profile)
-    : profile_(std::move(profile))
-{}
+ReuseLatencyWarmup::ReuseLatencyWarmup(ReuseLatencyKind kind,
+                                       double percentile)
+    : percentile(percentile)
+{
+    profile_.kind = kind;
+}
+
+void
+ReuseLatencyWarmup::prepare(const func::Program &program,
+                            const std::vector<Cluster> &schedule,
+                            const Deadline *deadline)
+{
+    profile_ = profileReuseLatency(program, schedule, profile_.kind,
+                                   percentile, deadline);
+    region = 0;
+}
 
 std::string
 ReuseLatencyWarmup::name() const
@@ -117,8 +136,8 @@ void
 ReuseLatencyWarmup::beginSkip(std::uint64_t skip_len)
 {
     rsr_assert(region < profile_.warmupLengths.size(),
-               "more skip regions than the profile covers — the cluster "
-               "schedule must match the profiling schedule");
+               "more skip regions than the profile covers — prepare() "
+               "the policy with the run's schedule first");
     const std::uint64_t warm =
         std::min(profile_.warmupLengths[region], skip_len);
     warmStart = skip_len - warm;

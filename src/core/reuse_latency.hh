@@ -60,29 +60,41 @@ struct ReuseLatencyProfile
  * @param schedule   the cluster schedule the sampled run will use
  * @param kind       MRRL or BLRL accounting
  * @param percentile fraction of reuses the warm-up must cover
+ * @param deadline   polled every 64K instructions (TimeoutError on
+ *                   expiry); null never expires
  */
 ReuseLatencyProfile
 profileReuseLatency(const func::Program &program,
                     const std::vector<Cluster> &schedule,
-                    ReuseLatencyKind kind, double percentile = 0.995);
+                    ReuseLatencyKind kind, double percentile = 0.995,
+                    const Deadline *deadline = nullptr);
 
 /**
  * Warm-up policy driven by a reuse-latency profile: functional warming
  * over the last profile.warmupLengths[i] instructions of skip region i.
- * The sampled run must use the same cluster schedule as the profile.
+ * prepare() profiles the exact schedule the run is about to measure, so
+ * the policy runs on every sampled-run surface
+ * (`makePolicyByName("mrrl")`).
  */
 class ReuseLatencyWarmup : public WarmupPolicy
 {
   public:
-    explicit ReuseLatencyWarmup(ReuseLatencyProfile profile);
+    /** @p percentile: the fraction of reuses the warm-up must cover. */
+    explicit ReuseLatencyWarmup(ReuseLatencyKind kind,
+                                double percentile = 0.995);
 
     std::string name() const override;
+    void prepare(const func::Program &program,
+                 const std::vector<Cluster> &schedule,
+                 const Deadline *deadline) override;
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
 
+    /** The profile of the last prepared schedule. */
     const ReuseLatencyProfile &profile() const { return profile_; }
 
   private:
+    double percentile;
     ReuseLatencyProfile profile_;
     std::size_t region = 0;
     std::uint64_t skipPos = 0;

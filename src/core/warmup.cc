@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/reuse_latency.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 #include "util/snapshot.hh"
@@ -322,10 +323,14 @@ makePolicyByName(const std::string &name)
     if (base == "rbp")
         return std::make_unique<ReverseReconstructionWarmup>(false, true,
                                                              1.0, mode);
+    if (name == "mrrl")
+        return std::make_unique<ReuseLatencyWarmup>(ReuseLatencyKind::Mrrl);
+    if (name == "blrl")
+        return std::make_unique<ReuseLatencyWarmup>(ReuseLatencyKind::Blrl);
     rsr_throw_user("unknown warm-up policy '", name,
                    "'; known: none, smarts, scache, sbp, fp<pct>, "
                    "rsr<pct>, rcache<pct>, rbp (+stale suffix for RSR "
-                   "variants)");
+                   "variants), mrrl, blrl");
 }
 
 std::vector<std::unique_ptr<WarmupPolicy>>

@@ -30,8 +30,11 @@
 #include "core/branch_reconstructor.hh"
 #include "core/cache_reconstructor.hh"
 #include "core/machine.hh"
+#include "core/regimen.hh"
 #include "core/skip_log.hh"
 #include "func/dyninst.hh"
+#include "func/program.hh"
+#include "util/deadline.hh"
 #include "util/snapshot.hh"
 
 namespace rsr::core
@@ -103,6 +106,15 @@ class WarmupPolicy
 
     /** Short identifier as used in the paper (e.g. "R$BP (20%)"). */
     virtual std::string name() const = 0;
+
+    /** ClusterScheduleDriver is about to run this schedule of this
+     *  program (once per run, before attach()): a profiled policy
+     *  profiles it here, polling @p deadline (may be null) like the
+     *  skip phase does. */
+    virtual void
+    prepare(const func::Program &, const std::vector<Cluster> &,
+            const Deadline *)
+    {}
 
     /** Bind to the machine whose state the policy warms. */
     virtual void attach(Machine &machine) { this->machine = &machine; }
@@ -290,7 +302,9 @@ std::vector<std::unique_ptr<WarmupPolicy>> makeTable2Policies();
  * Build a policy from a command-line-friendly name:
  * `none`, `smarts`, `scache`, `sbp`, `fp<percent>`, `rsr<percent>`,
  * `rcache<percent>`, `rbp` — RSR names accept a `+stale` suffix for the
- * apply-to-stale counter-resolution extension. Fatal on unknown names.
+ * apply-to-stale counter-resolution extension — and the reuse-latency
+ * baselines `mrrl`, `blrl` (reuse_latency.hh), which profile the
+ * schedule they are prepared for. Fatal on unknown names.
  */
 std::unique_ptr<WarmupPolicy> makePolicyByName(const std::string &name);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 
+#include "core/config_file.hh"
 #include "core/livepoint_store.hh"
 #include "core/warmup.hh"
 #include "harness/estimator_run.hh"
@@ -70,6 +71,9 @@ CampaignRunner::fingerprint(const CampaignConfig &config)
     for (std::uint64_t v : {config.insts, config.clusters,
                             config.clusterSize, config.seed})
         h.update(&v, sizeof(v));
+    // Every job of a campaign runs on one machine.
+    const auto machine = core::machineBytes(config.machine);
+    h.update(machine.data(), machine.size());
     // Live-point campaigns write different job artifacts (store hashes
     // and sizes), so they must not resume a classic campaign's manifest
     // or vice versa. Classic fingerprints are unchanged by this marker.
@@ -120,6 +124,8 @@ CampaignRunner::executeJob(const JobSpec &spec)
         // creating it (or recreating a stale one — never silent reuse)
         // when its configHash does not match this campaign's parameters
         // or it does not open (an older index version, damaged bytes).
+        // The key leaves out the core, so campaigns that differ only in
+        // `core.*` share a store; each replays under its own machine.
         const std::string store_path = config.livepointDir + "/" +
                                        spec.workload + "-" + spec.policy +
                                        ".lvpt";
@@ -143,7 +149,7 @@ CampaignRunner::executeJob(const JobSpec &spec)
                                       config.sampling, spec.workload));
             store->saveFile(store_path);
         }
-        r = replayStoreParallel(*store, 1);
+        r = replayStoreParallel(*store, sim.machine, 1);
     }
 
     JsonWriter w;

@@ -57,8 +57,12 @@ struct CampaignConfig
      * When non-empty, jobs source their clusters from per-(workload,
      * policy) live-point stores in this directory: an existing store
      * whose configHash (sampling included) matches is replayed directly
-     * (zero functional re-simulation); a missing or stale store is
-     * captured first — never silently reused. The job's estimate is
+     * under `machine` (zero functional re-simulation; a uniform or
+     * ranked-set key leaves out the `core.*` fields, so a core sweep
+     * shares one store, while a two-phase key covers them because its
+     * pilot is timed on the core); a missing
+     * or stale store is captured first — never silently reused. The
+     * job's estimate is
      * bit-identical to a direct job's; the store saves the functional
      * front half and, for estimator sampling, the proxy and pilot
      * passes, which its job JSON therefore does not report.
@@ -153,7 +157,7 @@ class CampaignRunner
     /** The expanded workload × policy matrix, ids in row-major order. */
     static std::vector<JobSpec> expandJobs(const CampaignConfig &config);
 
-    /** Stable hash of the job matrix + parameters, for resume safety. */
+    /** Stable hash of the job matrix, parameters and machine. */
     static std::string fingerprint(const CampaignConfig &config);
 
     /** The manifest path for a campaign directory. */

@@ -1,17 +1,18 @@
 /**
  * @file
  * The serve daemon's content-addressed caches. Two layers, both keyed
- * by FNV-1a-64 request hashes and bounded by a byte budget with LRU
+ * by FNV-1a-64 hashes and bounded by a byte budget with LRU
  * eviction:
  *
  *   ResultCache — requestHash -> final result JSON. A repeated request
  *     is answered without touching the simulator at all.
  *
- *   StoreCache — captureHash -> live-point store. A request that
- *     differs from a cached capture only in `core.*` timing
- *     configuration skips the expensive functional front half and
- *     replays the warmed state (replayStoreParallel), the
- *     capture-once/replay-many split served over a socket.
+ *   StoreCache — capture key (LivePointStore::configHash) ->
+ *     live-point store. A request whose machine differs from a cached
+ *     capture only in `core.*` timing fields skips the expensive
+ *     functional front half and replays the warmed state under its own
+ *     machine (replayStoreParallel), the capture-once/replay-many split
+ *     served over a socket.
  *
  * Both caches are thread-safe; workers hit them concurrently.
  */

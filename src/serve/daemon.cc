@@ -3,7 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "core/config_file.hh"
 #include "core/machine.hh"
 #include "core/warmup.hh"
 #include "harness/json.hh"
@@ -329,7 +328,30 @@ Server::handleSimRequest(int fd, const Frame &frame)
         return;
     }
 
-    const bool warm_possible = stores_.get(request.captureHash()) != nullptr;
+    const auto fail = [&](std::uint64_t id, const SimError &e) {
+        if (journal_)
+            journal_->append(id, RequestStatus::Failed, request);
+        counters_->failed.fetch_add(1);
+        if (e.kind() == ErrorKind::Timeout)
+            counters_->deadlineExceeded.fetch_add(1);
+        replyError(fd, frame.requestId, e.kind(), e.what(),
+                   e.retryable());
+    };
+
+    // Resolve the request's run once: its capture key decides shedding
+    // below and names the store execute() replays. A machine that does
+    // not resolve fails here, before it is queued.
+    core::SampledConfig run;
+    std::uint64_t capture_key = 0;
+    try {
+        run = request.sampledConfig();
+        capture_key = core::LivePointStore::configHash(
+            request.workload, request.policy, run);
+    } catch (const UserError &e) {
+        fail(nextRequestId_.fetch_add(1), e);
+        return;
+    }
+    const bool warm_possible = stores_.get(capture_key) != nullptr;
 
     if (draining_.load()) {
         // Journal the request so the restarted daemon picks it up, then
@@ -365,7 +387,7 @@ Server::handleSimRequest(int fd, const Frame &frame)
         bool warm = false;
         bool cold = false;
         const std::string result =
-            executeWithRetry(request, &warm, &cold);
+            executeWithRetry(request, run, capture_key, &warm, &cold);
         if (journal_)
             journal_->append(id, RequestStatus::Done, request);
         results_.put(request_hash,
@@ -378,18 +400,14 @@ Server::handleSimRequest(int fd, const Frame &frame)
                             withCachedFlag(result, false)),
                   io);
     } catch (const SimError &e) {
-        if (journal_)
-            journal_->append(id, RequestStatus::Failed, request);
-        counters_->failed.fetch_add(1);
-        if (e.kind() == ErrorKind::Timeout)
-            counters_->deadlineExceeded.fetch_add(1);
-        replyError(fd, frame.requestId, e.kind(), e.what(),
-                   e.retryable());
+        fail(id, e);
     }
 }
 
 std::string
-Server::executeWithRetry(const SimRequest &request, bool *warm_reuse,
+Server::executeWithRetry(const SimRequest &request,
+                         const core::SampledConfig &run,
+                         std::uint64_t capture_key, bool *warm_reuse,
                          bool *cold_capture)
 {
     return retryTransient(
@@ -398,11 +416,15 @@ Server::executeWithRetry(const SimRequest &request, bool *warm_reuse,
             counters_->retries.fetch_add(1);
             return true;
         },
-        [&] { return execute(request, warm_reuse, cold_capture); });
+        [&] {
+            return execute(request, run, capture_key, warm_reuse,
+                           cold_capture);
+        });
 }
 
 std::string
-Server::execute(const SimRequest &request, bool *warm_reuse,
+Server::execute(const SimRequest &request, const core::SampledConfig &run,
+                std::uint64_t capture_key, bool *warm_reuse,
                 bool *cold_capture)
 {
     *warm_reuse = false;
@@ -415,50 +437,32 @@ Server::execute(const SimRequest &request, bool *warm_reuse,
                                : config_.requestDeadlineSec;
     const Deadline deadline(deadline_sec);
 
-    if (request.policy == "mrrl" || request.policy == "blrl")
-        rsr_throw_user("policy '", request.policy,
-                       "' needs the reuse-latency profiling pass and is "
-                       "not served; use rsr_sim run directly");
-
-    const std::uint64_t capture_hash = request.captureHash();
     std::shared_ptr<const core::LivePointStore> store =
-        stores_.get(capture_hash);
+        stores_.get(capture_key);
     if (store) {
         *warm_reuse = true;
         counters_->warmReplays.fetch_add(1);
     } else {
         // Cold path: run the expensive functional front half once and
         // cache the warmed live-point store for every future request
-        // that differs only in `core.*` timing configuration.
+        // whose machine differs only in timing (`core.*`) fields.
         *cold_capture = true;
         const auto program = workload::buildSynthetic(
             workload::standardWorkloadParams(request.workload));
         const auto policy = core::makePolicyByName(request.policy);
-
-        core::SampledConfig cfg;
-        cfg.totalInsts = request.insts;
-        cfg.regimen.numClusters = request.clusters;
-        cfg.regimen.clusterSize = request.clusterSize;
-        cfg.scheduleSeed = request.seed;
-        cfg.machine = core::baseMachine(request.machineKind);
-        for (const auto &kv : request.captureOverrides())
-            core::applyMachineSetting(cfg.machine, kv);
+        core::SampledConfig cfg = run;
         cfg.deadline = &deadline;
-
         auto created = std::make_shared<core::LivePointStore>(
             core::LivePointStore::create(program, *policy, cfg,
                                          request.workload,
                                          request.policy));
         counters_->coldCaptures.fetch_add(1);
-        stores_.put(capture_hash, created, created->serialize().size());
+        stores_.put(capture_key, created, created->serialize().size());
         store = std::move(created);
     }
 
-    core::MachineConfig machine = store->meta().machine;
-    for (const auto &kv : request.timingOverrides())
-        core::applyMachineSetting(machine, kv);
     const core::SampledResult result =
-        harness::replayStoreParallel(*store, machine, 1);
+        harness::replayStoreParallel(*store, run.machine, 1);
 
     harness::JsonWriter w;
     w.put("request_hash", checksumHex(request.requestHash()))
@@ -481,8 +485,12 @@ Server::runBacklog(std::uint64_t id, const SimRequest &request)
     try {
         bool warm = false;
         bool cold = false;
-        const std::string result =
-            executeWithRetry(request, &warm, &cold);
+        const core::SampledConfig run = request.sampledConfig();
+        const std::string result = executeWithRetry(
+            request, run,
+            core::LivePointStore::configHash(request.workload,
+                                             request.policy, run),
+            &warm, &cold);
         if (journal_)
             journal_->append(id, RequestStatus::Done, request);
         results_.put(request.requestHash(),
@@ -490,10 +498,6 @@ Server::runBacklog(std::uint64_t id, const SimRequest &request)
                      result.size());
         counters_->journalResumed.fetch_add(1);
         counters_->completed.fetch_add(1);
-    } catch (const SimError &) {
-        if (journal_)
-            journal_->append(id, RequestStatus::Failed, request);
-        counters_->failed.fetch_add(1);
     } catch (const std::exception &) {
         if (journal_)
             journal_->append(id, RequestStatus::Failed, request);

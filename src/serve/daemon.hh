@@ -151,11 +151,16 @@ class Server
 
     void handleConnection(int fd);
     void handleSimRequest(int fd, const Frame &frame);
-    /** Execute @p request (cache-aware); returns the result JSON. */
-    std::string execute(const SimRequest &request, bool *warm_reuse,
+    /** Execute @p request, whose resolved run is @p run with capture
+     *  key @p capture_key (cache-aware); returns the result JSON. */
+    std::string execute(const SimRequest &request,
+                        const core::SampledConfig &run,
+                        std::uint64_t capture_key, bool *warm_reuse,
                         bool *cold_capture);
     /** Execute with retry-with-backoff for transient failures. */
     std::string executeWithRetry(const SimRequest &request,
+                                 const core::SampledConfig &run,
+                                 std::uint64_t capture_key,
                                  bool *warm_reuse, bool *cold_capture);
     void runBacklog(std::uint64_t id, const SimRequest &request);
     void sendBestEffort(int fd, const Frame &frame);

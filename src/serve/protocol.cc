@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/config_file.hh"
 #include "harness/json.hh"
 #include "util/checksum.hh"
 #include "util/error.hh"
@@ -67,27 +68,6 @@ bool
 isTimingOverride(const std::string &kv)
 {
     return kv.rfind("core.", 0) == 0;
-}
-
-std::uint64_t
-hashRequestParts(const SimRequest &r, bool include_timing)
-{
-    Fnv64 h;
-    h.update(r.workload);
-    h.update("|");
-    h.update(r.policy);
-    h.update("|");
-    for (std::uint64_t v :
-         {r.insts, r.clusters, r.clusterSize, r.seed})
-        h.update(&v, sizeof(v));
-    h.update(r.machineKind);
-    for (const std::string &kv : r.overrides) {
-        if (!include_timing && isTimingOverride(kv))
-            continue;
-        h.update("|");
-        h.update(kv);
-    }
-    return h.value();
 }
 
 } // namespace
@@ -215,13 +195,32 @@ SimRequest::canonicalize()
 std::uint64_t
 SimRequest::requestHash() const
 {
-    return hashRequestParts(*this, true);
+    Fnv64 h;
+    h.update(workload);
+    h.update("|");
+    h.update(policy);
+    h.update("|");
+    for (std::uint64_t v : {insts, clusters, clusterSize, seed})
+        h.update(&v, sizeof(v));
+    h.update(machineKind);
+    for (const std::string &kv : overrides) {
+        h.update("|");
+        h.update(kv);
+    }
+    return h.value();
 }
 
-std::uint64_t
-SimRequest::captureHash() const
+core::SampledConfig
+SimRequest::sampledConfig() const
 {
-    return hashRequestParts(*this, false);
+    core::SampledConfig cfg;
+    cfg.regimen = {clusters, clusterSize};
+    cfg.totalInsts = insts;
+    cfg.scheduleSeed = seed;
+    cfg.machine = core::baseMachine(machineKind);
+    for (const std::string &kv : overrides)
+        core::applyMachineSetting(cfg.machine, kv);
+    return cfg;
 }
 
 std::vector<std::string>

@@ -109,8 +109,8 @@ struct SimRequest
     /** Base machine: "scaled" or "paper". */
     std::string machineKind = "scaled";
     /** `key=value` machine overrides, canonically sorted by key.
-     *  `core.*` keys change only the timing configuration, so requests
-     *  differing only in them share one captured live-point store. */
+     *  Requests whose resolved machines differ only in timing (`core.*`)
+     *  fields share one captured live-point store. */
     std::vector<std::string> overrides;
     /** Per-request deadline in milliseconds (0 = server default). */
     std::uint32_t deadlineMs = 0;
@@ -125,16 +125,13 @@ struct SimRequest
      */
     std::uint64_t requestHash() const;
 
-    /**
-     * Content hash of the *capture* configuration: the request minus
-     * its `core.*` timing overrides. Requests with equal capture hashes
-     * replay from one shared live-point store.
-     */
-    std::uint64_t captureHash() const;
+    /** The sampled run this request asks for: the base machine with
+     *  every override applied (UserError on a bad machine). */
+    core::SampledConfig sampledConfig() const;
 
-    /** The timing-only (`core.*`) overrides. */
+    /** The timing-only (`core.*`) overrides (perfbench's split). */
     std::vector<std::string> timingOverrides() const;
-    /** The geometry (non-`core.*`) overrides, part of the capture. */
+    /** The geometry (non-`core.*`) overrides. */
     std::vector<std::string> captureOverrides() const;
 };
 

@@ -22,8 +22,6 @@ bbvCentroidDistance(const func::Program &program,
         candidates.back().start + candidates.back().size;
     core::validateSchedule(candidates, end);
 
-    constexpr std::uint64_t deadline_mask = (1u << 16) - 1;
-
     func::FuncSim fs(program);
     std::unordered_map<std::uint64_t, std::uint32_t> block_ids;
     std::unordered_map<std::uint32_t, std::uint32_t> current; // id -> insts
@@ -54,7 +52,7 @@ bbvCentroidDistance(const func::Program &program,
     std::size_t next = 0;
     func::DynInst d;
     for (std::uint64_t i = 0; i < end; ++i) {
-        if (deadline && (i & deadline_mask) == 0 && deadline->expired())
+        if (deadline && (i & Deadline::pollMask) == 0 && deadline->expired())
             throw TimeoutError("BBV proxy pass exceeded its deadline");
         const bool ok = fs.step(&d);
         rsr_assert(ok, "workload halted inside the BBV proxy pass");

@@ -13,6 +13,7 @@
 #define RSR_UTIL_DEADLINE_HH
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
 
 namespace rsr
@@ -30,6 +31,10 @@ class Deadline
      * instead of undefined behaviour.
      */
     static constexpr double maxSeconds = 1.0e9;
+
+    /** Instruction loops poll expired() when (i & pollMask) == 0:
+     *  cheap enough to check inside long functional passes. */
+    static constexpr std::uint64_t pollMask = (1u << 16) - 1;
 
     /** A deadline @p seconds from now; <= 0 means "never expires". */
     explicit Deadline(double seconds) : limited_(seconds > 0.0)

@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/livepoint_store.hh"
 #include "core/reuse_latency.hh"
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
+#include "harness/estimator_run.hh"
+#include "harness/parallel_run.hh"
+#include "util/deadline.hh"
+#include "util/error.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr::core
@@ -87,8 +93,7 @@ TEST_F(MrrlFixture, HigherPercentileWarmsMore)
 
 TEST_F(MrrlFixture, PolicyRunsAndWarms)
 {
-    ReuseLatencyWarmup policy(profileReuseLatency(
-        *prog, *schedule, ReuseLatencyKind::Blrl, 0.995));
+    ReuseLatencyWarmup policy(ReuseLatencyKind::Blrl, 0.995);
     EXPECT_EQ(policy.name(), "BLRL");
     const auto r = runSampled(*prog, policy, *cfg);
     EXPECT_EQ(r.clusterIpc.size(), cfg->regimen.numClusters);
@@ -101,8 +106,7 @@ TEST_F(MrrlFixture, AccuracyBetweenNoneAndSmarts)
         runFull(*prog, cfg->totalInsts, cfg->machine).ipc();
     NoWarmup none;
     auto smarts = FunctionalWarmup::smarts();
-    ReuseLatencyWarmup mrrl(profileReuseLatency(
-        *prog, *schedule, ReuseLatencyKind::Mrrl, 0.995));
+    ReuseLatencyWarmup mrrl(ReuseLatencyKind::Mrrl, 0.995);
     const double e_none =
         runSampled(*prog, none, *cfg).estimate.relativeError(true_ipc);
     const double e_smarts =
@@ -138,9 +142,85 @@ TEST_F(MrrlFixture, MrrlAndBlrlBothValid)
 
 TEST_F(MrrlFixture, MrrlPolicyName)
 {
-    ReuseLatencyWarmup policy(profileReuseLatency(
-        *prog, *schedule, ReuseLatencyKind::Mrrl, 0.9));
+    ReuseLatencyWarmup policy(ReuseLatencyKind::Mrrl, 0.9);
     EXPECT_EQ(policy.name(), "MRRL");
+}
+
+TEST_F(MrrlFixture, ReuseLatencyPoliciesRunOnEverySampledRunSurface)
+{
+    // mrrl/blrl build by name like every other policy and profile the
+    // schedule each run measures, so the direct run (`rsr_sim run`), the
+    // policy sweep, the estimator pipeline and a store agree.
+    for (const char *name : {"mrrl", "blrl"}) {
+        const auto policy = makePolicyByName(name);
+        const auto direct =
+            harness::runSampledParallel(*prog, *policy, *cfg, 1);
+        const auto *profiled =
+            dynamic_cast<const ReuseLatencyWarmup *>(policy.get());
+        ASSERT_NE(profiled, nullptr) << name;
+        const auto kind = std::string(name) == "mrrl"
+                              ? ReuseLatencyKind::Mrrl
+                              : ReuseLatencyKind::Blrl;
+        EXPECT_EQ(profiled->profile().warmupLengths,
+                  profileReuseLatency(*prog, *schedule, kind)
+                      .warmupLengths)
+            << name;
+
+        const auto sweep = harness::runPolicySweep(*prog, {name}, *cfg, 2);
+        EXPECT_EQ(sweep[0].result.clusterIpc, direct.clusterIpc) << name;
+        EXPECT_EQ(harness::runEstimator(*prog, name, *cfg,
+                                        EstimatorOptions{}, 3)
+                      .sampled.clusterIpc,
+                  direct.clusterIpc)
+            << name;
+        const auto store = LivePointStore::create(
+            *prog, *makePolicyByName(name), *cfg, "twolf", name);
+        const auto replayed =
+            harness::replayStoreParallel(store, cfg->machine, 2);
+        EXPECT_EQ(replayed.clusterIpc, direct.clusterIpc) << name;
+        EXPECT_EQ(replayed.estimate.mean, direct.estimate.mean) << name;
+
+        // Ranked-set sampling measures an explicit schedule; its store
+        // replays that run's estimate.
+        EstimatorOptions ranked;
+        ranked.kind = SamplingPolicyKind::RankedSet;
+        SampledConfig budget = *cfg;
+        budget.regimen.numClusters = 4;
+        const auto est = harness::runEstimator(*prog, name, budget, ranked, 2);
+        const auto est_replayed = harness::replayStoreParallel(
+            harness::captureEstimatorStore(*prog, name, budget, ranked,
+                                           "twolf"),
+            budget.machine, 2);
+        ASSERT_EQ(est.sampled.clusterIpc.size(), 4u) << name;
+        EXPECT_EQ(est_replayed.clusterIpc, est.sampled.clusterIpc) << name;
+        EXPECT_EQ(est_replayed.estimate.mean, est.estimate.mean) << name;
+    }
+}
+
+TEST_F(MrrlFixture, ProfilingPassHonoursTheRunDeadline)
+{
+    // The profiling pass is a functional run over the population: an
+    // expired deadline cancels it with a TimeoutError, whether it is
+    // called directly or through the policy's prepare() from the driver.
+    const Deadline expired(1e-9);
+    while (!expired.expired()) {
+    }
+    EXPECT_THROW(profileReuseLatency(*prog, *schedule, ReuseLatencyKind::Mrrl,
+                                     0.995, &expired),
+                 TimeoutError);
+    ReuseLatencyWarmup blrl(ReuseLatencyKind::Blrl);
+    EXPECT_THROW(blrl.prepare(*prog, *schedule, &expired), TimeoutError);
+
+    SampledConfig timed = *cfg;
+    timed.deadline = &expired;
+    try {
+        runSampled(*prog, *makePolicyByName("mrrl"), timed);
+        FAIL() << "expired deadline did not cancel the run";
+    } catch (const TimeoutError &e) {
+        EXPECT_NE(std::string(e.what()).find("reuse-latency profiling"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ApplyToStale, NameTagged)

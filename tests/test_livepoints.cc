@@ -16,6 +16,7 @@
 
 #include "branch/predictor.hh"
 #include "cache/cache.hh"
+#include "core/config_file.hh"
 #include "core/livepoint_store.hh"
 #include "core/warmup.hh"
 #include "harness/parallel_run.hh"
@@ -142,6 +143,22 @@ TEST(ContentStore, UnknownHashLookupThrowsCorruptInput)
 }
 
 // ----------------------------------------------------------- live-points
+
+/** Hexfloat per-cluster CSV: equal strings mean bit-equal statistics. */
+std::string
+clusterCsv(const SampledResult &r)
+{
+    std::ostringstream os;
+    os << std::hexfloat;
+    os << "cluster,ipc\n";
+    for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
+        os << i << "," << r.clusterIpc[i] << "\n";
+    os << "mean," << r.estimate.mean << "\n";
+    os << "ci," << r.estimate.ciLow << "," << r.estimate.ciHigh << "\n";
+    os << "cycles," << r.hotCycles << ",mispred," << r.branchMispredicts
+       << "\n";
+    return os.str();
+}
 
 class LivePoints : public ::testing::Test
 {
@@ -410,25 +427,138 @@ TEST_F(LivePoints, ConfigHashDetectsParameterChanges)
               LivePointStore::configHash("twolf", "rsr40", *cfg));
     EXPECT_NE(store->configHash(),
               LivePointStore::configHash("gcc", "smarts", *cfg));
+
+    // The key covers only what a capture holds: timing (`core.*`)
+    // fields leave it alone, cache and predictor geometry change it.
+    for (const char *kv :
+         {"core.rob_size=32", "core.issue_width=2",
+          "core.store_forwarding=1", "core.forward_latency=3"}) {
+        auto timing = *cfg;
+        applyMachineSetting(timing.machine, kv);
+        EXPECT_EQ(store->configHash(),
+                  LivePointStore::configHash("twolf", "smarts", timing))
+            << kv;
+    }
+    for (const char *kv :
+         {"dl1.size_bytes=16384", "l2.assoc=4", "il1.line_bytes=32",
+          "bp.pht_entries=4096", "bp.btb_entries=1024"}) {
+        auto geometry = *cfg;
+        applyMachineSetting(geometry.machine, kv);
+        EXPECT_NE(store->configHash(),
+                  LivePointStore::configHash("twolf", "smarts", geometry))
+            << kv;
+    }
+}
+
+/** A machine-key test row: a value off the scaled default, and where a
+ *  MachineConfig keeps it. */
+struct MachineKeyRow
+{
+    const char *key;
+    std::uint64_t value;
+    std::uint64_t (*get)(const MachineConfig &);
+};
+
+#define KEY_ROW(key, value, member)                                       \
+    MachineKeyRow                                                         \
+    {                                                                     \
+        key, value, [](const MachineConfig &m) {                          \
+            return static_cast<std::uint64_t>(m.member);                  \
+        }                                                                 \
+    }
+
+TEST_F(LivePoints, EveryMachineKeySurvivesStoreMetadataRoundTrip)
+{
+    // Every key applyMachineOption accepts, set together to a valid
+    // machine off the scaled default: a store's metadata must give each
+    // value back, or replay runs a different machine than the capture.
+    const MachineKeyRow rows[] = {
+        KEY_ROW("il1.size_bytes", 32768, hier.il1.sizeBytes),
+        KEY_ROW("il1.assoc", 2, hier.il1.assoc),
+        KEY_ROW("il1.line_bytes", 32, hier.il1.lineBytes),
+        KEY_ROW("il1.hit_latency", 2, hier.il1.hitLatency),
+        KEY_ROW("dl1.size_bytes", 16384, hier.dl1.sizeBytes),
+        KEY_ROW("dl1.assoc", 2, hier.dl1.assoc),
+        KEY_ROW("dl1.line_bytes", 32, hier.dl1.lineBytes),
+        KEY_ROW("dl1.hit_latency", 3, hier.dl1.hitLatency),
+        KEY_ROW("l2.size_bytes", 262144, hier.l2.sizeBytes),
+        KEY_ROW("l2.assoc", 4, hier.l2.assoc),
+        KEY_ROW("l2.line_bytes", 128, hier.l2.lineBytes),
+        KEY_ROW("l2.hit_latency", 14, hier.l2.hitLatency),
+        KEY_ROW("l1bus.width_bytes", 32, hier.l1Bus.widthBytes),
+        KEY_ROW("l1bus.cpu_cycles_per_bus_cycle", 3,
+                hier.l1Bus.cpuCyclesPerBusCycle),
+        KEY_ROW("l2bus.width_bytes", 64, hier.l2Bus.widthBytes),
+        KEY_ROW("l2bus.cpu_cycles_per_bus_cycle", 2,
+                hier.l2Bus.cpuCyclesPerBusCycle),
+        KEY_ROW("mem.latency", 150, hier.memLatency),
+        KEY_ROW("bp.pht_entries", 4096, bp.phtEntries),
+        KEY_ROW("bp.history_bits", 12, bp.historyBits),
+        KEY_ROW("bp.btb_entries", 256, bp.btbEntries),
+        KEY_ROW("bp.ras_entries", 16, bp.rasEntries),
+        KEY_ROW("core.fetch_width", 4, core.fetchWidth),
+        KEY_ROW("core.dispatch_width", 4, core.dispatchWidth),
+        KEY_ROW("core.issue_width", 2, core.issueWidth),
+        KEY_ROW("core.retire_width", 2, core.retireWidth),
+        KEY_ROW("core.rob_size", 32, core.robSize),
+        KEY_ROW("core.iq_size", 16, core.iqSize),
+        KEY_ROW("core.lsq_size", 32, core.lsqSize),
+        KEY_ROW("core.num_fus", 4, core.numFUs),
+        KEY_ROW("core.frontend_delay", 2, core.frontendDelay),
+        KEY_ROW("core.min_mispredict_penalty", 6,
+                core.minMispredictPenalty),
+        KEY_ROW("core.max_unresolved_branches", 4,
+                core.maxUnresolvedBranches),
+        KEY_ROW("core.fetch_buffer_size", 8, core.fetchBufferSize),
+        KEY_ROW("core.int_alu_lat", 2, core.intAluLat),
+        KEY_ROW("core.int_mul_lat", 4, core.intMulLat),
+        KEY_ROW("core.int_div_lat", 24, core.intDivLat),
+        KEY_ROW("core.fp_add_lat", 3, core.fpAddLat),
+        KEY_ROW("core.fp_mul_lat", 5, core.fpMulLat),
+        KEY_ROW("core.fp_div_lat", 14, core.fpDivLat),
+        KEY_ROW("core.forward_latency", 2, core.forwardLatency),
+        KEY_ROW("core.store_forwarding", 1, core.storeForwarding),
+    };
+    SampledConfig small = *cfg;
+    small.totalInsts = 60'000;
+    small.regimen = {3, 1000};
+    for (const MachineKeyRow &r : rows)
+        applyMachineOption(small.machine, r.key, std::to_string(r.value));
+
+    auto policy = makePolicyByName("smarts");
+    const auto captured =
+        LivePointStore::create(*prog, *policy, small, "twolf", "smarts");
+    const auto reopened = LivePointStore::deserialize(captured.serialize());
+    for (const MachineKeyRow &r : rows) {
+        ASSERT_EQ(r.get(small.machine), r.value) << r.key << " not applied";
+        EXPECT_EQ(r.get(reopened.meta().machine), r.value) << r.key;
+    }
+}
+
+#undef KEY_ROW
+
+TEST_F(LivePoints, StoreForwardingCaptureReplaysBitIdentical)
+{
+    // A store captured with store forwarding on replays under its own
+    // metadata machine exactly as the direct run (perl forwards loads
+    // inside these clusters).
+    const auto perl = workload::buildSynthetic(
+        workload::standardWorkloadParams("perl"));
+    SampledConfig fwd;
+    fwd.totalInsts = 200'000;
+    fwd.regimen = {10, 1000};
+    fwd.machine = MachineConfig::scaledDefault();
+    applyMachineSetting(fwd.machine, "core.store_forwarding=1");
+
+    const auto direct = harness::runSampledParallel(
+        perl, *makePolicyByName("smarts"), fwd, 2);
+    const auto captured = LivePointStore::create(
+        perl, *makePolicyByName("smarts"), fwd, "perl", "smarts");
+    EXPECT_EQ(clusterCsv(harness::replayStoreParallel(captured, 2)),
+              clusterCsv(direct));
 }
 
 // ------------------------------------------- Table-2-wide equivalence
-
-/** Hexfloat per-cluster CSV: equal strings mean bit-equal statistics. */
-std::string
-clusterCsv(const SampledResult &r)
-{
-    std::ostringstream os;
-    os << std::hexfloat;
-    os << "cluster,ipc\n";
-    for (std::size_t i = 0; i < r.clusterIpc.size(); ++i)
-        os << i << "," << r.clusterIpc[i] << "\n";
-    os << "mean," << r.estimate.mean << "\n";
-    os << "ci," << r.estimate.ciLow << "," << r.estimate.ciHigh << "\n";
-    os << "cycles," << r.hotCycles << ",mispred," << r.branchMispredicts
-       << "\n";
-    return os.str();
-}
 
 TEST(LivePointsTable2, ReplayEquivalentForAllPolicies)
 {

@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include "core/branch_reconstructor.hh"
+#include "core/config_file.hh"
 #include "core/livepoint_store.hh"
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
@@ -534,6 +535,21 @@ TEST(Robustness, ResumeRejectsMismatchedCampaign)
     other.policies = {"smarts"}; // different matrix, same directory
     harness::CampaignRunner second(other);
     EXPECT_THROW(second.run(/*resume=*/true), UserError);
+
+    // The same matrix on another machine (`--machine`, `--set`,
+    // `--config`) would mix results from two machines.
+    std::vector<core::MachineConfig> machines(3, cfg.machine);
+    machines[0] = core::MachineConfig::paperDefault();
+    core::applyMachineSetting(machines[1], "core.rob_size=16");
+    core::applyMachineSetting(machines[2], "dl1.size_bytes=16384");
+    for (const auto &machine : machines) {
+        auto moved = cfg;
+        moved.machine = machine;
+        harness::CampaignRunner resumed(moved);
+        EXPECT_THROW(resumed.run(/*resume=*/true), UserError);
+    }
+    harness::CampaignRunner same(cfg);
+    EXPECT_TRUE(same.run(/*resume=*/true).allComplete());
 }
 
 /** The estimate fields of a campaign job result, as written. */
@@ -659,6 +675,78 @@ TEST(Robustness, EverySampledRunSurfaceAgrees)
         EXPECT_EQ(all.count("proxy_insts"), livepoints ? 0u : 1u);
         EXPECT_EQ(fileExists(job.outDir + "/stores/gcc-rsr40.lvpt"),
                   livepoints);
+    }
+}
+
+TEST(Robustness, LivePointCampaignCoreSweepMatchesDirectRuns)
+{
+    // `--livepoints` campaigns that differ only in `core.rob_size` each
+    // equal their own direct run. A uniform key leaves the core out, so
+    // the second campaign reuses the first one's store and replays it
+    // under its own machine. A two-phase selection times its pilot on
+    // the core, so its key covers the core: the two cores pick
+    // different schedules and the second campaign recaptures.
+    const auto prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("twolf"));
+    for (const auto kind : {core::SamplingPolicyKind::UniformCluster,
+                            core::SamplingPolicyKind::TwoPhaseStratified}) {
+        const bool uniform = kind == core::SamplingPolicyKind::UniformCluster;
+        auto camp = smallCampaign(uniform ? "core_sweep" : "core_sweep_2p");
+        camp.workloads = {"twolf"};
+        camp.policies = {"rsr40"};
+        camp.clusters = 12;
+        camp.sampling.kind = kind;
+        camp.livepointDir = camp.outDir + "/stores";
+        std::remove((camp.livepointDir + "/twolf-rsr40.lvpt").c_str());
+
+        std::vector<std::string> store_hashes;
+        std::vector<std::vector<std::uint64_t>> starts;
+        std::vector<double> direct_ipc;
+        for (const char *rob : {"core.rob_size=64", "core.rob_size=16"}) {
+            auto job = camp;
+            job.outDir += std::string("_") + rob;
+            core::applyMachineSetting(job.machine, rob);
+            std::remove(
+                harness::CampaignRunner::manifestPath(job.outDir).c_str());
+            harness::CampaignRunner runner(job);
+            ASSERT_TRUE(runner.run().allComplete()) << rob;
+            const auto bytes = slurpFile(job.outDir + "/job-0.json");
+            const std::string text(bytes.begin(), bytes.end());
+
+            core::SampledConfig cfg;
+            cfg.totalInsts = job.insts;
+            cfg.regimen = {job.clusters, job.clusterSize};
+            cfg.scheduleSeed = job.seed;
+            cfg.machine = job.machine;
+            const auto direct =
+                harness::runEstimator(prog, "rsr40", cfg, job.sampling, 1);
+            EXPECT_EQ(estimateFields(text),
+                      estimateFields(
+                          harness::JsonWriter()
+                              .put("ipc", direct.estimate.mean)
+                              .put("ci_low", direct.estimate.ciLow)
+                              .put("ci_high", direct.estimate.ciHigh)
+                              .put("aggregate_ipc",
+                                   direct.sampled.aggregateIpc())
+                              .put("clusters",
+                                   static_cast<std::uint64_t>(
+                                       direct.sampled.clusterIpc.size()))
+                              .str()))
+                << uniform << " " << rob;
+            store_hashes.push_back(
+                harness::parseJsonObject(text).at("store_hash"));
+            starts.emplace_back();
+            for (const auto &cluster : direct.schedule)
+                starts.back().push_back(cluster.start);
+            direct_ipc.push_back(direct.estimate.mean);
+        }
+        EXPECT_NE(direct_ipc[0], direct_ipc[1]) << uniform;
+        if (uniform) {
+            EXPECT_EQ(store_hashes[0], store_hashes[1]);
+        } else {
+            EXPECT_NE(starts[0], starts[1]);
+            EXPECT_NE(store_hashes[0], store_hashes[1]);
+        }
     }
 }
 

@@ -32,6 +32,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/warmup.hh"
+#include "harness/json.hh"
+#include "harness/parallel_run.hh"
 #include "serve/cache.hh"
 #include "serve/daemon.hh"
 #include "serve/journal.hh"
@@ -39,6 +42,7 @@
 #include "serve/protocol.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
+#include "workload/synthetic.hh"
 
 namespace rsr::serve
 {
@@ -179,25 +183,31 @@ TEST(ServeProtocol, RequestHashIgnoresDeadlineOnly)
 
 TEST(ServeProtocol, CaptureHashSharedAcrossTimingOverrides)
 {
+    // The store-cache key is the capture key of the request's run:
+    // timing (`core.*`) overrides leave it alone, geometry changes it.
+    const auto capture_key = [](const SimRequest &r) {
+        return core::LivePointStore::configHash(r.workload, r.policy,
+                                                r.sampledConfig());
+    };
     SimRequest base = tinyRequest();
-    base.overrides = {"bp.tables=4096"};
+    base.overrides = {"bp.pht_entries=4096"};
     base.canonicalize();
 
     SimRequest timing = base;
-    timing.overrides.push_back("core.rob_size=64");
+    timing.overrides.push_back("core.rob_size=32");
     timing.canonicalize();
 
     // Different results, one shared capture.
     EXPECT_NE(base.requestHash(), timing.requestHash());
-    EXPECT_EQ(base.captureHash(), timing.captureHash());
+    EXPECT_EQ(capture_key(base), capture_key(timing));
 
     SimRequest geometry = base;
-    geometry.overrides.push_back("l1d.sets=128");
+    geometry.overrides.push_back("dl1.size_bytes=16384");
     geometry.canonicalize();
-    EXPECT_NE(base.captureHash(), geometry.captureHash());
+    EXPECT_NE(capture_key(base), capture_key(geometry));
 
-    const std::vector<std::string> timing_only = {"core.rob_size=64"};
-    const std::vector<std::string> capture_only = {"bp.tables=4096"};
+    const std::vector<std::string> timing_only = {"core.rob_size=32"};
+    const std::vector<std::string> capture_only = {"bp.pht_entries=4096"};
     EXPECT_EQ(timing.timingOverrides(), timing_only);
     EXPECT_EQ(timing.captureOverrides(), capture_only);
 }
@@ -755,6 +765,82 @@ TEST(ServeDaemon, RequestDeadlineRetriesThenTypedTimeout)
 
     // A wedged request must not poison the daemon.
     EXPECT_EQ(exchange(daemon.port(), Frame{}).type, FrameType::Pong);
+}
+
+TEST(ServeDaemon, ReuseLatencyPoliciesAreServed)
+{
+    // mrrl/blrl are ordinary policies to the daemon: the reply carries
+    // the direct run's estimate.
+    DaemonHarness daemon(tinyDaemonConfig());
+    for (const char *name : {"mrrl", "blrl"}) {
+        SimRequest req = tinyRequest();
+        req.policy = name;
+        const Frame reply = exchangeRequest(daemon.port(), req);
+        ASSERT_EQ(reply.type, FrameType::SimResponse)
+            << reply.payloadText();
+
+        core::SampledConfig cfg;
+        cfg.totalInsts = req.insts;
+        cfg.regimen = {req.clusters, req.clusterSize};
+        cfg.scheduleSeed = req.seed;
+        cfg.machine = core::MachineConfig::scaledDefault();
+        const auto direct = harness::runSampledParallel(
+            workload::buildSynthetic(
+                workload::standardWorkloadParams(req.workload)),
+            *core::makePolicyByName(name), cfg, 1);
+        const std::string want =
+            harness::JsonWriter().put("ipc", direct.estimate.mean).str();
+        EXPECT_EQ(harness::parseJsonObject(reply.payloadText()).at("ipc"),
+                  harness::parseJsonObject(want).at("ipc"))
+            << name;
+    }
+}
+
+TEST(ServeDaemon, ReuseLatencyProfilingHonoursRequestDeadline)
+{
+    // An mrrl cold capture starts with a functional profiling pass over
+    // the population; the request's deadline cancels it there, with a
+    // typed Timeout, instead of pinning the worker.
+    DaemonHarness daemon(tinyDaemonConfig());
+    SimRequest req = tinyRequest();
+    req.policy = "mrrl";
+    req.insts = 600'000;
+    req.clusters = 6;
+    req.clusterSize = 2000;
+    req.deadlineMs = 1;
+    const Frame reply = exchangeRequest(daemon.port(), req);
+    EXPECT_EQ(reply.type, FrameType::Error);
+    EXPECT_TRUE(payloadHas(reply, "timeout"));
+    EXPECT_TRUE(payloadHas(reply, "reuse-latency profiling"))
+        << reply.payloadText();
+    EXPECT_GE(daemon.server().stats().deadlineExceeded, 1u);
+    EXPECT_EQ(exchange(daemon.port(), Frame{}).type, FrameType::Pong);
+}
+
+TEST(ServeDaemon, UnresolvableMachineFailsBeforeQueueing)
+{
+    // A machine override the schema rejects fails the request at once:
+    // a typed user error, counted and journaled as failed, never left
+    // in the backlog for a restarted daemon.
+    const std::string path = journalPath("bad_machine");
+    ServeConfig config = tinyDaemonConfig();
+    config.journalPath = path;
+    {
+        DaemonHarness daemon(config);
+        SimRequest req = tinyRequest();
+        req.overrides = {"core.no_such_field=1"};
+        const Frame reply = exchangeRequest(daemon.port(), req);
+        EXPECT_EQ(reply.type, FrameType::Error);
+        EXPECT_TRUE(payloadHas(reply, "user-error"));
+        EXPECT_TRUE(payloadHas(reply, "\"retryable\":false"));
+        const ServeStats stats = daemon.server().stats();
+        EXPECT_EQ(stats.failed, 1u);
+        EXPECT_EQ(stats.coldCaptures, 0u);
+        EXPECT_EQ(exchange(daemon.port(), Frame{}).type, FrameType::Pong);
+    }
+    const JournalState state = loadJournal(path);
+    EXPECT_TRUE(state.backlog.empty());
+    EXPECT_EQ(state.nextId, 1u);
 }
 
 TEST(ServeDaemon, UnknownWorkloadIsTypedUserErrorNotDeath)

@@ -37,8 +37,9 @@
  *                        [--threads T] [--retries R] [--timeout SECS]
  *                        [--fault-io P] [...]
  *
- * Policies: none, smarts, scache, sbp, fp<pct>, rsr<pct>, rcache<pct>,
- * rbp (RSR variants accept a +stale suffix), mrrl, blrl.
+ * Policies, on every command: none, smarts, scache, sbp, fp<pct>,
+ * rsr<pct>, rcache<pct>, rbp (RSR variants accept a +stale suffix),
+ * mrrl, blrl.
  *
  * Exit status: 0 success, 1 fatal error, 2 campaign partially complete
  * (some jobs failed; see the manifest).
@@ -56,7 +57,6 @@
 #include "core/phase_driver.hh"
 #include "core/stats_report.hh"
 #include "func/funcsim.hh"
-#include "core/reuse_latency.hh"
 #include "core/sampled_sim.hh"
 #include "core/warmup.hh"
 #include "harness/campaign.hh"
@@ -192,97 +192,35 @@ estimatorOptionsFor(const ArgParser &args)
     return opts;
 }
 
-std::unique_ptr<core::WarmupPolicy>
-policyFor(const ArgParser &args, const func::Program &program,
-          const core::SampledConfig &cfg, const char *fallback)
-{
-    const std::string policy_name = args.get("policy", fallback);
-    if (policy_name == "mrrl" || policy_name == "blrl") {
-        Rng rng(cfg.scheduleSeed);
-        const auto schedule =
-            core::makeSchedule(cfg.regimen, cfg.totalInsts, rng);
-        const auto kind = policy_name == "mrrl"
-                              ? core::ReuseLatencyKind::Mrrl
-                              : core::ReuseLatencyKind::Blrl;
-        return std::make_unique<core::ReuseLatencyWarmup>(
-            core::profileReuseLatency(program, schedule, kind));
-    }
-    return core::makePolicyByName(policy_name);
-}
-
 /**
- * `run` with a non-uniform --sampling policy: proxy-rank (and pilot,
- * for two-phase) selection feeding an explicit-schedule measurement
- * pass. Emits the same CSV shape as the uniform path — `cluster,ipc`
- * header, full-precision rows, then a summary line starting `policy ` —
- * so the determinism CI's sed-range diff covers both.
+ * The sampled run, for every --sampling policy through one pipeline
+ * (uniform is one measurement pass over the regimen schedule). With
+ * --csv the `cluster,ipc` rows come first; the summary line after them
+ * starts `policy `, which ends the determinism CI's sed range.
  */
-int
-cmdRunEstimator(const ArgParser &args, const func::Program &program,
-                const core::SampledConfig &cfg,
-                const core::EstimatorOptions &opts)
-{
-    const std::string policy_name = args.get("policy", "rsr20");
-    const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1));
-    const std::uint64_t steal_seed = args.getU64("steal-seed", 0);
-
-    const auto er = harness::runEstimator(program, policy_name, cfg, opts,
-                                          jobs, steal_seed);
-    const auto &r = er.sampled;
-
-    if (args.has("csv"))
-        printClusterCsv(r.clusterIpc);
-
-    std::printf("policy %s on %s (%u jobs, %s): IPC estimate %.4f  "
-                "CI [%.4f, %.4f]\n",
-                policy_name.c_str(), args.get("workload").c_str(), jobs,
-                opts.describe().c_str(), er.estimate.mean,
-                er.estimate.ciLow, er.estimate.ciHigh);
-    std::printf("  measured %llu of %llu candidates x %llu insts; "
-                "proxy pass %llu insts; pilot %llu + final %llu "
-                "measured insts; %.3fs\n",
-                static_cast<unsigned long long>(er.schedule.size()),
-                static_cast<unsigned long long>(er.candidateCount),
-                static_cast<unsigned long long>(cfg.regimen.clusterSize),
-                static_cast<unsigned long long>(er.proxyInsts),
-                static_cast<unsigned long long>(er.pilotMeasuredInsts),
-                static_cast<unsigned long long>(r.phases.measureInsts),
-                r.seconds);
-
-    if (args.has("true-ipc")) {
-        const auto full =
-            core::runFull(program, cfg.totalInsts, cfg.machine);
-        std::printf("  true IPC %.4f  relative error %.4f  CI %s\n",
-                    full.ipc(), er.estimate.relativeError(full.ipc()),
-                    er.estimate.passesCi(full.ipc()) ? "pass" : "FAIL");
-    }
-    return 0;
-}
-
 int
 cmdRun(const ArgParser &args)
 {
     const auto program = workloadFor(args);
     const auto cfg = sampledConfigFor(args);
     const auto opts = estimatorOptionsFor(args);
-    if (opts.kind != core::SamplingPolicyKind::UniformCluster)
-        return cmdRunEstimator(args, program, cfg, opts);
-    const auto policy = policyFor(args, program, cfg, "rsr20");
+    const std::string policy_name = args.get("policy", "rsr20");
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
 
-    const auto r = harness::runSampledParallel(
-        program, *policy, cfg, jobs, args.getU64("steal-seed", 0));
+    const auto er = harness::runEstimator(program, policy_name, cfg, opts,
+                                          jobs, args.getU64("steal-seed", 0));
+    const auto &r = er.sampled;
 
     if (args.has("csv"))
         printClusterCsv(r.clusterIpc);
 
-    std::printf("policy %s on %s (%u jobs): IPC estimate %.4f  "
+    std::printf("policy %s on %s (%u jobs, %s): IPC estimate %.4f  "
                 "CI [%.4f, %.4f]  aggregate %.4f\n",
-                policy->name().c_str(), args.get("workload").c_str(),
-                jobs, r.estimate.mean, r.estimate.ciLow,
-                r.estimate.ciHigh, r.aggregateIpc());
+                core::makePolicyByName(policy_name)->name().c_str(),
+                args.get("workload").c_str(), jobs,
+                opts.describe().c_str(), r.estimate.mean,
+                r.estimate.ciLow, r.estimate.ciHigh, r.aggregateIpc());
     std::printf("  %llu clusters x %llu insts, %llu skipped; %.3fs; "
                 "warm updates %llu; logged %llu (peak %llu bytes)\n",
                 static_cast<unsigned long long>(r.clusterIpc.size()),
@@ -294,6 +232,13 @@ cmdRun(const ArgParser &args)
                 static_cast<unsigned long long>(
                     r.warmWork.loggedRecords),
                 static_cast<unsigned long long>(r.warmWork.peakLogBytes));
+    if (opts.kind != core::SamplingPolicyKind::UniformCluster)
+        std::printf("  selected from %llu candidates; proxy pass %llu "
+                    "insts; pilot %llu + final %llu measured insts\n",
+                    static_cast<unsigned long long>(er.candidateCount),
+                    static_cast<unsigned long long>(er.proxyInsts),
+                    static_cast<unsigned long long>(er.pilotMeasuredInsts),
+                    static_cast<unsigned long long>(r.phases.measureInsts));
     std::printf("%s", core::formatPhaseCounters(r.phases).c_str());
 
     if (args.has("true-ipc")) {
@@ -359,9 +304,12 @@ cmdReplay(const ArgParser &args)
                        "--policy P --out ", path);
     const auto store = core::LivePointStore::loadFile(path);
 
-    // With --workload/--policy/--sampling given, validate that the store
-    // actually holds the capture these flags (plus the sample flags)
-    // describe — a stale store is an error, never silently replayed.
+    // With --workload/--policy/--sampling given, the flags describe a
+    // run: the store must hold its capture (a stale store is an error,
+    // never silently replayed) and the replay runs under its machine,
+    // exactly as `run` with the same flags. Without them, the replay
+    // runs under the store's capture machine plus any --set.
+    auto machine = store.meta().machine;
     if (args.has("workload") || args.has("policy") ||
         args.has("sampling")) {
         const std::string workload =
@@ -384,12 +332,10 @@ cmdReplay(const ArgParser &args)
                 "); recreate it with: rsr_sim mklvpt --workload ",
                 workload, " --policy ", policy_name, " --sampling ",
                 core::samplingPolicyName(opts.kind), " --out ", path);
+        machine = cfg.machine;
+    } else {
+        applySetFlag(args, machine);
     }
-
-    // Core overrides only: cache and predictor geometry must match the
-    // capture (the snapshots refuse to restore into different geometry).
-    auto machine = store.meta().machine;
-    applySetFlag(args, machine);
 
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
@@ -789,8 +735,8 @@ usage()
         "  rsr_sim mklvpt --workload gcc --policy rsr40 --out gcc.lvpt\n"
         "  rsr_sim replay --store gcc.lvpt --jobs 4 --csv\n"
         "  rsr_sim replay --store gcc.lvpt --set core.rob_size=256\n"
-        "policies: none smarts scache sbp fp<pct> rsr<pct>[+stale] "
-        "rcache<pct> rbp mrrl blrl\n"
+        "policies (every command): none smarts scache sbp fp<pct>\n"
+        "  rsr<pct>[+stale] rcache<pct> rbp mrrl blrl\n"
         "sampling flags (run/mklvpt/replay/campaign):\n"
         "  --sampling uniform|ranked-set|two-phase  estimator policy\n"
         "  --proxy ipc|bbv       cheap rank: functional-IPC proxy or BBV\n"
