@@ -29,7 +29,8 @@ LivePointStore::makeReplayTask(std::size_t index) const
     ClusterReplayTask task;
     task.index = index;
     task.cluster = e.cluster;
-    task.machineState = reader_->blob(e.stateHash);
+    const auto state = reader_->blob(e.stateHash);
+    task.machineState.assign(state.begin(), state.end());
 
     // Decode the committed trace. Sequence numbers are regenerated from
     // the entry's firstSeq — the trace is a contiguous commit stream, and

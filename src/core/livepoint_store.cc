@@ -323,12 +323,6 @@ LivePointStore::configHash() const
                       meta_.candidateCount);
 }
 
-std::uint64_t
-LivePointStore::storedBlobBytes() const
-{
-    return reader_->storedBytes();
-}
-
 double
 LivePointStore::dedupRatio() const
 {

@@ -191,12 +191,6 @@ class LivePointStore
 
     // ---- storage accounting (bench/livepoint_store.cc reports these).
 
-    /** Unique blob bytes actually stored (after dedup). */
-    std::uint64_t storedBlobBytes() const;
-
-    /** Blob bytes offered at capture time (before dedup). */
-    std::uint64_t offeredBlobBytes() const { return offeredBytes_; }
-
     /** offered / stored — 1.0 means no cross-cluster sharing. */
     double dedupRatio() const;
 

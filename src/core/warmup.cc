@@ -333,21 +333,22 @@ makePolicyByName(const std::string &name)
                    "variants), mrrl, blrl");
 }
 
+const std::vector<std::string> &
+table2PolicyNames()
+{
+    static const std::vector<std::string> names{
+        "none",     "fp20",     "fp40",     "fp80",      "scache", "sbp",
+        "smarts",   "rcache20", "rcache40", "rcache80",  "rcache100",
+        "rbp",      "rsr20",    "rsr40",    "rsr80",     "rsr100"};
+    return names;
+}
+
 std::vector<std::unique_ptr<WarmupPolicy>>
 makeTable2Policies()
 {
     std::vector<std::unique_ptr<WarmupPolicy>> out;
-    out.push_back(std::make_unique<NoWarmup>());
-    for (double f : {0.2, 0.4, 0.8})
-        out.push_back(FunctionalWarmup::fixedPeriod(f));
-    out.push_back(FunctionalWarmup::smartsCacheOnly());
-    out.push_back(FunctionalWarmup::smartsBpOnly());
-    out.push_back(FunctionalWarmup::smarts());
-    for (double f : {0.2, 0.4, 0.8, 1.0})
-        out.push_back(ReverseReconstructionWarmup::cacheOnly(f));
-    out.push_back(ReverseReconstructionWarmup::bpOnly());
-    for (double f : {0.2, 0.4, 0.8, 1.0})
-        out.push_back(ReverseReconstructionWarmup::full(f));
+    for (const std::string &name : table2PolicyNames())
+        out.push_back(makePolicyByName(name));
     return out;
 }
 

@@ -293,9 +293,13 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
 };
 
 /**
- * Build the paper's full Table-2 policy list: None, FP (20/40/80%), S$,
- * SBP, S$BP, R$ (20/40/80/100%), RBP, R$BP (20/40/80/100%).
+ * The paper's full Table-2 policy list by makePolicyByName() name:
+ * None, FP (20/40/80%), S$, SBP, S$BP, R$ (20/40/80/100%), RBP,
+ * R$BP (20/40/80/100%).
  */
+const std::vector<std::string> &table2PolicyNames();
+
+/** Build every table2PolicyNames() policy, in that order. */
 std::vector<std::unique_ptr<WarmupPolicy>> makeTable2Policies();
 
 /**

@@ -60,13 +60,12 @@ core::SampledResult
 measureSchedule(const func::Program &program,
                 const std::string &policy_name,
                 const core::SampledConfig &config,
-                std::vector<core::Cluster> schedule, unsigned jobs,
-                std::uint64_t steal_seed)
+                std::vector<core::Cluster> schedule, unsigned jobs)
 {
     core::SampledConfig cfg = config;
     cfg.explicitSchedule = std::move(schedule);
     const auto policy = core::makePolicyByName(policy_name);
-    return runSampledParallel(program, *policy, cfg, jobs, steal_seed);
+    return runSampledParallel(program, *policy, cfg, jobs);
 }
 
 Selection
@@ -97,8 +96,7 @@ Selection
 selectTwoPhase(const func::Program &program,
                const std::string &policy_name,
                const core::SampledConfig &config,
-               const core::EstimatorOptions &opts, unsigned jobs,
-               std::uint64_t steal_seed)
+               const core::EstimatorOptions &opts, unsigned jobs)
 {
     const std::uint64_t budget = config.regimen.numClusters;
     Selection sel;
@@ -125,8 +123,7 @@ selectTwoPhase(const func::Program &program,
     // the allocation below — and therefore the final schedule — is too.
     const core::SampledResult pilot_res = measureSchedule(
         program, policy_name, config,
-        core::subsetSchedule(sel.candidates, pilot.chosen), jobs,
-        steal_seed);
+        core::subsetSchedule(sel.candidates, pilot.chosen), jobs);
     sel.pilotMeasuredInsts = pilot_res.phases.measureInsts;
 
     const std::size_t h_count = strata.stratumSize.size();
@@ -163,13 +160,11 @@ selectTwoPhase(const func::Program &program,
 Selection
 selectFor(const func::Program &program, const std::string &policy_name,
           const core::SampledConfig &config,
-          const core::EstimatorOptions &opts, unsigned jobs,
-          std::uint64_t steal_seed)
+          const core::EstimatorOptions &opts, unsigned jobs)
 {
     if (opts.kind == core::SamplingPolicyKind::RankedSet)
         return selectRankedSet(program, config, opts);
-    return selectTwoPhase(program, policy_name, config, opts, jobs,
-                          steal_seed);
+    return selectTwoPhase(program, policy_name, config, opts, jobs);
 }
 
 } // namespace
@@ -193,8 +188,7 @@ estimatorCandidateCount(std::uint64_t budget,
 EstimatorRunResult
 runEstimator(const func::Program &program, const std::string &policy_name,
              const core::SampledConfig &config,
-             const core::EstimatorOptions &opts, unsigned jobs,
-             std::uint64_t steal_seed)
+             const core::EstimatorOptions &opts, unsigned jobs)
 {
     EstimatorRunResult out;
     if (opts.kind == core::SamplingPolicyKind::UniformCluster) {
@@ -206,8 +200,7 @@ runEstimator(const func::Program &program, const std::string &policy_name,
         out.groups.assign(out.schedule.size(), 0);
         out.candidateCount = out.schedule.size();
     } else {
-        Selection sel = selectFor(program, policy_name, config, opts, jobs,
-                                  steal_seed);
+        Selection sel = selectFor(program, policy_name, config, opts, jobs);
         out.schedule =
             core::subsetSchedule(sel.candidates, sel.plan.chosen);
         out.groups = sel.plan.group;
@@ -217,7 +210,7 @@ runEstimator(const func::Program &program, const std::string &policy_name,
     }
 
     out.sampled = measureSchedule(program, policy_name, config,
-                                  out.schedule, jobs, steal_seed);
+                                  out.schedule, jobs);
     out.estimate = core::estimateFor(opts, out.candidateCount,
                                      out.sampled.clusterIpc, out.groups);
     out.sampled.estimate = out.estimate;
@@ -242,8 +235,7 @@ captureEstimatorStore(const func::Program &program,
     // on the producer's thread count, and the pilot is already
     // bit-identical at any jobs value anyway.
     Selection sel =
-        selectFor(program, policy_name, config, opts, /*jobs=*/1,
-                  /*steal_seed=*/0);
+        selectFor(program, policy_name, config, opts, /*jobs=*/1);
 
     core::SampledConfig cfg = config;
     cfg.explicitSchedule =

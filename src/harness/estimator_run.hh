@@ -4,7 +4,7 @@
  * over the deferred measurement pipeline: the proxy-rank functional
  * pass, the two-phase pilot, the seeded selection, and the final
  * explicit-schedule measurement — composed so every run is bit-identical
- * across worker counts, steal seeds, and direct-vs-store execution.
+ * across worker counts and direct-vs-store execution.
  *
  * Execution shape per policy kind:
  *
@@ -74,14 +74,13 @@ struct EstimatorRunResult
  * measurement budget (clusters actually timed in the final pass);
  * candidates are drawn from the same (scheduleSeed, clusterSize) stream
  * regardless of jobs. Deterministic in everything but wall-clock
- * fields: bit-identical across @p jobs and @p steal_seed.
+ * fields: bit-identical across @p jobs.
  */
 EstimatorRunResult runEstimator(const func::Program &program,
                                 const std::string &policy_name,
                                 const core::SampledConfig &config,
                                 const core::EstimatorOptions &opts,
-                                unsigned jobs,
-                                std::uint64_t steal_seed = 0);
+                                unsigned jobs);
 
 /**
  * Producer: run the selection (proxy pass + pilot when two-phase) and

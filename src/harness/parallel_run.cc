@@ -1,8 +1,6 @@
 #include "parallel_run.hh"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
 
 #include "core/estimator.hh"
 #include "core/phase_driver.hh"
@@ -22,10 +20,7 @@ workerLane()
     return static_cast<std::size_t>(ThreadPool::workerIndex());
 }
 
-/**
- * Hands each replay task to a pool worker, weighted by trace length so
- * placement favours the least-loaded lane and long clusters spread out.
- */
+/** Hands each replay task to a pool worker. */
 class PoolSink : public core::ReplaySink
 {
   public:
@@ -36,11 +31,9 @@ class PoolSink : public core::ReplaySink
     void
     onCluster(core::ClusterReplayTask task) override
     {
-        const std::uint64_t weight = task.trace.size();
         auto t = std::make_shared<core::ClusterReplayTask>(
             std::move(task));
-        pool.submit([this, t] { ledger.replay(*t, workerLane()); },
-                    weight);
+        pool.submit([this, t] { ledger.replay(*t, workerLane()); });
     }
 
   private:
@@ -53,8 +46,7 @@ class PoolSink : public core::ReplaySink
 core::SampledResult
 runSampledParallel(const func::Program &program,
                    core::WarmupPolicy &policy,
-                   const core::SampledConfig &config, unsigned jobs,
-                   std::uint64_t steal_seed)
+                   const core::SampledConfig &config, unsigned jobs)
 {
     if (jobs <= 1)
         return core::runSampled(program, policy, config);
@@ -66,7 +58,7 @@ runSampledParallel(const func::Program &program,
     // Pool declared after the ledger so in-flight replays finish (and
     // abandoned ones are discarded) before the slots die if the front
     // half throws.
-    ThreadPool pool(jobs, steal_seed);
+    ThreadPool pool(jobs);
     PoolSink sink(pool, ledger);
     core::SampledResult res = driver.runDeferred(sink);
     pool.wait();
@@ -78,35 +70,22 @@ runSampledParallel(const func::Program &program,
 core::SampledResult
 replayStoreParallel(const core::LivePointStore &store,
                     const core::MachineConfig &machine_config,
-                    unsigned jobs, std::uint64_t steal_seed)
+                    unsigned jobs)
 {
     WallTimer timer;
     const std::size_t n = store.clusterCount();
     if (jobs == 0)
         jobs = 1;
 
-    // The whole task list is known up front, so submit longest cluster
-    // first: the classic LPT heuristic keeps the tail short — no worker
-    // idles while one lane finishes a giant cluster submitted last.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&store](std::size_t a, std::size_t b) {
-                         return store.entries()[a].cluster.size >
-                                store.entries()[b].cluster.size;
-                     });
-
     core::ReplayLedger ledger(n, jobs, machine_config);
-    ThreadPool pool(jobs, steal_seed);
-    for (std::size_t i : order) {
+    ThreadPool pool(jobs);
+    for (std::size_t i = 0; i < n; ++i) {
         // Out-of-order consumer pass: each worker decodes and measures
         // its cluster independently (makeReplayTask is const).
-        pool.submit(
-            [&store, &ledger, i] {
-                core::ClusterReplayTask task = store.makeReplayTask(i);
-                ledger.replay(task, workerLane());
-            },
-            store.entries()[i].cluster.size);
+        pool.submit([&store, &ledger, i] {
+            core::ClusterReplayTask task = store.makeReplayTask(i);
+            ledger.replay(task, workerLane());
+        });
     }
     pool.wait();
 
@@ -134,8 +113,7 @@ replayStoreParallel(const core::LivePointStore &store, unsigned jobs)
 std::vector<PolicySweepEntry>
 runPolicySweep(const func::Program &program,
                const std::vector<std::string> &policy_names,
-               const core::SampledConfig &config, unsigned jobs,
-               std::uint64_t steal_seed)
+               const core::SampledConfig &config, unsigned jobs)
 {
     // Validate every name up front so a typo late in the list cannot
     // waste the whole sweep.
@@ -146,7 +124,7 @@ runPolicySweep(const func::Program &program,
             core::makePolicyByName(policy_names[i])->name();
     }
 
-    ThreadPool pool(jobs == 0 ? 1 : jobs, steal_seed);
+    ThreadPool pool(jobs);
     for (std::size_t i = 0; i < out.size(); ++i) {
         pool.submit([&, i] {
             const auto policy = core::makePolicyByName(out[i].cliName);

@@ -13,7 +13,6 @@
 #ifndef RSR_HARNESS_PARALLEL_RUN_HH
 #define RSR_HARNESS_PARALLEL_RUN_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,15 +26,12 @@ namespace rsr::harness
 /**
  * Run one sampled simulation with per-cluster timing replays spread over
  * @p jobs worker threads (1 = serial, same estimator). The result's
- * clusterIpc / estimate / hot counters are deterministic in @p jobs —
- * and in @p steal_seed, which only randomizes the pool's victim-selection
- * order (a determinism stress knob; 0 = fixed ring order).
+ * clusterIpc / estimate / hot counters are deterministic in @p jobs.
  */
 core::SampledResult runSampledParallel(const func::Program &program,
                                        core::WarmupPolicy &policy,
                                        const core::SampledConfig &config,
-                                       unsigned jobs,
-                                       std::uint64_t steal_seed = 0);
+                                       unsigned jobs);
 
 /**
  * Consumer pass over a live-point store — the one store replay entry:
@@ -51,8 +47,7 @@ core::SampledResult runSampledParallel(const func::Program &program,
  */
 core::SampledResult replayStoreParallel(const core::LivePointStore &store,
                                         const core::MachineConfig &machine_config,
-                                        unsigned jobs,
-                                        std::uint64_t steal_seed = 0);
+                                        unsigned jobs);
 
 /** Replay with the store's capture-time machine configuration. */
 core::SampledResult replayStoreParallel(const core::LivePointStore &store,
@@ -71,14 +66,12 @@ struct PolicySweepEntry
  * one pool task per policy (each task replays its clusters serially —
  * policy-level parallelism scales better than cluster-level for sweeps).
  * Results come back in the order of @p policy_names; unknown names throw
- * UserInputError before any work starts. @p steal_seed randomizes the
- * pool's victim-selection order without affecting any result.
+ * UserInputError before any work starts.
  */
 std::vector<PolicySweepEntry>
 runPolicySweep(const func::Program &program,
                const std::vector<std::string> &policy_names,
-               const core::SampledConfig &config, unsigned jobs,
-               std::uint64_t steal_seed = 0);
+               const core::SampledConfig &config, unsigned jobs);
 
 } // namespace rsr::harness
 

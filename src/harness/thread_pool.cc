@@ -1,26 +1,19 @@
 #include "thread_pool.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace rsr::harness
 {
 
-namespace
-{
-
-/**
- * Per-thread worker index. Function-local so the thread_local lives
- * behind an accessor instead of mutable namespace state; set once by
- * each pool worker at startup and never changed afterwards.
- */
-int &
+/** Per-thread worker index, behind an accessor; set once per worker. */
+static int &
 tlWorkerSlot()
 {
     static thread_local int slot = -1;
     return slot;
 }
-
-} // namespace
 
 int
 ThreadPool::workerIndex()
@@ -28,14 +21,10 @@ ThreadPool::workerIndex()
     return tlWorkerSlot();
 }
 
-ThreadPool::ThreadPool(unsigned threads, std::uint64_t steal_seed)
-    : stealSeed(steal_seed)
+ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = 1;
-    lanes.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        lanes.push_back(std::make_unique<Lane>());
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
         workers.emplace_back([this, t] { workerLoop(t); });
@@ -47,15 +36,8 @@ ThreadPool::~ThreadPool()
         std::lock_guard<std::mutex> lk(mu);
         stopping = true;
         // Tasks that never started are abandoned; running ones finish.
-        std::size_t dropped = 0;
-        for (auto &lane : lanes) {
-            std::lock_guard<std::mutex> ll(lane->mu);
-            dropped += lane->deq.size();
-            lane->deq.clear();
-            lane->load.store(0, std::memory_order_relaxed);
-        }
-        queued -= dropped;
-        pending -= dropped;
+        pending -= tasks.size();
+        tasks.clear();
     }
     cvWork.notify_all();
     cvDone.notify_all();
@@ -64,124 +46,37 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task, std::uint64_t weight)
+ThreadPool::submit(std::function<void()> task)
 {
-    if (weight == 0)
-        weight = 1;
-    // Least-loaded placement. The loads move under us, but placement is
-    // only a heuristic — correctness never depends on which lane a task
-    // lands in, and stealing repairs any imbalance.
-    unsigned best = 0;
-    std::uint64_t best_load = ~std::uint64_t{0};
-    for (unsigned i = 0; i < lanes.size(); ++i) {
-        std::uint64_t l = lanes[i]->load.load(std::memory_order_relaxed);
-        if (l < best_load) {
-            best_load = l;
-            best = i;
-        }
-    }
     {
-        // Counters first, push second, all under mu: a worker can only
-        // steal a task it can see in a lane, and by then pending already
-        // covers it — wait() can never return early. Lock order is
-        // mu -> lane.mu here and in the destructor; tryGrab takes lane
-        // locks alone, so the ordering is acyclic.
         std::lock_guard<std::mutex> lk(mu);
         rsr_assert(!stopping, "submit on a stopping thread pool");
-        ++queued;
+        tasks.push_back(std::move(task));
         ++pending;
-        std::lock_guard<std::mutex> ll(lanes[best]->mu);
-        lanes[best]->deq.push_back(Task{std::move(task), weight});
-        lanes[best]->load.fetch_add(weight, std::memory_order_relaxed);
     }
     cvWork.notify_one();
-}
-
-bool
-ThreadPool::tryGrab(unsigned self, std::uint64_t *shuffle_state, Task &out)
-{
-    const unsigned n = static_cast<unsigned>(lanes.size());
-    // Own lane first, front-out: thieves take from the back, so owner
-    // and thief rarely meet on the same element.
-    {
-        Lane &mine = *lanes[self];
-        std::lock_guard<std::mutex> ll(mine.mu);
-        if (!mine.deq.empty()) {
-            out = std::move(mine.deq.front());
-            mine.deq.pop_front();
-            mine.load.fetch_sub(out.weight, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    if (n == 1)
-        return false;
-    // Victim scan. Default order is the ring starting after self; with a
-    // steal seed each attempt draws a fresh random start and a stride
-    // coprime with n, so stress tests exercise arbitrary interleavings.
-    unsigned start = (self + 1) % n;
-    unsigned stride = 1;
-    if (stealSeed != 0) {
-        *shuffle_state =
-            *shuffle_state * 6364136223846793005ULL + 1442695040888963407ULL;
-        start = static_cast<unsigned>((*shuffle_state >> 33) % n);
-        unsigned s = 1 + static_cast<unsigned>((*shuffle_state >> 17) % n);
-        unsigned a = s, b = n;
-        while (b != 0) {
-            unsigned r = a % b;
-            a = b;
-            b = r;
-        }
-        stride = (a == 1) ? s : 1;
-    }
-    for (unsigned k = 0; k < n; ++k) {
-        unsigned v = (start + k * stride) % n;
-        if (v == self)
-            continue;
-        Lane &victim = *lanes[v];
-        std::lock_guard<std::mutex> ll(victim.mu);
-        if (!victim.deq.empty()) {
-            out = std::move(victim.deq.back());
-            victim.deq.pop_back();
-            victim.load.fetch_sub(out.weight, std::memory_order_relaxed);
-            return true;
-        }
-    }
-    return false;
 }
 
 void
 ThreadPool::workerLoop(unsigned self)
 {
     tlWorkerSlot() = static_cast<int>(self);
-    std::uint64_t shuffle_state =
-        stealSeed + 0x9e3779b97f4a7c15ULL * (self + 1);
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-        cvWork.wait(lk, [this] { return stopping || queued > 0; });
-        if (queued == 0) {
-            if (stopping)
-                return; // stopping and drained
-            continue;
-        }
-        lk.unlock();
-        Task task;
-        if (!tryGrab(self, &shuffle_state, task)) {
-            // Another worker drained the lanes between the wake and the
-            // scan; go back to sleep.
-            lk.lock();
-            continue;
-        }
-        lk.lock();
-        --queued;
+        cvWork.wait(lk, [this] { return stopping || !tasks.empty(); });
+        if (tasks.empty())
+            return; // stopping and drained
+        std::function<void()> task = std::move(tasks.front());
+        tasks.pop_front();
         lk.unlock();
         try {
-            task.fn();
+            task();
         } catch (...) {
             std::lock_guard<std::mutex> el(mu);
             if (!firstError)
                 firstError = std::current_exception();
         }
-        task.fn = nullptr; // drop captures before signalling completion
+        task = nullptr; // drop captures before signalling completion
         lk.lock();
         if (--pending == 0)
             cvDone.notify_all();
@@ -193,11 +88,8 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lk(mu);
     cvDone.wait(lk, [this] { return pending == 0; });
-    if (firstError) {
-        std::exception_ptr e = firstError;
-        firstError = nullptr;
-        std::rethrow_exception(e);
-    }
+    if (firstError)
+        std::rethrow_exception(std::exchange(firstError, nullptr));
 }
 
 } // namespace rsr::harness

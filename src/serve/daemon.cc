@@ -111,18 +111,12 @@ Server::start()
         journal_ = std::make_unique<RequestJournal>(config_.journalPath);
         for (auto &[id, request] : state.backlog) {
             queued_.fetch_add(1);
-            // Weighted by requested instruction count so the pool's
-            // least-loaded placement spreads heavy backlog entries
-            // across lanes before live connections start arriving.
-            const std::uint64_t weight = request.insts;
-            pool_->submit(
-                [this, id = id, request = request]() {
-                    queued_.fetch_sub(1);
-                    inflight_.fetch_add(1);
-                    runBacklog(id, request);
-                    inflight_.fetch_sub(1);
-                },
-                weight);
+            pool_->submit([this, id = id, request = request]() {
+                queued_.fetch_sub(1);
+                inflight_.fetch_add(1);
+                runBacklog(id, request);
+                inflight_.fetch_sub(1);
+            });
         }
     }
 }

@@ -87,7 +87,7 @@ TraceDecoder::next(func::DynInst &out)
 }
 
 std::uint64_t
-countTraceRecords(const std::vector<std::uint8_t> &payload)
+countTraceRecords(std::span<const std::uint8_t> payload)
 {
     const std::size_t size = payload.size();
     std::size_t pos = 0;

@@ -33,6 +33,7 @@
 #define RSR_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,7 @@ class TraceDecoder
 {
   public:
     /** Decode @p payload, numbering records' seq from @p first_seq. */
-    explicit TraceDecoder(const std::vector<std::uint8_t> &payload,
+    explicit TraceDecoder(std::span<const std::uint8_t> payload,
                           std::uint64_t first_seq = 0)
         : in(payload), seq(first_seq)
     {}
@@ -97,7 +98,7 @@ class TraceDecoder
  * a record (a short record or trailing bytes), a varint overruns 64
  * bits, or a kind byte sets unknown bits.
  */
-std::uint64_t countTraceRecords(const std::vector<std::uint8_t> &payload);
+std::uint64_t countTraceRecords(std::span<const std::uint8_t> payload);
 
 /** Writes a trace file: records buffer in memory until close(). */
 class TraceWriter

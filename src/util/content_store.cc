@@ -82,8 +82,8 @@ BlobStoreReader::BlobStoreReader(std::vector<std::uint8_t> file)
                           index_len, " bytes, ", in.remaining(),
                           " remain");
     FaultInjector::global().checkAlloc("content_store:index", index_len);
-    index_.resize(index_len);
-    in.getBytes(index_.data(), index_.size());
+    index_.assign(in.cursor(), in.cursor() + index_len);
+    in.skip(index_len);
     const std::uint64_t got_fnv = fnv64(index_.data(), index_.size());
     if (got_fnv != index_fnv)
         rsr_throw_corrupt("blob store index checksum mismatch: stored ",
@@ -103,17 +103,16 @@ BlobStoreReader::BlobStoreReader(std::vector<std::uint8_t> file)
             rsr_throw_corrupt("blob store truncated: blob ", i,
                               " claims ", len, " bytes, ",
                               in.remaining(), " remain");
-        FaultInjector::global().checkAlloc("content_store:blob", len);
-        std::vector<std::uint8_t> bytes(len);
-        in.getBytes(bytes.data(), bytes.size());
-        const std::uint64_t got = fnv64(bytes.data(), bytes.size());
+        const Extent extent{in.tell(), static_cast<std::size_t>(len)};
+        const std::uint64_t got = fnv64(in.cursor(), extent.size);
         if (got != hash)
             rsr_throw_corrupt("blob ", checksumHex(hash),
                               " content mismatch (hashes to ",
                               checksumHex(got),
                               "): store is bit-flipped");
-        storedBytes_ += bytes.size();
-        if (!blobs_.emplace(hash, std::move(bytes)).second)
+        in.skip(extent.size);
+        storedBytes_ += extent.size;
+        if (!blobs_.emplace(hash, extent).second)
             rsr_throw_corrupt("duplicate blob ", checksumHex(hash),
                               " in store");
     }
@@ -122,14 +121,14 @@ BlobStoreReader::BlobStoreReader(std::vector<std::uint8_t> file)
                           " trailing bytes after ", count, " blobs");
 }
 
-const std::vector<std::uint8_t> &
+std::span<const std::uint8_t>
 BlobStoreReader::blob(std::uint64_t hash) const
 {
     const auto it = blobs_.find(hash);
     if (it == blobs_.end())
         rsr_throw_corrupt("blob ", checksumHex(hash),
                           " referenced by index but absent from store");
-    return it->second;
+    return {file_.data() + it->second.offset, it->second.size};
 }
 
 } // namespace rsr

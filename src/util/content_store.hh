@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,8 @@ class BlobStoreWriter
  * (header, index checksum, every blob's content hash, exact bounds) and
  * throws CorruptInputError on any damage, so lookups after construction
  * are infallible except for unknown hashes. Lookups are const and
- * thread-safe: replay workers decode blobs concurrently.
+ * thread-safe: replay workers decode blobs concurrently. Blobs are views
+ * into the one container buffer, so an open store holds its bytes once.
  */
 class BlobStoreReader
 {
@@ -91,8 +93,11 @@ class BlobStoreReader
     /** The owner's opaque index bytes. */
     const std::vector<std::uint8_t> &index() const { return index_; }
 
-    /** Blob payload for @p hash; CorruptInputError if absent. */
-    const std::vector<std::uint8_t> &blob(std::uint64_t hash) const;
+    /**
+     * Blob payload for @p hash, a view into fileBytes() valid for the
+     * reader's lifetime; CorruptInputError if absent.
+     */
+    std::span<const std::uint8_t> blob(std::uint64_t hash) const;
 
     std::size_t blobCount() const { return blobs_.size(); }
 
@@ -106,9 +111,16 @@ class BlobStoreReader
     const std::vector<std::uint8_t> &fileBytes() const { return file_; }
 
   private:
+    /** Where a blob's payload lies in file_. */
+    struct Extent
+    {
+        std::size_t offset;
+        std::size_t size;
+    };
+
     std::vector<std::uint8_t> file_;
     std::vector<std::uint8_t> index_;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> blobs_;
+    std::map<std::uint64_t, Extent> blobs_;
     std::uint64_t storedBytes_ = 0;
     std::uint64_t fileHash_ = 0;
 };

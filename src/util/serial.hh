@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "logging.hh"
@@ -61,7 +62,7 @@ class ByteSink
 class ByteSource
 {
   public:
-    explicit ByteSource(const std::vector<std::uint8_t> &buf)
+    explicit ByteSource(std::span<const std::uint8_t> buf)
         : data(buf.data()), size_(buf.size())
     {}
 
@@ -101,6 +102,14 @@ class ByteSource
     {
         need(n);
         std::memcpy(out, data + pos, n);
+        pos += n;
+    }
+
+    /** Advance past @p n bytes without copying them. */
+    void
+    skip(std::size_t n)
+    {
+        need(n);
         pos += n;
     }
 

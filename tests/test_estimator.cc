@@ -4,8 +4,8 @@
  * ranked-set / stratified statistics, seeded-determinism and structural
  * properties of the selection plans and the Neyman allocation, and the
  * Table-2-style equivalence suite — a ranked-set or two-phase run must
- * be bit-identical across worker counts, steal seeds, and direct-vs-
- * live-point-store execution.
+ * be bit-identical across worker counts and direct-vs-live-point-store
+ * execution.
  */
 
 #include <gtest/gtest.h>
@@ -385,12 +385,10 @@ class EstimatorRun : public ::testing::Test
     /** A store replay in the shape of a direct run: the measurement,
      *  plus the schedule, groups and pool size the store recorded. */
     static EstimatorRunResult
-    replayed(const core::LivePointStore &store, unsigned jobs,
-             std::uint64_t steal_seed = 0)
+    replayed(const core::LivePointStore &store, unsigned jobs)
     {
         EstimatorRunResult out;
-        out.sampled =
-            replayStoreParallel(store, cfg->machine, jobs, steal_seed);
+        out.sampled = replayStoreParallel(store, cfg->machine, jobs);
         out.estimate = out.sampled.estimate;
         for (const core::LivePointEntry &e : store.entries()) {
             out.schedule.push_back(e.cluster);
@@ -419,24 +417,22 @@ TEST_F(EstimatorRun, UniformKindMatchesPlainParallelRun)
     EXPECT_EQ(est.pilotMeasuredInsts, 0u);
 }
 
-TEST_F(EstimatorRun, RankedSetBitIdenticalAcrossJobsAndStealSeeds)
+TEST_F(EstimatorRun, RankedSetBitIdenticalAcrossJobs)
 {
     const auto j1 = runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 1);
     const auto j3 = runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 3);
-    const auto j4 = runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 4,
-                                 /*steal_seed=*/0x5eed);
+    const auto j4 = runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 4);
     expectSameRun(j1, j3);
     expectSameRun(j1, j4);
     EXPECT_EQ(j1.schedule.size(), 12u);
     EXPECT_EQ(j1.candidateCount, 48u);
 }
 
-TEST_F(EstimatorRun, TwoPhaseBitIdenticalAcrossJobsAndStealSeeds)
+TEST_F(EstimatorRun, TwoPhaseBitIdenticalAcrossJobs)
 {
     const auto j1 = runEstimator(*prog, "smarts", *cfg, twoPhaseOpts(), 1);
     const auto j3 = runEstimator(*prog, "smarts", *cfg, twoPhaseOpts(), 3);
-    const auto j4 = runEstimator(*prog, "smarts", *cfg, twoPhaseOpts(), 4,
-                                 /*steal_seed=*/0x5eed);
+    const auto j4 = runEstimator(*prog, "smarts", *cfg, twoPhaseOpts(), 4);
     expectSameRun(j1, j3);
     expectSameRun(j1, j4);
     // Union schedule: exactly the budget, pilot cost charged on top.
@@ -452,7 +448,7 @@ TEST_F(EstimatorRun, RankedSetStoreReplayMatchesDirectRun)
         runEstimator(*prog, "rsr40", *cfg, rankedOpts(), 1);
     const auto store = captureEstimatorStore(*prog, "rsr40", *cfg,
                                              rankedOpts(), "twolf");
-    expectSameRun(direct, replayed(store, 3, /*steal_seed=*/7));
+    expectSameRun(direct, replayed(store, 3));
 }
 
 TEST_F(EstimatorRun, TwoPhaseStoreSurvivesSerializationRoundTrip)

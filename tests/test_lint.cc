@@ -365,11 +365,9 @@ TEST(RsrLintModel, IndexesRealTreeSnapshotables)
                                                 "reconCount_"}));
         }
     }
-    // The ThreadPool lock discipline is documented and holds.
-    ASSERT_EQ(model.lockSpecs.size(), 1u);
-    EXPECT_TRUE(model.lockSpecs[0].parsed);
-    EXPECT_EQ(model.lockSpecs[0].before, "mu");
-    EXPECT_EQ(model.lockSpecs[0].after, "lane.mu");
+    // The tree declares no lock order, so nothing can invert one; the
+    // lock-order rule keeps its coverage through its fixtures.
+    EXPECT_TRUE(model.lockSpecs.empty());
     EXPECT_TRUE(model.lockInversions.empty());
 }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <ios>
+#include <span>
 #include <sstream>
 
 #include "branch/predictor.hh"
@@ -44,6 +45,13 @@ someBytes(std::uint8_t seed, std::size_t n)
     return v;
 }
 
+/** An owned copy of a blob view, for comparing with the bytes added. */
+std::vector<std::uint8_t>
+bytesOf(std::span<const std::uint8_t> view)
+{
+    return {view.begin(), view.end()};
+}
+
 TEST(ContentStore, RoundTripPreservesIndexAndBlobs)
 {
     BlobStoreWriter w;
@@ -57,11 +65,29 @@ TEST(ContentStore, RoundTripPreservesIndexAndBlobs)
 
     BlobStoreReader r(file);
     EXPECT_EQ(r.index(), index);
-    EXPECT_EQ(r.blob(ha), a);
-    EXPECT_EQ(r.blob(hb), b);
+    EXPECT_EQ(bytesOf(r.blob(ha)), a);
+    EXPECT_EQ(bytesOf(r.blob(hb)), b);
     EXPECT_EQ(r.blobCount(), 2u);
     EXPECT_EQ(r.storedBytes(), 150u);
     EXPECT_EQ(r.fileBytes(), file);
+}
+
+TEST(ContentStore, BlobsAreViewsIntoTheContainer)
+{
+    // An open store holds its bytes once: every blob is a view into the
+    // container buffer, never a second copy.
+    BlobStoreWriter w;
+    std::vector<std::uint64_t> hashes;
+    for (std::uint8_t seed = 0; seed < 4; ++seed)
+        hashes.push_back(w.add(someBytes(seed, 40 + seed)));
+    const BlobStoreReader r(w.finish(someBytes(9, 12)));
+    const std::uint8_t *begin = r.fileBytes().data();
+    const std::uint8_t *end = begin + r.fileBytes().size();
+    for (const std::uint64_t h : hashes) {
+        const auto view = r.blob(h);
+        EXPECT_GE(view.data(), begin);
+        EXPECT_LE(view.data() + view.size(), end);
+    }
 }
 
 TEST(ContentStore, IdenticalPayloadsDedupToOneBlob)
@@ -267,11 +293,11 @@ TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
     const auto withTrace0 = [&](const std::vector<std::uint8_t> &trace) {
         BlobStoreWriter w;
         for (const auto &e : entries) {
-            w.add(original.blob(e.stateHash));
+            w.add(bytesOf(original.blob(e.stateHash)));
             if (e.hasContext)
-                w.add(original.blob(e.contextHash));
+                w.add(bytesOf(original.blob(e.contextHash)));
             if (&e != &entries[0])
-                w.add(original.blob(e.traceHash));
+                w.add(bytesOf(original.blob(e.traceHash)));
         }
         const std::uint64_t hash = w.add(trace);
 
@@ -299,10 +325,10 @@ TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
     // failures below come from the trace check, not the rebuild.
     ASSERT_EQ(entries[0].cluster.size, entries[1].cluster.size);
     const auto swapped = LivePointStore::deserialize(
-        withTrace0(original.blob(entries[1].traceHash)));
+        withTrace0(bytesOf(original.blob(entries[1].traceHash))));
     EXPECT_EQ(swapped.entries()[0].traceHash, entries[1].traceHash);
 
-    const auto &good = original.blob(entries[0].traceHash);
+    const auto good = bytesOf(original.blob(entries[0].traceHash));
     auto truncated = good;
     truncated.pop_back(); // every record ends in a word or varint byte
     EXPECT_THROW(LivePointStore::deserialize(withTrace0(truncated)),
@@ -572,11 +598,7 @@ TEST(LivePointsTable2, ReplayEquivalentForAllPolicies)
     cfg.regimen = {8, 1500};
     cfg.machine = MachineConfig::scaledDefault();
 
-    const char *const table2Names[] = {
-        "none",     "fp20",     "fp40",      "fp80", "scache", "sbp",
-        "smarts",   "rcache20", "rcache40",  "rcache80", "rcache100",
-        "rbp",      "rsr20",    "rsr40",     "rsr80", "rsr100"};
-    for (const char *name : table2Names) {
+    for (const std::string &name : table2PolicyNames()) {
         auto p1 = makePolicyByName(name);
         const auto direct =
             harness::runSampledParallel(prog, *p1, cfg, 1);

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "core/livepoint_store.hh"
 #include "core/phase_driver.hh"
@@ -86,15 +89,9 @@ class ParallelReplay : public ::testing::Test
 func::Program *ParallelReplay::prog = nullptr;
 core::SampledConfig *ParallelReplay::cfg = nullptr;
 
-/** The full Table-2 matrix by CLI name. */
-const char *const table2Names[] = {
-    "none",     "fp20",     "fp40",      "fp80", "scache", "sbp",
-    "smarts",   "rcache20", "rcache40",  "rcache80", "rcache100",
-    "rbp",      "rsr20",    "rsr40",     "rsr80", "rsr100"};
-
 TEST_F(ParallelReplay, BitIdenticalAcrossJobCountsForAllPolicies)
 {
-    for (const char *name : table2Names) {
+    for (const std::string &name : core::table2PolicyNames()) {
         const auto p1 = core::makePolicyByName(name);
         const auto serial =
             harness::runSampledParallel(*prog, *p1, *cfg, 1);
@@ -184,22 +181,21 @@ TEST_F(ParallelReplay, SweepRejectsUnknownPolicyUpFront)
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing pool mechanics.
+// Pool mechanics.
 // ---------------------------------------------------------------------
 
-TEST(WorkStealing, WeightedSubmitRunsEveryTask)
+TEST(ThreadPool, WeightedSubmitRunsEveryTask)
 {
     harness::ThreadPool pool(3);
     std::atomic<std::uint64_t> sum{0};
-    // Wildly skewed weights: placement picks the least-loaded lane, but
-    // stealing must drain them all regardless.
+    // The weighted overload ignores its weight; every task still runs.
     for (std::uint64_t w : {1000u, 1u, 1u, 500u, 1u, 1u, 1u, 250u})
         pool.submit([&sum, w] { sum += w; }, w);
     pool.wait();
     EXPECT_EQ(sum, 1755u);
 }
 
-TEST(WorkStealing, WorkerIndexIsStableAndBounded)
+TEST(ThreadPool, WorkerIndexIsStableAndBounded)
 {
     // Off-pool threads report -1; pool workers report their own slot in
     // [0, size), consistently across many tasks.
@@ -222,9 +218,9 @@ TEST(WorkStealing, WorkerIndexIsStableAndBounded)
     EXPECT_EQ(harness::ThreadPool::workerIndex(), -1);
 }
 
-TEST(WorkStealing, PoolIsReusableAcrossWaves)
+TEST(ThreadPool, PoolIsReusableAcrossWaves)
 {
-    harness::ThreadPool pool(2, 42);
+    harness::ThreadPool pool(2);
     std::atomic<int> sum{0};
     for (int wave = 0; wave < 5; ++wave) {
         for (int i = 0; i < 50; ++i)
@@ -234,7 +230,67 @@ TEST(WorkStealing, PoolIsReusableAcrossWaves)
     EXPECT_EQ(sum, 250);
 }
 
-TEST(WorkStealing, ArenaReplayMatchesFreshMachine)
+TEST(ThreadPool, EveryWorkerRunsConcurrently)
+{
+    // Each task waits until all three have started. Every submit must
+    // wake a parked worker: a lost wake-up leaves a task queued behind
+    // the waiting ones until the deadline, and it never sees the others.
+    harness::ThreadPool pool(3);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    for (int i = 0; i < 3; ++i)
+        pool.submit([&] {
+            ++started;
+            while (started.load() < 3 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            if (started.load() == 3)
+                ++met;
+        });
+    pool.wait();
+    EXPECT_EQ(met, 3);
+}
+
+TEST(ThreadPool, DestructorDropsUnstartedTasks)
+{
+    // One worker runs a task that blocks until released; kQueued tasks
+    // wait behind it. Destroying the pool must drop the queued tasks —
+    // their captures die without running — and let the running one
+    // finish.
+    constexpr int kQueued = 8;
+    auto pool = std::make_unique<harness::ThreadPool>(1);
+    std::atomic<bool> running{false};
+    std::atomic<bool> release{false};
+    std::atomic<int> ran{0};
+    pool->submit([&] {
+        running = true;
+        while (!release.load())
+            std::this_thread::yield();
+        ++ran;
+    });
+    while (!running.load())
+        std::this_thread::yield();
+    const auto token = std::make_shared<int>(0);
+    for (int i = 0; i < kQueued; ++i)
+        pool->submit([&ran, token] { ++ran; });
+
+    std::thread destroyer([&pool] { pool.reset(); });
+    // Only the destructor frees the queued captures while the worker is
+    // blocked, so their release shows that destruction has begun.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (token.use_count() > 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_EQ(token.use_count(), 1);
+    release = true;
+    destroyer.join();
+    EXPECT_EQ(ran, 1);
+}
+
+TEST(ThreadPool, ArenaReplayMatchesFreshMachine)
 {
     // Replaying through a reused arena machine must be bit-identical to
     // a fresh machine per cluster: restore fully overwrites the state.
@@ -257,19 +313,17 @@ TEST(WorkStealing, ArenaReplayMatchesFreshMachine)
 }
 
 /**
- * The satellite stress test: the full Table-2 policy matrix at
- * jobs ∈ {1, 2, 7, 16} under randomized steal order must emit a
- * byte-identical CSV — swept per policy (runPolicySweep), replayed per
+ * The stress test: the full Table-2 policy matrix at
+ * jobs ∈ {1, 2, 3, 7, 16} must emit a byte-identical CSV — swept per policy (runPolicySweep), replayed per
  * cluster on pool workers (runSampledParallel), and replayed from
  * live-point stores (replayStoreParallel), so the replay ledger's
  * worker lanes are stressed at cluster grain too. The CSV serializes
  * every per-policy estimate and per-cluster IPC at full precision, so
  * any cross-thread reordering of a single FP accumulation flips a byte.
  */
-TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobsAndStealOrder)
+TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobs)
 {
-    const std::vector<std::string> names(std::begin(table2Names),
-                                         std::end(table2Names));
+    const std::vector<std::string> &names = core::table2PolicyNames();
     const auto csvOf = [&](const std::vector<harness::PolicySweepEntry>
                                &sweep) {
         std::string csv = "policy,mean,ci_low,ci_high,cluster_ipc\n";
@@ -307,30 +361,23 @@ TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobsAndStealOrder)
         return csvOf(sweep);
     };
 
-    // Each (jobs, seed) cell randomizes victim selection differently;
-    // every cell must reproduce the serial CSV byte for byte.
-    const unsigned job_counts[] = {2, 7, 16};
-    const std::uint64_t seeds[] = {1, 0xdecafbadULL};
-    for (const unsigned jobs : job_counts)
-        for (const std::uint64_t seed : seeds) {
-            ASSERT_EQ(ref, csvOf(harness::runPolicySweep(*prog, names,
-                                                         *cfg, jobs, seed)))
-                << "sweep CSV diverged at jobs=" << jobs
-                << " seed=" << seed;
-            ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
-                          return harness::runSampledParallel(
-                              *prog, *core::makePolicyByName(names[i]),
-                              *cfg, jobs, seed);
-                      }))
-                << "cluster-grain CSV diverged at jobs=" << jobs
-                << " seed=" << seed;
-            ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
-                          return harness::replayStoreParallel(
-                              stores[i], cfg->machine, jobs, seed);
-                      }))
-                << "store-replay CSV diverged at jobs=" << jobs
-                << " seed=" << seed;
-        }
+    // Every worker count must reproduce the serial CSV byte for byte.
+    for (const unsigned jobs : {2u, 3u, 7u, 16u}) {
+        ASSERT_EQ(ref,
+                  csvOf(harness::runPolicySweep(*prog, names, *cfg, jobs)))
+            << "sweep CSV diverged at jobs=" << jobs;
+        ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
+                      return harness::runSampledParallel(
+                          *prog, *core::makePolicyByName(names[i]), *cfg,
+                          jobs);
+                  }))
+            << "cluster-grain CSV diverged at jobs=" << jobs;
+        ASSERT_EQ(ref, csvFrom([&](std::size_t i) {
+                      return harness::replayStoreParallel(
+                          stores[i], cfg->machine, jobs);
+                  }))
+            << "store-replay CSV diverged at jobs=" << jobs;
+    }
 }
 
 } // namespace

@@ -208,8 +208,8 @@ cmdRun(const ArgParser &args)
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
 
-    const auto er = harness::runEstimator(program, policy_name, cfg, opts,
-                                          jobs, args.getU64("steal-seed", 0));
+    const auto er =
+        harness::runEstimator(program, policy_name, cfg, opts, jobs);
     const auto &r = er.sampled;
 
     if (args.has("csv"))
@@ -339,12 +339,10 @@ cmdReplay(const ArgParser &args)
 
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
-    const std::uint64_t steal_seed = args.getU64("steal-seed", 0);
     // The replay computes the estimate the store's capture calls for
     // (ranked-set / stratified from the stored groups), bit-identical to
     // a direct run.
-    const auto r =
-        harness::replayStoreParallel(store, machine, jobs, steal_seed);
+    const auto r = harness::replayStoreParallel(store, machine, jobs);
 
     if (args.has("csv"))
         printClusterCsv(r.clusterIpc);
@@ -439,20 +437,21 @@ splitList(const std::string &csv)
 int
 cmdCompare(const ArgParser &args)
 {
+    // The sweep samples uniformly: refuse sampling flags, never ignore them.
+    for (const char *flag :
+         {"sampling", "proxy", "set-size", "strata", "phase1", "rank-seed"})
+        if (args.has(flag))
+            rsr_throw_user("compare does not take --", flag,
+                           "; the sampling flags apply to run, mklvpt, "
+                           "replay and campaign");
     const auto program = workloadFor(args);
     const auto cfg = sampledConfigFor(args);
     const unsigned jobs =
         static_cast<unsigned>(args.getPositiveU64("jobs", 1));
 
     // Default to the paper's full Table-2 matrix.
-    std::vector<std::string> names =
-        args.has("policies")
-            ? splitList(args.get("policies"))
-            : std::vector<std::string>{
-                  "none",     "fp20",     "fp40",      "fp80",
-                  "scache",   "sbp",      "smarts",    "rcache20",
-                  "rcache40", "rcache80", "rcache100", "rbp",
-                  "rsr20",    "rsr40",    "rsr80",     "rsr100"};
+    const auto names = args.has("policies") ? splitList(args.get("policies"))
+                                            : core::table2PolicyNames();
     if (names.empty())
         rsr_throw_user("--policies got an empty list");
 
@@ -680,9 +679,9 @@ usage()
         "  true-ipc     --workload W [--insts N] [--machine scaled|paper]\n"
         "  run          --workload W --policy P [--insts N] [--clusters C]\n"
         "               [--cluster-size S] [--seed X] [--true-ipc] [--csv]\n"
-        "               [--jobs N] [--steal-seed X] [sampling flags]\n"
+        "               [--jobs N] [sampling flags]\n"
         "               (per-cluster timing replays on N workers;\n"
-        "               bit-identical for any --jobs and --steal-seed)\n"
+        "               bit-identical for any --jobs)\n"
         "  sample       alias of run\n"
         "  compare      --workload W [--policies P1,P2,...] [--jobs N]\n"
         "               [run flags] (policy sweep; defaults to the\n"
@@ -761,7 +760,7 @@ dispatch(const ArgParser &args)
         "jobs",      "livepoints", "shards", "port", "queue-capacity",
         "shed-fill", "io-timeout", "result-cache-mb", "store-cache-mb",
         "journal",   "fault-torn", "sampling", "proxy", "set-size",
-        "strata",    "phase1",   "rank-seed", "steal-seed"};
+        "strata",    "phase1",   "rank-seed"};
     if (args.has("help")) {
         usage();
         return 0;
