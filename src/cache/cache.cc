@@ -15,7 +15,8 @@ Cache::Cache(const CacheParams &params) : params_(params)
 {
     rsr_assert(isPowerOf2(params_.lineBytes), params_.name,
                ": line size must be a power of two");
-    rsr_assert(params_.assoc >= 1, "associativity must be >= 1");
+    rsr_assert(params_.assoc >= 1 && params_.assoc <= maxAssoc,
+               "associativity must be in [1, ", maxAssoc, "]");
     rsr_assert(params_.sizeBytes % (params_.lineBytes * params_.assoc) == 0,
                params_.name, ": size not divisible by assoc * line");
     numSets_ = static_cast<unsigned>(params_.sizeBytes /

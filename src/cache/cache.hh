@@ -78,6 +78,10 @@ struct CacheStats
 class Cache : public Snapshotable
 {
   public:
+    /** Most ways a set holds: the recency order keeps way numbers in a
+     *  byte. */
+    static constexpr unsigned maxAssoc = 256;
+
     explicit Cache(const CacheParams &params);
 
     const CacheParams &params() const { return params_; }

@@ -1,8 +1,12 @@
 #include "config_file.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "util/bitutil.hh"
 #include "util/error.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
@@ -27,10 +31,13 @@ std::uint64_t
 parseValue(const std::string &key, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const auto v = std::strtoull(value.c_str(), &end, 0);
-    if (!end || *end != '\0' || value.empty())
-        rsr_throw_user("config key '", key, "' expects an integer, got '",
-                       value, "'");
+    // strtoull negates a leading '-' instead of refusing it.
+    if (!end || *end != '\0' || value.empty() ||
+        value.find('-') != std::string::npos || errno == ERANGE)
+        rsr_throw_user("config key '", key,
+                       "' expects an unsigned integer, got '", value, "'");
     return v;
 }
 
@@ -50,9 +57,29 @@ struct MachineField
     /** Bytes the field takes in schema bytes: 1, 4 or 8. */
     unsigned width;
     FieldRole role;
+    /** The legal values a key may set: [lowest, highest], and a power
+     *  of two where pow2 says so. The model cannot run other values (a
+     *  zero-wide stage never progresses; the caches and the predictor
+     *  index by power-of-two masks). */
+    std::uint64_t lowest;
+    std::uint64_t highest;
+    bool pow2;
     std::uint64_t (*get)(const MachineConfig &);
     void (*set)(MachineConfig &, std::uint64_t);
 };
+
+/** The largest value a field of type @p T holds: 1 for a flag. */
+template <typename T>
+constexpr std::uint64_t
+fieldMax()
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return 1;
+    else if constexpr (std::is_enum_v<T>)
+        return std::numeric_limits<std::underlying_type_t<T>>::max();
+    else
+        return std::numeric_limits<T>::max();
+}
 
 /** The config-error noun for @p section ("cache" for il1/dl1/l2). */
 std::string
@@ -65,22 +92,33 @@ sectionKind(const std::string &section)
     return section;
 }
 
-/** A schema row for MachineConfig member @p m. */
-#define RSR_FIELD(key, width, role, m)                                      \
-    MachineField{key, width, FieldRole::role,                               \
+/** A schema row for MachineConfig member @p m, legal in
+ *  [lowest, highest] (and a power of two where @p pow2). */
+#define RSR_ROW(key, width, role, m, lowest, highest, pow2)                 \
+    MachineField{key, width, FieldRole::role, lowest, highest, pow2,        \
                  [](const MachineConfig &c) {                               \
                      return static_cast<std::uint64_t>(c.m);                \
                  },                                                         \
                  [](MachineConfig &c, std::uint64_t v) {                    \
                      c.m = static_cast<decltype(c.m)>(v);                   \
                  }}
+/** A row whose highest legal value is the largest its type holds. */
+#define RSR_FIELD(key, width, role, m, lowest, pow2)                        \
+    RSR_ROW(key, width, role, m, lowest,                                    \
+            fieldMax<decltype(MachineConfig{}.m)>(), pow2)
 #define RSR_CACHE_FIELDS(sec)                                               \
-    RSR_FIELD(#sec ".size_bytes", 8, Capture, hier.sec.sizeBytes),          \
-        RSR_FIELD(#sec ".assoc", 4, Capture, hier.sec.assoc),               \
-        RSR_FIELD(#sec ".line_bytes", 4, Capture, hier.sec.lineBytes),      \
-        RSR_FIELD(nullptr, 1, Capture, hier.sec.writePolicy),               \
-        RSR_FIELD(#sec ".hit_latency", 4, Capture, hier.sec.hitLatency)
-#define RSR_CORE_FIELD(name, m) RSR_FIELD("core." name, 4, Timing, core.m)
+    RSR_FIELD(#sec ".size_bytes", 8, Capture, hier.sec.sizeBytes, 1,        \
+              false),                                                       \
+        RSR_ROW(#sec ".assoc", 4, Capture, hier.sec.assoc, 1,               \
+                cache::Cache::maxAssoc, false),                             \
+        RSR_FIELD(#sec ".line_bytes", 4, Capture, hier.sec.lineBytes, 1,    \
+                  true),                                                    \
+        RSR_FIELD(nullptr, 1, Capture, hier.sec.writePolicy, 0, false),     \
+        RSR_FIELD(#sec ".hit_latency", 4, Capture, hier.sec.hitLatency, 0,  \
+                  false)
+/** A `core.*` size or width (at least 1) or a latency (at least 0). */
+#define RSR_CORE_FIELD(name, m, lowest)                                     \
+    RSR_FIELD("core." name, 4, Timing, core.m, lowest, false)
 
 /** Every MachineConfig field, in schema-byte order. */
 const std::vector<MachineField> &
@@ -90,38 +128,42 @@ machineSchema()
         RSR_CACHE_FIELDS(il1),
         RSR_CACHE_FIELDS(dl1),
         RSR_CACHE_FIELDS(l2),
-        RSR_FIELD("l1bus.width_bytes", 4, Capture, hier.l1Bus.widthBytes),
+        RSR_FIELD("l1bus.width_bytes", 4, Capture, hier.l1Bus.widthBytes,
+                  1, false),
         RSR_FIELD("l1bus.cpu_cycles_per_bus_cycle", 4, Capture,
-                  hier.l1Bus.cpuCyclesPerBusCycle),
-        RSR_FIELD("l2bus.width_bytes", 4, Capture, hier.l2Bus.widthBytes),
+                  hier.l1Bus.cpuCyclesPerBusCycle, 1, false),
+        RSR_FIELD("l2bus.width_bytes", 4, Capture, hier.l2Bus.widthBytes,
+                  1, false),
         RSR_FIELD("l2bus.cpu_cycles_per_bus_cycle", 4, Capture,
-                  hier.l2Bus.cpuCyclesPerBusCycle),
-        RSR_FIELD("mem.latency", 8, Capture, hier.memLatency),
-        RSR_FIELD("bp.pht_entries", 4, Capture, bp.phtEntries),
-        RSR_FIELD("bp.history_bits", 4, Capture, bp.historyBits),
-        RSR_FIELD("bp.btb_entries", 4, Capture, bp.btbEntries),
-        RSR_FIELD("bp.ras_entries", 4, Capture, bp.rasEntries),
-        RSR_CORE_FIELD("fetch_width", fetchWidth),
-        RSR_CORE_FIELD("dispatch_width", dispatchWidth),
-        RSR_CORE_FIELD("issue_width", issueWidth),
-        RSR_CORE_FIELD("retire_width", retireWidth),
-        RSR_CORE_FIELD("rob_size", robSize),
-        RSR_CORE_FIELD("iq_size", iqSize),
-        RSR_CORE_FIELD("lsq_size", lsqSize),
-        RSR_CORE_FIELD("num_fus", numFUs),
-        RSR_CORE_FIELD("frontend_delay", frontendDelay),
-        RSR_CORE_FIELD("min_mispredict_penalty", minMispredictPenalty),
-        RSR_CORE_FIELD("max_unresolved_branches", maxUnresolvedBranches),
-        RSR_CORE_FIELD("fetch_buffer_size", fetchBufferSize),
-        RSR_CORE_FIELD("int_alu_lat", intAluLat),
-        RSR_CORE_FIELD("int_mul_lat", intMulLat),
-        RSR_CORE_FIELD("int_div_lat", intDivLat),
-        RSR_CORE_FIELD("fp_add_lat", fpAddLat),
-        RSR_CORE_FIELD("fp_mul_lat", fpMulLat),
-        RSR_CORE_FIELD("fp_div_lat", fpDivLat),
-        RSR_CORE_FIELD("forward_latency", forwardLatency),
-        RSR_FIELD("core.store_forwarding", 1, Timing,
-                  core.storeForwarding),
+                  hier.l2Bus.cpuCyclesPerBusCycle, 1, false),
+        RSR_FIELD("mem.latency", 8, Capture, hier.memLatency, 0, false),
+        RSR_FIELD("bp.pht_entries", 4, Capture, bp.phtEntries, 1, true),
+        // The global history register is 32 bits wide.
+        RSR_ROW("bp.history_bits", 4, Capture, bp.historyBits, 0, 32,
+                false),
+        RSR_FIELD("bp.btb_entries", 4, Capture, bp.btbEntries, 1, true),
+        RSR_FIELD("bp.ras_entries", 4, Capture, bp.rasEntries, 1, false),
+        RSR_CORE_FIELD("fetch_width", fetchWidth, 1),
+        RSR_CORE_FIELD("dispatch_width", dispatchWidth, 1),
+        RSR_CORE_FIELD("issue_width", issueWidth, 1),
+        RSR_CORE_FIELD("retire_width", retireWidth, 1),
+        RSR_CORE_FIELD("rob_size", robSize, 1),
+        RSR_CORE_FIELD("iq_size", iqSize, 1),
+        RSR_CORE_FIELD("lsq_size", lsqSize, 1),
+        RSR_CORE_FIELD("num_fus", numFUs, 1),
+        RSR_CORE_FIELD("frontend_delay", frontendDelay, 0),
+        RSR_CORE_FIELD("min_mispredict_penalty", minMispredictPenalty, 0),
+        RSR_CORE_FIELD("max_unresolved_branches", maxUnresolvedBranches, 1),
+        RSR_CORE_FIELD("fetch_buffer_size", fetchBufferSize, 1),
+        RSR_CORE_FIELD("int_alu_lat", intAluLat, 0),
+        RSR_CORE_FIELD("int_mul_lat", intMulLat, 0),
+        RSR_CORE_FIELD("int_div_lat", intDivLat, 0),
+        RSR_CORE_FIELD("fp_add_lat", fpAddLat, 0),
+        RSR_CORE_FIELD("fp_mul_lat", fpMulLat, 0),
+        RSR_CORE_FIELD("fp_div_lat", fpDivLat, 0),
+        RSR_CORE_FIELD("forward_latency", forwardLatency, 0),
+        RSR_FIELD("core.store_forwarding", 1, Timing, core.storeForwarding,
+                  0, false),
     };
     return schema;
 }
@@ -129,6 +171,22 @@ machineSchema()
 #undef RSR_CORE_FIELD
 #undef RSR_CACHE_FIELDS
 #undef RSR_FIELD
+#undef RSR_ROW
+
+/** Throw a UserError naming @p f's key unless @p v is legal for it. */
+void
+checkLegal(const MachineField &f, std::uint64_t v)
+{
+    if (v < f.lowest)
+        rsr_throw_user("config key '", f.key, "' must be at least ",
+                       f.lowest, ", got ", v);
+    if (v > f.highest)
+        rsr_throw_user("config key '", f.key, "' must be at most ",
+                       f.highest, ", got ", v);
+    if (f.pow2 && !isPowerOf2(v))
+        rsr_throw_user("config key '", f.key,
+                       "' must be a power of two, got ", v);
+}
 
 } // namespace
 
@@ -177,6 +235,7 @@ applyMachineOption(MachineConfig &config, const std::string &key,
                        "' needs a '<section>.<field>' form");
     for (const MachineField &f : machineSchema()) {
         if (f.key && key == f.key) {
+            checkLegal(f, v);
             f.set(config, v);
             return;
         }

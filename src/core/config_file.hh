@@ -51,8 +51,11 @@ std::vector<std::uint8_t> machineBytes(const MachineConfig &m,
  *  when @p bytes is not exactly one schema long. */
 MachineConfig machineFromBytes(const std::vector<std::uint8_t> &bytes);
 
-/** Apply a single `key`/`value` override to @p config. Fatal on unknown
- *  keys or malformed values. */
+/** Apply a single `key`/`value` override to @p config. Throws UserError
+ *  naming the key on an unknown key, a malformed value, or a value the
+ *  model cannot run: below the field's lowest legal value (0 for any
+ *  core width or size), too large for the field (above 1 for a flag),
+ *  or not a power of two where the field requires one. */
 void applyMachineOption(MachineConfig &config, const std::string &key,
                         const std::string &value);
 

@@ -6,7 +6,8 @@
 #include "core.hh"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -147,6 +148,56 @@ isMispredict(const branch::Prediction &p, const DynInst &d)
     }
 }
 
+/**
+ * A FIFO in one contiguous power-of-two buffer, indexed from the head.
+ * It doubles only when full, so its memory follows occupancy, never the
+ * configured queue size.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    T &operator[](std::size_t i) { return buf[(head + i) & mask]; }
+    T &front() { return buf[head]; }
+
+    /** Append a value-initialized entry and return it. */
+    T &
+    emplace_back()
+    {
+        if (count == buf.size())
+            grow();
+        T &slot = buf[(head + count++) & mask];
+        slot = T{};
+        return slot;
+    }
+
+    void
+    pop_front()
+    {
+        head = (head + 1) & mask;
+        --count;
+    }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<T> bigger(buf.empty() ? 8 : 2 * buf.size());
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = (*this)[i];
+        buf.swap(bigger);
+        head = 0;
+        mask = buf.size() - 1;
+    }
+
+    std::vector<T> buf;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::size_t mask = 0;
+};
+
 } // namespace
 
 OoOCore::OoOCore(const CoreParams &params, cache::MemoryHierarchy &hier,
@@ -160,11 +211,21 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
     struct Flight
     {
         DynInst d;
-        /** Earliest issue cycle from latched operand availability. */
+        /** Earliest issue cycle from operand availability; raised by
+         *  each producer as it issues. */
         std::uint64_t readyBase = 0;
         std::uint64_t completeCycle = 0;
-        /** Unissued producers this instruction still waits on. */
-        std::uint64_t depSeq[2] = {noSeq, noSeq};
+        /** Head of this producer's chain of waiting operands, as a
+         *  `consumer seq << 1 | operand` link (noSeq ends a chain). */
+        std::uint64_t firstWaiter = noSeq;
+        /** The next link after operand i in its producer's chain. */
+        std::uint64_t nextWaiter[2] = {noSeq, noSeq};
+        /** Execution latency of a non-load, decoded at dispatch. */
+        unsigned latency = 0;
+        /** Destination register slot, or -1, decoded at dispatch. */
+        int dst = -1;
+        /** Producers this instruction still waits on to issue. */
+        unsigned waitingOn = 0;
         bool issued = false;
         bool isMem = false;
         bool isLoad = false;
@@ -184,21 +245,21 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
     if (max_insts == 0)
         return res;
 
-    std::deque<Fetched> fetchBuf;
-    std::deque<Flight> rob;
+    Ring<Fetched> fetchBuf;
+    Ring<Flight> rob;
     // Age-ordered work lists over the ROB, so the per-cycle stages visit
-    // exactly the entries they can act on instead of scanning every
-    // in-flight instruction: sequence numbers of waiting (unissued)
-    // instructions, of dispatched-but-unresolved branches, and of
-    // in-flight stores. List order is dispatch order, i.e. age order, so
-    // each stage sees entries oldest-first exactly as a full ROB scan
-    // would.
-    std::vector<std::uint64_t> iq_seqs;
+    // exactly the entries they can act on: sequence numbers of
+    // instructions whose producers have all issued but which have not
+    // issued themselves, of dispatched-but-unresolved branches, and of
+    // in-flight stores. Each list is in dispatch order, i.e. age order,
+    // so each stage sees entries oldest-first exactly as a full ROB scan
+    // would. Instructions still waiting on a producer sit on that
+    // producer's waiter chain instead, and join the ready list when the
+    // last of their producers issues.
+    std::vector<std::uint64_t> ready;
     std::vector<std::uint64_t> br_seqs;
     std::vector<std::uint64_t> st_seqs;
-    iq_seqs.reserve(params_.iqSize);
-    br_seqs.reserve(params_.maxUnresolvedBranches);
-    st_seqs.reserve(params_.lsqSize);
+    std::uint64_t iq_count = 0;
     unsigned lsq_count = 0;
     std::uint64_t reg_ready[64] = {};
     std::uint64_t last_writer[64];
@@ -284,39 +345,32 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         }
 
         // --------------------------------------------------------- issue
-        // Visit exactly the waiting entries, oldest first.
-        for (auto it = iq_seqs.begin();
-             it != iq_seqs.end() && issued_n < params_.issueWidth &&
+        // Visit exactly the ready entries, oldest first. An issuing
+        // producer's completeCycle is final, so it wakes its consumers
+        // now: each latches that time into readyBase and joins the ready
+        // list at its age position once nothing else holds it back. A
+        // consumer is younger than its producer, so it lands after the
+        // cursor and a zero-latency producer's consumer issues later in
+        // this same pass, exactly as in an oldest-first scan of the IQ.
+        const std::uint64_t base = rob.empty() ? 0 : rob.front().d.seq;
+        for (std::size_t i = 0;
+             i < ready.size() && issued_n < params_.issueWidth &&
              issued_n < params_.numFUs;) {
-            Flight &f = rob[*it - rob.front().d.seq];
-            // Resolve latched dependences on producers.
-            bool deps_ok = true;
-            for (auto &dep : f.depSeq) {
-                if (dep == noSeq)
-                    continue;
-                Flight *w = flight_of(dep);
-                if (w && !w->issued) {
-                    deps_ok = false;
-                    continue;
-                }
-                if (w)
-                    f.readyBase = std::max(f.readyBase, w->completeCycle);
-                dep = noSeq;
-            }
-            if (!deps_ok || f.readyBase > now) {
-                ++it;
+            Flight &f = rob[ready[i] - base];
+            if (f.readyBase > now) {
+                ++i;
                 continue;
             }
 
             f.issued = true;
             ++issued_n;
+            --iq_count;
             if (f.isLoad) {
                 ++res.loads;
                 // Store-to-load forwarding: the youngest older in-flight
                 // store to the same word supplies the data from the LSQ.
                 const Flight *fwd = nullptr;
-                if (params_.storeForwarding && !st_seqs.empty()) {
-                    const std::uint64_t base = rob.front().d.seq;
+                if (params_.storeForwarding) {
                     for (const std::uint64_t sseq : st_seqs) {
                         if (sseq >= f.d.seq)
                             break;
@@ -334,20 +388,29 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 } else {
                     f.completeCycle = hier.timedLoad(now, f.d.effAddr);
                 }
-            } else if (f.isMem) {
-                ++res.stores;
-                hier.timedStore(now, f.d.effAddr);
-                f.completeCycle = now + params_.intAluLat;
             } else {
-                f.completeCycle =
-                    now + params_.latencyFor(f.d.inst.opClass());
+                if (f.isMem) {
+                    ++res.stores;
+                    hier.timedStore(now, f.d.effAddr);
+                }
+                f.completeCycle = now + f.latency;
             }
             // Publish the value-ready time only while this is still the
-            // youngest writer; younger writers are tracked via depSeq.
-            const int dst = destOf(f.d.inst);
-            if (dst >= 0 && last_writer[dst] == f.d.seq)
-                reg_ready[dst] = f.completeCycle;
-            it = iq_seqs.erase(it);
+            // youngest writer; younger writers' consumers are woken by
+            // them instead.
+            if (f.dst >= 0 && last_writer[f.dst] == f.d.seq)
+                reg_ready[f.dst] = f.completeCycle;
+            ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(i));
+            for (std::uint64_t link = f.firstWaiter; link != noSeq;) {
+                Flight &c = rob[(link >> 1) - base];
+                link = c.nextWaiter[link & 1];
+                c.readyBase = std::max(c.readyBase, f.completeCycle);
+                if (--c.waitingOn == 0)
+                    ready.insert(std::lower_bound(ready.begin() +
+                                     static_cast<std::ptrdiff_t>(i),
+                                     ready.end(), c.d.seq),
+                                 c.d.seq);
+            }
         }
 
         // ------------------------------------------------------ dispatch
@@ -357,7 +420,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
             if (fe.availCycle > now)
                 break;
             if (rob.size() >= params_.robSize ||
-                iq_seqs.size() >= params_.iqSize) {
+                iq_count >= params_.iqSize) {
                 dispatch_stalled = true;
                 break;
             }
@@ -373,41 +436,47 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 break;
             }
 
-            Flight f;
+            Flight &f = rob.emplace_back();
             f.d = fe.d;
             f.isMem = is_mem;
             f.isLoad = fe.d.inst.isLoad();
             f.isBranch = is_br;
             f.mispredicted = fe.mispredicted;
             f.readyBase = now + 1;
+            f.latency = is_mem ? params_.intAluLat
+                               : params_.latencyFor(fe.d.inst.opClass());
+            f.dst = destOf(fe.d.inst);
 
             unsigned srcs[2];
             const unsigned nsrc = gatherSrcs(fe.d.inst, srcs);
-            unsigned ndep = 0;
             for (unsigned i = 0; i < nsrc; ++i) {
                 const unsigned s = srcs[i];
                 const std::uint64_t wseq = last_writer[s];
                 Flight *w = wseq == noSeq ? nullptr : flight_of(wseq);
-                if (w && !w->issued)
-                    f.depSeq[ndep++] = wseq;
-                else if (w)
+                if (w && !w->issued) {
+                    // Wait on the producer's chain until it issues.
+                    f.nextWaiter[i] = w->firstWaiter;
+                    w->firstWaiter = (f.d.seq << 1) | i;
+                    ++f.waitingOn;
+                } else if (w) {
                     f.readyBase = std::max(f.readyBase, w->completeCycle);
-                else
+                } else {
                     f.readyBase = std::max(f.readyBase, reg_ready[s]);
+                }
             }
-            const int dst = destOf(fe.d.inst);
-            if (dst >= 0)
-                last_writer[dst] = fe.d.seq;
+            if (f.dst >= 0)
+                last_writer[f.dst] = f.d.seq;
 
-            rob.push_back(f);
-            iq_seqs.push_back(fe.d.seq);
+            ++iq_count;
+            if (f.waitingOn == 0)
+                ready.push_back(f.d.seq);
             if (is_mem) {
                 ++lsq_count;
                 if (!f.isLoad)
-                    st_seqs.push_back(fe.d.seq);
+                    st_seqs.push_back(f.d.seq);
             }
             if (is_br)
-                br_seqs.push_back(fe.d.seq);
+                br_seqs.push_back(f.d.seq);
             fetchBuf.pop_front();
             ++dispatched;
         }
@@ -439,7 +508,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         break;
                     }
                 }
-                Fetched fe;
+                Fetched &fe = fetchBuf.emplace_back();
                 fe.d = pending;
                 fe.availCycle = now + params_.frontendDelay;
                 bool stop = false;
@@ -461,7 +530,6 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         stop = true;
                     }
                 }
-                fetchBuf.push_back(fe);
                 pending_valid = false;
                 ++fetched;
                 if (stop)
@@ -481,19 +549,18 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
             ++now;
             continue;
         }
+        // Nothing moved, so the issue pass visited every ready entry:
+        // jump to the first cycle at which something can.
         std::uint64_t next = ~std::uint64_t{0};
-        for (const Flight &f : rob) {
+        for (std::size_t i = 0; i < rob.size(); ++i) {
+            const Flight &f = rob[i];
             if (f.issued && f.completeCycle > now)
                 next = std::min(next, f.completeCycle);
         }
-        if (!iq_seqs.empty()) {
-            const std::uint64_t base = rob.front().d.seq;
-            for (const std::uint64_t seq : iq_seqs) {
-                const Flight &f = rob[seq - base];
-                if (f.depSeq[0] == noSeq && f.depSeq[1] == noSeq &&
-                    f.readyBase > now)
-                    next = std::min(next, f.readyBase);
-            }
+        for (const std::uint64_t seq : ready) {
+            const Flight &f = rob[seq - rob.front().d.seq];
+            if (f.readyBase > now)
+                next = std::min(next, f.readyBase);
         }
         if (!fetchBuf.empty() && fetchBuf.front().availCycle > now)
             next = std::min(next, fetchBuf.front().availCycle);

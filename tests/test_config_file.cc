@@ -121,6 +121,73 @@ TEST(ConfigFile, NonIntegerValueThrows)
                  UserError);
 }
 
+TEST(ConfigFile, UnrunnableValuesAreUserErrorsNamingTheKey)
+{
+    // Settings the model cannot run: a zero-wide stage or zero-entry
+    // queue never progresses, a value beyond the field's width would be
+    // truncated, a flag is 0 or 1, and the caches and predictor index
+    // by power-of-two masks.
+    static const char *const refused[] = {
+        "core.fetch_width=0",
+        "core.dispatch_width=0",
+        "core.issue_width=0",
+        "core.retire_width=0",
+        "core.rob_size=0",
+        "core.iq_size=0",
+        "core.lsq_size=0",
+        "core.num_fus=0",
+        "core.max_unresolved_branches=0",
+        "core.fetch_buffer_size=0",
+        "core.rob_size=4294967360",
+        "core.rob_size=-1",
+        "core.store_forwarding=2",
+        "dl1.assoc=0",
+        "l2.assoc=512",
+        "dl1.line_bytes=48",
+        "dl1.size_bytes=0",
+        "bp.pht_entries=1000",
+        "bp.btb_entries=0",
+        "bp.ras_entries=0",
+        "bp.history_bits=33",
+        "l1bus.width_bytes=0",
+        "l2bus.cpu_cycles_per_bus_cycle=0",
+        "mem.latency=18446744073709551616",
+    };
+    const auto base = machineBytes(MachineConfig::paperDefault());
+    for (const std::string kv : refused) {
+        const std::string key = kv.substr(0, kv.find('='));
+        MachineConfig m = MachineConfig::paperDefault();
+        try {
+            applyMachineSetting(m, kv);
+            ADD_FAILURE() << kv << " was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                      std::string::npos)
+                << kv << ": " << e.what();
+        }
+        EXPECT_EQ(machineBytes(m), base) << kv << " changed the machine";
+    }
+
+    // The boundaries themselves are legal.
+    static const char *const accepted[] = {
+        "core.rob_size=1",
+        "core.rob_size=4294967295",
+        "core.int_alu_lat=0",
+        "core.frontend_delay=0",
+        "core.store_forwarding=1",
+        "dl1.line_bytes=128",
+        "dl1.assoc=3",
+        "l2.assoc=256",
+        "bp.history_bits=32",
+        "bp.pht_entries=1",
+        "mem.latency=0",
+    };
+    for (const std::string kv : accepted) {
+        MachineConfig m = MachineConfig::paperDefault();
+        EXPECT_NO_THROW(applyMachineSetting(m, kv)) << kv;
+    }
+}
+
 TEST(ConfigFile, MissingFileThrows)
 {
     EXPECT_THROW(loadMachineConfig("/nonexistent/nope.cfg",

@@ -11,8 +11,9 @@
  *      independently of the optimized data layout;
  *   2. an exhaustive full-scan reference for the reverse reconstructor,
  *      compared on state snapshots and statistics;
- *   3. golden end-to-end counters for all 16 Table-2 policies, captured
- *      from the pre-optimization implementation of this simulator.
+ *   3. golden end-to-end counters for all 16 Table-2 policies, and
+ *      golden timing-core counters over a table of core parameters,
+ *      captured from the pre-optimization implementations.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "core/cache_reconstructor.hh"
+#include "core/livepoint_store.hh"
 #include "core/sampled_sim.hh"
 #include "core/skip_log.hh"
 #include "core/warmup.hh"
@@ -453,6 +455,192 @@ TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
         for (const double v : r.clusterIpc)
             ipc_hash = fnv1a(&v, sizeof(v), ipc_hash);
         EXPECT_EQ(ipc_hash, g.ipcHash) << g.name;
+    }
+}
+
+// ==========================================================================
+// 5. Golden timing-core counters: captured clusters of gcc/rsr40 (which
+//    carry RSR's on-demand branch context) and mcf/smarts replayed
+//    through core::replayCluster under a table of core parameters that
+//    stress different parts of OoOCore::run: a ROB size that is not a
+//    power of two, a one-wide issue stage, zero-latency producers,
+//    forwarding with no forward delay, a single branch checkpoint, a
+//    tiny fetch buffer. The values were recorded from the core that
+//    re-scanned every waiting IQ entry each cycle.
+// ==========================================================================
+
+/** 4 captured clusters of @p workload under @p policy on @p machine. */
+core::LivePointStore
+captureFour(const std::string &workload, const std::string &policy,
+            const core::MachineConfig &machine)
+{
+    const auto prog = workload::buildSynthetic(
+        workload::standardWorkloadParams(workload));
+    core::SampledConfig cfg;
+    cfg.totalInsts = 200'000;
+    cfg.regimen = {4, 2000};
+    cfg.machine = machine;
+    auto warmup = core::makePolicyByName(policy);
+    return core::LivePointStore::create(prog, *warmup, cfg, workload,
+                                        policy);
+}
+
+/** Field-wise sum of @p a and @p b. */
+uarch::RunResult
+addResults(uarch::RunResult a, const uarch::RunResult &b)
+{
+    a.insts += b.insts;
+    a.cycles += b.cycles;
+    a.branchMispredicts += b.branchMispredicts;
+    a.condBranches += b.condBranches;
+    a.loads += b.loads;
+    a.stores += b.stores;
+    a.forwardedLoads += b.forwardedLoads;
+    a.dispatchStallCycles += b.dispatchStallCycles;
+    a.fetchBlockedCycles += b.fetchBlockedCycles;
+    return a;
+}
+
+/** FNV-1a over all nine RunResult fields of @p r, chained on @p h. */
+std::uint64_t
+hashResult(const uarch::RunResult &r, std::uint64_t h)
+{
+    const std::uint64_t fields[] = {
+        r.insts,         r.cycles,         r.branchMispredicts,
+        r.condBranches,  r.loads,          r.stores,
+        r.forwardedLoads, r.dispatchStallCycles, r.fetchBlockedCycles};
+    return fnv1a(fields, sizeof(fields), h);
+}
+
+struct CoreGoldenRow
+{
+    const char *name;
+    bool paperMachine;
+    void (*tweak)(uarch::CoreParams &);
+    /** Sums over the 8 clusters of all nine RunResult fields. */
+    uarch::RunResult sum;
+    /** hashResult() chained over the clusters in capture order. */
+    std::uint64_t clusterHash;
+};
+
+TEST(OoOCore, GoldenCountersAcrossCoreParams)
+{
+    static const CoreGoldenRow golden[] = {
+        {"scaled default", false, [](uarch::CoreParams &) {},
+         {16000, 245773, 541, 1102, 2622, 223, 0, 165456, 145486},
+         0x16ae5b10bbb97d83ull},
+        {"rob 48, iq 8", false,
+         [](uarch::CoreParams &c) {
+             c.robSize = 48;
+             c.iqSize = 8;
+         },
+         {16000, 249076, 533, 1102, 2622, 223, 0, 173982, 145946},
+         0x870091dc8bcbbd02ull},
+        {"issue 1, 2 FUs", false,
+         [](uarch::CoreParams &c) {
+             c.issueWidth = 1;
+             c.numFUs = 2;
+         },
+         {16000, 246844, 541, 1102, 2622, 223, 0, 165066, 146977},
+         0xb1009188ee665913ull},
+        {"forwarding, 0-cycle", false,
+         [](uarch::CoreParams &c) {
+             c.storeForwarding = true;
+             c.forwardLatency = 0;
+         },
+         {16000, 245773, 541, 1102, 2622, 223, 5, 165456, 145486},
+         0x48b964df7b291a1aull},
+        {"0-cycle int ALU", false,
+         [](uarch::CoreParams &c) { c.intAluLat = 0; },
+         {16000, 244927, 538, 1102, 2622, 223, 0, 166010, 144285},
+         0xdf27afd5fc53c905ull},
+        {"1 unresolved branch", false,
+         [](uarch::CoreParams &c) { c.maxUnresolvedBranches = 1; },
+         {16000, 252007, 541, 1102, 2622, 223, 0, 176842, 149362},
+         0x5bd34fd803f030a4ull},
+        {"fetch buffer 3, no frontend delay", false,
+         [](uarch::CoreParams &c) {
+             c.fetchBufferSize = 3;
+             c.frontendDelay = 0;
+         },
+         {16000, 244843, 532, 1102, 2622, 223, 0, 165018, 82999},
+         0x961da8aa2672f005ull},
+        {"paper machine", true, [](uarch::CoreParams &) {},
+         {16000, 244227, 741, 1102, 2622, 223, 0, 178672, 154429},
+         0x440bdd2c19a50f04ull},
+    };
+
+    const core::MachineConfig bases[] = {
+        core::MachineConfig::scaledDefault(),
+        core::MachineConfig::paperDefault()};
+    std::vector<core::LivePointStore> stores[2];
+    for (int paper = 0; paper < 2; ++paper) {
+        stores[paper].push_back(
+            captureFour("gcc", "rsr40", bases[paper]));
+        stores[paper].push_back(
+            captureFour("mcf", "smarts", bases[paper]));
+        for (const auto &e : stores[paper][0].entries())
+            ASSERT_TRUE(e.hasContext);
+    }
+
+    for (const CoreGoldenRow &g : golden) {
+        core::MachineConfig machine = bases[g.paperMachine ? 1 : 0];
+        g.tweak(machine.core);
+        core::ReplayArena arena;
+        uarch::RunResult sum;
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        for (const auto &store : stores[g.paperMachine ? 1 : 0]) {
+            ASSERT_EQ(store.clusterCount(), 4u);
+            for (std::size_t i = 0; i < store.clusterCount(); ++i) {
+                auto task = store.makeReplayTask(i);
+                const auto r = core::replayCluster(task, machine, arena);
+                sum = addResults(sum, r);
+                hash = hashResult(r, hash);
+            }
+        }
+        EXPECT_EQ(sum.insts, g.sum.insts) << g.name;
+        EXPECT_EQ(sum.cycles, g.sum.cycles) << g.name;
+        EXPECT_EQ(sum.branchMispredicts, g.sum.branchMispredicts) << g.name;
+        EXPECT_EQ(sum.condBranches, g.sum.condBranches) << g.name;
+        EXPECT_EQ(sum.loads, g.sum.loads) << g.name;
+        EXPECT_EQ(sum.stores, g.sum.stores) << g.name;
+        EXPECT_EQ(sum.forwardedLoads, g.sum.forwardedLoads) << g.name;
+        EXPECT_EQ(sum.dispatchStallCycles, g.sum.dispatchStallCycles)
+            << g.name;
+        EXPECT_EQ(sum.fetchBlockedCycles, g.sum.fetchBlockedCycles)
+            << g.name;
+        EXPECT_EQ(hash, g.clusterHash) << g.name;
+    }
+}
+
+TEST(OoOCore, HugeQueueSizesMatchUnboundedRun)
+{
+    // The core allocates by occupancy, not by the configured sizes: ROB,
+    // IQ, LSQ and checkpoint limits of 4e9 run, and time exactly like
+    // limits no trace of this length can reach.
+    const auto store = captureFour("gcc", "rsr40",
+                                   core::MachineConfig::scaledDefault());
+    const std::size_t len = store.makeReplayTask(0).trace.size();
+    const auto withLimits = [](std::uint64_t n) {
+        auto m = core::MachineConfig::scaledDefault();
+        const auto limit = static_cast<unsigned>(n);
+        m.core.robSize = limit;
+        m.core.iqSize = limit;
+        m.core.lsqSize = limit;
+        m.core.maxUnresolvedBranches = limit;
+        return m;
+    };
+    const auto huge = withLimits(4'000'000'000ull);
+    const auto bounded = withLimits(len);
+    core::ReplayArena arena;
+    for (std::size_t i = 0; i < store.clusterCount(); ++i) {
+        auto a = store.makeReplayTask(i);
+        auto b = store.makeReplayTask(i);
+        const auto r_huge = core::replayCluster(a, huge, arena);
+        const auto r_bounded = core::replayCluster(b, bounded, arena);
+        EXPECT_EQ(r_huge.insts, len) << i;
+        EXPECT_EQ(hashResult(r_huge, 0), hashResult(r_bounded, 0)) << i;
+        EXPECT_EQ(r_huge.cycles, r_bounded.cycles) << i;
     }
 }
 

@@ -843,6 +843,28 @@ TEST(ServeDaemon, UnresolvableMachineFailsBeforeQueueing)
     EXPECT_EQ(state.nextId, 1u);
 }
 
+TEST(ServeDaemon, UnrunnableMachineValueFailsBeforeQueueing)
+{
+    // A known key with a value the model cannot run (a zero-entry ROB,
+    // a cache line that is not a power of two) is the same typed user
+    // error, naming the key, before any capture starts.
+    DaemonHarness daemon(tinyDaemonConfig());
+    for (const std::string kv : {"core.rob_size=0", "dl1.line_bytes=48"}) {
+        SimRequest req = tinyRequest();
+        req.overrides = {kv};
+        const Frame reply = exchangeRequest(daemon.port(), req);
+        EXPECT_EQ(reply.type, FrameType::Error) << kv;
+        EXPECT_TRUE(payloadHas(reply, "user-error")) << kv;
+        EXPECT_TRUE(payloadHas(reply, kv.substr(0, kv.find('='))))
+            << reply.payloadText();
+        EXPECT_TRUE(payloadHas(reply, "\"retryable\":false")) << kv;
+    }
+    const ServeStats stats = daemon.server().stats();
+    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.coldCaptures, 0u);
+    EXPECT_EQ(exchange(daemon.port(), Frame{}).type, FrameType::Pong);
+}
+
 TEST(ServeDaemon, UnknownWorkloadIsTypedUserErrorNotDeath)
 {
     DaemonHarness daemon(tinyDaemonConfig());
