@@ -259,6 +259,25 @@ applyMachineSetting(MachineConfig &config, const std::string &key_value)
                        key_value.substr(eq + 1));
 }
 
+void
+checkMachine(const MachineConfig &m)
+{
+    const std::pair<const char *, const cache::CacheParams *> caches[] = {
+        {"il1", &m.hier.il1}, {"dl1", &m.hier.dl1}, {"l2", &m.hier.l2}};
+    for (const auto &[sec, c] : caches) {
+        const std::uint64_t way_bytes =
+            std::uint64_t{c->assoc} * c->lineBytes;
+        if (c->sizeBytes % way_bytes != 0 ||
+            !isPowerOf2(c->sizeBytes / way_bytes))
+            rsr_throw_user("config keys '", sec, ".size_bytes' (",
+                           c->sizeBytes, "), '", sec, ".assoc' (",
+                           c->assoc, ") and '", sec, ".line_bytes' (",
+                           c->lineBytes, ") do not give a power-of-two "
+                           "set count: size_bytes / (assoc x line_bytes) "
+                           "must be a whole power of two");
+    }
+}
+
 MachineConfig
 baseMachine(const std::string &kind)
 {

@@ -64,6 +64,12 @@ void applyMachineOption(MachineConfig &config, const std::string &key,
 void applyMachineSetting(MachineConfig &config,
                          const std::string &key_value);
 
+/** Check the cross-field rules of a fully resolved machine: each
+ *  cache's set count, size_bytes / (assoc x line_bytes), must be a whole
+ *  power of two. Throws UserError naming the cache's size_bytes, assoc
+ *  and line_bytes keys otherwise. */
+void checkMachine(const MachineConfig &m);
+
 /** The built-in base machine named @p kind: `scaled` or `paper`. */
 MachineConfig baseMachine(const std::string &kind);
 

@@ -15,10 +15,17 @@ makeSchedule(const SamplingRegimen &regimen, std::uint64_t total_insts,
 {
     const std::uint64_t n = regimen.numClusters;
     const std::uint64_t size = regimen.clusterSize;
-    rsr_assert(n > 0 && size > 0, "degenerate sampling regimen");
-    rsr_assert(n * size <= total_insts,
-               "regimen samples more instructions (", n * size,
-               ") than the population (", total_insts, ")");
+    if (n == 0)
+        rsr_throw_user("sampling regimen needs at least one cluster "
+                       "(--clusters 0)");
+    if (size == 0)
+        rsr_throw_user("sampling regimen needs non-empty clusters "
+                       "(--cluster-size 0)");
+    if (size > total_insts / n)
+        rsr_throw_user("sampling regimen of ", n, " clusters x ", size,
+                       " insts exceeds the population of ", total_insts,
+                       " (--insts) — lower --clusters or --cluster-size, "
+                       "or raise --insts");
 
     // Uniform placement of n non-overlapping length-`size` intervals:
     // draw n offsets in the leftover gap space, sort, then lay clusters

@@ -37,7 +37,8 @@ struct Cluster
 /**
  * Draw a schedule of non-overlapping clusters whose starts are uniformly
  * distributed over the first @p total_insts instructions. Returned sorted
- * by start.
+ * by start. Throws UserError naming the flag when the regimen has no
+ * clusters, empty clusters, or more instructions than the population.
  */
 std::vector<Cluster> makeSchedule(const SamplingRegimen &regimen,
                                   std::uint64_t total_insts, Rng &rng);

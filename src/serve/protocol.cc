@@ -220,6 +220,7 @@ SimRequest::sampledConfig() const
     cfg.machine = core::baseMachine(machineKind);
     for (const std::string &kv : overrides)
         core::applyMachineSetting(cfg.machine, kv);
+    core::checkMachine(cfg.machine);
     return cfg;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "func/funcsim.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -10,34 +11,38 @@ namespace rsr::simpoint
 {
 
 BbvProfile
-profileBbv(const func::Program &program, std::uint64_t total_insts,
-           std::uint64_t interval_size)
+profileBbv(const func::Program &program,
+           const std::vector<core::Cluster> &windows,
+           const Deadline *deadline)
 {
-    rsr_assert(interval_size > 0, "interval size must be positive");
     BbvProfile prof;
-    prof.intervalSize = interval_size;
+    if (windows.empty())
+        return prof;
+    const std::uint64_t end = windows.back().start + windows.back().size;
+    core::validateSchedule(windows, end);
 
     func::FuncSim fs(program);
     std::unordered_map<std::uint64_t, std::uint32_t> block_ids;
     std::unordered_map<std::uint32_t, std::uint32_t> current; // id -> insts
 
     std::uint64_t block_leader = program.entry;
-    std::uint32_t block_len = 0;
-    std::uint64_t in_interval = 0;
+    std::uint32_t block_len = 0; // windowed insts of the current block
 
     auto flush_block = [&]() {
         if (block_len == 0)
             return;
         const auto [it, inserted] = block_ids.try_emplace(
             block_leader, static_cast<std::uint32_t>(block_ids.size()));
+        if (inserted)
+            prof.blockLeaders.push_back(block_leader);
         current[it->second] += block_len;
         block_len = 0;
     };
 
-    auto flush_interval = [&]() {
+    auto flush_window = [&](std::uint64_t insts) {
         flush_block();
         IntervalBbv iv;
-        iv.totalInsts = in_interval;
+        iv.totalInsts = insts;
         // Materialize in block-id order: downstream consumers sum
         // floating-point projections over these pairs, so hash-map
         // iteration order would leak into the clustering results.
@@ -46,26 +51,46 @@ profileBbv(const func::Program &program, std::uint64_t total_insts,
         std::sort(iv.counts.begin(), iv.counts.end());
         prof.intervals.push_back(std::move(iv));
         current.clear();
-        in_interval = 0;
     };
 
+    std::size_t next = 0; // first window not yet finished
     func::DynInst d;
-    for (std::uint64_t i = 0; i < total_insts; ++i) {
-        if (!fs.step(&d))
+    for (std::uint64_t i = 0; i < end; ++i) {
+        if (deadline && (i & Deadline::pollMask) == 0 && deadline->expired())
+            throw TimeoutError("BBV profiling pass exceeded its deadline");
+        const core::Cluster &w = windows[next];
+        if (!fs.step(&d)) {
+            if (i > w.start)
+                flush_window(i - w.start);
             break;
-        ++block_len;
-        ++in_interval;
+        }
+        if (i >= w.start)
+            ++block_len;
         if (d.isBranch() || d.nextPc != d.pc + 4) {
             flush_block();
             block_leader = d.nextPc;
         }
-        if (in_interval == interval_size)
-            flush_interval();
+        if (i + 1 == w.start + w.size) {
+            flush_window(w.size);
+            ++next;
+        }
     }
-    if (in_interval > 0)
-        flush_interval();
 
     prof.numBlocks = static_cast<std::uint32_t>(block_ids.size());
+    return prof;
+}
+
+BbvProfile
+profileBbv(const func::Program &program, std::uint64_t total_insts,
+           std::uint64_t interval_size)
+{
+    rsr_assert(interval_size > 0, "interval size must be positive");
+    std::vector<core::Cluster> windows;
+    for (std::uint64_t start = 0; start < total_insts; start += interval_size)
+        windows.push_back(
+            {start, std::min(interval_size, total_insts - start)});
+    BbvProfile prof = profileBbv(program, windows);
+    prof.intervalSize = interval_size;
     return prof;
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Basic-block-vector profiling for SimPoint-style phase analysis
- * (Sherwood et al., ASPLOS 2002; SimPoint v3.2 defaults). Execution is
- * divided into fixed-size intervals; for each interval, the number of
- * instructions executed in each static basic block is counted. Vectors
- * are frequency-normalized and randomly projected to a small dimension
- * before clustering.
+ * (Sherwood et al., ASPLOS 2002; SimPoint v3.2 defaults). One functional
+ * pass counts, for each instruction window, the instructions executed in
+ * each static basic block. SimPoint profiles contiguous fixed-size
+ * intervals, frequency-normalizes the vectors and randomly projects them
+ * to a small dimension before clustering; the BBV estimator proxy
+ * (simpoint/proxy.hh) profiles the candidate clusters.
  */
 
 #ifndef RSR_SIMPOINT_BBV_HH
@@ -15,12 +16,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/regimen.hh"
 #include "func/program.hh"
+#include "util/deadline.hh"
 
 namespace rsr::simpoint
 {
 
-/** Sparse basic-block vector for one interval. */
+/** Sparse basic-block vector for one interval (window). */
 struct IntervalBbv
 {
     /**
@@ -32,19 +35,37 @@ struct IntervalBbv
     std::uint64_t totalInsts = 0;
 };
 
-/** Profile of a whole run. */
+/** Profile of a whole run, or of a list of windows. */
 struct BbvProfile
 {
+    /** The interval size of an interval profile; 0 for windows. */
     std::uint64_t intervalSize = 0;
     std::vector<IntervalBbv> intervals;
     /** Number of distinct basic blocks (the sparse dimensionality). */
     std::uint32_t numBlocks = 0;
+    /** Leader PC of each block dimension id. */
+    std::vector<std::uint64_t> blockLeaders;
 };
 
 /**
+ * The basic-block-vector pass: execute @p program up to the end of the
+ * last of @p windows and count, per window, the instructions executed in
+ * each basic block. Blocks are delimited by control transfers and
+ * identified by their leader PC, which is tracked over every instruction,
+ * so a window that starts mid-block credits that block's real leader.
+ * Dimension ids are assigned first-seen over windowed instructions, so
+ * the profile is deterministic. Windows must be sorted and
+ * non-overlapping (UserError otherwise). If the program halts, the
+ * profile ends with the (partial) window it halted in. Polls @p deadline
+ * like the skip loop (TimeoutError on expiry).
+ */
+BbvProfile profileBbv(const func::Program &program,
+                      const std::vector<core::Cluster> &windows,
+                      const Deadline *deadline = nullptr);
+
+/**
  * Profile the first @p total_insts instructions of @p program with
- * interval size @p interval_size. Basic blocks are delimited by control
- * transfers and identified by their leader PC.
+ * interval size @p interval_size: profileBbv() over contiguous windows.
  */
 BbvProfile profileBbv(const func::Program &program,
                       std::uint64_t total_insts,

@@ -25,10 +25,10 @@ namespace rsr::simpoint
 /**
  * Proxy score per candidate cluster: L2 distance between the cluster's
  * frequency-normalized basic-block vector and the centroid of all
- * candidate vectors. Blocks are delimited by control transfers and
- * identified by leader PC with deterministic first-seen dimension ids,
- * so the scores are bit-identical across runs. Candidates must be
- * sorted and non-overlapping. Polls @p deadline like the skip loop.
+ * candidate vectors. The vectors come from one profileBbv() pass over
+ * the candidates (simpoint/bbv.hh), whose deterministic block ids make
+ * the scores bit-identical across runs. Candidates must be sorted and
+ * non-overlapping. Polls @p deadline like the skip loop.
  */
 std::vector<double>
 bbvCentroidDistance(const func::Program &program,

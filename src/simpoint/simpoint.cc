@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/warmup.hh"
-#include "func/funcsim.hh"
-#include "uarch/core.hh"
+#include "core/sampled_sim.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
-#include "util/timer.hh"
 
 namespace rsr::simpoint
 {
@@ -16,6 +14,12 @@ SimPointSelection
 pickSimPoints(const func::Program &program, std::uint64_t total_insts,
               const SimPointConfig &config)
 {
+    if (total_insts == 0)
+        rsr_throw_user("SimPoint needs a non-empty population (--insts 0)");
+    if (config.intervalSize == 0)
+        rsr_throw_user("SimPoint needs a non-empty interval (--interval 0)");
+    if (config.maxK == 0)
+        rsr_throw_user("SimPoint needs at least one cluster (--max-k 0)");
     const BbvProfile prof =
         profileBbv(program, total_insts, config.intervalSize);
     const auto projected =
@@ -47,65 +51,23 @@ runSimPoints(const func::Program &program,
              const SimPointSelection &selection, bool smarts_warmup,
              const core::MachineConfig &machine_config)
 {
+    rsr_assert(!selection.intervals.empty(), "no simulation points to run");
+    core::SampledConfig cfg;
+    cfg.machine = machine_config;
+    for (const std::uint64_t interval : selection.intervals)
+        cfg.explicitSchedule.push_back(
+            {interval * selection.intervalSize, selection.intervalSize});
+    cfg.totalInsts = cfg.explicitSchedule.back().start +
+                     cfg.explicitSchedule.back().size;
+    const auto policy =
+        core::makePolicyByName(smarts_warmup ? "smarts" : "none");
+    const core::SampledResult r = core::runSampled(program, *policy, cfg);
+
     SimPointRunResult res;
-    WallTimer timer;
-
-    func::FuncSim fs(program);
-    core::Machine machine(machine_config);
-
-    // Reuse the SMARTS policy for the optional warming between points.
-    std::unique_ptr<core::FunctionalWarmup> warm;
-    if (smarts_warmup) {
-        warm = core::FunctionalWarmup::smarts();
-        warm->attach(machine);
-    }
-
-    class Source : public uarch::InstSource
-    {
-      public:
-        explicit Source(func::FuncSim &fs) : fs(fs) {}
-        bool next(func::DynInst &out) override { return fs.step(&out); }
-
-      private:
-        func::FuncSim &fs;
-    };
-
-    const std::uint64_t iline_mask =
-        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
-
-    double weighted_ipc = 0.0;
-    func::DynInst d;
-    for (std::size_t p = 0; p < selection.intervals.size(); ++p) {
-        const std::uint64_t start =
-            selection.intervals[p] * selection.intervalSize;
-        rsr_assert(fs.instCount() <= start,
-                   "simulation points overlap or are unsorted");
-        const std::uint64_t skip_len = start - fs.instCount();
-        if (warm)
-            warm->beginSkip(skip_len);
-        std::uint64_t last_iblock = ~std::uint64_t{0};
-        for (std::uint64_t i = 0; i < skip_len; ++i) {
-            const bool ok = fs.step(&d);
-            rsr_assert(ok, "workload halted before a simulation point");
-            if (warm) {
-                const std::uint64_t blk = d.pc & iline_mask;
-                warm->onSkipInst(d, blk != last_iblock);
-                last_iblock = blk;
-            }
-        }
-
-        machine.hier.l1Bus().reset();
-        machine.hier.l2Bus().reset();
-        uarch::OoOCore core(machine_config.core, machine.hier, machine.bp);
-        Source src(fs);
-        const uarch::RunResult rr =
-            core.run(src, selection.intervalSize);
-        res.hotInsts += rr.insts;
-        weighted_ipc += selection.weights[p] * rr.ipc();
-    }
-
-    res.ipc = weighted_ipc;
-    res.seconds = timer.seconds();
+    for (std::size_t p = 0; p < r.clusterIpc.size(); ++p)
+        res.ipc += selection.weights[p] * r.clusterIpc[p];
+    res.seconds = r.seconds;
+    res.hotInsts = r.hotInsts;
     return res;
 }
 

@@ -3,9 +3,10 @@
  * End-to-end SimPoint flow (the paper's Section-5 comparison baseline):
  * BBV profiling at a chosen interval size, clustering with up to 30
  * clusters, selection of one representative interval per cluster with
- * weights, and simulation of the chosen points — optionally applying
- * SMARTS full functional warming while skipping to each point (the
- * paper's "50K-SMARTS" / "10M-SMARTS" variants).
+ * weights, and simulation of the chosen points through the one sampled
+ * run pipeline (core::runSampled) — optionally applying SMARTS full
+ * functional warming while skipping to each point (the paper's
+ * "50K-SMARTS" / "10M-SMARTS" variants).
  */
 
 #ifndef RSR_SIMPOINT_SIMPOINT_HH
@@ -43,7 +44,9 @@ struct SimPointSelection
     std::vector<double> weights;
 };
 
-/** Analyze @p program and pick simulation points. */
+/** Analyze @p program and pick simulation points. Throws UserError
+ *  naming the flag for an empty population (--insts), interval
+ *  (--interval) or cluster limit (--max-k). */
 SimPointSelection pickSimPoints(const func::Program &program,
                                 std::uint64_t total_insts,
                                 const SimPointConfig &config);
@@ -58,11 +61,12 @@ struct SimPointRunResult
 };
 
 /**
- * Simulate the selected points in execution order. Between points the
- * functional simulator maintains state; if @p smarts_warmup is set,
- * every skipped branch and memory operation is functionally applied to
- * the branch predictor and caches (SMARTS warming), otherwise state is
- * left stale.
+ * Simulate the selected points in execution order: the points become an
+ * explicit schedule of {interval x size, size} clusters that
+ * core::runSampled measures, and their cluster IPCs are weighted. The
+ * skips run under SMARTS warming when @p smarts_warmup is set (every
+ * skipped branch and memory operation is functionally applied to the
+ * branch predictor and caches), otherwise state is left stale.
  */
 SimPointRunResult runSimPoints(const func::Program &program,
                                const SimPointSelection &selection,

@@ -188,6 +188,39 @@ TEST(ConfigFile, UnrunnableValuesAreUserErrorsNamingTheKey)
     }
 }
 
+TEST(ConfigFile, CacheSetCountIsCheckedOnTheResolvedMachine)
+{
+    // Each key is legal on its own; together they must give a
+    // power-of-two set count, or the cache cannot index its sets.
+    for (const std::string kv :
+         {"dl1.size_bytes=12288", "l2.size_bytes=100", "il1.assoc=3"}) {
+        MachineConfig m = MachineConfig::scaledDefault();
+        applyMachineSetting(m, kv);
+        const std::string sec = kv.substr(0, kv.find('.'));
+        try {
+            checkMachine(m);
+            ADD_FAILURE() << kv << " was accepted";
+        } catch (const UserError &e) {
+            for (const char *field : {".size_bytes'", ".assoc'",
+                                      ".line_bytes'"})
+                EXPECT_NE(std::string(e.what()).find("'" + sec + field),
+                          std::string::npos)
+                    << e.what();
+        }
+    }
+
+    // The check runs once the whole machine is resolved, so a later key
+    // may make an earlier one legal: 12288 / (3 x 64) = 64 sets.
+    MachineConfig m = parseMachineConfig("dl1.size_bytes = 12288\n"
+                                         "dl1.assoc = 3\n",
+                                         MachineConfig::scaledDefault());
+    EXPECT_NO_THROW(checkMachine(m));
+    Machine machine(m);
+    EXPECT_EQ(machine.hier.dl1().numSets(), 64u);
+    EXPECT_NO_THROW(checkMachine(MachineConfig::scaledDefault()));
+    EXPECT_NO_THROW(checkMachine(MachineConfig::paperDefault()));
+}
+
 TEST(ConfigFile, MissingFileThrows)
 {
     EXPECT_THROW(loadMachineConfig("/nonexistent/nope.cfg",

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/branch_reconstructor.hh"
 #include "core/cache_reconstructor.hh"
 #include "core/regimen.hh"
 #include "core/skip_log.hh"
 #include "core/statistics.hh"
+#include "util/error.hh"
 #include "util/random.hh"
 
 namespace rsr::core
@@ -64,6 +66,31 @@ TEST(Schedule, DeterministicInSeed)
     for (std::size_t i = 0; i < s1.size(); ++i)
         any_diff |= s1[i].start != s3[i].start;
     EXPECT_TRUE(any_diff);
+}
+
+TEST(Schedule, DegenerateRegimenIsAUserErrorNamingTheFlag)
+{
+    Rng rng(4);
+    const struct
+    {
+        SamplingRegimen regimen;
+        const char *flag;
+    } cases[] = {
+        {{0, 100}, "--clusters"},
+        {{10, 0}, "--cluster-size"},
+        {{60, 3000}, "--insts"},
+        // n x size wraps to 0 in 64 bits: still more than the population.
+        {{2, std::uint64_t{1} << 63}, "--insts"},
+    };
+    for (const auto &c : cases) {
+        try {
+            makeSchedule(c.regimen, 100'000, rng);
+            ADD_FAILURE() << c.flag << " case was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.flag), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Schedule, StartsRoughlyUniform)

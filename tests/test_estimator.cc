@@ -442,6 +442,25 @@ TEST_F(EstimatorRun, TwoPhaseBitIdenticalAcrossJobs)
     EXPECT_EQ(j1.measuredInsts(), 20u * 2000u);
 }
 
+TEST_F(EstimatorRun, BbvProxyBitIdenticalAcrossJobsAndStoreReplay)
+{
+    // The BBV proxy (simpoint::bbvCentroidDistance) ranks the candidates
+    // for both estimators: every job count and a store replay must
+    // reproduce the same selection and estimate.
+    for (EstimatorOptions opts : {rankedOpts(), twoPhaseOpts()}) {
+        opts.proxy = ProxyKind::BbvDistance;
+        SCOPED_TRACE(core::samplingPolicyName(opts.kind));
+        const auto j1 = runEstimator(*prog, "smarts", *cfg, opts, 1);
+        expectSameRun(j1, runEstimator(*prog, "smarts", *cfg, opts, 3));
+        expectSameRun(j1, runEstimator(*prog, "smarts", *cfg, opts, 4));
+        EXPECT_EQ(j1.schedule.size(), 12u);
+        const auto store =
+            captureEstimatorStore(*prog, "smarts", *cfg, opts, "twolf");
+        EXPECT_EQ(store.meta().estimator.proxy, ProxyKind::BbvDistance);
+        expectSameRun(j1, replayed(store, 3));
+    }
+}
+
 TEST_F(EstimatorRun, RankedSetStoreReplayMatchesDirectRun)
 {
     const auto direct =

@@ -846,10 +846,12 @@ TEST(ServeDaemon, UnresolvableMachineFailsBeforeQueueing)
 TEST(ServeDaemon, UnrunnableMachineValueFailsBeforeQueueing)
 {
     // A known key with a value the model cannot run (a zero-entry ROB,
-    // a cache line that is not a power of two) is the same typed user
-    // error, naming the key, before any capture starts.
+    // a cache line that is not a power of two, a cache size that gives a
+    // set count that is not one) is the same typed user error, naming
+    // the key, before any capture starts.
     DaemonHarness daemon(tinyDaemonConfig());
-    for (const std::string kv : {"core.rob_size=0", "dl1.line_bytes=48"}) {
+    for (const std::string kv :
+         {"core.rob_size=0", "dl1.line_bytes=48", "dl1.size_bytes=12288"}) {
         SimRequest req = tinyRequest();
         req.overrides = {kv};
         const Frame reply = exchangeRequest(daemon.port(), req);
@@ -860,7 +862,7 @@ TEST(ServeDaemon, UnrunnableMachineValueFailsBeforeQueueing)
         EXPECT_TRUE(payloadHas(reply, "\"retryable\":false")) << kv;
     }
     const ServeStats stats = daemon.server().stats();
-    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.failed, 3u);
     EXPECT_EQ(stats.coldCaptures, 0u);
     EXPECT_EQ(exchange(daemon.port(), Frame{}).type, FrameType::Pong);
 }

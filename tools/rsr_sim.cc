@@ -80,12 +80,14 @@ namespace
 
 using namespace rsr;
 
-/** Apply a `--set key=value` machine option, when given, to @p mc. */
+/** Apply a `--set key=value` machine option, when given, to @p mc, and
+ *  check the resolved machine. */
 void
 applySetFlag(const ArgParser &args, core::MachineConfig &mc)
 {
     if (args.has("set"))
         core::applyMachineSetting(mc, args.get("set"));
+    core::checkMachine(mc);
 }
 
 /** The `cluster,ipc` CSV of run and replay: full precision, so two
