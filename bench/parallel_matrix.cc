@@ -38,7 +38,6 @@
 #include "harness/campaign.hh"
 #include "harness/json.hh"
 #include "harness/parallel_run.hh"
-#include "harness/shard.hh"
 #include "util/args.hh"
 #include "util/fileio.hh"
 #include "util/table.hh"
@@ -164,7 +163,6 @@ main(int argc, char **argv)
     camp.insts = quick ? 60'000 : 150'000;
     camp.clusters = 4;
     camp.clusterSize = 1000;
-    camp.threads = 1;
 
     bool shards_identical = true;
     double shard_seconds[2] = {0.0, 0.0};
@@ -172,11 +170,10 @@ main(int argc, char **argv)
     const unsigned shard_counts[2] = {1, 4};
     for (int leg = 0; leg < 2; ++leg) {
         camp.outDir = tmp_base + std::to_string(shard_counts[leg]);
-        harness::ShardOptions opts;
-        opts.shards = shard_counts[leg];
+        camp.shards = shard_counts[leg];
         WallTimer timer;
         const harness::CampaignResult r =
-            harness::runShardedCampaign(camp, opts);
+            harness::CampaignRunner(camp).run();
         shard_seconds[leg] = timer.seconds();
         if (!r.allComplete()) {
             std::printf("ERROR: %u-shard campaign incomplete\n",

@@ -1,8 +1,14 @@
 #include "campaign.hh"
 
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/config_file.hh"
 #include "core/livepoint_store.hh"
@@ -11,7 +17,6 @@
 #include "harness/json.hh"
 #include "harness/parallel_run.hh"
 #include "harness/shard.hh"
-#include "harness/thread_pool.hh"
 #include "util/checksum.hh"
 #include "util/deadline.hh"
 #include "util/error.hh"
@@ -36,6 +41,14 @@ joinNames(const std::vector<std::string> &names)
     return out;
 }
 
+/** The attempts @p state records for job @p id (0 when none). */
+std::uint64_t
+attemptsOf(const ManifestState &state, std::uint64_t id)
+{
+    const auto it = state.jobs.find(id);
+    return it == state.jobs.end() ? 0 : it->second.attempts;
+}
+
 } // namespace
 
 CampaignRunner::CampaignRunner(CampaignConfig config)
@@ -46,8 +59,8 @@ CampaignRunner::CampaignRunner(CampaignConfig config)
     if (this->config.workloads.empty() || this->config.policies.empty())
         rsr_throw_user("campaign needs at least one workload and one "
                        "policy");
-    if (this->config.threads == 0)
-        this->config.threads = 1;
+    if (this->config.shards == 0)
+        rsr_throw_user("campaign needs at least one shard");
 }
 
 std::vector<JobSpec>
@@ -192,7 +205,6 @@ CampaignRunner::executeJob(const JobSpec &spec)
     const std::string text = w.str() + "\n";
 
     JobOutcome out;
-    out.status = JobStatus::Complete;
     out.resultFile = "job-" + std::to_string(spec.id) + ".json";
     out.checksum = checksumHex(fnv64(text.data(), text.size()));
     out.storeHash = store_hash;
@@ -212,112 +224,165 @@ CampaignRunner::run(bool resume)
     const std::string manifest_path = manifestPath(config.outDir);
     const auto jobs = expandJobs(config);
 
-    CampaignResult result;
-    result.total = jobs.size();
-
     // On resume, trust only manifest entries whose artifact is intact.
+    ManifestState before;
     std::vector<bool> done(jobs.size(), false);
-    std::vector<std::uint64_t> prior_attempts(jobs.size(), 0);
     if (resume) {
-        const ManifestState state = loadManifest(manifest_path);
-        if (state.fingerprint != fp)
+        before = loadManifest(manifest_path);
+        if (before.fingerprint != fp)
             rsr_throw_user("manifest in ", config.outDir, " belongs to a "
                            "different campaign (fingerprint ",
-                           state.fingerprint, ", expected ", fp, ")");
-        for (const auto &[id, rec] : state.jobs) {
-            if (id >= jobs.size())
+                           before.fingerprint, ", expected ", fp, ")");
+        for (const auto &[id, rec] : before.jobs) {
+            if (id >= jobs.size() || rec.status != JobStatus::Complete)
                 continue;
-            prior_attempts[id] = rec.attempts;
-            if (rec.status != JobStatus::Complete)
-                continue;
-            const std::string path =
-                config.outDir + "/" + rec.resultFile;
+            const std::string path = config.outDir + "/" + rec.resultFile;
             if (!fileExists(path))
                 continue;
             const auto bytes = readFileBytes(path);
-            if (checksumHex(fnv64(bytes.data(), bytes.size())) ==
-                rec.checksum)
-                done[id] = true;
+            done[id] = checksumHex(fnv64(bytes.data(), bytes.size())) ==
+                       rec.checksum;
+        }
+    }
+    // Until the workers start, this process is the manifest's only
+    // writer: it writes the header (fresh) or truncates a torn tail
+    // (resume) exactly once; workers open the journal Shared and do
+    // neither. The claim table is created up front so every worker
+    // opens the same inode (locks attach to the inode, not the path).
+    { ManifestWriter writer(manifest_path, fp, jobs.size(),
+                            resume ? ManifestWriter::OpenMode::Resume
+                                   : ManifestWriter::OpenMode::Fresh); }
+    { ShardClaimTable table(ShardClaimTable::claimPath(config.outDir),
+                            jobs.size()); }
+
+    const auto shards = std::min<std::size_t>(config.shards, jobs.size());
+    if (shards <= 1) {
+        work(jobs, before, done);
+    } else {
+        std::fflush(stdout);
+        std::fflush(stderr);
+        std::vector<pid_t> pids;
+        for (std::size_t s = 0; s < shards; ++s) {
+            const pid_t pid = ::fork();
+            if (pid < 0) {
+                for (pid_t p : pids)
+                    ::kill(p, SIGTERM);
+                for (pid_t p : pids)
+                    ::waitpid(p, nullptr, 0);
+                rsr_throw_io("cannot fork shard worker: ",
+                             std::strerror(errno));
+            }
+            if (pid == 0) {
+                int status = 0;
+                try {
+                    work(jobs, before, done);
+                } catch (const std::exception &e) {
+                    std::fprintf(stderr, "shard worker: %s\n", e.what());
+                    status = 3;
+                }
+                ::_exit(status); // never unwind into the caller's state
+            }
+            pids.push_back(pid);
+        }
+        if (config.onWorkersStarted)
+            config.onWorkersStarted(pids);
+        // Poll instead of blocking in waitpid, which a signal handler
+        // installed with SA_RESTART never interrupts: a stop raised in
+        // this process alone (a SIGTERM sent to its pid) is forwarded as
+        // SIGTERM, and each worker stops on its own copy of the flag.
+        bool forwarded = false;
+        while (!pids.empty()) {
+            if (!forwarded && config.stopFlag && config.stopFlag->load()) {
+                for (pid_t p : pids)
+                    ::kill(p, SIGTERM);
+                forwarded = true;
+            }
+            std::erase_if(pids, [](pid_t p) {
+                return ::waitpid(p, nullptr, WNOHANG) != 0;
+            });
+            if (!pids.empty())
+                ::usleep(10'000);
         }
     }
 
-    using Mode = ManifestWriter::OpenMode;
-    ManifestWriter manifest(manifest_path, fp, jobs.size(),
-                            config.sharedManifest ? Mode::Shared
-                            : resume              ? Mode::Resume
-                                                  : Mode::Fresh);
+    // Tally from the journal, not from what any worker believed.
+    const ManifestState after = loadManifest(manifest_path);
+    CampaignResult result;
+    result.total = jobs.size();
+    for (const JobSpec &spec : jobs) {
+        const std::uint64_t prior = attemptsOf(before, spec.id);
+        const std::uint64_t now = attemptsOf(after, spec.id);
+        if (done[spec.id]) {
+            ++result.skipped;
+            continue;
+        }
+        if (now <= prior) { // not attempted this run
+            ++result.stopped;
+            continue;
+        }
+        result.retries += now - prior - 1;
+        // A latest Running record: the worker died mid-job, and its claim
+        // with it, so resume reruns the job.
+        const JobStatus status = after.jobs.at(spec.id).status;
+        ++(status == JobStatus::Complete  ? result.completed
+           : status == JobStatus::Running ? result.stopped
+                                          : result.failed);
+    }
+    return result;
+}
 
-    // Sharded workers race siblings for job ownership; claims are held
-    // until process exit (see shard.hh for the protocol).
-    std::unique_ptr<ShardClaimTable> claims;
-    if (!config.claimPath.empty())
-        claims = std::make_unique<ShardClaimTable>(config.claimPath,
-                                                   jobs.size());
+void
+CampaignRunner::work(const std::vector<JobSpec> &jobs,
+                     const ManifestState &before,
+                     const std::vector<bool> &done)
+{
+    const std::string manifest_path = manifestPath(config.outDir);
+    ManifestWriter manifest(manifest_path, fingerprint(config), jobs.size(),
+                            ManifestWriter::OpenMode::Shared);
+    // Claims are held until this table closes or the process exits.
+    ShardClaimTable claims(ShardClaimTable::claimPath(config.outDir),
+                           jobs.size());
 
-    // Arm fault injection for the run only; jobs see injected faults,
-    // the manifest journal itself does not (it bypasses the hooks).
+    // Arm fault injection for the jobs only; the manifest journal and
+    // its re-checks bypass the hooks.
     std::unique_ptr<ScopedFaultInjection> faults;
     if (config.faults.enabled())
         faults = std::make_unique<ScopedFaultInjection>(config.faults);
-
-    std::atomic<std::uint64_t> completed{0}, failed{0}, skipped{0},
-        retries{0}, stopped{0};
 
     const auto stopRequested = [this]() {
         return config.stopFlag && config.stopFlag->load();
     };
 
-    auto runJob = [&](const JobSpec &spec) {
-        if (done[spec.id]) {
-            ++skipped;
-            return;
-        }
+    for (const JobSpec &spec : jobs) {
         // Graceful shutdown: a job that has not started yet is simply
-        // not dispatched. It gets no manifest entry, so --resume runs
-        // it next time.
-        if (stopRequested()) {
-            ++stopped;
-            return;
-        }
-        if (claims) {
-            if (!claims->tryClaim(spec.id)) {
-                // A live sibling process owns this job.
-                ++skipped;
-                return;
-            }
-            // The claim is won, but the previous owner may have
-            // completed the job and exited (its lock died with it).
-            // Re-check the journal before running.
-            const ManifestState now = loadManifest(manifest_path);
-            const auto it = now.jobs.find(spec.id);
-            if (it != now.jobs.end() &&
-                it->second.status == JobStatus::Complete) {
-                ++skipped;
-                return;
-            }
-        }
-
+        // not dispatched; resume runs it next time.
+        if (done[spec.id] || stopRequested())
+            continue;
+        // A live sibling process owns this job.
+        if (!claims.tryClaim(spec.id))
+            continue;
+        // The claim is won, but its previous owner may have finished
+        // the job this run and exited (its lock died with it).
+        const ManifestState now = loadManifest(manifest_path);
         JobRecord rec;
+        rec.attempts = attemptsOf(now, spec.id);
+        if (rec.attempts > attemptsOf(before, spec.id) &&
+            now.jobs.at(spec.id).status != JobStatus::Running)
+            continue;
         rec.id = spec.id;
         rec.workload = spec.workload;
         rec.policy = spec.policy;
-        rec.attempts = prior_attempts[spec.id];
 
         try {
             retryTransient(
                 config.maxRetries, config.backoffMs,
-                [&] {
-                    if (stopRequested())
-                        return false;
-                    ++retries;
-                    return true;
-                },
+                [&] { return !stopRequested(); },
                 [&] {
                     ++rec.attempts;
                     rec.status = JobStatus::Running;
                     manifest.append(rec);
                     const JobOutcome out = executeJob(spec);
-                    rec.status = out.status;
+                    rec.status = JobStatus::Complete;
                     rec.resultFile = out.resultFile;
                     rec.checksum = out.checksum;
                     rec.storeHash = out.storeHash;
@@ -325,7 +390,6 @@ CampaignRunner::run(bool resume)
                     rec.seconds = out.seconds;
                     manifest.append(rec);
                 });
-            ++completed;
         } catch (const SimError &e) {
             rec.status = e.kind() == ErrorKind::Timeout
                              ? JobStatus::TimedOut
@@ -333,7 +397,6 @@ CampaignRunner::run(bool resume)
             rec.errorKind = errorKindName(e.kind());
             rec.error = e.what();
             manifest.append(rec);
-            ++failed;
         } catch (const std::exception &e) {
             // bad_alloc and anything else unexpected: treat as an
             // internal failure of this job only.
@@ -341,24 +404,8 @@ CampaignRunner::run(bool resume)
             rec.errorKind = errorKindName(ErrorKind::InternalInvariant);
             rec.error = e.what();
             manifest.append(rec);
-            ++failed;
         }
-    };
-
-    {
-        ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(config.threads, jobs.size())));
-        for (const JobSpec &spec : jobs)
-            pool.submit([&runJob, &spec] { runJob(spec); });
-        pool.wait();
     }
-
-    result.completed = completed;
-    result.failed = failed;
-    result.skipped = skipped;
-    result.retries = retries;
-    result.stopped = stopped;
-    return result;
 }
 
 } // namespace rsr::harness

@@ -1,7 +1,9 @@
 /**
  * @file
  * The fault-tolerant campaign runner: executes a workload × warm-up-
- * policy matrix as independent jobs on a thread pool. One failing job —
+ * policy matrix as independent jobs on `shards` workers — the calling
+ * process for one shard, forked worker processes for more — over one
+ * claim table and one manifest journal (see shard.hh). One failing job —
  * a SimError, an injected I/O fault, a watchdog timeout, even an
  * internal-invariant violation — is recorded in the manifest and
  * skipped; the rest of the campaign keeps going. Transient failures
@@ -17,8 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "core/estimator.hh"
 #include "core/sampled_sim.hh"
@@ -69,8 +74,9 @@ struct CampaignConfig
      */
     std::string livepointDir;
 
-    /** Worker threads (>= 1). */
-    unsigned threads = 1;
+    /** Worker count (>= 1): one runs the jobs in the calling process,
+     *  more fork that many worker processes (see shard.hh). */
+    unsigned shards = 1;
     /** Extra attempts for retryable (transient) failures. */
     unsigned maxRetries = 2;
     /** Backoff before retry attempt k: backoffMs << k. */
@@ -82,30 +88,21 @@ struct CampaignConfig
     FaultConfig faults;
 
     /**
-     * When non-empty, the path of a ShardClaimTable (see shard.hh): a
-     * job is run only after this process wins its advisory claim, and a
-     * won claim is double-checked against the manifest so a job finished
-     * by a sibling that already exited is never rerun. Set by the
-     * sharded-campaign driver on each worker process.
-     */
-    std::string claimPath;
-
-    /**
-     * Open the manifest in Shared mode: no header write and no
-     * torn-line repair, because several worker processes append to the
-     * same journal (the sharded driver's parent writes the header or
-     * repairs the tail before it forks).
-     */
-    bool sharedManifest = false;
-
-    /**
      * Optional cooperative stop request (not owned; must outlive run()).
      * When it becomes true — a SIGINT/SIGTERM handler typically sets it —
      * no further jobs are dispatched and no further retries are slept
      * for; in-flight jobs finish and their manifest entries are flushed,
      * so `--resume` picks up exactly the jobs that never completed.
+     * With more than one shard, a stop raised in the calling process is
+     * sent on to the workers as SIGTERM, whose handler should raise the
+     * worker's copy of this flag (without one, the worker dies and
+     * resume reruns its unfinished job).
      */
     const std::atomic<bool> *stopFlag = nullptr;
+
+    /** Test hook: called with the worker pids once every worker of a
+     *  multi-shard run is forked (e.g. to SIGKILL them mid-run). */
+    std::function<void(const std::vector<pid_t> &)> onWorkersStarted;
 };
 
 /** One cell of the matrix. */
@@ -116,17 +113,20 @@ struct JobSpec
     std::string policy;
 };
 
-/** Aggregate outcome of one run() call. */
+/** Aggregate outcome of one run() call, tallied from the manifest as
+ *  it stood before and after the run, alike for every shard count. */
 struct CampaignResult
 {
     std::uint64_t total = 0;
+    /** Jobs this run attempted whose latest record is Complete. */
     std::uint64_t completed = 0;
+    /** Jobs this run attempted whose latest record is Failed/TimedOut. */
     std::uint64_t failed = 0;
     /** Jobs skipped because a previous run completed them. */
     std::uint64_t skipped = 0;
-    /** Transient failures that were retried. */
+    /** Extra attempts this run made: Σ (attempts this run − 1). */
     std::uint64_t retries = 0;
-    /** Jobs not run (or not retried) because a stop was requested. */
+    /** Every other job: not run (stop request) or its worker died. */
     std::uint64_t stopped = 0;
 
     bool allComplete() const { return completed + skipped == total; }
@@ -150,7 +150,9 @@ class CampaignRunner
      * Execute every job not already complete. With @p resume, load
      * outDir's manifest (whose fingerprint must match this config),
      * verify completed jobs' artifacts against their checksums, and
-     * skip them.
+     * skip them. Before any job runs, this process writes the manifest
+     * header (fresh) or truncates a torn tail (resume) and creates the
+     * claim table; the workers then only append.
      */
     CampaignResult run(bool resume = false);
 
@@ -164,11 +166,9 @@ class CampaignRunner
     static std::string manifestPath(const std::string &out_dir);
 
   private:
+    /** A completed job (a failed one throws instead). */
     struct JobOutcome
     {
-        JobStatus status = JobStatus::Failed;
-        std::string errorKind;
-        std::string error;
         std::string resultFile;
         std::string checksum;
         std::string storeHash;
@@ -178,6 +178,11 @@ class CampaignRunner
 
     /** Run one sampled simulation and write its result artifact. */
     JobOutcome executeJob(const JobSpec &spec);
+
+    /** One worker: claim, re-check and run each job not @p done
+     *  before the run, in id order (see shard.hh). */
+    void work(const std::vector<JobSpec> &jobs, const ManifestState &before,
+              const std::vector<bool> &done);
 
     CampaignConfig config;
 };

@@ -20,6 +20,14 @@ pickSimPoints(const func::Program &program, std::uint64_t total_insts,
         rsr_throw_user("SimPoint needs a non-empty interval (--interval 0)");
     if (config.maxK == 0)
         rsr_throw_user("SimPoint needs at least one cluster (--max-k 0)");
+    // Checked before any window is listed.
+    const std::uint64_t intervals = total_insts / config.intervalSize +
+                                    (total_insts % config.intervalSize != 0);
+    if (intervals > kMaxIntervals)
+        rsr_throw_user("SimPoint profiles at most ", kMaxIntervals,
+                       " intervals, but --insts ", total_insts,
+                       " at --interval ", config.intervalSize, " gives ",
+                       intervals, "; raise --interval");
     const BbvProfile prof =
         profileBbv(program, total_insts, config.intervalSize);
     const auto projected =

@@ -1,6 +1,7 @@
 #include "args.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "error.hh"
@@ -30,6 +31,28 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
+/** Parse @p s as an unsigned integer in [min, max], naming @p flag. */
+std::uint64_t
+parseBounded(const std::string &flag, const std::string &s, int base,
+             std::uint64_t min, std::uint64_t max)
+{
+    const char *what = min > 0 ? " expects a positive integer"
+                               : " expects a non-negative integer";
+    // strtoull accepts a sign and leading blanks and wraps "-5" to a huge
+    // value, so the text must start with a digit.
+    if (s.empty() || s[0] < '0' || s[0] > '9')
+        rsr_throw_user("--", flag, what, ", got '", s, "'");
+    errno = 0;
+    char *end = nullptr;
+    const auto v = std::strtoull(s.c_str(), &end, base);
+    if (*end != '\0' || v < min)
+        rsr_throw_user("--", flag, what, ", got '", s, "'");
+    if (errno == ERANGE || v > max)
+        rsr_throw_user("--", flag, " must be at most ", max, ", got '", s,
+                       "'");
+    return v;
+}
+
 } // namespace
 
 ArgParser::ArgParser(int argc, const char *const *argv)
@@ -47,67 +70,70 @@ ArgParser::ArgParser(int argc, const char *const *argv)
         std::string value;
         if (i < argc && std::string(argv[i]).rfind("--", 0) != 0)
             value = argv[i++];
-        flags[name] = value;
+        flags[name].push_back(value);
     }
+}
+
+const std::string *
+ArgParser::single(const std::string &flag) const
+{
+    const auto it = flags.find(flag);
+    if (it == flags.end())
+        return nullptr;
+    const auto &values = it->second;
+    if (values.size() > 1)
+        rsr_throw_user("--", flag, " given twice",
+                       values[0].empty() ? ""
+                                         : " ('" + values[0] + "' and '" +
+                                               values[1] + "')",
+                       "; give it once");
+    return &values[0];
 }
 
 bool
 ArgParser::has(const std::string &flag) const
 {
-    return flags.count(flag) > 0;
+    return single(flag) != nullptr;
 }
 
 std::string
 ArgParser::get(const std::string &flag, const std::string &fallback) const
 {
+    const std::string *value = single(flag);
+    return value ? *value : fallback;
+}
+
+std::vector<std::string>
+ArgParser::getAll(const std::string &flag) const
+{
     const auto it = flags.find(flag);
-    return it == flags.end() ? fallback : it->second;
+    return it == flags.end() ? std::vector<std::string>{} : it->second;
 }
 
 std::uint64_t
-ArgParser::getU64(const std::string &flag, std::uint64_t fallback) const
+ArgParser::getU64(const std::string &flag, std::uint64_t fallback,
+                  std::uint64_t max) const
 {
-    const auto it = flags.find(flag);
-    if (it == flags.end())
-        return fallback;
-    char *end = nullptr;
-    const auto v = std::strtoull(it->second.c_str(), &end, 0);
-    if (!end || *end != '\0' || it->second.empty())
-        rsr_throw_user("--", flag, " expects an integer, got '",
-                       it->second, "'");
-    return v;
+    return has(flag) ? parseBounded(flag, get(flag), 0, 0, max) : fallback;
 }
 
 std::uint64_t
-ArgParser::getPositiveU64(const std::string &flag,
-                          std::uint64_t fallback) const
+ArgParser::getPositiveU64(const std::string &flag, std::uint64_t fallback,
+                          std::uint64_t max) const
 {
-    const auto it = flags.find(flag);
-    if (it == flags.end())
-        return fallback;
-    const std::string &s = it->second;
-    // strtoull accepts a leading '-' and wraps, so insist on digits only.
-    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-        rsr_throw_user("--", flag, " expects a positive integer, got '",
-                       s, "'");
-    const auto v = std::strtoull(s.c_str(), nullptr, 10);
-    if (v == 0)
-        rsr_throw_user("--", flag, " expects a positive integer, got '",
-                       s, "'");
-    return v;
+    return has(flag) ? parseBounded(flag, get(flag), 10, 1, max) : fallback;
 }
 
 double
 ArgParser::getDouble(const std::string &flag, double fallback) const
 {
-    const auto it = flags.find(flag);
-    if (it == flags.end())
+    if (!has(flag))
         return fallback;
+    const std::string s = get(flag);
     char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (!end || *end != '\0' || it->second.empty())
-        rsr_throw_user("--", flag, " expects a number, got '",
-                       it->second, "'");
+    const double v = std::strtod(s.c_str(), &end);
+    if (!end || *end != '\0' || s.empty())
+        rsr_throw_user("--", flag, " expects a number, got '", s, "'");
     return v;
 }
 
@@ -115,7 +141,7 @@ std::vector<std::string>
 ArgParser::unknownFlags(const std::set<std::string> &allowed) const
 {
     std::vector<std::string> out;
-    for (const auto &[flag, value] : flags)
+    for (const auto &[flag, values] : flags)
         if (!allowed.count(flag))
             out.push_back(flag);
     return out;

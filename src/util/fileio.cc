@@ -22,12 +22,13 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+namespace
 {
-    if (FaultInjector::global().shouldFailIo("read:" + path))
-        rsr_throw_io("injected I/O fault reading ", path);
 
+/** The whole of @p path, past the fault hooks. */
+std::vector<std::uint8_t>
+readRaw(const std::string &path)
+{
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         rsr_throw_user("cannot open ", path, ": ", std::strerror(errno));
@@ -41,7 +42,17 @@ readFileBytes(const std::string &path)
     std::fclose(f);
     if (read_error)
         rsr_throw_io("read error on ", path);
+    return bytes;
+}
 
+} // namespace
+
+std::vector<std::uint8_t>
+readFileBytes(const std::string &path)
+{
+    if (FaultInjector::global().shouldFailIo("read:" + path))
+        rsr_throw_io("injected I/O fault reading ", path);
+    auto bytes = readRaw(path);
     FaultInjector::global().maybeCorrupt("corrupt:" + path, bytes);
     return bytes;
 }
@@ -141,7 +152,7 @@ LineJournal::append(const std::string &line)
 std::vector<std::string>
 readJournalLines(const std::string &path)
 {
-    const auto bytes = readFileBytes(path);
+    const auto bytes = readRaw(path);
     std::vector<std::string> lines;
     auto begin = bytes.begin();
     while (begin != bytes.end()) {

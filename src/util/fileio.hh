@@ -95,9 +95,11 @@ class LineJournal
 };
 
 /**
- * The non-empty lines of @p path, read with readFileBytes(). A torn
- * final line is returned like any other; loaders drop what fails to
- * parse.
+ * The non-empty lines of @p path. Like LineJournal::append, the read
+ * bypasses the fault-injection hooks: journal bookkeeping stays
+ * trustworthy while faults are injected into the work it records. A
+ * torn final line is returned like any other; loaders drop what fails
+ * to parse.
  */
 std::vector<std::string> readJournalLines(const std::string &path);
 

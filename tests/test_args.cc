@@ -94,6 +94,66 @@ TEST(ArgParser, PositiveU64RejectsZeroNegativeAndJunk)
     }
 }
 
+TEST(ArgParser, RepeatableFlagKeepsEveryValueInOrder)
+{
+    std::vector<const char *> argv{"prog", "run", "--set", "core.rob_size=16",
+                                   "--set", "core.issue_width=2"};
+    const ArgParser a(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(a.getAll("set"), (std::vector<std::string>{
+                                   "core.rob_size=16", "core.issue_width=2"}));
+    EXPECT_TRUE(a.getAll("missing").empty());
+}
+
+TEST(ArgParser, FlagGivenTwiceIsUserErrorOutsideGetAll)
+{
+    // Keeping only the last value would silently drop the earlier ones.
+    const auto a = parse({"run", "--set", "core.rob_size=16", "--set",
+                          "core.issue_width=2", "--csv", "--csv"});
+    try {
+        a.get("set");
+        FAIL() << "a repeated --set was read as one value";
+    } catch (const UserError &e) {
+        EXPECT_NE(std::string(e.what()).find("--set given twice"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(a.has("csv"), UserError);
+    EXPECT_THROW(a.getU64("set", 0), UserError);
+}
+
+TEST(ArgParser, U64RejectsSignsAndOverflowNamingTheFlag)
+{
+    // strtoull wraps "-5" to 2^64 - 5 and saturates on overflow.
+    for (const char *bad : {"-5", "+5", " 5", "18446744073709551616"}) {
+        const auto a = parse({"true-ipc", "--insts", bad});
+        try {
+            a.getU64("insts", 0);
+            ADD_FAILURE() << "--insts '" << bad << "' was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find("--insts"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ArgParser, BoundedIntegersRejectValuesAboveTheirType)
+{
+    // A truncating cast would turn `--port 70000` into port 4464.
+    const auto a = parse({"serve", "--port", "70000", "--shards",
+                          "4294967296"});
+    EXPECT_THROW(a.getU64("port", 0, 65535), UserError);
+    EXPECT_EQ(a.getU64("port", 0, 70000), 70000u);
+    EXPECT_THROW(a.getPositiveU64("shards", 1, 4294967295u), UserError);
+    try {
+        a.getU64("port", 0, 65535);
+    } catch (const UserError &e) {
+        EXPECT_NE(std::string(e.what()).find("--port must be at most 65535"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ArgParser, UnknownFlagRejectedWithSuggestion)
 {
     // The classic typo: --cluster-sizes used to be silently ignored.

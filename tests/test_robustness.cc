@@ -81,7 +81,6 @@ smallCampaign(const char *tag)
     cfg.clusters = 3;
     cfg.clusterSize = 500;
     cfg.machine = core::MachineConfig::scaledDefault();
-    cfg.threads = 1;
     cfg.maxRetries = 0;
     cfg.backoffMs = 1;
     // Fresh manifest regardless of leftovers from a previous test run.

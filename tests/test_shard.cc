@@ -3,9 +3,11 @@
  * Tests for process-sharded campaigns: the fcntl claim table's
  * cross-process exclusivity (which requires actual fork()ed processes —
  * POSIX record locks do not exclude within one process), shard-count
- * invariance of every deterministic result field, and the headline
- * fault-tolerance property: SIGKILL a shard worker mid-run and a resume
- * pass finishes the campaign with no lost or duplicated measurements.
+ * invariance of every deterministic result field and of the journal-
+ * derived tally, workers that survive injected I/O faults, and the
+ * headline fault-tolerance property: SIGKILL the shard workers mid-run
+ * and a resume pass finishes the campaign with no lost or duplicated
+ * measurements.
  *
  * These tests fork; they must not run under TSan (its runtime dies in
  * forked children) and are kept out of the CI TSan shard on purpose.
@@ -15,6 +17,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -48,7 +51,6 @@ shardCampaign(const char *tag)
     cfg.clusters = 3;
     cfg.clusterSize = 500;
     cfg.machine = core::MachineConfig::scaledDefault();
-    cfg.threads = 1;
     cfg.maxRetries = 0;
     cfg.backoffMs = 1;
     std::filesystem::remove_all(cfg.outDir);
@@ -148,10 +150,8 @@ TEST(ShardClaims, ExcludesAcrossProcessesUntilOwnerDies)
 TEST(ShardedCampaign, FourShardsCompleteTheWholeMatrix)
 {
     harness::CampaignConfig cfg = shardCampaign("four");
-    harness::ShardOptions opts;
-    opts.shards = 4;
-    const harness::CampaignResult r =
-        harness::runShardedCampaign(cfg, opts);
+    cfg.shards = 4;
+    const harness::CampaignResult r = harness::CampaignRunner(cfg).run();
     EXPECT_EQ(r.total, 6u);
     EXPECT_TRUE(r.allComplete()) << "completed " << r.completed
                                  << " skipped " << r.skipped;
@@ -172,14 +172,11 @@ TEST(ShardedCampaign, FourShardsCompleteTheWholeMatrix)
 TEST(ShardedCampaign, DeterministicFieldsInvariantAcrossShardCounts)
 {
     harness::CampaignConfig one = shardCampaign("inv1");
-    harness::ShardOptions opts1;
-    opts1.shards = 1;
-    ASSERT_TRUE(harness::runShardedCampaign(one, opts1).allComplete());
+    ASSERT_TRUE(harness::CampaignRunner(one).run().allComplete());
 
     harness::CampaignConfig four = shardCampaign("inv4");
-    harness::ShardOptions opts4;
-    opts4.shards = 4;
-    ASSERT_TRUE(harness::runShardedCampaign(four, opts4).allComplete());
+    four.shards = 4;
+    ASSERT_TRUE(harness::CampaignRunner(four).run().allComplete());
 
     const Journal a = readJournal(one.outDir);
     const Journal b = readJournal(four.outDir);
@@ -198,27 +195,27 @@ TEST(ShardedCampaign, KilledWorkerLosesNothingAfterResume)
 {
     harness::CampaignConfig cfg = shardCampaign("kill");
 
-    // One worker, SIGKILLed as soon as it exists: the run must stop with
-    // unfinished jobs journaled as such, never as phantom completions.
-    harness::ShardOptions first;
-    first.shards = 1;
-    first.onWorkersStarted = [](const std::vector<pid_t> &pids) {
-        ASSERT_EQ(pids.size(), 1u);
-        ::kill(pids[0], SIGKILL);
+    // Two workers, both SIGKILLed as soon as they exist: the run must
+    // stop with unfinished jobs journaled as such, never as phantom
+    // completions. (One shard runs in the calling process, so the
+    // killed leg needs two.)
+    cfg.shards = 2;
+    cfg.onWorkersStarted = [](const std::vector<pid_t> &pids) {
+        ASSERT_EQ(pids.size(), 2u);
+        for (const pid_t pid : pids)
+            ::kill(pid, SIGKILL);
     };
-    const harness::CampaignResult r1 =
-        harness::runShardedCampaign(cfg, first);
+    const harness::CampaignResult r1 = harness::CampaignRunner(cfg).run();
     EXPECT_EQ(r1.total, 6u);
     EXPECT_GT(r1.stopped, 0u);
     EXPECT_FALSE(r1.allComplete());
 
-    // Resume with four shards: the dead worker's claims died with it, so
-    // exactly the unfinished jobs are rerun.
-    harness::ShardOptions second;
-    second.shards = 4;
-    second.resume = true;
+    // Resume with four shards: the dead workers' claims died with them,
+    // so exactly the unfinished jobs are rerun.
+    cfg.shards = 4;
+    cfg.onWorkersStarted = nullptr;
     const harness::CampaignResult r2 =
-        harness::runShardedCampaign(cfg, second);
+        harness::CampaignRunner(cfg).run(/*resume=*/true);
     EXPECT_TRUE(r2.allComplete())
         << "completed " << r2.completed << " skipped " << r2.skipped
         << " failed " << r2.failed << " stopped " << r2.stopped;
@@ -233,6 +230,53 @@ TEST(ShardedCampaign, KilledWorkerLosesNothingAfterResume)
         EXPECT_TRUE(std::filesystem::is_regular_file(
             cfg.outDir + "/" + j.latest.at(id).resultFile));
     }
+}
+
+/** Stop flag for ParentStopReachesEveryWorker; each forked worker
+ *  raises its own copy from the inherited SIGTERM handler. */
+std::atomic<bool> g_stop{false};
+
+extern "C" void
+raiseStop(int)
+{
+    g_stop.store(true);
+}
+
+TEST(ShardedCampaign, ParentStopReachesEveryWorker)
+{
+    // A stop raised in the parent alone — a SIGTERM sent to its pid, not
+    // to the process group — must reach the workers. The handler is
+    // installed with SA_RESTART, as std::signal installs it, so a
+    // parent blocked in waitpid would never see the stop.
+    struct sigaction sa, prior;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = raiseStop;
+    sa.sa_flags = SA_RESTART;
+    ASSERT_EQ(::sigaction(SIGTERM, &sa, &prior), 0);
+
+    harness::CampaignConfig cfg = shardCampaign("parentstop");
+    g_stop.store(false);
+    cfg.stopFlag = &g_stop;
+    cfg.shards = 2;
+    cfg.onWorkersStarted = [](const std::vector<pid_t> &) {
+        g_stop.store(true);
+    };
+    const harness::CampaignResult r1 = harness::CampaignRunner(cfg).run();
+    ::sigaction(SIGTERM, &prior, nullptr);
+    EXPECT_GT(r1.stopped, 0u);
+
+    // The workers stopped gracefully: every record they left is terminal.
+    for (const auto &[id, rec] : readJournal(cfg.outDir).latest)
+        EXPECT_NE(rec.status, harness::JobStatus::Running) << "job " << id;
+
+    // And the manifest resumes to a complete campaign.
+    g_stop.store(false);
+    cfg.onWorkersStarted = nullptr;
+    const harness::CampaignResult r2 =
+        harness::CampaignRunner(cfg).run(/*resume=*/true);
+    EXPECT_TRUE(r2.allComplete())
+        << "completed " << r2.completed << " stopped " << r2.stopped;
+    EXPECT_EQ(r2.skipped, r1.completed);
 }
 
 TEST(ShardedCampaign, ResumeTruncatesTornManifestTailBeforeForking)
@@ -254,11 +298,9 @@ TEST(ShardedCampaign, ResumeTruncatesTornManifestTailBeforeForking)
     // truncate the tear before forking, or the first worker record
     // glues onto it and is lost to every later load.
     stop.store(false);
-    harness::ShardOptions opts;
-    opts.shards = 4;
-    opts.resume = true;
+    cfg.shards = 4;
     const harness::CampaignResult r =
-        harness::runShardedCampaign(cfg, opts);
+        harness::CampaignRunner(cfg).run(/*resume=*/true);
     EXPECT_TRUE(r.allComplete())
         << "completed " << r.completed << " stopped " << r.stopped;
     const harness::ManifestState state = harness::loadManifest(manifest);
@@ -266,6 +308,118 @@ TEST(ShardedCampaign, ResumeTruncatesTornManifestTailBeforeForking)
     ASSERT_EQ(state.jobs.size(), r.total);
     for (const auto &[id, rec] : state.jobs)
         EXPECT_EQ(rec.status, harness::JobStatus::Complete) << "job " << id;
+}
+
+/** The tally fields of a run, for whole-result comparisons. */
+std::vector<std::uint64_t>
+tally(const harness::CampaignResult &r)
+{
+    return {r.total,   r.completed, r.failed,
+            r.skipped, r.retries,   r.stopped};
+}
+
+/** Under injected I/O faults, seeded like
+ *  `campaign --shards 2 --fault-seed 7 --fault-io 0.3`. */
+harness::CampaignConfig
+faultyCampaign(const char *tag, unsigned shards)
+{
+    harness::CampaignConfig cfg = shardCampaign(tag);
+    cfg.shards = shards;
+    cfg.maxRetries = 2;
+    cfg.faults.seed = 7;
+    cfg.faults.ioFailProb = 0.3;
+    return cfg;
+}
+
+TEST(ShardedCampaign, WorkersSurviveInjectedIoFaults)
+{
+    // The claim re-check reads the manifest while faults are armed; it
+    // must bypass the hooks like the appends do, or an injected read
+    // fault kills the worker and strands its remaining jobs.
+    const harness::CampaignConfig cfg = faultyCampaign("faulty", 2);
+    const harness::CampaignResult r = harness::CampaignRunner(cfg).run();
+    EXPECT_EQ(r.stopped, 0u);
+    EXPECT_EQ(r.completed + r.failed, r.total);
+
+    const Journal j = readJournal(cfg.outDir);
+    ASSERT_EQ(j.latest.size(), r.total);
+    for (const auto &[id, rec] : j.latest) {
+        if (rec.status == harness::JobStatus::Complete)
+            continue;
+        EXPECT_EQ(rec.status, harness::JobStatus::Failed) << "job " << id;
+        EXPECT_EQ(rec.errorKind, "io") << "job " << id;
+    }
+}
+
+TEST(ShardedCampaign, RetriesCountedUnderShards)
+{
+    // Faults fire per (site, draw), and each job's sites (its artifact
+    // paths) are its own, so in one directory the same jobs retry
+    // whichever worker runs them.
+    const harness::CampaignResult r1 =
+        harness::CampaignRunner(faultyCampaign("retry", 1)).run();
+    const harness::CampaignConfig two = faultyCampaign("retry", 2);
+    const harness::CampaignResult r2 = harness::CampaignRunner(two).run();
+    EXPECT_GT(r2.retries, 0u);
+    EXPECT_EQ(tally(r1), tally(r2));
+
+    // The tally is the journal's: Σ (attempts − 1) over attempted jobs.
+    std::uint64_t extra = 0;
+    for (const auto &[id, rec] : readJournal(two.outDir).latest)
+        extra += rec.attempts - 1;
+    EXPECT_EQ(r2.retries, extra);
+}
+
+TEST(ShardedCampaign, TalliesEqualAcrossShardCountsOverResumes)
+{
+    std::vector<std::vector<std::uint64_t>> legs[2];
+    const unsigned shard_counts[2] = {1, 4};
+    for (int leg = 0; leg < 2; ++leg) {
+        harness::CampaignConfig cfg = shardCampaign(
+            leg == 0 ? "tally1" : "tally4");
+        cfg.shards = shard_counts[leg];
+        legs[leg].push_back(tally(harness::CampaignRunner(cfg).run()));
+        legs[leg].push_back(
+            tally(harness::CampaignRunner(cfg).run(/*resume=*/true)));
+        // Torn-tail leg: lose one result and tear the manifest's last
+        // line, as a SIGKILL mid-append would. Only that job reruns.
+        std::filesystem::remove(cfg.outDir + "/job-1.json");
+        {
+            std::ofstream out(
+                harness::CampaignRunner::manifestPath(cfg.outDir),
+                std::ios::app);
+            out << "{\"id\":1,\"wor";
+        }
+        legs[leg].push_back(
+            tally(harness::CampaignRunner(cfg).run(/*resume=*/true)));
+    }
+    // total, completed, failed, skipped, retries, stopped
+    EXPECT_EQ(legs[0][0], (std::vector<std::uint64_t>{6, 6, 0, 0, 0, 0}));
+    EXPECT_EQ(legs[0][1], (std::vector<std::uint64_t>{6, 0, 0, 6, 0, 0}));
+    EXPECT_EQ(legs[0][2], (std::vector<std::uint64_t>{6, 1, 0, 5, 0, 0}));
+    EXPECT_EQ(legs[0], legs[1]);
+}
+
+TEST(ShardedCampaign, EarlierFailureNotAttemptedCountsAsStopped)
+{
+    // A first run fails some jobs; a resume whose stop flag is up before
+    // any dispatch attempts none of them. Those jobs are stopped — not
+    // failed again, not skipped — and the completed ones are skipped.
+    harness::CampaignConfig cfg = shardCampaign("failedstop");
+    cfg.faults.seed = 0xfa017;
+    cfg.faults.ioFailProb = 0.7;
+    const harness::CampaignResult r1 = harness::CampaignRunner(cfg).run();
+    ASSERT_GT(r1.failed, 0u);
+
+    cfg.faults = FaultConfig{};
+    std::atomic<bool> stop{true};
+    cfg.stopFlag = &stop;
+    const harness::CampaignResult r2 =
+        harness::CampaignRunner(cfg).run(/*resume=*/true);
+    EXPECT_EQ(r2.failed, 0u);
+    EXPECT_EQ(r2.completed, 0u);
+    EXPECT_EQ(r2.skipped, r1.completed);
+    EXPECT_EQ(r2.stopped, r1.failed);
 }
 
 } // namespace

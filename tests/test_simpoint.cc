@@ -288,6 +288,24 @@ TEST(SimPoint, EmptyInputsAreUserErrorsNamingTheFlag)
     }
 }
 
+TEST(SimPoint, IntervalCountBeyondLimitIsUserErrorNamingBothFlags)
+{
+    // 10^12 one-instruction intervals: refused before any window list
+    // is allocated, so this test allocates nothing large.
+    const auto prog =
+        workload::buildSynthetic(workload::standardWorkloadParams("gcc"));
+    SimPointConfig cfg;
+    cfg.intervalSize = 1;
+    try {
+        pickSimPoints(prog, 1'000'000'000'000ull, cfg);
+        FAIL() << "10^12 intervals were accepted";
+    } catch (const UserError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--insts"), std::string::npos) << what;
+        EXPECT_NE(what.find("--interval"), std::string::npos) << what;
+    }
+}
+
 TEST(SimPoint, GoldenEstimatesMatchParentLoop)
 {
     // Figure 9's small-interval setting (4M instructions, 2000-instruction

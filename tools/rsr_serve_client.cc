@@ -6,7 +6,7 @@
  *   rsr_serve_client request --port P --workload W --policy P
  *                    [--insts N] [--clusters C] [--cluster-size S]
  *                    [--seed X] [--machine scaled|paper]
- *                    [--set key=V]... (repeatable via --set k1=v1,k2=v2)
+ *                    [--set key=V]... (repeatable, or --set k1=v1,k2=v2)
  *                    [--deadline-ms MS] [--timeout SECS]
  *   rsr_serve_client stats   --port P
  *   rsr_serve_client drain   --port P
@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,13 @@ requestFor(const ArgParser &args)
     req.clusterSize = args.getU64("cluster-size", req.clusterSize);
     req.seed = args.getU64("seed", req.seed);
     req.machineKind = args.get("machine", req.machineKind);
-    req.overrides = splitList(args.get("set"));
-    req.deadlineMs =
-        static_cast<std::uint32_t>(args.getU64("deadline-ms", 0));
+    for (const std::string &set : args.getAll("set")) {
+        const auto settings = splitList(set);
+        req.overrides.insert(req.overrides.end(), settings.begin(),
+                             settings.end());
+    }
+    req.deadlineMs = static_cast<std::uint32_t>(args.getU64(
+        "deadline-ms", 0, std::numeric_limits<std::uint32_t>::max()));
     req.canonicalize();
     return req;
 }
@@ -122,8 +127,8 @@ dispatch(const ArgParser &args)
     const std::string cmd_peek = args.command();
     if (!cmd_peek.empty() && !args.has("port"))
         rsr_throw_user("--port is required");
-    const auto port =
-        static_cast<std::uint16_t>(args.getPositiveU64("port", 0));
+    const auto port = static_cast<std::uint16_t>(args.getPositiveU64(
+        "port", 0, std::numeric_limits<std::uint16_t>::max()));
     const double timeout = args.getDouble("timeout", 30.0);
     const std::uint64_t request_id = args.getU64("request-id", 1);
 

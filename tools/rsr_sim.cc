@@ -34,8 +34,12 @@
  *                        [--max-k K] [--warm]
  *   rsr_sim campaign     --workloads gcc,vpr,twolf --policies none,smarts
  *                        --out DIR [--livepoints DIR] [--resume]
- *                        [--threads T] [--retries R] [--timeout SECS]
+ *                        [--shards N] [--retries R] [--timeout SECS]
  *                        [--fault-io P] [...]
+ *
+ * Each command takes its own flags and refuses every other; `--set` may
+ * be repeated (every setting applies, in order), any other flag is
+ * given at most once.
  *
  * Policies, on every command: none, smarts, scache, sbp, fp<pct>,
  * rsr<pct>, rcache<pct>, rbp (RSR variants accept a +stale suffix),
@@ -48,6 +52,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,7 +69,6 @@
 #include "harness/campaign.hh"
 #include "harness/estimator_run.hh"
 #include "harness/parallel_run.hh"
-#include "harness/shard.hh"
 #include "serve/daemon.hh"
 #include "serve/net_io.hh"
 #include "simpoint/simpoint.hh"
@@ -80,13 +86,18 @@ namespace
 
 using namespace rsr;
 
-/** Apply a `--set key=value` machine option, when given, to @p mc, and
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+/** The largest `--*-mb` value whose byte count fits in 64 bits. */
+constexpr std::uint64_t kMaxMegabytes =
+    std::numeric_limits<std::uint64_t>::max() >> 20;
+
+/** Apply every `--set key=value` machine option, in order, to @p mc, and
  *  check the resolved machine. */
 void
 applySetFlag(const ArgParser &args, core::MachineConfig &mc)
 {
-    if (args.has("set"))
-        core::applyMachineSetting(mc, args.get("set"));
+    for (const std::string &setting : args.getAll("set"))
+        core::applyMachineSetting(mc, setting);
     core::checkMachine(mc);
 }
 
@@ -123,7 +134,7 @@ workloadFor(const ArgParser &args)
 }
 
 int
-cmdListWorkloads()
+cmdListWorkloads(const ArgParser &)
 {
     TextTable t({"name", "stream", "chase", "branch bias", "funcs",
                  "recursion", "fp", "dispatch"});
@@ -208,7 +219,7 @@ cmdRun(const ArgParser &args)
     const auto opts = estimatorOptionsFor(args);
     const std::string policy_name = args.get("policy", "rsr20");
     const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1));
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
 
     const auto er =
         harness::runEstimator(program, policy_name, cfg, opts, jobs);
@@ -340,7 +351,7 @@ cmdReplay(const ArgParser &args)
     }
 
     const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1));
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
     // The replay computes the estimate the store's capture calls for
     // (ranked-set / stratified from the stored groups), bit-identical to
     // a direct run.
@@ -409,7 +420,7 @@ cmdSimPoint(const ArgParser &args)
     const auto insts = args.getU64("insts", 2'000'000);
     simpoint::SimPointConfig cfg;
     cfg.intervalSize = args.getU64("interval", 2000);
-    cfg.maxK = static_cast<unsigned>(args.getU64("max-k", 30));
+    cfg.maxK = static_cast<unsigned>(args.getU64("max-k", 30, kUnsignedMax));
     const auto sel = simpoint::pickSimPoints(program, insts, cfg);
     std::printf("selected %u simulation points (interval %llu)\n", sel.k,
                 static_cast<unsigned long long>(cfg.intervalSize));
@@ -439,17 +450,10 @@ splitList(const std::string &csv)
 int
 cmdCompare(const ArgParser &args)
 {
-    // The sweep samples uniformly: refuse sampling flags, never ignore them.
-    for (const char *flag :
-         {"sampling", "proxy", "set-size", "strata", "phase1", "rank-seed"})
-        if (args.has(flag))
-            rsr_throw_user("compare does not take --", flag,
-                           "; the sampling flags apply to run, mklvpt, "
-                           "replay and campaign");
     const auto program = workloadFor(args);
     const auto cfg = sampledConfigFor(args);
     const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1));
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
 
     // Default to the paper's full Table-2 matrix.
     const auto names = args.has("policies") ? splitList(args.get("policies"))
@@ -568,9 +572,12 @@ cmdCampaign(const ArgParser &args)
     cfg.machine = machineFor(args);
     cfg.sampling = estimatorOptionsFor(args);
     cfg.livepointDir = args.get("livepoints");
-    cfg.threads = static_cast<unsigned>(args.getU64("threads", 1));
-    cfg.maxRetries = static_cast<unsigned>(args.getU64("retries", 2));
-    cfg.backoffMs = static_cast<unsigned>(args.getU64("backoff-ms", 10));
+    cfg.shards = static_cast<unsigned>(
+        args.getPositiveU64("shards", 1, kUnsignedMax));
+    cfg.maxRetries =
+        static_cast<unsigned>(args.getU64("retries", 2, kUnsignedMax));
+    cfg.backoffMs =
+        static_cast<unsigned>(args.getU64("backoff-ms", 10, kUnsignedMax));
     cfg.jobTimeoutSec = args.getDouble("timeout", 0.0);
     cfg.faults.seed = args.getU64("fault-seed", 0);
     cfg.faults.ioFailProb = args.getDouble("fault-io", 0.0);
@@ -579,27 +586,15 @@ cmdCampaign(const ArgParser &args)
 
     // Graceful shutdown: SIGINT/SIGTERM stop dispatching new jobs while
     // in-flight jobs finish and flush their manifest entries, so the
-    // campaign directory stays resumable.
+    // campaign directory stays resumable. Forked shard workers inherit
+    // the handler; the runner forwards a stop this process gets alone
+    // as SIGTERM, and each worker stops on its own copy of the flag.
     g_campaignStop.store(false);
     cfg.stopFlag = &g_campaignStop;
 
-    const unsigned shards =
-        static_cast<unsigned>(args.getU64("shards", 1));
-    harness::CampaignResult r;
-    if (shards > 1) {
-        // Process sharding: fork workers that race for jobs via the
-        // claim table and append to one shared manifest. A killed worker
-        // only loses its in-flight jobs; --resume reruns exactly those.
-        harness::CampaignRunner runner(cfg); // validates the config
-        harness::ShardOptions opts;
-        opts.shards = shards;
-        opts.resume = resume;
-        r = harness::runShardedCampaign(cfg, opts);
-    } else {
-        harness::CampaignRunner runner(cfg);
-        const ScopedSignalHandlers guard(campaignSignalHandler);
-        r = runner.run(resume);
-    }
+    harness::CampaignRunner runner(cfg);
+    const ScopedSignalHandlers guard(campaignSignalHandler);
+    const harness::CampaignResult r = runner.run(resume);
     std::printf("campaign %s: %llu jobs, %llu completed, %llu skipped "
                 "(already done), %llu failed, %llu transient retries\n",
                 cfg.outDir.c_str(),
@@ -623,20 +618,22 @@ int
 cmdServe(const ArgParser &args)
 {
     serve::ServeConfig cfg;
-    cfg.port = static_cast<std::uint16_t>(args.getU64("port", 0));
-    cfg.threads =
-        static_cast<unsigned>(args.getPositiveU64("threads", 2));
+    cfg.port = static_cast<std::uint16_t>(args.getU64(
+        "port", 0, std::numeric_limits<std::uint16_t>::max()));
+    cfg.threads = static_cast<unsigned>(
+        args.getPositiveU64("threads", 2, kUnsignedMax));
     cfg.queueCapacity = args.getPositiveU64("queue-capacity", 16);
     cfg.shedFillFraction = args.getDouble("shed-fill", 0.75);
     cfg.ioDeadlineSec = args.getDouble("io-timeout", 5.0);
     cfg.requestDeadlineSec = args.getDouble("timeout", 120.0);
-    cfg.maxRetries = static_cast<unsigned>(args.getU64("retries", 1));
+    cfg.maxRetries =
+        static_cast<unsigned>(args.getU64("retries", 1, kUnsignedMax));
     cfg.backoffMs =
-        static_cast<unsigned>(args.getU64("backoff-ms", 5));
-    cfg.resultCacheBytes = args.getPositiveU64("result-cache-mb", 64)
-                           << 20;
-    cfg.storeCacheBytes = args.getPositiveU64("store-cache-mb", 256)
-                          << 20;
+        static_cast<unsigned>(args.getU64("backoff-ms", 5, kUnsignedMax));
+    cfg.resultCacheBytes =
+        args.getPositiveU64("result-cache-mb", 64, kMaxMegabytes) << 20;
+    cfg.storeCacheBytes =
+        args.getPositiveU64("store-cache-mb", 256, kMaxMegabytes) << 20;
     cfg.journalPath = args.get("journal");
     cfg.faults.seed = args.getU64("fault-seed", 0);
     cfg.faults.ioFailProb = args.getDouble("fault-io", 0.0);
@@ -707,16 +704,15 @@ usage()
         "--out DIR\n"
         "               [--insts N] [--clusters C] [--cluster-size S] "
         "[--seed X]\n"
-        "               [--livepoints DIR] [--threads T] [--retries R] "
+        "               [--livepoints DIR] [--shards N] [--retries R] "
         "[--backoff-ms MS]\n"
         "               [--timeout SECS] [--resume] [--fault-seed X] "
         "[--fault-io P]\n"
         "               [--fault-corrupt P] [--fault-alloc P] "
-        "[--shards N]\n"
-        "               [sampling flags]\n"
+        "[sampling flags]\n"
         "               (SIGINT/SIGTERM stop dispatching, let in-flight\n"
         "               jobs finish, and leave a resumable manifest;\n"
-        "               --shards forks N worker processes over one\n"
+        "               --shards N > 1 forks N worker processes over one\n"
         "               claim-locked manifest — a killed worker's jobs\n"
         "               are rerun by --resume, never lost or duplicated)\n"
         "  serve        [--port P] [--threads T] [--queue-capacity N]\n"
@@ -735,7 +731,8 @@ usage()
         "examples:\n"
         "  rsr_sim mklvpt --workload gcc --policy rsr40 --out gcc.lvpt\n"
         "  rsr_sim replay --store gcc.lvpt --jobs 4 --csv\n"
-        "  rsr_sim replay --store gcc.lvpt --set core.rob_size=256\n"
+        "  rsr_sim replay --store gcc.lvpt --set core.rob_size=256 "
+        "--set core.issue_width=8\n"
         "policies (every command): none smarts scache sbp fp<pct>\n"
         "  rsr<pct>[+stale] rcache<pct> rbp mrrl blrl\n"
         "sampling flags (run/mklvpt/replay/campaign):\n"
@@ -746,54 +743,115 @@ usage()
         "                        candidate oversampling (default 4)\n"
         "  --strata H --phase1 P two-phase strata and pilot per stratum\n"
         "  --rank-seed X         seed for set formation and pilot draws\n"
+        "each command refuses the flags it does not read; only --set\n"
+        "may be repeated (every setting applies, in order)\n"
         "exit status: 0 ok, 1 fatal, 2 campaign partially complete\n");
+}
+
+using Flags = std::set<std::string>;
+
+Flags
+operator+(Flags a, const Flags &b)
+{
+    a.insert(b.begin(), b.end());
+    return a;
+}
+
+const Flags kMachineFlags{"machine", "config", "set"};
+/** What sampledConfigFor() reads. */
+const Flags kSampledFlags =
+    kMachineFlags + Flags{"insts", "clusters", "cluster-size", "seed"};
+const Flags kSamplingFlags{"sampling", "proxy",  "set-size",
+                           "strata",   "phase1", "rank-seed"};
+const Flags kFaultFlags{"fault-seed", "fault-io", "fault-corrupt",
+                        "fault-alloc"};
+
+/** A command: its handler and exactly the flags it reads. */
+struct Command
+{
+    std::string name;
+    int (*handler)(const ArgParser &);
+    Flags flags;
+};
+
+const std::vector<Command> &
+commands()
+{
+    const Flags run = kSampledFlags + Flags{"workload", "policy"};
+    static const std::vector<Command> table{
+        {"list-workloads", cmdListWorkloads, {}},
+        {"true-ipc", cmdTrueIpc,
+         kMachineFlags + Flags{"workload", "insts", "stats"}},
+        {"run", cmdRun,
+         run + kSamplingFlags + Flags{"jobs", "csv", "true-ipc"}},
+        {"compare", cmdCompare,
+         kSampledFlags +
+             Flags{"workload", "policies", "jobs", "csv", "true-ipc"}},
+        {"mklvpt", cmdMkLvpt, run + kSamplingFlags + Flags{"out"}},
+        {"replay", cmdReplay,
+         run + kSamplingFlags + Flags{"store", "jobs", "csv"}},
+        {"record-trace", cmdRecordTrace, {"workload", "out", "insts"}},
+        {"sim-trace", cmdSimTrace, kMachineFlags + Flags{"trace", "insts"}},
+        {"simpoint", cmdSimPoint,
+         kMachineFlags +
+             Flags{"workload", "insts", "interval", "max-k", "warm"}},
+        {"campaign", cmdCampaign,
+         kSampledFlags + kSamplingFlags + kFaultFlags +
+             Flags{"workloads", "policies", "out", "livepoints", "resume",
+                   "shards", "retries", "backoff-ms", "timeout"}},
+        {"serve", cmdServe,
+         kFaultFlags + Flags{"port", "threads", "queue-capacity",
+                             "shed-fill", "io-timeout", "timeout",
+                             "retries", "backoff-ms", "result-cache-mb",
+                             "store-cache-mb", "journal", "fault-torn"}},
+    };
+    return table;
+}
+
+/**
+ * Refuse every flag @p cmd does not read, naming the nearest flag it
+ * does and the commands that take the refused one.
+ */
+void
+requireCommandFlags(const ArgParser &args, const Command &cmd)
+{
+    for (const std::string &flag : args.unknownFlags(cmd.flags)) {
+        std::ostringstream msg;
+        msg << cmd.name << " does not take --" << flag;
+        const std::string near = nearestName(flag, cmd.flags);
+        if (!near.empty())
+            msg << " (did you mean --" << near << "?)";
+        std::vector<std::string> takers;
+        for (const Command &other : commands())
+            if (other.flags.count(flag))
+                takers.push_back(other.name);
+        for (std::size_t i = 0; i < takers.size(); ++i)
+            msg << (i == 0                   ? "; it applies to "
+                    : i + 1 < takers.size() ? ", "
+                                            : " and ")
+                << takers[i];
+        rsr_throw_user(msg.str());
+    }
 }
 
 int
 dispatch(const ArgParser &args)
 {
-    const std::set<std::string> allowed{
-        "workload",  "insts",    "machine",  "policy",    "clusters",
-        "cluster-size", "seed",  "true-ipc", "csv",       "out",
-        "trace",     "interval", "max-k",    "warm",      "stats",
-        "config",    "set",      "store",    "workloads", "policies",
-        "threads",   "retries",  "backoff-ms", "timeout", "resume",
-        "fault-seed", "fault-io", "fault-corrupt", "fault-alloc",
-        "jobs",      "livepoints", "shards", "port", "queue-capacity",
-        "shed-fill", "io-timeout", "result-cache-mb", "store-cache-mb",
-        "journal",   "fault-torn", "sampling", "proxy", "set-size",
-        "strata",    "phase1",   "rank-seed"};
     if (args.has("help")) {
         usage();
         return 0;
     }
-    args.requireKnown(allowed);
-
-    const std::string cmd = args.command();
-    if (cmd == "list-workloads")
-        return cmdListWorkloads();
-    if (cmd == "true-ipc")
-        return cmdTrueIpc(args);
-    if (cmd == "run" || cmd == "sample")
-        return cmdRun(args);
-    if (cmd == "compare")
-        return cmdCompare(args);
-    if (cmd == "record-trace")
-        return cmdRecordTrace(args);
-    if (cmd == "mklvpt")
-        return cmdMkLvpt(args);
-    if (cmd == "replay")
-        return cmdReplay(args);
-    if (cmd == "sim-trace")
-        return cmdSimTrace(args);
-    if (cmd == "simpoint")
-        return cmdSimPoint(args);
-    if (cmd == "campaign")
-        return cmdCampaign(args);
-    if (cmd == "serve")
-        return cmdServe(args);
+    // `sample` is an alias of run.
+    const std::string name =
+        args.command() == "sample" ? "run" : args.command();
+    for (const Command &cmd : commands()) {
+        if (cmd.name != name)
+            continue;
+        requireCommandFlags(args, cmd);
+        return cmd.handler(args);
+    }
     usage();
-    return cmd.empty() ? 0 : 1;
+    return name.empty() ? 0 : 1;
 }
 
 } // namespace
