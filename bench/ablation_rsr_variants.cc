@@ -29,25 +29,10 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    std::vector<bench::PolicyFactory> factories;
-    for (double f : {0.2, 1.0}) {
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                std::make_unique<core::ReverseReconstructionWarmup>(
-                    true, true, f, core::PhtResolveMode::PaperTieBreak));
-        });
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                std::make_unique<core::ReverseReconstructionWarmup>(
-                    true, true, f, core::PhtResolveMode::ApplyToStale));
-        });
-    }
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::FunctionalWarmup::smarts());
-    });
-
-    bench::runAndPrintFigure("Ablation", factories, setups, "S$BP");
+    bench::runAndPrintFigure("Ablation",
+                             {"rsr20", "rsr20+stale", "rsr100",
+                              "rsr100+stale", "smarts"},
+                             setups, "S$BP");
 
     // MRRL/BLRL profile the exact cluster schedule the sampled run draws
     // (ClusterScheduleDriver prepares the policy with it); time(s)
@@ -59,7 +44,7 @@ main()
         TextTable t({"workload", "rel-error", "time(s)", "profile insts",
                      "mean warm len"});
         for (const auto &s : setups) {
-            core::ReuseLatencyWarmup policy(kind, 0.995);
+            core::FunctionalWarmup policy(kind, 0.995);
             const auto r = core::runSampled(s.program, policy, s.cfg);
             const auto &profile = policy.profile();
             double mean_len = 0;

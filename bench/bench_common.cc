@@ -144,13 +144,13 @@ benchJson(const std::string &bench, unsigned jobs)
 
 void
 runAndPrintFigure(const std::string &title,
-                  const std::vector<PolicyFactory> &factories,
+                  const std::vector<std::string> &policies,
                   const std::vector<WorkloadSetup> &setups,
                   const std::string &speedup_baseline)
 {
     std::vector<PolicyResults> all;
-    for (const auto &make : factories) {
-        auto policy = make();
+    for (const std::string &name : policies) {
+        auto policy = core::makePolicyByName(name);
         std::printf("running %-12s ...\n", policy->name().c_str());
         std::fflush(stdout);
         all.push_back(runPolicy(*policy, setups));

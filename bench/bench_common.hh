@@ -13,7 +13,6 @@
 #ifndef RSR_BENCH_COMMON_HH
 #define RSR_BENCH_COMMON_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,17 +73,14 @@ PolicyResults
 runPolicy(core::WarmupPolicy &policy,
           const std::vector<WorkloadSetup> &setups, unsigned repeats = 2);
 
-/** Factory signature for building fresh policies by name. */
-using PolicyFactory =
-    std::function<std::unique_ptr<core::WarmupPolicy>()>;
-
 /**
- * Standard figure harness: run each policy over all workloads and print
+ * Standard figure harness: run each policy, given by its
+ * core::makePolicyByName() name, over all workloads and print
  * (a) the averaged relative-error / time / work table (the paper's bar
  * charts) and (b) a per-workload relative-error appendix table.
  */
 void runAndPrintFigure(const std::string &title,
-                       const std::vector<PolicyFactory> &factories,
+                       const std::vector<std::string> &policies,
                        const std::vector<WorkloadSetup> &setups,
                        const std::string &speedup_baseline = "");
 

@@ -20,17 +20,9 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    std::vector<bench::PolicyFactory> factories;
-    for (double f : {0.2, 0.4, 0.8, 1.0})
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                core::ReverseReconstructionWarmup::cacheOnly(f));
-        });
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::FunctionalWarmup::smartsCacheOnly());
-    });
-
-    bench::runAndPrintFigure("Figure 5", factories, setups, "S$");
+    bench::runAndPrintFigure("Figure 5",
+                             {"rcache20", "rcache40", "rcache80",
+                              "rcache100", "scache"},
+                             setups, "S$");
     return 0;
 }

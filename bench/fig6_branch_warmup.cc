@@ -19,16 +19,6 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    std::vector<bench::PolicyFactory> factories;
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::ReverseReconstructionWarmup::bpOnly());
-    });
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::FunctionalWarmup::smartsBpOnly());
-    });
-
-    bench::runAndPrintFigure("Figure 6", factories, setups, "SBP");
+    bench::runAndPrintFigure("Figure 6", {"rbp", "sbp"}, setups, "SBP");
     return 0;
 }

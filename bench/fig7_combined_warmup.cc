@@ -22,26 +22,9 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    std::vector<bench::PolicyFactory> factories;
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            std::make_unique<core::NoWarmup>());
-    });
-    for (double f : {0.2, 0.4, 0.8})
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                core::FunctionalWarmup::fixedPeriod(f));
-        });
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::FunctionalWarmup::smarts());
-    });
-    for (double f : {0.2, 0.4, 0.8, 1.0})
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                core::ReverseReconstructionWarmup::full(f));
-        });
-
-    bench::runAndPrintFigure("Figure 7", factories, setups, "S$BP");
+    bench::runAndPrintFigure("Figure 7",
+                             {"none", "fp20", "fp40", "fp80", "smarts",
+                              "rsr20", "rsr40", "rsr80", "rsr100"},
+                             setups, "S$BP");
     return 0;
 }

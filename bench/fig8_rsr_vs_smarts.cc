@@ -22,25 +22,16 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    std::vector<bench::PolicyFactory> factories;
-    for (double f : {0.2, 0.4, 0.8, 1.0})
-        factories.push_back([f] {
-            return std::unique_ptr<core::WarmupPolicy>(
-                core::ReverseReconstructionWarmup::full(f));
-        });
-    factories.push_back([] {
-        return std::unique_ptr<core::WarmupPolicy>(
-            core::FunctionalWarmup::smarts());
-    });
-
-    bench::runAndPrintFigure("Figure 8", factories, setups, "S$BP");
+    bench::runAndPrintFigure("Figure 8",
+                             {"rsr20", "rsr40", "rsr80", "rsr100", "smarts"},
+                             setups, "S$BP");
 
     // The paper's headline metric: per-workload relative error of R$BP
     // with respect to the SMARTS estimate (not the true IPC).
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto smarts = core::makePolicyByName("smarts");
     const auto rs = bench::runPolicy(*smarts, setups);
     std::printf("\nR$BP (20%%) relative error with respect to SMARTS\n");
-    auto r20 = core::ReverseReconstructionWarmup::full(0.2);
+    auto r20 = core::makePolicyByName("rsr20");
     const auto rr = bench::runPolicy(*r20, setups);
     TextTable t({"workload", "S$BP IPC", "R$BP(20%) IPC", "RE vs SMARTS"});
     double sum = 0, worst = 0;

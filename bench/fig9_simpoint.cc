@@ -91,7 +91,7 @@ main()
         row.name = "R$BP (20%)";
         std::printf("running R$BP (20%%)   ...\n");
         std::fflush(stdout);
-        auto policy = core::ReverseReconstructionWarmup::full(0.2);
+        auto policy = core::makePolicyByName("rsr20");
         const auto res = bench::runPolicy(*policy, setups);
         for (std::size_t i = 0; i < setups.size(); ++i) {
             const double re = res.perWorkload[i].estimate.relativeError(

@@ -49,7 +49,7 @@ main()
     for (const auto &s : setups) {
         // Capture once under SMARTS warming (snapshots then fully
         // determine each cluster's initial state).
-        auto smarts = core::FunctionalWarmup::smarts();
+        auto smarts = core::makePolicyByName("smarts");
         WallTimer cap_timer;
         const auto store = core::LivePointStore::create(
             s.program, *smarts, s.cfg, s.params.name, "smarts");
@@ -73,7 +73,7 @@ main()
             auto cfg = s.cfg;
             cfg.machine.core.issueWidth = sweep[i].issueWidth;
             cfg.machine.core.robSize = sweep[i].robSize;
-            auto policy = core::FunctionalWarmup::smarts();
+            auto policy = core::makePolicyByName("smarts");
             rewarm_s += core::runSampled(s.program, *policy, cfg).seconds;
         }
 

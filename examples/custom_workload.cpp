@@ -101,12 +101,12 @@ main()
         core::runFull(program, cfg.totalInsts, cfg.machine).ipc();
     std::printf("true IPC = %.4f\n\n", true_ipc);
 
-    core::NoWarmup none;
-    auto smarts = core::FunctionalWarmup::smarts();
-    auto rsr20 = core::ReverseReconstructionWarmup::full(0.2);
-    auto rsr100 = core::ReverseReconstructionWarmup::full(1.0);
+    auto none = core::makePolicyByName("none");
+    auto smarts = core::makePolicyByName("smarts");
+    auto rsr20 = core::makePolicyByName("rsr20");
+    auto rsr100 = core::makePolicyByName("rsr100");
     for (core::WarmupPolicy *policy :
-         std::vector<core::WarmupPolicy *>{&none, smarts.get(),
+         std::vector<core::WarmupPolicy *>{none.get(), smarts.get(),
                                            rsr20.get(), rsr100.get()}) {
         const auto r = core::runSampled(program, *policy, cfg);
         std::printf("%-12s IPC %.4f  RE %5.2f%%  CI %s  %.3fs  "

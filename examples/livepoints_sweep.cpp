@@ -30,7 +30,7 @@ main(int argc, char **argv)
     cfg.machine = core::MachineConfig::scaledDefault();
 
     std::printf("capturing live-points for %s...\n", name.c_str());
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto smarts = core::makePolicyByName("smarts");
     const auto store = core::LivePointStore::create(program, *smarts, cfg,
                                                     name, "smarts");
     std::printf("  %zu points, %.1f MB (state + cluster traces, "
@@ -56,7 +56,7 @@ main(int argc, char **argv)
 
     // Sanity: the baseline replay equals the sampled run the capture
     // pass mirrors.
-    auto smarts2 = core::FunctionalWarmup::smarts();
+    auto smarts2 = core::makePolicyByName("smarts");
     const auto conventional = core::runSampled(program, *smarts2, cfg);
     const auto replayed = harness::replayStoreParallel(store, 1);
     std::printf("\nbaseline check: replay IPC %.6f vs sampled run %.6f "

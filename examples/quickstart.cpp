@@ -64,21 +64,21 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cfg.regimen.numClusters),
                 static_cast<unsigned long long>(cfg.regimen.clusterSize));
 
-    core::NoWarmup none;
-    report(none);
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto none = core::makePolicyByName("none");
+    report(*none);
+    auto smarts = core::makePolicyByName("smarts");
     report(*smarts);
-    auto scache = core::FunctionalWarmup::smartsCacheOnly();
+    auto scache = core::makePolicyByName("scache");
     report(*scache);
-    auto sbp = core::FunctionalWarmup::smartsBpOnly();
+    auto sbp = core::makePolicyByName("sbp");
     report(*sbp);
-    auto rcache = core::ReverseReconstructionWarmup::cacheOnly(1.0);
+    auto rcache = core::makePolicyByName("rcache100");
     report(*rcache);
-    auto rbp = core::ReverseReconstructionWarmup::bpOnly();
+    auto rbp = core::makePolicyByName("rbp");
     report(*rbp);
-    auto rsr20 = core::ReverseReconstructionWarmup::full(0.2);
+    auto rsr20 = core::makePolicyByName("rsr20");
     report(*rsr20);
-    auto rsr100 = core::ReverseReconstructionWarmup::full(1.0);
+    auto rsr100 = core::makePolicyByName("rsr100");
     report(*rsr100);
 
     return 0;

@@ -10,13 +10,14 @@ namespace
 {
 
 /**
- * The skip inner loop, templated on the concrete policy type. When @p P
- * is one of the final policy classes the onSkipInst() call resolves
- * statically and inlines; the WarmupPolicy instantiation is the generic
- * virtual fallback for user-defined policies.
+ * The skip inner loop, templated on the concrete final policy type so
+ * that the onSkipInst() call resolves statically and inlines. Each
+ * instantiation stays a function of its own: inlined into
+ * SkipPhase::run, GCC inlines FuncSim::step into a different loop and
+ * the functional-warming skip phases run 14-30% slower (PERFORMANCE.md).
  */
 template <typename P>
-void
+[[gnu::noinline]] void
 skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
          std::uint64_t iline_mask, std::uint64_t begin, std::uint64_t end,
          std::uint64_t last_iblock)
@@ -65,18 +66,12 @@ SkipPhase::run(std::uint64_t skip_len)
         last_iblock = last_pc & ilineMask;
     }
 
-    if (auto *p = dynamic_cast<NoWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else if (auto *p = dynamic_cast<ReverseReconstructionWarmup *>(&policy))
+    if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy))
         skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
                  last_iblock);
     else
-        skipLoop(policy, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
+        skipLoop(dynamic_cast<ReverseReconstructionWarmup &>(policy), fs,
+                 deadline, ilineMask, observe_from, skip_len, last_iblock);
     counters.skipInsts += skip_len;
     counters.skipSeconds += timer.seconds();
 }
@@ -125,7 +120,6 @@ CapturePhase::run(std::size_t index, const Cluster &cluster)
             machine.bp.warmApply(d.pc, d.inst.branchKind(), d.taken,
                                  d.nextPc);
     }
-    policy.afterCluster();
     counters.captureSeconds += capture.seconds();
     return task;
 }

@@ -109,57 +109,4 @@ profileReuseLatency(const func::Program &program,
     return prof;
 }
 
-ReuseLatencyWarmup::ReuseLatencyWarmup(ReuseLatencyKind kind,
-                                       double percentile)
-    : percentile(percentile)
-{
-    profile_.kind = kind;
-}
-
-void
-ReuseLatencyWarmup::prepare(const func::Program &program,
-                            const std::vector<Cluster> &schedule,
-                            const Deadline *deadline)
-{
-    profile_ = profileReuseLatency(program, schedule, profile_.kind,
-                                   percentile, deadline);
-    region = 0;
-}
-
-std::string
-ReuseLatencyWarmup::name() const
-{
-    return profile_.kind == ReuseLatencyKind::Mrrl ? "MRRL" : "BLRL";
-}
-
-void
-ReuseLatencyWarmup::beginSkip(std::uint64_t skip_len)
-{
-    rsr_assert(region < profile_.warmupLengths.size(),
-               "more skip regions than the profile covers — prepare() "
-               "the policy with the run's schedule first");
-    const std::uint64_t warm =
-        std::min(profile_.warmupLengths[region], skip_len);
-    warmStart = skip_len - warm;
-    skipPos = 0;
-    ++region;
-}
-
-void
-ReuseLatencyWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
-{
-    if (skipPos++ < warmStart)
-        return;
-    const std::uint64_t before = machine->hier.warmUpdates();
-    if (new_fetch_block)
-        machine->hier.warmAccess(d.pc, false, true);
-    if (d.inst.isMem())
-        machine->hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-    work_.functionalUpdates += machine->hier.warmUpdates() - before;
-    if (d.isBranch()) {
-        machine->bp.warmApply(d.pc, d.inst.branchKind(), d.taken, d.nextPc);
-        ++work_.functionalUpdates;
-    }
-}
-
 } // namespace rsr::core

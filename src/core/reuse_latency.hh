@@ -19,7 +19,8 @@
  * Both require a profiling pass over the full dynamic stream, and the
  * profile is valid only for the exact cluster schedule it was computed
  * against — the contrast the paper draws with RSR's no-profiling,
- * on-demand reconstruction.
+ * on-demand reconstruction. The policy is FunctionalWarmup (warmup.hh)
+ * built from a ReuseLatencyKind: it warms each region's profiled tail.
  */
 
 #ifndef RSR_CORE_REUSE_LATENCY_HH
@@ -29,8 +30,8 @@
 #include <vector>
 
 #include "core/regimen.hh"
-#include "core/warmup.hh"
 #include "func/program.hh"
+#include "util/deadline.hh"
 
 namespace rsr::core
 {
@@ -68,38 +69,6 @@ profileReuseLatency(const func::Program &program,
                     const std::vector<Cluster> &schedule,
                     ReuseLatencyKind kind, double percentile = 0.995,
                     const Deadline *deadline = nullptr);
-
-/**
- * Warm-up policy driven by a reuse-latency profile: functional warming
- * over the last profile.warmupLengths[i] instructions of skip region i.
- * prepare() profiles the exact schedule the run is about to measure, so
- * the policy runs on every sampled-run surface
- * (`makePolicyByName("mrrl")`).
- */
-class ReuseLatencyWarmup : public WarmupPolicy
-{
-  public:
-    /** @p percentile: the fraction of reuses the warm-up must cover. */
-    explicit ReuseLatencyWarmup(ReuseLatencyKind kind,
-                                double percentile = 0.995);
-
-    std::string name() const override;
-    void prepare(const func::Program &program,
-                 const std::vector<Cluster> &schedule,
-                 const Deadline *deadline) override;
-    void beginSkip(std::uint64_t skip_len) override;
-    void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
-
-    /** The profile of the last prepared schedule. */
-    const ReuseLatencyProfile &profile() const { return profile_; }
-
-  private:
-    double percentile;
-    ReuseLatencyProfile profile_;
-    std::size_t region = 0;
-    std::uint64_t skipPos = 0;
-    std::uint64_t warmStart = 0;
-};
 
 } // namespace rsr::core
 

@@ -1,9 +1,10 @@
 #include "warmup.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
-#include "core/reuse_latency.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 #include "util/snapshot.hh"
@@ -40,44 +41,48 @@ FunctionalWarmup::FunctionalWarmup(bool warm_cache, bool warm_bp,
     : warmCache(warm_cache), warmBp(warm_bp), fraction(fraction),
       label(std::move(label))
 {
-    rsr_assert(fraction > 0.0 && fraction <= 1.0,
+    rsr_assert(fraction >= 0.0 && fraction <= 1.0,
                "functional warm-up fraction out of range");
-    rsr_assert(warm_cache || warm_bp, "warming nothing is NoWarmup");
+    rsr_assert((warm_cache || warm_bp) == (fraction > 0.0),
+               "warming nothing is fraction 0 (None)");
+}
+
+FunctionalWarmup::FunctionalWarmup(ReuseLatencyKind kind, double percentile)
+    : FunctionalWarmup(true, true, 1.0,
+                       kind == ReuseLatencyKind::Mrrl ? "MRRL" : "BLRL")
+{
+    profiled = true;
+    this->percentile = percentile;
+    profile_.kind = kind;
+}
+
+void
+FunctionalWarmup::prepare(const func::Program &program,
+                          const std::vector<Cluster> &schedule,
+                          const Deadline *deadline)
+{
+    if (!profiled)
+        return;
+    profile_ = profileReuseLatency(program, schedule, profile_.kind,
+                                   percentile, deadline);
+    region = 0;
 }
 
 void
 FunctionalWarmup::beginSkip(std::uint64_t skip_len)
 {
-    skipLen = skip_len;
-    skipPos = 0;
-    // Warm the instructions in [warmStart, skipLen).
-    warmStart = skip_len - static_cast<std::uint64_t>(std::llround(
-                               static_cast<double>(skip_len) * fraction));
-}
-
-std::unique_ptr<FunctionalWarmup>
-FunctionalWarmup::smarts()
-{
-    return std::make_unique<FunctionalWarmup>(true, true, 1.0, "S$BP");
-}
-
-std::unique_ptr<FunctionalWarmup>
-FunctionalWarmup::smartsCacheOnly()
-{
-    return std::make_unique<FunctionalWarmup>(true, false, 1.0, "S$");
-}
-
-std::unique_ptr<FunctionalWarmup>
-FunctionalWarmup::smartsBpOnly()
-{
-    return std::make_unique<FunctionalWarmup>(false, true, 1.0, "SBP");
-}
-
-std::unique_ptr<FunctionalWarmup>
-FunctionalWarmup::fixedPeriod(double fraction)
-{
-    return std::make_unique<FunctionalWarmup>(true, true, fraction,
-                                              percentLabel("FP", fraction));
+    // Warm the instructions in [warmStart, skip_len).
+    std::uint64_t warm_len;
+    if (profiled) {
+        rsr_assert(region < profile_.warmupLengths.size(),
+                   "more skip regions than the profile covers — prepare() "
+                   "the policy with the run's schedule first");
+        warm_len = std::min(profile_.warmupLengths[region++], skip_len);
+    } else {
+        warm_len = static_cast<std::uint64_t>(
+            std::llround(static_cast<double>(skip_len) * fraction));
+    }
+    warmStart = skip_len - warm_len;
 }
 
 // --------------------------------------------------------------------------
@@ -92,10 +97,8 @@ ReverseReconstructionWarmup::ReverseReconstructionWarmup(
 {
     rsr_assert(fraction > 0.0 && fraction <= 1.0,
                "reconstruction fraction out of range");
-    rsr_assert(warm_cache || warm_bp, "reconstructing nothing is NoWarmup");
+    rsr_assert(warm_cache || warm_bp, "reconstructing nothing is None");
 }
-
-ReverseReconstructionWarmup::~ReverseReconstructionWarmup() = default;
 
 std::string
 ReverseReconstructionWarmup::name() const
@@ -136,71 +139,46 @@ ReverseReconstructionWarmup::beforeCluster()
     }
 }
 
-namespace
-{
+// --------------------------------------------------------------------------
+// MeasureContext
+// --------------------------------------------------------------------------
 
-/**
- * Measurement-time half of RBP/R$BP: owns the branch half of the skip
- * log (moved out of the policy, so it survives deferred replay on a
- * worker thread) and runs the on-demand reconstructor against whichever
- * machine measures the cluster.
- */
-class BranchReconstructionContext : public MeasureContext
-{
-  public:
-    BranchReconstructionContext(SkipLog &&branch_log, PhtResolveMode mode)
-        : log(std::move(branch_log)), mode(mode)
-    {}
-
-    void
-    attach(Machine &m) override
-    {
-        recon = std::make_unique<BranchReconstructor>(m.bp, mode);
-        recon->begin(log);
-    }
-
-    std::uint64_t
-    detach(Machine &) override
-    {
-        const auto &st = recon->stats();
-        const std::uint64_t updates = st.phtReconstructed +
-                                      st.btbReconstructed +
-                                      st.rasReconstructed;
-        recon->end();
-        recon.reset();
-        return updates;
-    }
-
-    void
-    snapshot(Serializer &out) const override
-    {
-        out.begin(contextTag, contextVersion);
-        out.putU8(static_cast<std::uint8_t>(mode));
-        out.putU32(log.ghrAtStart);
-        out.putU64(log.branches.size());
-        for (const auto &b : log.branches) {
-            out.putU64(b.pc);
-            out.putU64(b.target);
-            out.putU8(static_cast<std::uint8_t>(b.kind));
-            out.putU8(b.taken ? 1 : 0);
-        }
-        out.end();
-    }
-
-  private:
-    SkipLog log;
-    PhtResolveMode mode;
-    std::unique_ptr<BranchReconstructor> recon;
-};
-
-} // namespace
+MeasureContext::MeasureContext(SkipLog &&branch_log, PhtResolveMode mode)
+    : log(std::move(branch_log)), mode(mode)
+{}
 
 void
-MeasureContext::snapshot(Serializer &) const
+MeasureContext::attach(Machine &m)
 {
-    rsr_throw_user(
-        "this warm-up policy's measure context does not support "
-        "live-point capture");
+    recon = std::make_unique<BranchReconstructor>(m.bp, mode);
+    recon->begin(log);
+}
+
+std::uint64_t
+MeasureContext::detach(Machine &)
+{
+    const auto &st = recon->stats();
+    const std::uint64_t updates =
+        st.phtReconstructed + st.btbReconstructed + st.rasReconstructed;
+    recon->end();
+    recon.reset();
+    return updates;
+}
+
+void
+MeasureContext::snapshot(Serializer &out) const
+{
+    out.begin(contextTag, contextVersion);
+    out.putU8(static_cast<std::uint8_t>(mode));
+    out.putU32(log.ghrAtStart);
+    out.putU64(log.branches.size());
+    for (const auto &b : log.branches) {
+        out.putU64(b.pc);
+        out.putU64(b.target);
+        out.putU8(static_cast<std::uint8_t>(b.kind));
+        out.putU8(b.taken ? 1 : 0);
+    }
+    out.end();
 }
 
 std::unique_ptr<MeasureContext>
@@ -218,22 +196,26 @@ restoreMeasureContext(Deserializer &in)
     SkipLog log;
     log.ghrAtStart = in.getU32();
     const std::uint64_t count = in.getU64();
+    if (count > in.frameRemaining() / 18) // 18 payload bytes per record
+        rsr_throw_corrupt("measure-context frame claims ", count,
+                          " branch records in ", in.frameRemaining(),
+                          " bytes");
     log.branches.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         BranchRecord b;
         b.pc = in.getU64();
         b.target = in.getU64();
         const std::uint8_t kind_raw = in.getU8();
-        if (kind_raw > static_cast<std::uint8_t>(isa::BranchKind::IndirectJump))
+        if (kind_raw > static_cast<std::uint8_t>(BranchKind::IndirectJump))
             rsr_throw_corrupt("measure-context branch record ", i,
                               " has unknown branch kind ",
                               unsigned{kind_raw});
-        b.kind = static_cast<isa::BranchKind>(kind_raw);
+        b.kind = static_cast<BranchKind>(kind_raw);
         b.taken = in.getU8() != 0;
         log.branches.push_back(b);
     }
     in.end();
-    return std::make_unique<BranchReconstructionContext>(
+    return std::make_unique<MeasureContext>(
         std::move(log), static_cast<PhtResolveMode>(mode_raw));
 }
 
@@ -243,40 +225,13 @@ ReverseReconstructionWarmup::makeMeasureContext()
     if (!warmBp)
         return nullptr;
     // Hand the branch records to the context; the memory half stays here
-    // (it was consumed eagerly by beforeCluster) and afterCluster drops
-    // it as usual.
+    // (it was consumed eagerly by beforeCluster) until the next
+    // beginSkip() clears the log.
     SkipLog branch_log;
     branch_log.branches = std::move(skipLog.branches);
     branch_log.ghrAtStart = skipLog.ghrAtStart;
     skipLog.branches.clear();
-    return std::make_unique<BranchReconstructionContext>(
-        std::move(branch_log), phtMode);
-}
-
-void
-ReverseReconstructionWarmup::afterCluster()
-{
-    skipLog.clear();
-}
-
-std::unique_ptr<ReverseReconstructionWarmup>
-ReverseReconstructionWarmup::cacheOnly(double fraction)
-{
-    return std::make_unique<ReverseReconstructionWarmup>(true, false,
-                                                         fraction);
-}
-
-std::unique_ptr<ReverseReconstructionWarmup>
-ReverseReconstructionWarmup::bpOnly()
-{
-    return std::make_unique<ReverseReconstructionWarmup>(false, true, 1.0);
-}
-
-std::unique_ptr<ReverseReconstructionWarmup>
-ReverseReconstructionWarmup::full(double fraction)
-{
-    return std::make_unique<ReverseReconstructionWarmup>(true, true,
-                                                         fraction);
+    return std::make_unique<MeasureContext>(std::move(branch_log), phtMode);
 }
 
 // --------------------------------------------------------------------------
@@ -284,49 +239,56 @@ ReverseReconstructionWarmup::full(double fraction)
 std::unique_ptr<WarmupPolicy>
 makePolicyByName(const std::string &name)
 {
-    std::string base = name;
-    PhtResolveMode mode = PhtResolveMode::PaperTieBreak;
-    if (const auto pos = base.rfind("+stale");
-        pos != std::string::npos && pos == base.size() - 6) {
-        mode = PhtResolveMode::ApplyToStale;
-        base = base.substr(0, pos);
-    }
+    std::string_view base = name;
+    const bool stale = base.ends_with("+stale");
+    if (stale)
+        base.remove_suffix(6);
+    const PhtResolveMode mode = stale ? PhtResolveMode::ApplyToStale
+                                      : PhtResolveMode::PaperTieBreak;
 
+    // One spelling per percentage ("rsr20", never "rsr020"), so that
+    // one policy has one name and one store key.
     auto percent_of = [&](std::size_t prefix_len) {
-        const std::string digits = base.substr(prefix_len);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            rsr_throw_user("bad warm-up percentage in '", name, "'");
-        const int pct = std::atoi(digits.c_str());
-        if (pct <= 0 || pct > 100)
-            rsr_throw_user("warm-up percentage out of range in '", name,
-                           "'");
+        const std::string_view digits = base.substr(prefix_len);
+        unsigned pct = 0;
+        const auto [end, ec] = std::from_chars(
+            digits.data(), digits.data() + digits.size(), pct);
+        if (ec != std::errc{} || end != digits.data() + digits.size() ||
+            digits.front() == '0' || pct > 100)
+            rsr_throw_user("bad warm-up percentage in '", name,
+                           "': expected 1-100 with no leading zero");
         return pct / 100.0;
     };
 
-    if (base == "none")
-        return std::make_unique<NoWarmup>();
-    if (base == "smarts")
-        return FunctionalWarmup::smarts();
-    if (base == "scache")
-        return FunctionalWarmup::smartsCacheOnly();
-    if (base == "sbp")
-        return FunctionalWarmup::smartsBpOnly();
-    if (base.rfind("fp", 0) == 0)
-        return FunctionalWarmup::fixedPeriod(percent_of(2));
-    if (base.rfind("rsr", 0) == 0)
+    if (base.starts_with("rsr"))
         return std::make_unique<ReverseReconstructionWarmup>(
             true, true, percent_of(3), mode);
-    if (base.rfind("rcache", 0) == 0)
+    if (base.starts_with("rcache"))
         return std::make_unique<ReverseReconstructionWarmup>(
             true, false, percent_of(6), mode);
     if (base == "rbp")
         return std::make_unique<ReverseReconstructionWarmup>(false, true,
                                                              1.0, mode);
-    if (name == "mrrl")
-        return std::make_unique<ReuseLatencyWarmup>(ReuseLatencyKind::Mrrl);
-    if (name == "blrl")
-        return std::make_unique<ReuseLatencyWarmup>(ReuseLatencyKind::Blrl);
+    if (stale)
+        rsr_throw_user("warm-up policy '", name, "': the +stale suffix "
+                       "applies only to rsr<pct>, rcache<pct> and rbp");
+    if (base == "none")
+        return std::make_unique<FunctionalWarmup>(false, false, 0.0, "None");
+    if (base == "smarts")
+        return std::make_unique<FunctionalWarmup>(true, true, 1.0, "S$BP");
+    if (base == "scache")
+        return std::make_unique<FunctionalWarmup>(true, false, 1.0, "S$");
+    if (base == "sbp")
+        return std::make_unique<FunctionalWarmup>(false, true, 1.0, "SBP");
+    if (base.starts_with("fp")) {
+        const double fraction = percent_of(2);
+        return std::make_unique<FunctionalWarmup>(
+            true, true, fraction, percentLabel("FP", fraction));
+    }
+    if (base == "mrrl")
+        return std::make_unique<FunctionalWarmup>(ReuseLatencyKind::Mrrl);
+    if (base == "blrl")
+        return std::make_unique<FunctionalWarmup>(ReuseLatencyKind::Blrl);
     rsr_throw_user("unknown warm-up policy '", name,
                    "'; known: none, smarts, scache, sbp, fp<pct>, "
                    "rsr<pct>, rcache<pct>, rbp (+stale suffix for RSR "

@@ -14,9 +14,12 @@
  *                   cluster, and rebuild branch-predictor entries
  *                   on demand during the cluster
  *
- * A policy observes every skipped instruction (the cold/warm phases) and
- * is notified at skip and cluster boundaries; the controller in
- * sampled_sim.hh drives it.
+ * and the reuse-latency baselines MRRL and BLRL (reuse_latency.hh). Two
+ * mechanisms cover them all: FunctionalWarmup warms the tail of each
+ * skip region (None, FP, S$, SBP, S$BP, MRRL, BLRL), and
+ * ReverseReconstructionWarmup logs the region and reconstructs from the
+ * log (R$, RBP, R$BP). makePolicyByName() builds every policy; the
+ * phases in phase_driver.hh drive it.
  */
 
 #ifndef RSR_CORE_WARMUP_HH
@@ -31,6 +34,7 @@
 #include "core/cache_reconstructor.hh"
 #include "core/machine.hh"
 #include "core/regimen.hh"
+#include "core/reuse_latency.hh"
 #include "core/skip_log.hh"
 #include "func/dyninst.hh"
 #include "func/program.hh"
@@ -60,35 +64,39 @@ struct WarmupWork
 };
 
 /**
- * Per-cluster measurement-time state a policy wants active *during* the
- * hot phase — RSR's on-demand branch reconstruction is the canonical
- * example. A context is created by the policy at the cluster boundary
- * (after beforeCluster()), owns everything it needs (it may outlive the
- * policy's per-skip log), and is attached to whichever machine actually
- * executes the cluster: the replay machine restored from the cluster's
- * snapshot, on whichever thread replays it.
+ * Measurement-time half of RBP/R$BP: on-demand branch reconstruction,
+ * active *during* the hot phase. ReverseReconstructionWarmup creates it
+ * at the cluster boundary (after beforeCluster()) from the branch half
+ * of the skip log, which the context owns, so it outlives the policy's
+ * per-skip log. It is attached to whichever machine actually executes
+ * the cluster: the replay machine restored from the cluster's snapshot,
+ * on whichever thread replays it.
  */
 class MeasureContext
 {
   public:
-    virtual ~MeasureContext() = default;
+    MeasureContext(SkipLog &&branch_log, PhtResolveMode mode);
 
     /** Arm the context on the machine about to measure the cluster. */
-    virtual void attach(Machine &machine) = 0;
+    void attach(Machine &machine);
 
     /**
      * Disarm after the cluster completes.
      * @return reconstruction work units applied on demand.
      */
-    virtual std::uint64_t detach(Machine &machine) = 0;
+    std::uint64_t detach(Machine &machine);
 
     /**
      * Serialize this context as one framed snapshot so a live-point
      * store can replay the cluster later with identical on-demand
-     * warming. The default refuses (UserError): a context that cannot
-     * round-trip must not be silently dropped from a store.
+     * warming.
      */
-    virtual void snapshot(Serializer &out) const;
+    void snapshot(Serializer &out) const;
+
+  private:
+    SkipLog log;
+    PhtResolveMode mode;
+    std::unique_ptr<BranchReconstructor> recon;
 };
 
 /**
@@ -98,7 +106,7 @@ class MeasureContext
  */
 std::unique_ptr<MeasureContext> restoreMeasureContext(Deserializer &in);
 
-/** Interface every warm-up method implements. */
+/** Base of the two warm-up mechanisms. */
 class WarmupPolicy
 {
   public:
@@ -117,18 +125,17 @@ class WarmupPolicy
     {}
 
     /** Bind to the machine whose state the policy warms. */
-    virtual void attach(Machine &machine) { this->machine = &machine; }
+    void attach(Machine &machine) { this->machine = &machine; }
 
     /** A new skip region of @p skip_len instructions begins. */
-    virtual void beginSkip(std::uint64_t skip_len) { (void)skip_len; }
+    virtual void beginSkip(std::uint64_t skip_len) = 0;
 
     /**
      * Index of the first skipped instruction this policy needs to
      * observe (called once per region, after beginSkip()). The driver
      * fast-forwards the functional simulator over the prefix without
-     * capturing instruction records and never calls onSkipInst() for it;
-     * a policy that overrides this must account for the unobserved
-     * prefix itself. The default observes the whole region.
+     * capturing instruction records and never calls onSkipInst() for it.
+     * The default observes the whole region.
      */
     virtual std::uint64_t
     observeFrom(std::uint64_t skip_len)
@@ -142,11 +149,8 @@ class WarmupPolicy
      * @param d the committed record
      * @param new_fetch_block first instruction in a new I-cache line
      */
-    virtual void onSkipInst(const func::DynInst &d, bool new_fetch_block)
-    {
-        (void)d;
-        (void)new_fetch_block;
-    }
+    virtual void onSkipInst(const func::DynInst &d,
+                            bool new_fetch_block) = 0;
 
     /** The skip region ended; the next cluster is about to execute. */
     virtual void beforeCluster() {}
@@ -160,9 +164,6 @@ class WarmupPolicy
     {
         return nullptr;
     }
-
-    /** The cluster finished executing. */
-    virtual void afterCluster() {}
 
     /** Accumulated warm-side work. */
     const WarmupWork &work() const { return work_; }
@@ -180,24 +181,13 @@ class WarmupPolicy
     WarmupWork work_;
 };
 
-/** "None": state is left entirely stale between clusters. */
-class NoWarmup final : public WarmupPolicy
-{
-  public:
-    std::string name() const override { return "None"; }
-
-    /** Nothing to observe: the whole region fast-forwards. */
-    std::uint64_t
-    observeFrom(std::uint64_t skip_len) override
-    {
-        return skip_len;
-    }
-};
-
 /**
- * SMARTS full functional warming (optionally restricted to the trailing
- * fraction of each skip region, which yields the paper's fixed-period
- * policy).
+ * Functional warming of the tail of each skip region: every skipped
+ * instruction from the region's warm start on updates the cache
+ * hierarchy and/or the branch predictor, and the cold prefix before it
+ * fast-forwards unobserved. The warm start is a fixed fraction of the
+ * region (None = 0, FP (p%) = p%, SMARTS = 1) or a profiled length per
+ * region (MRRL, BLRL).
  */
 class FunctionalWarmup final : public WarmupPolicy
 {
@@ -205,46 +195,44 @@ class FunctionalWarmup final : public WarmupPolicy
     /**
      * @param warm_cache warm the cache hierarchy
      * @param warm_bp    warm the branch predictor
-     * @param fraction   apply updates over the last `fraction` of each
-     *                   skip region (1.0 = SMARTS, <1.0 = fixed period)
+     * @param fraction   warm the last `fraction` of each skip region
+     *                   (1 = SMARTS, 0 = None, which warms neither)
      * @param label      presentation name
      */
     FunctionalWarmup(bool warm_cache, bool warm_bp, double fraction,
                      std::string label);
 
+    /**
+     * MRRL/BLRL: warm both components over a per-region tail that
+     * prepare() profiles from the exact schedule the run measures.
+     * @param percentile the fraction of reuses the warm-up must cover
+     */
+    explicit FunctionalWarmup(ReuseLatencyKind kind,
+                              double percentile = 0.995);
+
     std::string name() const override { return label; }
+    void prepare(const func::Program &program,
+                 const std::vector<Cluster> &schedule,
+                 const Deadline *deadline) override;
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
 
-    /**
-     * The cold prefix before warmStart is invisible to this policy;
-     * account for it up front so onSkipInst sees every observed
-     * instruction as warm.
-     */
-    std::uint64_t
-    observeFrom(std::uint64_t skip_len) override
-    {
-        (void)skip_len;
-        skipPos = warmStart;
-        return warmStart;
-    }
+    /** The region's warm start: the cold prefix is never observed. */
+    std::uint64_t observeFrom(std::uint64_t) override { return warmStart; }
 
-    /** SMARTS warming both components (the paper's S$BP). */
-    static std::unique_ptr<FunctionalWarmup> smarts();
-    /** SMARTS cache-only (S$). */
-    static std::unique_ptr<FunctionalWarmup> smartsCacheOnly();
-    /** SMARTS branch-predictor-only (SBP). */
-    static std::unique_ptr<FunctionalWarmup> smartsBpOnly();
-    /** Fixed-period warming of both components (FP (p%)). */
-    static std::unique_ptr<FunctionalWarmup> fixedPeriod(double fraction);
+    /** The profile of the last prepared schedule (MRRL/BLRL only). */
+    const ReuseLatencyProfile &profile() const { return profile_; }
 
   private:
     bool warmCache;
     bool warmBp;
     double fraction;
     std::string label;
-    std::uint64_t skipLen = 0;
-    std::uint64_t skipPos = 0;
+    /** MRRL/BLRL: take each region's warm length from profile_. */
+    bool profiled = false;
+    double percentile = 0.0;
+    ReuseLatencyProfile profile_;
+    std::size_t region = 0;
     std::uint64_t warmStart = 0;
 };
 
@@ -264,25 +252,14 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
     ReverseReconstructionWarmup(
         bool warm_cache, bool warm_bp, double fraction,
         PhtResolveMode pht_mode = PhtResolveMode::PaperTieBreak);
-    ~ReverseReconstructionWarmup() override;
 
     std::string name() const override;
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
     void beforeCluster() override;
     std::unique_ptr<MeasureContext> makeMeasureContext() override;
-    void afterCluster() override;
 
     const SkipLog &log() const { return skipLog; }
-
-    /** R$ (p%). */
-    static std::unique_ptr<ReverseReconstructionWarmup>
-    cacheOnly(double fraction);
-    /** RBP. */
-    static std::unique_ptr<ReverseReconstructionWarmup> bpOnly();
-    /** R$BP (p%). */
-    static std::unique_ptr<ReverseReconstructionWarmup>
-    full(double fraction);
 
   private:
     bool warmCache;
@@ -303,12 +280,15 @@ const std::vector<std::string> &table2PolicyNames();
 std::vector<std::unique_ptr<WarmupPolicy>> makeTable2Policies();
 
 /**
- * Build a policy from a command-line-friendly name:
+ * Build a policy from a command-line-friendly name — the one way to
+ * build a policy:
  * `none`, `smarts`, `scache`, `sbp`, `fp<percent>`, `rsr<percent>`,
- * `rcache<percent>`, `rbp` — RSR names accept a `+stale` suffix for the
- * apply-to-stale counter-resolution extension — and the reuse-latency
- * baselines `mrrl`, `blrl` (reuse_latency.hh), which profile the
- * schedule they are prepared for. Fatal on unknown names.
+ * `rcache<percent>`, `rbp` — the RSR names (`rsr`, `rcache`, `rbp`)
+ * accept a `+stale` suffix for the apply-to-stale counter-resolution
+ * extension — and the reuse-latency baselines `mrrl`, `blrl`
+ * (reuse_latency.hh), which profile the schedule they are prepared for.
+ * A percentage is 1–100 with no leading zero, so each policy has one
+ * name. Any other name is a UserError naming it.
  */
 std::unique_ptr<WarmupPolicy> makePolicyByName(const std::string &name);
 
@@ -320,9 +300,6 @@ std::unique_ptr<WarmupPolicy> makePolicyByName(const std::string &name);
 inline void
 FunctionalWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
 {
-    const bool in_warm = skipPos++ >= warmStart;
-    if (!in_warm)
-        return;
     if (warmCache) {
         const std::uint64_t before = machine->hier.warmUpdates();
         if (new_fetch_block)

@@ -107,6 +107,14 @@ class Deserializer
     std::uint64_t getU64() { return in.getU64(); }
     void getBytes(void *out, std::size_t n) { in.getBytes(out, n); }
 
+    /** Unread payload bytes of the innermost open frame (0 past its end). */
+    std::size_t
+    frameRemaining() const
+    {
+        const Frame &f = frames.back();
+        return f.endPos > in.tell() ? f.endPos - in.tell() : 0;
+    }
+
   private:
     struct Frame
     {

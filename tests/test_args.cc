@@ -218,5 +218,30 @@ TEST(PolicyByName, BadPercentThrowsUserError)
     EXPECT_THROW(core::makePolicyByName("fpxx"), UserError);
 }
 
+TEST(PolicyByName, NonCanonicalNamesThrowUserErrorNamingThePolicy)
+{
+    // One name per policy: +stale only where it changes the policy (the
+    // RSR predictor side), and one spelling per percentage, so a store
+    // made under one name is not rejected as stale under another.
+    for (const char *name :
+         {"smarts+stale", "none+stale", "fp20+stale", "scache+stale",
+          "mrrl+stale", "rsr020", "rcache080", "fp020", "rsr00", "rsr101",
+          "rsr20x", "rsr+20", "rsr-20", "rsr 20", "rsr20+stale+stale"}) {
+        try {
+            core::makePolicyByName(name);
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + name +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(core::makePolicyByName("rcache100+stale")->name(),
+              "R$ (100%)+stale");
+    EXPECT_EQ(core::makePolicyByName("rbp+stale")->name(), "RBP+stale");
+    EXPECT_EQ(core::makePolicyByName("fp1")->name(), "FP (1%)");
+}
+
 } // namespace
 } // namespace rsr

@@ -93,7 +93,7 @@ TEST_F(MrrlFixture, HigherPercentileWarmsMore)
 
 TEST_F(MrrlFixture, PolicyRunsAndWarms)
 {
-    ReuseLatencyWarmup policy(ReuseLatencyKind::Blrl, 0.995);
+    FunctionalWarmup policy(ReuseLatencyKind::Blrl, 0.995);
     EXPECT_EQ(policy.name(), "BLRL");
     const auto r = runSampled(*prog, policy, *cfg);
     EXPECT_EQ(r.clusterIpc.size(), cfg->regimen.numClusters);
@@ -104,11 +104,11 @@ TEST_F(MrrlFixture, AccuracyBetweenNoneAndSmarts)
 {
     const double true_ipc =
         runFull(*prog, cfg->totalInsts, cfg->machine).ipc();
-    NoWarmup none;
-    auto smarts = FunctionalWarmup::smarts();
-    ReuseLatencyWarmup mrrl(ReuseLatencyKind::Mrrl, 0.995);
+    auto none = makePolicyByName("none");
+    auto smarts = makePolicyByName("smarts");
+    FunctionalWarmup mrrl(ReuseLatencyKind::Mrrl, 0.995);
     const double e_none =
-        runSampled(*prog, none, *cfg).estimate.relativeError(true_ipc);
+        runSampled(*prog, *none, *cfg).estimate.relativeError(true_ipc);
     const double e_smarts =
         runSampled(*prog, *smarts, *cfg).estimate.relativeError(true_ipc);
     const double e_mrrl =
@@ -142,7 +142,7 @@ TEST_F(MrrlFixture, MrrlAndBlrlBothValid)
 
 TEST_F(MrrlFixture, MrrlPolicyName)
 {
-    ReuseLatencyWarmup policy(ReuseLatencyKind::Mrrl, 0.9);
+    FunctionalWarmup policy(ReuseLatencyKind::Mrrl, 0.9);
     EXPECT_EQ(policy.name(), "MRRL");
 }
 
@@ -156,7 +156,7 @@ TEST_F(MrrlFixture, ReuseLatencyPoliciesRunOnEverySampledRunSurface)
         const auto direct =
             harness::runSampledParallel(*prog, *policy, *cfg, 1);
         const auto *profiled =
-            dynamic_cast<const ReuseLatencyWarmup *>(policy.get());
+            dynamic_cast<const FunctionalWarmup *>(policy.get());
         ASSERT_NE(profiled, nullptr) << name;
         const auto kind = std::string(name) == "mrrl"
                               ? ReuseLatencyKind::Mrrl
@@ -208,7 +208,7 @@ TEST_F(MrrlFixture, ProfilingPassHonoursTheRunDeadline)
     EXPECT_THROW(profileReuseLatency(*prog, *schedule, ReuseLatencyKind::Mrrl,
                                      0.995, &expired),
                  TimeoutError);
-    ReuseLatencyWarmup blrl(ReuseLatencyKind::Blrl);
+    FunctionalWarmup blrl(ReuseLatencyKind::Blrl);
     EXPECT_THROW(blrl.prepare(*prog, *schedule, &expired), TimeoutError);
 
     SampledConfig timed = *cfg;

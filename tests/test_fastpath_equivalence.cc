@@ -458,6 +458,44 @@ TEST(FastpathGolden, AllTable2PoliciesBitIdentical)
     }
 }
 
+// Golden rows, on the Table-2 config above, for the policies outside
+// Table 2 that ride its two mechanisms: the reuse-latency baselines
+// (functional warming over a profiled tail) and RSR's apply-to-stale
+// extension. Recorded before MRRL/BLRL were folded into FunctionalWarmup.
+TEST(FastpathGolden, ProfiledAndStalePoliciesBitIdentical)
+{
+    static const GoldenRow golden[] = {
+        {"mrrl", 47549u, 668u, 44619u, 0u, 0u, 0xfe92f34b9c7fe5e0ull},
+        {"blrl", 35626u, 648u, 84186u, 0u, 0u, 0xabf2cce458f07606ull},
+        {"rsr20+stale", 56109u, 677u, 0u, 9643u, 92153u,
+         0x33c9ae29fad3ef98ull},
+    };
+
+    const auto prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("twolf"));
+    core::SampledConfig cfg;
+    cfg.totalInsts = 400'000;
+    cfg.regimen = {10, 2000};
+    cfg.machine = core::MachineConfig::scaledDefault();
+
+    for (const GoldenRow &g : golden) {
+        const auto policy = core::makePolicyByName(g.name);
+        const auto r = core::runSampled(prog, *policy, cfg);
+        std::uint64_t ipc_hash = 0xcbf29ce484222325ull;
+        for (const double v : r.clusterIpc)
+            ipc_hash = fnv1a(&v, sizeof(v), ipc_hash);
+        EXPECT_EQ(r.hotCycles, g.hotCycles) << g.name;
+        EXPECT_EQ(r.branchMispredicts, g.branchMispredicts) << g.name;
+        EXPECT_EQ(r.warmWork.functionalUpdates, g.functionalUpdates)
+            << g.name;
+        EXPECT_EQ(r.warmWork.reconstructionUpdates,
+                  g.reconstructionUpdates)
+            << g.name;
+        EXPECT_EQ(r.warmWork.loggedRecords, g.loggedRecords) << g.name;
+        EXPECT_EQ(ipc_hash, g.ipcHash) << g.name;
+    }
+}
+
 // ==========================================================================
 // 5. Golden timing-core counters: captured clusters of gcc/rsr40 (which
 //    carry RSR's on-demand branch context) and mcf/smarts replayed

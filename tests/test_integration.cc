@@ -35,8 +35,8 @@ TEST(Integration, TimingNeverExceedsMachineWidth)
     const auto prog = workload::buildSynthetic(
         workload::standardWorkloadParams("vpr"));
     const auto cfg = smallConfig();
-    core::NoWarmup none;
-    const auto r = core::runSampled(prog, none, cfg);
+    auto none = core::makePolicyByName("none");
+    const auto r = core::runSampled(prog, *none, cfg);
     for (double ipc : r.clusterIpc) {
         EXPECT_GT(ipc, 0.0);
         EXPECT_LE(ipc, cfg.machine.core.retireWidth);
@@ -70,11 +70,11 @@ TEST(Integration, WarmupOrderingOnCacheSensitiveWorkload)
     const double true_ipc =
         core::runFull(prog, cfg.totalInsts, cfg.machine).ipc();
 
-    core::NoWarmup none;
-    auto smarts = core::FunctionalWarmup::smarts();
-    auto rsr = core::ReverseReconstructionWarmup::full(1.0);
+    auto none = core::makePolicyByName("none");
+    auto smarts = core::makePolicyByName("smarts");
+    auto rsr = core::makePolicyByName("rsr100");
     const double e_none =
-        core::runSampled(prog, none, cfg).estimate.relativeError(true_ipc);
+        core::runSampled(prog, *none, cfg).estimate.relativeError(true_ipc);
     const double e_smarts =
         core::runSampled(prog, *smarts, cfg)
             .estimate.relativeError(true_ipc);
@@ -91,7 +91,7 @@ TEST(Integration, RsrLogBoundedByskipRegion)
     const auto prog = workload::buildSynthetic(
         workload::standardWorkloadParams("twolf"));
     const auto cfg = smallConfig();
-    auto rsr = core::ReverseReconstructionWarmup::full(0.2);
+    auto rsr = core::makePolicyByName("rsr20");
     const auto r = core::runSampled(prog, *rsr, cfg);
     // Peak bytes correspond to one region, not the whole run: a loose
     // bound of 32 bytes per skipped instruction of the largest region.
@@ -112,7 +112,7 @@ TEST(Integration, SimPointAndSamplingAgreeLoosely)
     cfg.totalInsts = total;
     cfg.regimen = {20, 2000};
     cfg.machine = mc;
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto smarts = core::makePolicyByName("smarts");
     const auto sampled = core::runSampled(prog, *smarts, cfg);
 
     simpoint::SimPointConfig scfg;
@@ -153,8 +153,8 @@ TEST(Integration, ReverseCacheTracksSmartsOnEveryWorkload)
     cfg.machine = core::MachineConfig::scaledDefault();
     for (const auto &wp : workload::standardWorkloadParams()) {
         const auto prog = workload::buildSynthetic(wp);
-        auto scache = core::FunctionalWarmup::smartsCacheOnly();
-        auto rcache = core::ReverseReconstructionWarmup::cacheOnly(1.0);
+        auto scache = core::makePolicyByName("scache");
+        auto rcache = core::makePolicyByName("rcache100");
         const auto rs = core::runSampled(prog, *scache, cfg);
         const auto rr = core::runSampled(prog, *rcache, cfg);
         const double gap =

@@ -199,12 +199,12 @@ class LivePoints : public ::testing::Test
         cfg->regimen = {10, 2000};
         cfg->machine = MachineConfig::scaledDefault();
 
-        auto smarts = FunctionalWarmup::smarts();
+        auto smarts = makePolicyByName("smarts");
         store = new LivePointStore(LivePointStore::create(
             *prog, *smarts, *cfg, "twolf", "smarts"));
         // The deferred estimator the capture pass mirrors: a direct
         // runSampledParallel with one worker.
-        auto smarts2 = FunctionalWarmup::smarts();
+        auto smarts2 = makePolicyByName("smarts");
         reference = new SampledResult(
             harness::runSampledParallel(*prog, *smarts2, *cfg, 1));
     }
@@ -261,7 +261,7 @@ TEST_F(LivePoints, TraceSequenceNumbersAreContiguousFromFirstSeq)
             traces.push_back(std::move(task.trace));
         }
     } captured;
-    auto smarts = FunctionalWarmup::smarts();
+    auto smarts = makePolicyByName("smarts");
     ClusterScheduleDriver(*prog, *smarts, *cfg).runDeferred(captured);
     ASSERT_EQ(captured.traces.size(), store->clusterCount());
 
@@ -365,7 +365,7 @@ TEST_F(LivePoints, ReplayMatchesDeferredRunExactly)
 TEST_F(LivePoints, ReplayWithMeasureContextMatches)
 {
     // RSR reconstructs predictor state on demand during measurement; the
-    // serialized BranchReconstructionContext must round-trip bit-exactly
+    // serialized MeasureContext must round-trip bit-exactly
     // (the retired LivePointLibrary's documented gap).
     auto rsr = makePolicyByName("rsr40");
     const auto rsr_store = LivePointStore::create(*prog, *rsr, *cfg,

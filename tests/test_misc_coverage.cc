@@ -63,7 +63,7 @@ TEST(RecommendClusters, PilotDrivenSizingConverges)
     pilot_cfg.totalInsts = 600'000;
     pilot_cfg.regimen = {15, 2000};
     pilot_cfg.machine = core::MachineConfig::scaledDefault();
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto smarts = core::makePolicyByName("smarts");
     const auto pilot = core::runSampled(prog, *smarts, pilot_cfg);
 
     const double target = 0.05;
@@ -72,7 +72,7 @@ TEST(RecommendClusters, PilotDrivenSizingConverges)
     full_cfg.regimen.numClusters = n;
     // Keep the sample within the population.
     ASSERT_LE(n * full_cfg.regimen.clusterSize, full_cfg.totalInsts);
-    auto smarts2 = core::FunctionalWarmup::smarts();
+    auto smarts2 = core::makePolicyByName("smarts");
     const auto r = core::runSampled(prog, *smarts2, full_cfg);
     const double half_width =
         (r.estimate.ciHigh - r.estimate.ciLow) / 2.0 / r.estimate.mean;
@@ -193,7 +193,7 @@ TEST(WorkloadStructure, DispatchTableTargetsAreFunctionEntries)
 TEST(WarmupBoundary, FixedPeriodZeroLengthSkip)
 {
     core::Machine m(core::MachineConfig::scaledDefault());
-    auto fp = core::FunctionalWarmup::fixedPeriod(0.2);
+    auto fp = core::makePolicyByName("fp20");
     fp->attach(m);
     fp->beginSkip(0); // must not divide by zero or underflow
     SUCCEED();
@@ -202,14 +202,15 @@ TEST(WarmupBoundary, FixedPeriodZeroLengthSkip)
 TEST(WarmupBoundary, FixedPeriodTinySkipWarmsAtMostAll)
 {
     core::Machine m(core::MachineConfig::scaledDefault());
-    auto fp = core::FunctionalWarmup::fixedPeriod(0.5);
+    auto fp = core::makePolicyByName("fp50");
     fp->attach(m);
     fp->beginSkip(3);
     func::DynInst d;
     d.inst.op = isa::Opcode::Ld;
     d.inst.rd = 1;
     d.effAddr = 0x1000;
-    for (int i = 0; i < 3; ++i) {
+    // SkipPhase feeds only the observed tail [observeFrom, skip_len).
+    for (int i = static_cast<int>(fp->observeFrom(3)); i < 3; ++i) {
         d.pc = 0x10000 + 4 * i;
         fp->onSkipInst(d, i == 0);
     }
@@ -221,11 +222,10 @@ TEST(WarmupBoundary, FixedPeriodTinySkipWarmsAtMostAll)
 TEST(WarmupBoundary, RsrEmptySkipReconstructsNothing)
 {
     core::Machine m(core::MachineConfig::scaledDefault());
-    auto rsr = core::ReverseReconstructionWarmup::full(0.2);
+    auto rsr = core::makePolicyByName("rsr20");
     rsr->attach(m);
     rsr->beginSkip(0);
     rsr->beforeCluster();
-    rsr->afterCluster();
     EXPECT_EQ(rsr->work().reconstructionUpdates, 0u);
     EXPECT_EQ(rsr->work().loggedRecords, 0u);
 }
@@ -233,7 +233,10 @@ TEST(WarmupBoundary, RsrEmptySkipReconstructsNothing)
 TEST(WarmupBoundary, RsrLogDiscardedBetweenRegions)
 {
     core::Machine m(core::MachineConfig::scaledDefault());
-    auto rsr = core::ReverseReconstructionWarmup::full(1.0);
+    const auto policy = core::makePolicyByName("rsr100");
+    auto *rsr =
+        dynamic_cast<core::ReverseReconstructionWarmup *>(policy.get());
+    ASSERT_NE(rsr, nullptr);
     rsr->attach(m);
     func::DynInst d;
     d.inst.op = isa::Opcode::Ld;
@@ -246,15 +249,13 @@ TEST(WarmupBoundary, RsrLogDiscardedBetweenRegions)
         rsr->onSkipInst(d, i == 0);
     const auto first_records = rsr->log().records();
     rsr->beforeCluster();
-    rsr->afterCluster();
+    rsr->beginSkip(5);
     EXPECT_EQ(rsr->log().records(), 0u) << "log must be discarded";
 
-    rsr->beginSkip(5);
     for (int i = 0; i < 5; ++i)
         rsr->onSkipInst(d, i == 0);
     EXPECT_EQ(rsr->log().records(), first_records);
     rsr->beforeCluster();
-    rsr->afterCluster();
 }
 
 } // namespace

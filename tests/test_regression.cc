@@ -54,7 +54,7 @@ TEST(Regression, SampledEstimatePinnedTwolf)
     cfg.totalInsts = 400'000;
     cfg.regimen = {10, 2000};
     cfg.machine = core::MachineConfig::scaledDefault();
-    auto rsr = core::ReverseReconstructionWarmup::full(0.2);
+    auto rsr = core::makePolicyByName("rsr20");
     const auto r = core::runSampled(prog, *rsr, cfg);
     EXPECT_EQ(r.hotCycles, 56714u);
     EXPECT_EQ(r.warmWork.loggedRecords, 92153u);

@@ -102,7 +102,7 @@ TEST(Robustness, EstimatesStableAcrossScheduleSeeds)
     std::vector<double> means;
     for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
         cfg.scheduleSeed = seed;
-        auto smarts = core::FunctionalWarmup::smarts();
+        auto smarts = core::makePolicyByName("smarts");
         means.push_back(
             core::runSampled(prog, *smarts, cfg).estimate.mean);
     }
@@ -165,7 +165,7 @@ TEST(Robustness, BimodalSampledRunWorksEndToEnd)
     cfg.regimen = {10, 2000};
     cfg.machine = core::MachineConfig::scaledDefault();
     cfg.machine.bp.historyBits = 0;
-    auto rsr = core::ReverseReconstructionWarmup::full(0.2);
+    auto rsr = core::makePolicyByName("rsr20");
     const auto r = core::runSampled(prog, *rsr, cfg);
     EXPECT_EQ(r.clusterIpc.size(), 10u);
     EXPECT_GT(r.estimate.mean, 0.0);
@@ -232,7 +232,7 @@ TEST(Robustness, DirectMappedWholeHierarchy)
     cfg.machine.hier.il1.assoc = 1;
     cfg.machine.hier.dl1.assoc = 1;
     cfg.machine.hier.l2.assoc = 1;
-    auto rsr = core::ReverseReconstructionWarmup::full(1.0);
+    auto rsr = core::makePolicyByName("rsr100");
     const auto r = core::runSampled(prog, *rsr, cfg);
     EXPECT_EQ(r.clusterIpc.size(), 8u);
 }
@@ -264,7 +264,7 @@ savedSmallStore(const char *tag)
     cfg.totalInsts = 60'000;
     cfg.regimen = {3, 500};
     cfg.machine = core::MachineConfig::scaledDefault();
-    auto smarts = core::FunctionalWarmup::smarts();
+    auto smarts = core::makePolicyByName("smarts");
     const auto store = core::LivePointStore::create(prog, *smarts, cfg,
                                                     "twolf", "smarts");
     const std::string path = std::string(::testing::TempDir()) +

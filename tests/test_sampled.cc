@@ -63,8 +63,8 @@ TEST_F(SampledRun, TrueIpcSane)
 
 TEST_F(SampledRun, AccountingAddsUp)
 {
-    NoWarmup none;
-    const auto r = runSampled(*prog, none, *cfg);
+    auto none = makePolicyByName("none");
+    const auto r = runSampled(*prog, *none, *cfg);
     EXPECT_EQ(r.clusterIpc.size(), cfg->regimen.numClusters);
     EXPECT_EQ(r.hotInsts, cfg->regimen.sampledInsts());
     EXPECT_GT(r.skippedInsts, 0u);
@@ -77,8 +77,8 @@ TEST_F(SampledRun, AccountingAddsUp)
 
 TEST_F(SampledRun, DeterministicAcrossRuns)
 {
-    auto p1 = ReverseReconstructionWarmup::full(0.4);
-    auto p2 = ReverseReconstructionWarmup::full(0.4);
+    auto p1 = makePolicyByName("rsr40");
+    auto p2 = makePolicyByName("rsr40");
     const auto r1 = runSampled(*prog, *p1, *cfg);
     const auto r2 = runSampled(*prog, *p2, *cfg);
     ASSERT_EQ(r1.clusterIpc.size(), r2.clusterIpc.size());
@@ -92,9 +92,9 @@ TEST_F(SampledRun, ScheduleSeedHoldsSamplingBiasConstant)
     // Different policies must measure the identical clusters: with the
     // same seed, the hot instruction count and cluster count agree and
     // only warm-up state differs.
-    NoWarmup none;
-    auto smarts = FunctionalWarmup::smarts();
-    const auto r1 = runSampled(*prog, none, *cfg);
+    auto none = makePolicyByName("none");
+    auto smarts = makePolicyByName("smarts");
+    const auto r1 = runSampled(*prog, *none, *cfg);
     const auto r2 = runSampled(*prog, *smarts, *cfg);
     EXPECT_EQ(r1.hotInsts, r2.hotInsts);
     EXPECT_EQ(r1.skippedInsts, r2.skippedInsts);
@@ -102,9 +102,9 @@ TEST_F(SampledRun, ScheduleSeedHoldsSamplingBiasConstant)
 
 TEST_F(SampledRun, SmartsBeatsNoWarmup)
 {
-    NoWarmup none;
-    auto smarts = FunctionalWarmup::smarts();
-    const auto rn = runSampled(*prog, none, *cfg);
+    auto none = makePolicyByName("none");
+    auto smarts = makePolicyByName("smarts");
+    const auto rn = runSampled(*prog, *none, *cfg);
     const auto rs = runSampled(*prog, *smarts, *cfg);
     EXPECT_LT(rs.estimate.relativeError(true_ipc),
               rn.estimate.relativeError(true_ipc));
@@ -112,8 +112,8 @@ TEST_F(SampledRun, SmartsBeatsNoWarmup)
 
 TEST_F(SampledRun, RsrAccuracyNearSmarts)
 {
-    auto smarts = FunctionalWarmup::smarts();
-    auto rsr = ReverseReconstructionWarmup::full(1.0);
+    auto smarts = makePolicyByName("smarts");
+    auto rsr = makePolicyByName("rsr100");
     const auto rs = runSampled(*prog, *smarts, *cfg);
     const auto rr = runSampled(*prog, *rsr, *cfg);
     const double gap = std::fabs(rr.estimate.mean - rs.estimate.mean) /
@@ -124,8 +124,8 @@ TEST_F(SampledRun, RsrAccuracyNearSmarts)
 
 TEST_F(SampledRun, RsrAppliesFarFewerUpdatesThanSmarts)
 {
-    auto smarts = FunctionalWarmup::smarts();
-    auto rsr = ReverseReconstructionWarmup::full(0.2);
+    auto smarts = makePolicyByName("smarts");
+    auto rsr = makePolicyByName("rsr20");
     const auto rs = runSampled(*prog, *smarts, *cfg);
     const auto rr = runSampled(*prog, *rsr, *cfg);
     EXPECT_LT(rr.warmWork.totalUpdates() * 3, rs.warmWork.totalUpdates());
@@ -135,8 +135,8 @@ TEST_F(SampledRun, RsrAppliesFarFewerUpdatesThanSmarts)
 
 TEST_F(SampledRun, HigherFractionAppliesMoreCacheUpdates)
 {
-    auto r20 = ReverseReconstructionWarmup::cacheOnly(0.2);
-    auto r80 = ReverseReconstructionWarmup::cacheOnly(0.8);
+    auto r20 = makePolicyByName("rcache20");
+    auto r80 = makePolicyByName("rcache80");
     const auto a = runSampled(*prog, *r20, *cfg);
     const auto b = runSampled(*prog, *r80, *cfg);
     EXPECT_LT(a.warmWork.reconstructionUpdates,
@@ -147,8 +147,8 @@ TEST_F(SampledRun, HigherFractionAppliesMoreCacheUpdates)
 
 TEST_F(SampledRun, FixedPeriodUpdatesScaleWithFraction)
 {
-    auto f20 = FunctionalWarmup::fixedPeriod(0.2);
-    auto f80 = FunctionalWarmup::fixedPeriod(0.8);
+    auto f20 = makePolicyByName("fp20");
+    auto f80 = makePolicyByName("fp80");
     const auto a = runSampled(*prog, *f20, *cfg);
     const auto b = runSampled(*prog, *f80, *cfg);
     EXPECT_GT(b.warmWork.functionalUpdates,
@@ -157,9 +157,9 @@ TEST_F(SampledRun, FixedPeriodUpdatesScaleWithFraction)
 
 TEST_F(SampledRun, SmartsUpdatesBoundedByPolicyScope)
 {
-    auto cache_only = FunctionalWarmup::smartsCacheOnly();
-    auto bp_only = FunctionalWarmup::smartsBpOnly();
-    auto both = FunctionalWarmup::smarts();
+    auto cache_only = makePolicyByName("scache");
+    auto bp_only = makePolicyByName("sbp");
+    auto both = makePolicyByName("smarts");
     const auto rc = runSampled(*prog, *cache_only, *cfg);
     const auto rb = runSampled(*prog, *bp_only, *cfg);
     const auto rboth = runSampled(*prog, *both, *cfg);
@@ -170,16 +170,14 @@ TEST_F(SampledRun, SmartsUpdatesBoundedByPolicyScope)
 
 TEST_F(SampledRun, PolicyNames)
 {
-    EXPECT_EQ(NoWarmup().name(), "None");
-    EXPECT_EQ(FunctionalWarmup::smarts()->name(), "S$BP");
-    EXPECT_EQ(FunctionalWarmup::smartsCacheOnly()->name(), "S$");
-    EXPECT_EQ(FunctionalWarmup::smartsBpOnly()->name(), "SBP");
-    EXPECT_EQ(FunctionalWarmup::fixedPeriod(0.4)->name(), "FP (40%)");
-    EXPECT_EQ(ReverseReconstructionWarmup::full(0.2)->name(),
-              "R$BP (20%)");
-    EXPECT_EQ(ReverseReconstructionWarmup::cacheOnly(0.8)->name(),
-              "R$ (80%)");
-    EXPECT_EQ(ReverseReconstructionWarmup::bpOnly()->name(), "RBP");
+    EXPECT_EQ(makePolicyByName("none")->name(), "None");
+    EXPECT_EQ(makePolicyByName("smarts")->name(), "S$BP");
+    EXPECT_EQ(makePolicyByName("scache")->name(), "S$");
+    EXPECT_EQ(makePolicyByName("sbp")->name(), "SBP");
+    EXPECT_EQ(makePolicyByName("fp40")->name(), "FP (40%)");
+    EXPECT_EQ(makePolicyByName("rsr20")->name(), "R$BP (20%)");
+    EXPECT_EQ(makePolicyByName("rcache80")->name(), "R$ (80%)");
+    EXPECT_EQ(makePolicyByName("rbp")->name(), "RBP");
 }
 
 TEST_F(SampledRun, Table2PolicyListComplete)
@@ -201,8 +199,8 @@ TEST_F(SampledRun, Table2PolicyListComplete)
 
 TEST_F(SampledRun, EstimateConsistentWithClusterIpcs)
 {
-    NoWarmup none;
-    const auto r = runSampled(*prog, none, *cfg);
+    auto none = makePolicyByName("none");
+    const auto r = runSampled(*prog, *none, *cfg);
     const auto e = summarizeClusters(r.clusterIpc);
     EXPECT_DOUBLE_EQ(r.estimate.mean, e.mean);
     EXPECT_DOUBLE_EQ(r.estimate.stdErr, e.stdErr);
@@ -210,8 +208,8 @@ TEST_F(SampledRun, EstimateConsistentWithClusterIpcs)
 
 TEST_F(SampledRun, AggregateIpcPositiveAndBounded)
 {
-    NoWarmup none;
-    const auto r = runSampled(*prog, none, *cfg);
+    auto none = makePolicyByName("none");
+    const auto r = runSampled(*prog, *none, *cfg);
     EXPECT_GT(r.aggregateIpc(), 0.0);
     EXPECT_LE(r.aggregateIpc(), 4.0);
 }
@@ -226,7 +224,7 @@ TEST(SampledEdge, FullCoverageRegimen)
     cfg.totalInsts = 40'000;
     cfg.regimen = {10, 4000};
     cfg.machine = MachineConfig::scaledDefault();
-    auto rsr = ReverseReconstructionWarmup::full(0.2);
+    auto rsr = makePolicyByName("rsr20");
     const auto r = runSampled(prog, *rsr, cfg);
     EXPECT_EQ(r.hotInsts, 40'000u);
     EXPECT_EQ(r.skippedInsts, 0u);
@@ -240,7 +238,7 @@ TEST(SampledEdge, SingleCluster)
     cfg.totalInsts = 100'000;
     cfg.regimen = {1, 5000};
     cfg.machine = MachineConfig::scaledDefault();
-    auto smarts = FunctionalWarmup::smarts();
+    auto smarts = makePolicyByName("smarts");
     const auto r = runSampled(prog, *smarts, cfg);
     EXPECT_EQ(r.clusterIpc.size(), 1u);
     EXPECT_DOUBLE_EQ(r.estimate.stdErr, 0.0);

@@ -16,6 +16,7 @@
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "core/machine.hh"
+#include "core/warmup.hh"
 #include "util/random.hh"
 #include "util/snapshot.hh"
 
@@ -237,6 +238,102 @@ TEST(Snapshot, TrailingBytesThrowCorrupt)
     auto bytes = snapshotToBytes(a);
     bytes.push_back(0);
     EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
+}
+
+// ---------------------------------------------------------------------------
+// The RSR measure context's frame (RSRC). A store's content hash catches
+// damage before restoreMeasureContext runs, so its own checks are
+// exercised here on hand-built frames.
+// ---------------------------------------------------------------------------
+
+/** Serialize @p ctx as restoreMeasureContext() reads it. */
+std::vector<std::uint8_t>
+contextBytes(const MeasureContext &ctx)
+{
+    ByteSink sink;
+    Serializer out(sink);
+    ctx.snapshot(out);
+    return sink.take();
+}
+
+std::unique_ptr<MeasureContext>
+restoreContext(const std::vector<std::uint8_t> &bytes)
+{
+    ByteSource src(bytes);
+    Deserializer in(src);
+    return restoreMeasureContext(in);
+}
+
+/**
+ * An RSRC frame holding one branch record, built field by field; its
+ * record count field says @p count.
+ */
+std::vector<std::uint8_t>
+handBuiltContextFrame(std::uint32_t version, std::uint8_t pht_mode,
+                      std::uint8_t branch_kind, std::uint64_t count = 1)
+{
+    ByteSink sink;
+    Serializer out(sink);
+    out.begin(fourcc('R', 'S', 'R', 'C'), version);
+    out.putU8(pht_mode);
+    out.putU32(0x2a5); // GHR at the start of the skip region
+    out.putU64(count);
+    out.putU64(0x10000);
+    out.putU64(0x10040);
+    out.putU8(branch_kind);
+    out.putU8(1); // taken
+    out.end();
+    return sink.take();
+}
+
+constexpr auto lastKind =
+    static_cast<std::uint8_t>(isa::BranchKind::IndirectJump);
+
+TEST(MeasureContextFrame, SnapshotRestoreSnapshotIsByteIdentical)
+{
+    SkipLog log;
+    log.ghrAtStart = 0x1234;
+    log.branches = {{0x4000, 0x4100, isa::BranchKind::Conditional, true},
+                    {0x4100, 0x4104, isa::BranchKind::Conditional, false},
+                    {0x4104, 0x8000, isa::BranchKind::Call, true},
+                    {0x8010, 0x4108, isa::BranchKind::Return, true},
+                    {0x4108, 0x9000, isa::BranchKind::IndirectJump, true}};
+    const MeasureContext ctx(std::move(log), PhtResolveMode::ApplyToStale);
+    const auto bytes = contextBytes(ctx);
+    EXPECT_EQ(contextBytes(*restoreContext(bytes)), bytes);
+
+    const auto hand = handBuiltContextFrame(1, 0, lastKind);
+    EXPECT_EQ(contextBytes(*restoreContext(hand)), hand);
+}
+
+TEST(MeasureContextFrame, UnknownVersionThrowsCorrupt)
+{
+    EXPECT_THROW(restoreContext(handBuiltContextFrame(2, 0, lastKind)),
+                 CorruptInputError);
+}
+
+TEST(MeasureContextFrame, UnknownPhtModeThrowsCorrupt)
+{
+    EXPECT_THROW(restoreContext(handBuiltContextFrame(1, 2, lastKind)),
+                 CorruptInputError);
+}
+
+TEST(MeasureContextFrame, BranchKindPastIndirectJumpThrowsCorrupt)
+{
+    EXPECT_THROW(restoreContext(handBuiltContextFrame(
+                     1, 0, static_cast<std::uint8_t>(lastKind + 1))),
+                 CorruptInputError);
+}
+
+TEST(MeasureContextFrame, RecordCountBeyondPayloadThrowsCorrupt)
+{
+    // Refused before reserving: 2^40 records would be 24 TiB.
+    const std::uint64_t counts[] = {2, std::uint64_t{1} << 40};
+    for (const std::uint64_t count : counts)
+        EXPECT_THROW(
+            restoreContext(handBuiltContextFrame(1, 0, lastKind, count)),
+            CorruptInputError)
+            << count;
 }
 
 } // namespace
