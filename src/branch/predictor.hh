@@ -102,6 +102,9 @@ class GsharePredictor : public Snapshotable
         recon = client;
     }
 
+    /** The installed reconstruction client (null when none). */
+    ReconstructionClient *reconstructionClient() const { return recon; }
+
     /** PHT index for @p pc under the *current* GHR. */
     std::uint32_t
     phtIndex(std::uint64_t pc) const

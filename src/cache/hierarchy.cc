@@ -95,6 +95,19 @@ MemoryHierarchy::reset()
     warmUpdates_ = 0;
 }
 
+void
+MemoryHierarchy::clearTransientState()
+{
+    il1_.clearStats();
+    dl1_.clearStats();
+    l2_.clearStats();
+    l1Bus_.reset();
+    l1Bus_.clearStats();
+    l2Bus_.reset();
+    l2Bus_.clearStats();
+    warmUpdates_ = 0;
+}
+
 namespace
 {
 constexpr std::uint32_t hierSnapshotTag = fourcc('H', 'I', 'E', 'R');

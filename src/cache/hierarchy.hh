@@ -96,6 +96,13 @@ class MemoryHierarchy : public Snapshotable
     void reset();
 
     /**
+     * Clear everything snapshot() leaves out — bus occupancy and bus,
+     * cache and warm-update statistics — to what a restore into a fresh
+     * hierarchy holds. Cache contents are untouched.
+     */
+    void clearTransientState();
+
+    /**
      * Snapshot all three caches as one framed 'HIER' component. Bus
      * occupancy and the warm-update counter are transient (buses are
      * reset at every cluster boundary) and are not captured.

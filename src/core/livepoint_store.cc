@@ -7,6 +7,8 @@
 
 #include "livepoint_store.hh"
 
+#include <algorithm>
+
 #include "core/config_file.hh"
 #include "func/funcsim.hh"
 #include "trace/trace.hh"
@@ -48,7 +50,11 @@ getString(Deserializer &in)
     return s;
 }
 
-/** Feeds captured clusters into a blob store as the front half runs. */
+/**
+ * Feeds captured clusters into a blob store as the front half runs. This
+ * is the store boundary: the one place a warmed machine becomes
+ * snapshot bytes.
+ */
 class CaptureSink : public ReplaySink
 {
   public:
@@ -57,13 +63,20 @@ class CaptureSink : public ReplaySink
         : writer(writer), entries(entries)
     {}
 
+    /** Largest machine snapshot written, in bytes. */
+    std::uint64_t peakSnapshotBytes = 0;
+
     void
     onCluster(ClusterReplayTask task) override
     {
+        rsr_assert(task.machine, "captured cluster carries no machine");
         LivePointEntry e;
         e.cluster = task.cluster;
         e.firstSeq = task.trace.empty() ? 0 : task.trace.front().seq;
-        e.stateHash = writer.add(task.machineState);
+        const auto state = snapshotToBytes(*task.machine);
+        peakSnapshotBytes =
+            std::max<std::uint64_t>(peakSnapshotBytes, state.size());
+        e.stateHash = writer.add(state);
 
         trace::TraceEncoder encoder;
         for (const auto &d : task.trace)
@@ -103,7 +116,8 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
     // capture, no timing. Replays from the store therefore compute the
     // same estimator as runSampled, by construction.
     ClusterScheduleDriver driver(program, policy, config);
-    const SampledResult front = driver.runDeferred(sink);
+    SampledResult front = driver.runDeferred(sink);
+    front.phases.peakSnapshotBytes = sink.peakSnapshotBytes;
     if (front_half)
         *front_half = front;
 

@@ -7,7 +7,8 @@
  * A one-time *producer* pass (`rsr_sim mklvpt`) runs the deferred front
  * half of sampled simulation — functional execution, warm-up, and the
  * per-cluster CapturePhase — and stores each cluster's warmed machine
- * snapshot, committed trace, and measurement context as content-addressed
+ * (serialized here, at the store boundary, as its snapshot), committed
+ * trace, and measurement context as content-addressed
  * blobs in a BlobStoreWriter: frames are keyed by their FNV-1a-64 content
  * hash, so identical state across clusters (common for small predictors
  * or quickly-saturating caches) is stored once. Trace blobs are record

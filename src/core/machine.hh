@@ -80,6 +80,34 @@ struct Machine : Snapshotable
     }
 
     /**
+     * Clear everything snapshot() leaves out — bus occupancy, the bus,
+     * cache and predictor statistics, the warm-update counter and the
+     * predictor's non-owning reconstruction hook — to what a restore
+     * into a fresh machine holds.
+     */
+    void
+    clearTransientState()
+    {
+        hier.clearTransientState();
+        bp.clearStats();
+        bp.setReconstructionClient(nullptr);
+    }
+
+    /**
+     * The warmed state by value: a copy holding exactly what snapshot()
+     * would write, with every other field as clearTransientState()
+     * leaves it. Safe to hand to another thread: it points at nothing
+     * of this machine's.
+     */
+    Machine
+    warmCopy() const
+    {
+        Machine m(*this);
+        m.clearTransientState();
+        return m;
+    }
+
+    /**
      * Snapshot all microarchitectural-input state (caches + branch unit)
      * as one framed 'MACH' component. Core pipeline state is not part of
      * the machine: clusters always start from an empty pipeline.

@@ -12,9 +12,8 @@ namespace
 /**
  * The skip inner loop, templated on the concrete final policy type so
  * that the onSkipInst() call resolves statically and inlines. Each
- * instantiation stays a function of its own: inlined into
- * SkipPhase::run, GCC inlines FuncSim::step into a different loop and
- * the functional-warming skip phases run 14-30% slower (PERFORMANCE.md).
+ * instantiation stays a function of its own, so each is optimized as
+ * one loop around the always-inlined FuncSim::step (PERFORMANCE.md).
  */
 template <typename P>
 [[gnu::noinline]] void
@@ -85,16 +84,13 @@ ReconstructPhase::run()
 }
 
 ClusterReplayTask
-CapturePhase::run(std::size_t index, const Cluster &cluster)
+CapturePhase::take(std::size_t index, const Cluster &cluster)
 {
     WallTimer capture;
     ClusterReplayTask task;
     task.index = index;
     task.cluster = cluster;
-    task.machineState = snapshotToBytes(machine);
-    counters.peakSnapshotBytes =
-        std::max<std::uint64_t>(counters.peakSnapshotBytes,
-                                task.machineState.size());
+    task.machine.emplace(machine.warmCopy());
     task.context = policy.makeMeasureContext();
 
     // Record the cluster's committed trace. The shared machine receives
@@ -121,6 +117,15 @@ CapturePhase::run(std::size_t index, const Cluster &cluster)
                                  d.nextPc);
     }
     counters.captureSeconds += capture.seconds();
+    return task;
+}
+
+ClusterReplayTask
+CapturePhase::run(std::size_t index, const Cluster &cluster)
+{
+    ClusterReplayTask task = take(index, cluster);
+    task.machineState = snapshotToBytes(*task.machine);
+    task.machine.reset();
     return task;
 }
 
@@ -167,7 +172,7 @@ ClusterScheduleDriver::runDeferred(ReplaySink &sink)
         res.skippedInsts += cluster.start - pos;
         reconstruct.run();
 
-        sink.onCluster(capture.run(index, cluster));
+        sink.onCluster(capture.take(index, cluster));
         pos = cluster.start + cluster.size;
         ++index;
     }
@@ -298,18 +303,33 @@ ReplayArena::acquire(const MachineConfig &machine_config)
     return *machine;
 }
 
+Machine &
+ReplayArena::load(ClusterReplayTask &task,
+                  const MachineConfig &machine_config)
+{
+    if (!task.machine) {
+        Machine &m = acquire(machine_config);
+        restoreFromBytes(m, task.machineState);
+        m.clearTransientState();
+        return m;
+    }
+    if (machine)
+        *machine = std::move(*task.machine);
+    else
+        machine = std::make_unique<Machine>(std::move(*task.machine));
+    task.machine.reset();
+    return *machine;
+}
+
 uarch::RunResult
 replayCluster(ClusterReplayTask &task,
               const MachineConfig &machine_config, ReplayArena &arena,
               std::uint64_t *recon_updates, double *seconds)
 {
     WallTimer timer;
-    Machine &m = arena.acquire(machine_config);
-    restoreFromBytes(m, task.machineState);
+    Machine &m = arena.load(task, machine_config);
     if (task.context)
         task.context->attach(m);
-    m.hier.l1Bus().reset();
-    m.hier.l2Bus().reset();
     uarch::OoOCore core(machine_config.core, m.hier, m.bp);
     TraceSource src(task.trace);
     const uarch::RunResult rr = core.run(src, task.trace.size());

@@ -7,15 +7,16 @@
  *                    the warm-up policy and polling the watchdog;
  *   ReconstructPhase the policy's cluster-boundary warm-up work (cache
  *                    reconstruction, log finalization);
- *   CapturePhase     the warm machine snapshot, measurement context and
+ *   CapturePhase     the warm machine copy, measurement context and
  *                    committed trace of one cluster.
  *
  * ClusterScheduleDriver::runDeferred() composes them into the front half
  * of every sampled run: each cluster is emitted as a ClusterReplayTask,
  * and a ReplayLedger measures it on the cycle-accurate timing model
- * against a machine restored from the snapshot — inline in
- * core::runSampled(), on pool workers in harness/parallel_run.hh, or
- * later from a live-point store. While the trace is recorded, the shared
+ * against the warmed machine the task carries by value — inline in
+ * core::runSampled() or on pool workers in harness/parallel_run.hh — or
+ * against one restored from snapshot bytes, later, from a live-point
+ * store. While the trace is recorded, the shared
  * machine receives the cluster's state effects *functionally*
  * (commit-order warm accesses), so there is one estimator: the result
  * does not depend on where, when, or on how many threads the timing
@@ -27,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/sampled_sim.hh"
@@ -75,14 +77,23 @@ class TraceSource : public uarch::InstSource
 
 /**
  * Everything needed to measure one cluster away from the shared machine:
- * the warm state snapshot, the committed trace, and the policy's
- * measurement-time context (on-demand reconstruction state). Produced by
- * ClusterScheduleDriver::runDeferred(), consumed by replayCluster().
+ * the warm state, the committed trace, and the policy's measurement-time
+ * context (on-demand reconstruction state). Produced by
+ * ClusterScheduleDriver::runDeferred() or a live-point store, consumed by
+ * replayCluster().
+ *
+ * The warm state travels in one of two forms. In process it is the
+ * machine itself (Machine::warmCopy()), so nothing is serialized; bytes
+ * exist only where a store is written or read.
  */
 struct ClusterReplayTask
 {
     std::size_t index = 0;
     Cluster cluster;
+    /** The warmed machine by value (the in-process form). */
+    std::optional<Machine> machine;
+    /** The warmed machine as snapshot bytes (the store form); replay
+     *  reads these only when @c machine is empty. */
     std::vector<std::uint8_t> machineState;
     std::vector<func::DynInst> trace;
     std::unique_ptr<MeasureContext> context;
@@ -141,8 +152,9 @@ class ReconstructPhase
  * Warm-state capture at one cluster boundary — the producer half of the
  * live-point split. Runs after ReconstructPhase (warm-up applied, the
  * machine is exactly the state a timed cluster would start from) and
- * packages everything a later timing replay needs: the machine snapshot,
- * the policy's measurement context, and the cluster's committed trace.
+ * packages everything a later timing replay needs: a warm copy of the
+ * machine, the policy's measurement context, and the cluster's
+ * committed trace.
  * While the trace is recorded, the shared machine receives the cluster's
  * state effects *functionally* in commit order, so the following skip
  * region starts from hot state no matter where or when the timing replay
@@ -157,7 +169,18 @@ class CapturePhase
           ilineMask(iline_mask), counters(counters)
     {}
 
-    /** Capture cluster @p cluster (schedule position @p index). */
+    /**
+     * Capture cluster @p cluster (schedule position @p index), carrying
+     * the warmed machine by value.
+     */
+    ClusterReplayTask take(std::size_t index, const Cluster &cluster);
+
+    /**
+     * take(), then the machine as snapshot bytes in
+     * ClusterReplayTask::machineState. No library path calls it: it
+     * keeps the byte form for out-of-tree callers that restore the
+     * bytes themselves.
+     */
     ClusterReplayTask run(std::size_t index, const Cluster &cluster);
 
   private:
@@ -179,7 +202,7 @@ class ClusterScheduleDriver
     const std::vector<Cluster> &schedule() const { return schedule_; }
 
     /**
-     * Deferred front half: skip + reconstruct + snapshot + record each
+     * Deferred front half: skip + reconstruct + copy + record each
      * cluster, emitting ClusterReplayTasks to @p sink in schedule order.
      * The returned result carries the front-half accounting (skipped
      * instructions, warm work, phase counters); ReplayLedger::fold()
@@ -220,11 +243,16 @@ profileClusterProxies(const func::Program &program,
 /**
  * A thread-private machine reused across cluster replays. Building a
  * Machine allocates every cache array and predictor table; doing that
- * per cluster makes replay a global-heap contention benchmark instead of
- * a simulation. One arena per replaying thread amortizes the allocation:
- * restoreFromBytes() overwrites the entire hierarchy and predictor state
- * (Machine::restore covers both), and replayCluster() resets the buses,
- * so a reused machine is bit-identical to a fresh one.
+ * per store cluster on every worker makes replay a global-heap
+ * contention benchmark instead of a simulation. One arena per replaying
+ * thread amortizes the allocation (a by-value task was allocated once,
+ * by the producer's copy). load() overwrites the arena machine with a
+ * task's warm state in one of two ways: a by-value machine
+ * (Machine::warmCopy()) is moved in whole, its arrays replacing the
+ * arena's; snapshot bytes are restored in place (Machine::restore covers
+ * the whole hierarchy and predictor state), then
+ * Machine::clearTransientState() clears what the bytes leave out. Either
+ * way a reused machine is bit-identical to a fresh one.
  */
 class ReplayArena
 {
@@ -234,18 +262,29 @@ class ReplayArena
     /** The arena machine for @p machine_config, built on first use. */
     Machine &acquire(const MachineConfig &machine_config);
 
+    /**
+     * Load @p task's warm state as the arena machine: move its machine
+     * in (leaving the task without one), or restore its snapshot bytes
+     * into the machine for @p machine_config. Throws CorruptInputError
+     * on bytes that do not restore.
+     */
+    Machine &load(ClusterReplayTask &task,
+                  const MachineConfig &machine_config);
+
   private:
     std::unique_ptr<Machine> machine;
 };
 
 /**
- * Measure one deferred cluster on @p arena's machine: restore the
- * snapshot, attach the measurement context, run the timing model over
- * the stored trace. This is the restore-entry that bypasses SkipPhase
- * entirely — the snapshot already holds the warmed state a skip would
- * have produced — so a stored ClusterReplayTask (e.g. from a live-point
- * store) replays with zero functional simulation. The arena must be
- * private to the calling thread; replays share nothing else mutable.
+ * Measure one deferred cluster on @p arena's machine: load the task's
+ * warm state (move in its machine, or restore its snapshot bytes when it
+ * carries none), attach the measurement context, run the timing model
+ * over the stored trace. This is the entry that bypasses SkipPhase
+ * entirely — the task already holds the warmed state a skip would have
+ * produced — so a stored ClusterReplayTask (e.g. from a live-point
+ * store) replays with zero functional simulation. A by-value task
+ * replays once: its machine is moved out. The arena must be private to
+ * the calling thread; replays share nothing else mutable.
  *
  * @param recon_updates receives the context's on-demand reconstruction
  *        work (0 when the task has no context); may be null.

@@ -58,7 +58,7 @@ struct SampledConfig
  * Per-phase observability counters: how much work and wall time the
  * skip (functional fast-forward), reconstruct (warm-up at the cluster
  * boundary), and measure (cycle-accurate cluster) phases consumed, plus
- * the snapshot footprint when clusters are captured for deferred replay.
+ * the snapshot footprint when a live-point store captures clusters.
  */
 struct PhaseCounters
 {
@@ -68,14 +68,14 @@ struct PhaseCounters
     double skipSeconds = 0.0;
     /** Wall time in the reconstruct phase (policy beforeCluster work). */
     double reconstructSeconds = 0.0;
-    /** Wall time snapshotting state + recording cluster traces
-     *  (deferred/capture modes only). */
+    /** Wall time copying the warm machine + recording cluster traces. */
     double captureSeconds = 0.0;
     /** Instructions measured by the timing model. */
     std::uint64_t measureInsts = 0;
     /** Wall time in the measure phase (sums worker time when parallel). */
     double measureSeconds = 0.0;
-    /** Largest machine snapshot taken, in bytes (0 when none taken). */
+    /** Largest machine snapshot a store capture serialized, in bytes
+     *  (0 for in-process runs, which serialize nothing). */
     std::uint64_t peakSnapshotBytes = 0;
 };
 

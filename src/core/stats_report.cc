@@ -106,12 +106,13 @@ formatPhaseCounters(const PhaseCounters &phases)
     line(out, "phase.reconstruct.seconds", phases.reconstructSeconds,
          "cluster-boundary warm-up");
     line(out, "phase.capture.seconds", phases.captureSeconds,
-         "snapshot + trace recording");
+         "warm-state copy + trace recording");
     line(out, "phase.measure.insts", phases.measureInsts,
          "cycle-accurate");
     line(out, "phase.measure.seconds", phases.measureSeconds,
          "summed across replay workers");
-    line(out, "phase.peak_snapshot_bytes", phases.peakSnapshotBytes);
+    line(out, "phase.peak_snapshot_bytes", phases.peakSnapshotBytes,
+         "store captures only");
     return out;
 }
 

@@ -69,8 +69,8 @@ struct WarmupWork
  * at the cluster boundary (after beforeCluster()) from the branch half
  * of the skip log, which the context owns, so it outlives the policy's
  * per-skip log. It is attached to whichever machine actually executes
- * the cluster: the replay machine restored from the cluster's snapshot,
- * on whichever thread replays it.
+ * the cluster: the replay machine holding the cluster's warm state, on
+ * whichever thread replays it.
  */
 class MeasureContext
 {

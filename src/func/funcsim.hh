@@ -57,9 +57,10 @@ class FuncSim
      * Defined inline below: this is the innermost loop of functional
      * skipping, and together with the pre-decoded instruction cache it
      * keeps the per-instruction work at one table-indexed dispatch plus
-     * the semantic action.
+     * the semantic action. Always inlined: left to its heuristics, GCC
+     * calls it out of line from some skip loops (PERFORMANCE.md).
      */
-    bool step(DynInst *out = nullptr);
+    [[gnu::always_inline]] bool step(DynInst *out = nullptr);
 
     /** Run at most @p n instructions; returns the number executed. */
     std::uint64_t run(std::uint64_t n);

@@ -181,6 +181,8 @@ CampaignRunner::executeJob(const JobSpec &spec)
         .put("reconstruct_seconds", r.phases.reconstructSeconds)
         .put("measure_insts", r.phases.measureInsts)
         .put("measure_seconds", r.phases.measureSeconds)
+        // Bytes a store capture serialized: 0 here, since an in-process
+        // run serializes nothing and a store replay reports no capture.
         .put("peak_snapshot_bytes", r.phases.peakSnapshotBytes);
     const core::EstimatorOptions &sampling =
         store ? store->meta().estimator : config.sampling;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Parallel sampled simulation on top of the phase driver's deferred mode:
- * the functional front half (skip + warm-up + snapshot + trace capture)
- * runs on the calling thread, and the cycle-accurate timing replay of
- * each cluster runs on a ThreadPool worker against a private machine
- * restored from the cluster's snapshot. Statistics are merged in schedule
+ * the functional front half (skip + warm-up + warm-state copy + trace
+ * capture) runs on the calling thread, and the cycle-accurate timing
+ * replay of each cluster runs on a ThreadPool worker against the warmed
+ * machine the cluster's task carries by value. Statistics are merged in schedule
  * order, so the result is bit-identical for any worker count — including
  * jobs == 1, which is core::runSampled(): the same deferred pipeline,
  * replayed serially on the calling thread.

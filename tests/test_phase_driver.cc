@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "core/livepoint_store.hh"
 #include "core/phase_driver.hh"
@@ -22,6 +24,8 @@
 #include "harness/parallel_run.hh"
 #include "harness/thread_pool.hh"
 #include "util/error.hh"
+#include "util/serial.hh"
+#include "util/snapshot.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr
@@ -126,10 +130,187 @@ TEST_F(ParallelReplay, PhaseCountersAreConsistent)
     EXPECT_EQ(r.phases.skipInsts, r.skippedInsts);
     EXPECT_EQ(r.phases.measureInsts, r.hotInsts);
     EXPECT_EQ(r.hotInsts, 8u * 1500u);
-    EXPECT_GT(r.phases.peakSnapshotBytes, 0u);
     EXPECT_GT(r.phases.skipSeconds, 0.0);
     EXPECT_GT(r.phases.measureSeconds, 0.0);
     EXPECT_GT(r.phases.captureSeconds, 0.0);
+    // In process the warm state travels by value: nothing is serialized.
+    EXPECT_EQ(r.phases.peakSnapshotBytes, 0u);
+
+    // A store capture serializes each warmed machine, and says how big.
+    core::SampledResult front;
+    auto store_policy = core::makePolicyByName("rsr40");
+    const auto store = core::LivePointStore::create(
+        *prog, *store_policy, *cfg, "gcc", "rsr40", &front);
+    EXPECT_GT(front.phases.peakSnapshotBytes, 0u);
+    EXPECT_EQ(front.phases.skipInsts, r.phases.skipInsts);
+}
+
+/**
+ * A warmed machine carried by value to a pool worker must replay exactly
+ * like its snapshot bytes restored there. A plain copy of the shared
+ * machine also carries what a snapshot leaves out — bus occupancy and
+ * statistics, cache and predictor statistics, the warm-update counter,
+ * the predictor's reconstruction hook — so Machine::warmCopy() must
+ * clear each of them, and the shared machine below dirties each one.
+ */
+TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
+{
+    struct Keep : core::ReplaySink
+    {
+        std::vector<core::ClusterReplayTask> tasks;
+        void
+        onCluster(core::ClusterReplayTask task) override
+        {
+            tasks.push_back(std::move(task));
+        }
+    } kept;
+    auto policy = core::makePolicyByName("rsr40");
+    core::ClusterScheduleDriver(*prog, *policy, *cfg).runDeferred(kept);
+    ASSERT_EQ(kept.tasks.size(), 8u);
+    const std::size_t k = 5;
+    core::ClusterReplayTask &source = kept.tasks[k];
+    ASSERT_TRUE(source.machine.has_value());
+    ASSERT_NE(source.context, nullptr);
+
+    const auto cloneContext = [](const core::MeasureContext &c) {
+        ByteSink sink;
+        Serializer out(sink);
+        c.snapshot(out);
+        ByteSource src(sink.bytes());
+        Deserializer in(src);
+        return core::restoreMeasureContext(in);
+    };
+
+    // The shared machine: cluster k's warm state, then more functional
+    // warming, a timed miss that leaves both buses busy far past any
+    // replay's first cycle, and an RSR context attached.
+    core::Machine shared = *source.machine;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        shared.hier.warmAccess(0x40000 + 64 * i, false, true);
+        shared.hier.warmAccess(0x900000 + 64 * i, i % 4 == 0, false);
+        shared.bp.warmApply(0x1000 + 4 * i, isa::BranchKind::Conditional,
+                            i % 3 != 0, 0x2000);
+    }
+    shared.hier.timedLoad(1'000'000, 0x7700000);
+    auto hook = cloneContext(*source.context);
+    hook->attach(shared);
+    ASSERT_NE(shared.bp.reconstructionClient(), nullptr);
+    ASSERT_GT(shared.hier.warmUpdates(), 0u);
+    ASSERT_GT(shared.bp.stats().warmUpdates, 0u);
+    ASSERT_GT(shared.hier.il1().stats().misses, 0u);
+    ASSERT_GT(shared.hier.dl1().stats().misses, 0u);
+    ASSERT_GT(shared.hier.l2().stats().misses, 0u);
+    ASSERT_GT(shared.hier.l1Bus().stats().transfers, 0u);
+    ASSERT_GT(shared.hier.l2Bus().stats().transfers, 0u);
+
+    // Cluster k's task, with its warm state in the given form.
+    const auto taskWith = [&](std::optional<core::Machine> machine,
+                              std::vector<std::uint8_t> bytes) {
+        core::ClusterReplayTask t;
+        t.index = k;
+        t.cluster = source.cluster;
+        t.machine = std::move(machine);
+        t.machineState = std::move(bytes);
+        t.trace = source.trace;
+        t.context = cloneContext(*source.context);
+        return t;
+    };
+    auto by_value = taskWith(shared.warmCopy(), {});
+    const std::vector<std::uint8_t> bytes = snapshotToBytes(shared);
+    auto restored = taskWith(std::nullopt, bytes);
+    auto restored_dirty = taskWith(std::nullopt, bytes);
+    hook->detach(shared);
+    EXPECT_EQ(by_value.machine->bp.reconstructionClient(), nullptr);
+
+    struct Outcome
+    {
+        uarch::RunResult rr;
+        std::uint64_t recon = 0;
+        std::vector<std::uint8_t> state;
+        cache::BusStats l1Bus, l2Bus;
+        cache::CacheStats il1, dl1, l2;
+        branch::PredictorStats bp;
+        std::uint64_t warmUpdates = 0;
+        bool hook = false;
+    };
+    // Replay @p task on @p arena, after dirtying the arena with another
+    // cluster when @p dirty_with is given.
+    const auto replay = [&](core::ClusterReplayTask &task,
+                            core::ReplayArena &arena,
+                            core::ClusterReplayTask *dirty_with) {
+        if (dirty_with)
+            core::replayCluster(*dirty_with, cfg->machine, arena);
+        Outcome o;
+        o.rr = core::replayCluster(task, cfg->machine, arena, &o.recon);
+        const core::Machine &m = arena.acquire(cfg->machine);
+        o.state = snapshotToBytes(m);
+        o.l1Bus = m.hier.l1Bus().stats();
+        o.l2Bus = m.hier.l2Bus().stats();
+        o.il1 = m.hier.il1().stats();
+        o.dl1 = m.hier.dl1().stats();
+        o.l2 = m.hier.l2().stats();
+        o.bp = m.bp.stats();
+        o.warmUpdates = m.hier.warmUpdates();
+        o.hook = m.bp.reconstructionClient() != nullptr;
+        return o;
+    };
+
+    // The by-value leg crosses to a pool worker, as PoolSink hands it.
+    Outcome copy_out;
+    core::ReplayArena worker_arena;
+    harness::ThreadPool pool(2);
+    pool.submit([&] {
+        copy_out = replay(by_value, worker_arena, &kept.tasks[0]);
+    });
+    pool.wait();
+    EXPECT_FALSE(by_value.machine.has_value());
+
+    core::ReplayArena fresh_arena, dirty_arena;
+    const Outcome fresh_out = replay(restored, fresh_arena, nullptr);
+    const Outcome dirty_out =
+        replay(restored_dirty, dirty_arena, &kept.tasks[1]);
+
+    for (const Outcome *o : {&fresh_out, &dirty_out}) {
+        const char *leg =
+            o == &fresh_out ? "fresh restore" : "dirty restore";
+        EXPECT_EQ(copy_out.rr.insts, o->rr.insts) << leg;
+        EXPECT_EQ(copy_out.rr.cycles, o->rr.cycles) << leg;
+        EXPECT_EQ(copy_out.rr.branchMispredicts, o->rr.branchMispredicts)
+            << leg;
+        EXPECT_EQ(copy_out.rr.condBranches, o->rr.condBranches) << leg;
+        EXPECT_EQ(copy_out.rr.loads, o->rr.loads) << leg;
+        EXPECT_EQ(copy_out.rr.stores, o->rr.stores) << leg;
+        EXPECT_EQ(copy_out.rr.forwardedLoads, o->rr.forwardedLoads) << leg;
+        EXPECT_EQ(copy_out.rr.dispatchStallCycles,
+                  o->rr.dispatchStallCycles)
+            << leg;
+        EXPECT_EQ(copy_out.rr.fetchBlockedCycles, o->rr.fetchBlockedCycles)
+            << leg;
+        EXPECT_EQ(copy_out.recon, o->recon) << leg;
+        EXPECT_EQ(copy_out.state, o->state) << leg;
+        for (const auto &[a, b] :
+             {std::pair{copy_out.l1Bus, o->l1Bus},
+              std::pair{copy_out.l2Bus, o->l2Bus}}) {
+            EXPECT_EQ(a.transfers, b.transfers) << leg;
+            EXPECT_EQ(a.busyCycles, b.busyCycles) << leg;
+            EXPECT_EQ(a.waitCycles, b.waitCycles) << leg;
+        }
+        for (const auto &[a, b] : {std::pair{copy_out.il1, o->il1},
+                                   std::pair{copy_out.dl1, o->dl1},
+                                   std::pair{copy_out.l2, o->l2}}) {
+            EXPECT_EQ(a.hits, b.hits) << leg;
+            EXPECT_EQ(a.misses, b.misses) << leg;
+            EXPECT_EQ(a.fills, b.fills) << leg;
+            EXPECT_EQ(a.writebacks, b.writebacks) << leg;
+        }
+        EXPECT_EQ(copy_out.bp.lookups, o->bp.lookups) << leg;
+        EXPECT_EQ(copy_out.bp.condDirMisses, o->bp.condDirMisses) << leg;
+        EXPECT_EQ(copy_out.bp.warmUpdates, o->bp.warmUpdates) << leg;
+        EXPECT_EQ(copy_out.warmUpdates, o->warmUpdates) << leg;
+        EXPECT_FALSE(o->hook) << leg;
+    }
+    EXPECT_GT(copy_out.recon, 0u);
+    EXPECT_FALSE(copy_out.hook);
 }
 
 TEST_F(ParallelReplay, InlineDriverCountersMatchLegacyResult)
