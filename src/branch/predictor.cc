@@ -87,10 +87,7 @@ GsharePredictor::snapshot(Serializer &out) const
 void
 GsharePredictor::restore(Deserializer &in)
 {
-    const std::uint32_t version = in.begin(bpSnapshotTag);
-    if (version != bpSnapshotVersion)
-        rsr_throw_corrupt("unsupported predictor snapshot version ",
-                          version, " (expected ", bpSnapshotVersion, ")");
+    in.begin(bpSnapshotTag, bpSnapshotVersion);
     const std::uint32_t pht_in = in.getU32();
     const std::uint32_t btb_in = in.getU32();
     const std::uint32_t ras_in = in.getU32();

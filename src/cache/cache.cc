@@ -184,11 +184,7 @@ Cache::snapshot(Serializer &out) const
 void
 Cache::restore(Deserializer &in)
 {
-    const std::uint32_t version = in.begin(cacheSnapshotTag);
-    if (version != cacheSnapshotVersion)
-        rsr_throw_corrupt(params_.name, ": unsupported cache snapshot "
-                          "version ", version, " (expected ",
-                          cacheSnapshotVersion, ")");
+    in.begin(cacheSnapshotTag, cacheSnapshotVersion);
     const std::uint32_t sets_in = in.getU32();
     const std::uint32_t assoc_in = in.getU32();
     if (sets_in != numSets_ || assoc_in != assoc_)

@@ -1,6 +1,5 @@
 #include "hierarchy.hh"
 
-#include "util/error.hh"
 
 namespace rsr::cache
 {
@@ -127,11 +126,7 @@ MemoryHierarchy::snapshot(Serializer &out) const
 void
 MemoryHierarchy::restore(Deserializer &in)
 {
-    const std::uint32_t version = in.begin(hierSnapshotTag);
-    if (version != hierSnapshotVersion)
-        rsr_throw_corrupt("unsupported hierarchy snapshot version ",
-                          version, " (expected ", hierSnapshotVersion,
-                          ")");
+    in.begin(hierSnapshotTag, hierSnapshotVersion);
     il1_.restore(in);
     dl1_.restore(in);
     l2_.restore(in);

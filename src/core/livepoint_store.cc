@@ -26,12 +26,13 @@ namespace rsr::core
 namespace
 {
 
-/** Index frame tag and version (rides on the v3 Snapshotable framing).
- *  v4 machine metadata is the machine schema's bytes (config_file.hh),
- *  store forwarding included; older stores are rejected as version skew
- *  and must be recaptured. */
+/** Index frame tag and version. v5 is the first index in the 16-byte
+ *  frame header (no per-frame checksum: the container's index FNV covers
+ *  these bytes); its machine metadata is the machine schema's bytes
+ *  (config_file.hh), store forwarding included. Older stores are
+ *  rejected as version skew and must be recaptured. */
 constexpr std::uint32_t indexTag = fourcc('L', 'V', 'P', 'T');
-constexpr std::uint32_t indexVersion = 4;
+constexpr std::uint32_t indexVersion = 5;
 
 void
 putString(Serializer &out, const std::string &s)
@@ -44,6 +45,9 @@ std::string
 getString(Deserializer &in)
 {
     const std::uint64_t len = in.getU64();
+    if (len > in.frameRemaining())
+        rsr_throw_corrupt("live-point index string of ", len,
+                          " bytes overruns its frame");
     FaultInjector::global().checkAlloc("livepoint_store:string", len);
     std::string s(len, '\0');
     in.getBytes(s.data(), s.size());
@@ -180,11 +184,7 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
 
     ByteSource src(store.reader_->index());
     Deserializer in(src);
-    const std::uint32_t version = in.begin(indexTag);
-    if (version != indexVersion)
-        rsr_throw_corrupt("live-point index version skew: file is v",
-                          version, ", this build reads v", indexVersion,
-                          " (recapture the store)");
+    in.begin(indexTag, indexVersion);
     store.meta_.workload = getString(in);
     store.meta_.policy = getString(in);
     store.meta_.totalInsts = in.getU64();
@@ -208,6 +208,9 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
     store.meta_.estimator.rankSeed = in.getU64();
     store.meta_.candidateCount = in.getU64();
     const std::uint64_t machine_len = in.getU64();
+    if (machine_len > in.frameRemaining())
+        rsr_throw_corrupt("live-point index machine metadata of ",
+                          machine_len, " bytes overruns its frame");
     FaultInjector::global().checkAlloc("livepoint_store:machine",
                                        machine_len);
     std::vector<std::uint8_t> machine_bytes(machine_len);
@@ -215,6 +218,9 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
     store.meta_.machine = machineFromBytes(machine_bytes);
     store.offeredBytes_ = in.getU64();
     const std::uint64_t count = in.getU64();
+    if (count > in.frameRemaining() / 53) // 53 payload bytes per entry
+        rsr_throw_corrupt("live-point index claims ", count,
+                          " entries in ", in.frameRemaining(), " bytes");
     FaultInjector::global().checkAlloc("livepoint_store:entries",
                                        count * sizeof(LivePointEntry));
     store.entries_.reserve(count);
@@ -244,6 +250,9 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
         store.entries_.push_back(e);
     }
     in.end();
+    if (!src.exhausted())
+        rsr_throw_corrupt("live-point index has ", src.remaining(),
+                          " trailing bytes after its frame");
     return store;
 }
 

@@ -13,10 +13,10 @@
  * hash, so identical state across clusters (common for small predictors
  * or quickly-saturating caches) is stored once. Trace blobs are record
  * payloads of the src/trace delta codec, the same records a trace file
- * holds. A versioned index frame ('LVPT' v4, built on the v3
- * Snapshotable framing) records the capture metadata — workload, policy,
- * schedule, machine schema bytes, estimator selection — plus one entry
- * per cluster referencing the blobs by hash. Stores written with an
+ * holds. A versioned index frame ('LVPT' v5) records the capture
+ * metadata — workload, policy, schedule, machine schema bytes,
+ * estimator selection — plus one entry per cluster referencing the
+ * blobs by hash. Stores written with an
  * older index version are rejected as version skew and must be
  * recaptured.
  *

@@ -11,7 +11,6 @@
 #include "branch/predictor.hh"
 #include "cache/hierarchy.hh"
 #include "uarch/core.hh"
-#include "util/error.hh"
 #include "util/snapshot.hh"
 
 namespace rsr::core
@@ -125,11 +124,7 @@ struct Machine : Snapshotable
     void
     restore(Deserializer &in) override
     {
-        const std::uint32_t version = in.begin(snapshotTag);
-        if (version != snapshotVersion)
-            rsr_throw_corrupt("unsupported machine snapshot version ",
-                              version, " (expected ", snapshotVersion,
-                              ")");
+        in.begin(snapshotTag, snapshotVersion);
         hier.restore(in);
         bp.restore(in);
         in.end();

@@ -184,11 +184,7 @@ MeasureContext::snapshot(Serializer &out) const
 std::unique_ptr<MeasureContext>
 restoreMeasureContext(Deserializer &in)
 {
-    const std::uint32_t version = in.begin(contextTag);
-    if (version != contextVersion)
-        rsr_throw_corrupt("measure-context frame version skew: v",
-                          version, ", this build reads v",
-                          contextVersion);
+    in.begin(contextTag, contextVersion);
     const std::uint8_t mode_raw = in.getU8();
     if (mode_raw > static_cast<std::uint8_t>(PhtResolveMode::ApplyToStale))
         rsr_throw_corrupt("measure-context frame has unknown PHT resolve "

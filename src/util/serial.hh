@@ -50,6 +50,16 @@ class ByteSink
         buf.insert(buf.end(), p, p + n);
     }
 
+    /** Overwrite the 8 bytes at @p pos, already written, with @p v. */
+    void
+    patchU64(std::size_t pos, std::uint64_t v)
+    {
+        rsr_assert(pos + 8 <= buf.size(), "patch past end of sink (",
+                   pos, " of ", buf.size(), ")");
+        for (int i = 0; i < 8; ++i)
+            buf[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
     const std::vector<std::uint8_t> &bytes() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
     std::size_t size() const { return buf.size(); }

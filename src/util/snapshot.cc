@@ -1,6 +1,5 @@
 #include "snapshot.hh"
 
-#include "checksum.hh"
 #include "error.hh"
 #include "logging.hh"
 
@@ -21,28 +20,25 @@ fourccName(std::uint32_t tag)
 void
 Serializer::begin(std::uint32_t tag, std::uint32_t version)
 {
-    frames.push_back(Frame{tag, version, {}});
+    out.putU32(tag);
+    out.putU32(version);
+    lengthAt.push_back(out.size());
+    out.putU64(0); // payload length, back-patched by end()
 }
 
 void
 Serializer::end()
 {
-    rsr_assert(!frames.empty(), "Serializer::end() without begin()");
-    Frame f = std::move(frames.back());
-    frames.pop_back();
-    ByteSink &out = sink();
-    out.putU32(f.tag);
-    out.putU32(f.version);
-    out.putU64(f.payload.size());
-    out.putU64(fnv64(f.payload.bytes().data(), f.payload.size()));
-    out.putBytes(f.payload.bytes().data(), f.payload.size());
+    rsr_assert(!lengthAt.empty(), "Serializer::end() without begin()");
+    const std::size_t at = lengthAt.back();
+    lengthAt.pop_back();
+    out.patchU64(at, out.size() - (at + 8));
 }
 
-std::uint32_t
-Deserializer::begin(std::uint32_t tag)
+void
+Deserializer::begin(std::uint32_t tag, std::uint32_t version)
 {
-    // tag + version + payload length + payload checksum
-    constexpr std::size_t headerBytes = 4 + 4 + 8 + 8;
+    constexpr std::size_t headerBytes = 4 + 4 + 8; // tag, version, length
     if (in.remaining() < headerBytes)
         rsr_throw_corrupt("snapshot truncated: component '",
                           fourccName(tag), "' needs a ", headerBytes,
@@ -52,18 +48,17 @@ Deserializer::begin(std::uint32_t tag)
         rsr_throw_corrupt("snapshot component mismatch: expected '",
                           fourccName(tag), "', found '", fourccName(found),
                           "'");
-    const std::uint32_t version = in.getU32();
+    const std::uint32_t found_version = in.getU32();
+    if (found_version != version)
+        rsr_throw_corrupt("snapshot component '", fourccName(tag),
+                          "' version skew: found v", found_version,
+                          ", this build reads v", version);
     const std::uint64_t len = in.getU64();
-    const std::uint64_t want_sum = in.getU64();
     if (len > in.remaining())
         rsr_throw_corrupt("snapshot component '", fourccName(tag),
                           "' payload length ", len, " exceeds remaining ",
                           in.remaining(), " bytes (truncated)");
-    if (fnv64(in.cursor(), static_cast<std::size_t>(len)) != want_sum)
-        rsr_throw_corrupt("snapshot component '", fourccName(tag),
-                          "' payload checksum mismatch (corrupted)");
     frames.push_back(Frame{tag, in.tell() + static_cast<std::size_t>(len)});
-    return version;
 }
 
 void

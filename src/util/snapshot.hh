@@ -1,18 +1,20 @@
 /**
  * @file
- * Versioned, checksummed component serialization for microarchitectural
- * state. Every snapshotable component writes one self-describing frame:
+ * Versioned component serialization for microarchitectural state. Every
+ * snapshotable component writes one self-describing frame:
  *
- *   tag (u32 fourcc) | version (u32) | payload length (u64) |
- *   FNV-1a-64 payload checksum (u64) | payload bytes
+ *   tag (u32 fourcc) | version (u32) | payload length (u64) | payload bytes
  *
  * Frames nest: a machine frame's payload contains the hierarchy frame,
- * which contains the three cache frames, and so on. Restoration validates
- * the tag, payload length, and checksum before any payload byte is
- * consumed, and throws CorruptInputError on any mismatch — truncation, bit
- * flips, a frame of the wrong component type, or trailing garbage. The
- * version word lets a component evolve its payload format without
- * invalidating the wire protocol.
+ * which contains the three cache frames, and so on. Frames carry
+ * structure, not integrity: restoration checks the tag, then the version,
+ * then the payload length before any payload byte is consumed, and
+ * throws CorruptInputError on a frame of the wrong component type, a
+ * version this build does not read, truncation, or a payload not consumed
+ * exactly. Byte damage is the container's to catch: every stored frame is
+ * decoded from a live-point store blob or index whose FNV-1a-64 the
+ * BlobStoreReader verified when the store was opened (content_store.hh),
+ * so each stored byte is hashed once, not once per nesting level.
  */
 
 #ifndef RSR_UTIL_SNAPSHOT_HH
@@ -42,51 +44,37 @@ std::string fourccName(std::uint32_t tag);
 
 /**
  * Frame-writing serializer. Component code brackets its payload with
- * begin(tag, version) / end(); primitives written in between go into the
- * innermost open frame, and end() emits the completed frame (header,
- * checksum, payload) into the enclosing frame or the root sink.
+ * begin(tag, version) / end(). Frames are written in place: begin() emits
+ * the header with a length placeholder, primitives go straight into the
+ * sink, and end() back-patches the innermost frame's payload length.
  */
 class Serializer
 {
   public:
-    explicit Serializer(ByteSink &out) : root(out) {}
+    explicit Serializer(ByteSink &out) : out(out) {}
 
     /** Open a component frame. */
     void begin(std::uint32_t tag, std::uint32_t version);
 
-    /** Close the innermost frame and emit it with its header+checksum. */
+    /** Close the innermost frame, filling in its payload length. */
     void end();
 
-    void putU8(std::uint8_t v) { sink().putU8(v); }
-    void putU32(std::uint32_t v) { sink().putU32(v); }
-    void putU64(std::uint64_t v) { sink().putU64(v); }
-    void putBytes(const void *data, std::size_t n)
-    {
-        sink().putBytes(data, n);
-    }
+    void putU8(std::uint8_t v) { out.putU8(v); }
+    void putU32(std::uint32_t v) { out.putU32(v); }
+    void putU64(std::uint64_t v) { out.putU64(v); }
+    void putBytes(const void *data, std::size_t n) { out.putBytes(data, n); }
 
   private:
-    struct Frame
-    {
-        std::uint32_t tag;
-        std::uint32_t version;
-        ByteSink payload;
-    };
-
-    ByteSink &sink()
-    {
-        return frames.empty() ? root : frames.back().payload;
-    }
-
-    ByteSink &root;
-    std::vector<Frame> frames;
+    ByteSink &out;
+    /** Sink offset of each open frame's length word, innermost last. */
+    std::vector<std::size_t> lengthAt;
 };
 
 /**
- * Frame-validating deserializer. begin(tag) checks the frame header —
- * truncation, tag identity, payload length, payload checksum — and throws
- * CorruptInputError on any mismatch, returning the stored version for the
- * component to interpret. end() verifies the payload was consumed exactly.
+ * Frame-validating deserializer. begin(tag, version) checks the frame
+ * header — truncation, tag identity, version, payload length — and throws
+ * CorruptInputError on any mismatch; it is the one frame-version check.
+ * end() verifies the payload was consumed exactly.
  */
 class Deserializer
 {
@@ -94,10 +82,10 @@ class Deserializer
     explicit Deserializer(ByteSource &in) : in(in) {}
 
     /**
-     * Validate and open the frame of component @p tag at the cursor.
-     * @return the frame's version word.
+     * Validate and open the frame of component @p tag at the cursor,
+     * which must be at @p version: the only version this build reads.
      */
-    std::uint32_t begin(std::uint32_t tag);
+    void begin(std::uint32_t tag, std::uint32_t version);
 
     /** Close the innermost frame, checking exact payload consumption. */
     void end();

@@ -18,7 +18,7 @@ class Serializer
 class Deserializer
 {
   public:
-    std::uint32_t begin(std::uint32_t tag);
+    void begin(std::uint32_t tag, std::uint32_t version);
     void end();
     std::uint64_t getU64();
 };
@@ -50,7 +50,7 @@ class Pair : public Snapshotable
     void
     restore(Deserializer &in) override
     {
-        in.begin(pairTag);
+        in.begin(pairTag, pairVersion);
         b_ = in.getU64();
         a_ = in.getU64();
         in.end();

@@ -17,7 +17,7 @@ class Serializer
 class Deserializer
 {
   public:
-    std::uint32_t begin(std::uint32_t tag);
+    void begin(std::uint32_t tag, std::uint32_t version);
     void end();
     std::uint64_t getU64();
 };
@@ -47,7 +47,7 @@ class Widget : public Snapshotable
     void
     restore(Deserializer &in) override
     {
-        in.begin(widgetTag);
+        in.begin(widgetTag, widgetVersion);
         kept_ = in.getU64();
         in.end();
     }

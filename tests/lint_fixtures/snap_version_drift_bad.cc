@@ -18,7 +18,7 @@ class Serializer
 class Deserializer
 {
   public:
-    std::uint32_t begin(std::uint32_t tag);
+    void begin(std::uint32_t tag, std::uint32_t version);
     void end();
     std::uint64_t getU64();
 };
@@ -49,7 +49,7 @@ class Gadget : public Snapshotable
     void
     restore(Deserializer &in) override
     {
-        in.begin(gadgetTag);
+        in.begin(gadgetTag, gadgetVersion);
         x_ = in.getU64();
         y_ = in.getU64();
         in.end();

@@ -507,14 +507,15 @@ TEST_F(EstimatorRun, CaptureAnnotationsSurviveBytesAndRejectReorder)
             << i;
 
     // Reordering two adjacent differing 8-byte words of the index
-    // payload (container header 24 bytes + index frame header 24
+    // payload (container header 24 bytes + index frame header 16
     // bytes) is the byte-level image of a member-order mismatch in
-    // the index's snapshot()/restore() pair; the position-sensitive
-    // index checksum must reject the store rather than misparse it.
+    // the index's snapshot()/restore() pair; the container's position-
+    // sensitive index checksum must reject the store rather than
+    // misparse it.
     auto bytes = store.serialize();
     ASSERT_GE(bytes.size(), 64u);
     bool swapped = false;
-    for (std::size_t off = 48; off + 16 <= bytes.size() && !swapped;
+    for (std::size_t off = 40; off + 16 <= bytes.size() && !swapped;
          off += 8) {
         const auto word =
             bytes.begin() + static_cast<std::ptrdiff_t>(off);

@@ -496,7 +496,7 @@ TEST(RsrLintModel, UpdateSnapshotAbiGatesOnVersionBump)
                "};\n"
                "class Deserializer {\n"
                "  public:\n"
-               "    std::uint32_t begin(std::uint32_t t);\n"
+               "    void begin(std::uint32_t t, std::uint32_t v);\n"
                "    void end();\n"
                "    std::uint64_t getU64();\n"
                "};\n"
@@ -519,7 +519,7 @@ TEST(RsrLintModel, UpdateSnapshotAbiGatesOnVersionBump)
             << "        out.end();\n"
                "    }\n"
                "    void restore(Deserializer &in) override {\n"
-               "        in.begin(gadgetTag);\n"
+               "        in.begin(gadgetTag, gadgetVersion);\n"
                "        x_ = in.getU64();\n"
             << (with_z ? "        z_ = in.getU64();\n" : "")
             << "        in.end();\n"

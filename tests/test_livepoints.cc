@@ -22,7 +22,6 @@
 #include "core/warmup.hh"
 #include "harness/parallel_run.hh"
 #include "trace/trace.hh"
-#include "util/checksum.hh"
 #include "util/error.hh"
 #include "util/random.hh"
 #include "util/serial.hh"
@@ -301,13 +300,14 @@ TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
         }
         const std::uint64_t hash = w.add(trace);
 
-        // Point entry 0 at the new blob and re-seal the index frame:
-        // tag (4) + version (4) + payload length (8) + checksum (8).
+        // Point entry 0 at the new blob; finish() re-seals the index
+        // under a fresh container checksum. The index frame header is
+        // tag (4) + version (4) + payload length (8).
         auto index = original.index();
-        ByteSink old_hash, new_hash, checksum;
+        ByteSink old_hash, new_hash;
         old_hash.putU64(entries[0].traceHash);
         new_hash.putU64(hash);
-        const auto at = std::search(index.begin() + 24, index.end(),
+        const auto at = std::search(index.begin() + 16, index.end(),
                                     old_hash.bytes().begin(),
                                     old_hash.bytes().end());
         if (at == index.end()) {
@@ -315,9 +315,6 @@ TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
             return std::vector<std::uint8_t>{};
         }
         std::copy(new_hash.bytes().begin(), new_hash.bytes().end(), at);
-        checksum.putU64(fnv64(index.data() + 24, index.size() - 24));
-        std::copy(checksum.bytes().begin(), checksum.bytes().end(),
-                  index.begin() + 16);
         return w.finish(index);
     };
 

@@ -36,9 +36,12 @@
 #include "harness/parallel_run.hh"
 #include "simpoint/simpoint.hh"
 #include "trace/trace.hh"
+#include "util/checksum.hh"
+#include "util/content_store.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/fileio.hh"
+#include "util/serial.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr
@@ -332,6 +335,112 @@ TEST(Robustness, VersionSkewedLivePointStoreIsRejected)
             << e.what();
     }
     std::remove(path.c_str());
+}
+
+/**
+ * Re-seal @p store's blobs around @p index, a replacement index frame,
+ * so the container's own checks all pass and only the index decode
+ * judges the frame.
+ */
+std::vector<std::uint8_t>
+resealedWithIndex(const core::LivePointStore &store,
+                  const std::vector<std::uint8_t> &index)
+{
+    const BlobStoreReader reader(store.serialize());
+    const auto copy = [&](std::uint64_t hash) {
+        const auto blob = reader.blob(hash);
+        return std::vector<std::uint8_t>(blob.begin(), blob.end());
+    };
+    BlobStoreWriter writer;
+    for (const auto &e : store.entries()) {
+        writer.add(copy(e.stateHash));
+        writer.add(copy(e.traceHash));
+        if (e.hasContext)
+            writer.add(copy(e.contextHash));
+    }
+    return writer.finish(index);
+}
+
+/** Load and delete a store saved by savedSmallStore(). */
+core::LivePointStore
+takeSmallStore(const char *tag)
+{
+    const std::string path = savedSmallStore(tag);
+    auto store = core::LivePointStore::loadFile(path);
+    std::remove(path.c_str());
+    return store;
+}
+
+TEST(Robustness, V4IndexFrameIsRejectedNamingBothVersions)
+{
+    // The index frame's own version word, not the container's: the v4
+    // index layout (24-byte header: tag, version, payload length,
+    // payload FNV-1a-64) inside an otherwise sound container.
+    const auto store = takeSmallStore("v4index");
+    const auto v5 = BlobStoreReader(store.serialize()).index();
+    ASSERT_GT(v5.size(), 16u);
+    const std::size_t payload = v5.size() - 16;
+    ByteSink v4;
+    v4.putBytes(v5.data(), 4); // 'LVPT'
+    v4.putU32(4);
+    v4.putU64(payload);
+    v4.putU64(fnv64(v5.data() + 16, payload));
+    v4.putBytes(v5.data() + 16, payload);
+    try {
+        core::LivePointStore::deserialize(
+            resealedWithIndex(store, v4.bytes()));
+        FAIL() << "v4 index accepted";
+    } catch (const CorruptInputError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("LVPT"), std::string::npos) << what;
+        EXPECT_NE(what.find("v4"), std::string::npos) << what;
+        EXPECT_NE(what.find("v5"), std::string::npos) << what;
+    }
+}
+
+TEST(Robustness, MalformedIndexFrameThrowsCorruptInput)
+{
+    // A sound container around an index frame of the wrong shape: bytes
+    // after the frame, or length and count fields that claim more than
+    // the frame holds. Each is refused as corrupt, and no length is
+    // sized into an allocation first.
+    const auto store = takeSmallStore("malformed");
+    const auto pristine = BlobStoreReader(store.serialize()).index();
+    const auto wordAt = [&](std::size_t at) {
+        ByteSource in(pristine);
+        in.skip(at);
+        return in.getU64();
+    };
+    // Payload after the 16-byte frame header: two strings, four u64
+    // schedule fields, two u8 estimator kinds, five u64 estimator
+    // fields, then the machine metadata, the offered-bytes word and the
+    // entry count.
+    const std::size_t workload_len_at = 16;
+    const std::size_t policy_len_at =
+        workload_len_at + 8 + wordAt(workload_len_at);
+    const std::size_t machine_len_at =
+        policy_len_at + 8 + wordAt(policy_len_at) + 4 * 8 + 2 + 5 * 8;
+    const std::size_t entry_count_at =
+        machine_len_at + 8 + wordAt(machine_len_at) + 8;
+    ASSERT_EQ(wordAt(entry_count_at), store.entries().size());
+    auto trailing = pristine;
+    trailing.push_back(0);
+    EXPECT_THROW(core::LivePointStore::deserialize(
+                     resealedWithIndex(store, trailing)),
+                 CorruptInputError);
+    for (const std::size_t at : {workload_len_at, policy_len_at,
+                                 machine_len_at, entry_count_at}) {
+        for (const std::uint64_t v :
+             {std::uint64_t{pristine.size()}, std::uint64_t{1} << 60}) {
+            auto index = pristine;
+            for (int i = 0; i < 8; ++i)
+                index[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+            EXPECT_THROW(core::LivePointStore::deserialize(
+                             resealedWithIndex(store, index)),
+                         CorruptInputError)
+                << "field at " << at << " set to " << v;
+        }
+    }
 }
 
 TEST(Robustness, FaultInjectedLivePointLoadFailsTyped)

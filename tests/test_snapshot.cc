@@ -1,24 +1,35 @@
 /**
  * @file
- * Tests for the versioned, checksummed component snapshot layer: framed
- * round trips for every Snapshotable (Cache, MemoryHierarchy,
- * GsharePredictor, Machine) and the corrupt-input negative paths
- * (truncation, bit flips, component mismatch, version and geometry
- * mismatches, trailing bytes).
+ * Tests for the versioned component snapshot layer: framed round trips
+ * for every Snapshotable (Cache, MemoryHierarchy, GsharePredictor,
+ * Machine), each checked snapshot -> restore -> snapshot byte-identical;
+ * the structural negative paths of a frame (truncation, component
+ * mismatch, version and geometry mismatches, trailing bytes); and the
+ * integrity rule that replaces per-frame checksums: a flipped byte in
+ * any blob kind or the index of a live-point store is refused when the
+ * store is opened.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "branch/predictor.hh"
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
+#include "core/livepoint_store.hh"
 #include "core/machine.hh"
 #include "core/warmup.hh"
+#include "util/content_store.hh"
+#include "util/error.hh"
 #include "util/random.hh"
 #include "util/snapshot.hh"
+#include "workload/synthetic.hh"
 
 namespace rsr::core
 {
@@ -119,6 +130,38 @@ TEST(Snapshot, HierarchyAndMachineRoundTrip)
     EXPECT_EQ(snapshotToBytes(c), bytes);
 }
 
+TEST(Snapshot, NestedFramesAreWrittenInPlace)
+{
+    // A parent frame is its 16-byte header (tag, version, payload
+    // length) followed by each child's frame exactly as the child writes
+    // it alone: end() back-patches the length at every nesting level.
+    const auto mc = MachineConfig::scaledDefault();
+    Machine m(mc);
+    churnMachine(m, 19);
+    const auto framed = [](std::uint32_t tag, std::uint32_t version,
+                           std::initializer_list<std::vector<std::uint8_t>>
+                               children) {
+        ByteSink out;
+        out.putU32(tag);
+        out.putU32(version);
+        std::uint64_t len = 0;
+        for (const auto &c : children)
+            len += c.size();
+        out.putU64(len);
+        for (const auto &c : children)
+            out.putBytes(c.data(), c.size());
+        return out.take();
+    };
+    const auto hier = snapshotToBytes(m.hier);
+    EXPECT_EQ(hier, framed(fourcc('H', 'I', 'E', 'R'), 1,
+                           {snapshotToBytes(m.hier.il1()),
+                            snapshotToBytes(m.hier.dl1()),
+                            snapshotToBytes(m.hier.l2())}));
+    EXPECT_EQ(snapshotToBytes(m),
+              framed(Machine::snapshotTag, Machine::snapshotVersion,
+                     {hier, snapshotToBytes(m.bp)}));
+}
+
 TEST(Snapshot, RestoreOverwritesDivergedState)
 {
     const auto mc = MachineConfig::scaledDefault();
@@ -141,17 +184,6 @@ TEST(Snapshot, TruncatedSnapshotThrowsCorrupt)
     EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
 }
 
-TEST(Snapshot, FlippedPayloadByteThrowsCorrupt)
-{
-    cache::Cache a(smallCacheParams()), b(smallCacheParams());
-    Rng rng(16);
-    for (int i = 0; i < 500; ++i)
-        a.access(rng.below(256) * 64, false);
-    auto bytes = snapshotToBytes(a);
-    bytes[bytes.size() / 2] ^= 0x40;
-    EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
-}
-
 TEST(Snapshot, ComponentMismatchThrowsCorrupt)
 {
     cache::Cache c(smallCacheParams());
@@ -166,10 +198,18 @@ TEST(Snapshot, UnsupportedVersionThrowsCorrupt)
 {
     cache::Cache a(smallCacheParams()), b(smallCacheParams());
     auto bytes = snapshotToBytes(a);
-    // Frame header layout: tag (4), then version (4); the checksum only
-    // covers the payload, so this exercises the version check itself.
+    // Frame header layout: tag (4), then version (4). Deserializer::begin
+    // is the one frame-version check; its message names both versions.
     bytes[4] = 0x7f;
-    EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
+    try {
+        restoreFromBytes(b, bytes);
+        FAIL() << "version-skewed cache frame accepted";
+    } catch (const CorruptInputError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("CACH"), std::string::npos) << what;
+        EXPECT_NE(what.find("found v127"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads v1"), std::string::npos) << what;
+    }
 }
 
 TEST(Snapshot, GeometryMismatchThrowsCorrupt)
@@ -182,62 +222,59 @@ TEST(Snapshot, GeometryMismatchThrowsCorrupt)
                  CorruptInputError);
 }
 
-/**
- * Swap the first pair of adjacent differing 8-byte words in a frame's
- * payload — the byte-level image of a snapshot()/restore() member-order
- * mismatch. Returns false if every adjacent pair is identical.
- */
-bool
-swapAdjacentPayloadWords(std::vector<std::uint8_t> &bytes,
-                         std::size_t payload_start)
-{
-    for (std::size_t off = payload_start; off + 16 <= bytes.size();
-         off += 8) {
-        const auto word = bytes.begin() + static_cast<std::ptrdiff_t>(off);
-        if (std::equal(word, word + 8, word + 8))
-            continue;
-        std::swap_ranges(word, word + 8, word + 8);
-        return true;
-    }
-    return false;
-}
-
-TEST(Snapshot, ReorderedCachePayloadWordsThrowCorrupt)
-{
-    cache::Cache a(smallCacheParams()), b(smallCacheParams());
-    Rng rng(17);
-    for (int i = 0; i < 2000; ++i)
-        a.access(rng.below(512) * 64, rng.chance(0.4));
-    auto bytes = snapshotToBytes(a);
-    // Frame header is 24 bytes (tag, version, length, checksum); the
-    // member stream follows. The FNV payload checksum is position-
-    // sensitive, so reordered members cannot restore silently — the
-    // runtime complement of rsrlint's snap-asymmetry order check.
-    ASSERT_TRUE(swapAdjacentPayloadWords(bytes, 24));
-    EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
-}
-
-TEST(Snapshot, ReorderedPredictorPayloadWordsThrowCorrupt)
-{
-    branch::GsharePredictor a(smallPredictorParams()),
-        b(smallPredictorParams());
-    Rng rng(18);
-    for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t pc = 0x4000 + 4 * rng.below(1024);
-        a.warmApply(pc, isa::BranchKind::Conditional, rng.chance(0.6),
-                    pc + 64);
-    }
-    auto bytes = snapshotToBytes(a);
-    ASSERT_TRUE(swapAdjacentPayloadWords(bytes, 24));
-    EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
-}
-
 TEST(Snapshot, TrailingBytesThrowCorrupt)
 {
     cache::Cache a(smallCacheParams()), b(smallCacheParams());
     auto bytes = snapshotToBytes(a);
     bytes.push_back(0);
     EXPECT_THROW(restoreFromBytes(b, bytes), CorruptInputError);
+}
+
+/**
+ * Frames carry no checksum of their own: every stored frame is decoded
+ * from bytes the store container hashed when it was opened. Flip one
+ * byte in the middle of each kind of stored bytes a frame or trace is
+ * decoded from, and the open must refuse the store.
+ */
+TEST(StoreIntegrity, FlippedByteInAnyBlobKindOrIndexThrowsCorrupt)
+{
+    const auto prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("twolf"));
+    SampledConfig cfg;
+    cfg.totalInsts = 60'000;
+    cfg.regimen = {3, 500};
+    cfg.machine = MachineConfig::scaledDefault();
+    const auto rsr = makePolicyByName("rsr40");
+    const auto store =
+        LivePointStore::create(prog, *rsr, cfg, "twolf", "rsr40");
+    const std::vector<std::uint8_t> &file = store.serialize();
+    EXPECT_NO_THROW(LivePointStore::deserialize(file));
+
+    const BlobStoreReader reader(file);
+    const auto middleOf = [&](std::span<const std::uint8_t> blob) {
+        return static_cast<std::size_t>(blob.data() -
+                                        reader.fileBytes().data()) +
+               blob.size() / 2;
+    };
+    const LivePointEntry &first = store.entries().front();
+    ASSERT_TRUE(first.hasContext);
+    // The index follows the 24-byte container header; its LVPT frame
+    // header is 16 bytes.
+    const std::vector<std::uint8_t> &index = reader.index();
+    ASSERT_TRUE(std::equal(index.begin(), index.end(), file.begin() + 24));
+    const std::pair<const char *, std::size_t> flips[] = {
+        {"state blob", middleOf(reader.blob(first.stateHash))},
+        {"trace blob", middleOf(reader.blob(first.traceHash))},
+        {"context blob", middleOf(reader.blob(first.contextHash))},
+        {"LVPT payload", 24 + 16 + (index.size() - 16) / 2},
+    };
+    for (const auto &[what, at] : flips) {
+        auto bytes = file;
+        bytes[at] ^= 0x40;
+        EXPECT_THROW(LivePointStore::deserialize(std::move(bytes)),
+                     CorruptInputError)
+            << what << " byte " << at;
+    }
 }
 
 // ---------------------------------------------------------------------------
