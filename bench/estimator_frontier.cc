@@ -72,7 +72,7 @@ runMethod(const bench::WorkloadSetup &setup, const std::string &policy,
         cfg.scheduleSeed = seed;
         const auto r =
             harness::runEstimator(setup.program, policy, cfg, opts, 1);
-        out.errs.push_back(r.estimate.relativeError(setup.trueIpc));
+        out.errs.push_back(r.sampled.estimate.relativeError(setup.trueIpc));
         out.measuredInsts = r.measuredInsts();
         out.proxyInsts = r.proxyInsts;
     }

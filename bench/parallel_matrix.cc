@@ -34,11 +34,13 @@
 
 #include "bench_common.hh"
 #include "core/livepoint_store.hh"
+#include "core/stats_report.hh"
 #include "core/warmup.hh"
 #include "harness/campaign.hh"
 #include "harness/json.hh"
 #include "harness/parallel_run.hh"
 #include "util/args.hh"
+#include "util/error.hh"
 #include "util/fileio.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -48,22 +50,28 @@ namespace
 
 using namespace rsr;
 
-/** Deterministic fields of one campaign job artifact. */
+/**
+ * Deterministic fields of one campaign job artifact: the job's identity
+ * and every deterministic row of the run-metrics table. A missing key
+ * is an error, so a renamed metric cannot compare equal by absence.
+ */
 std::string
 deterministicFields(const std::string &path)
 {
     const auto bytes = readFileBytes(path);
     const auto obj =
         harness::parseJsonObject(std::string(bytes.begin(), bytes.end()));
+    std::vector<std::string> keys{"id", "workload", "policy"};
+    for (const core::RunMetric &m : core::runMetrics({}))
+        if (m.deterministic())
+            keys.push_back(m.name);
     std::string out;
-    for (const char *key : {"id", "workload", "policy", "ipc", "ci_low",
-                            "ci_high", "aggregate_ipc", "clusters",
-                            "skipped_insts", "measure_insts"}) {
+    for (const std::string &key : keys) {
         const auto it = obj.find(key);
-        out += key;
-        out += '=';
-        out += it == obj.end() ? "<missing>" : it->second;
-        out += '\n';
+        if (it == obj.end())
+            rsr_throw_corrupt("campaign job ", path, " lacks \"", key,
+                              "\"");
+        out += key + '=' + it->second + '\n';
     }
     return out;
 }
@@ -182,8 +190,14 @@ main(int argc, char **argv)
             continue;
         }
         for (std::uint64_t id = 0; id < r.total; ++id) {
-            const std::string fields = deterministicFields(
-                camp.outDir + "/job-" + std::to_string(id) + ".json");
+            std::string fields;
+            try {
+                fields = deterministicFields(
+                    camp.outDir + "/job-" + std::to_string(id) + ".json");
+            } catch (const CorruptInputError &e) {
+                std::printf("ERROR: %s\n", e.what());
+                shards_identical = false;
+            }
             if (leg == 0)
                 fields_by_job.push_back(fields);
             else if (fields_by_job[id] != fields)

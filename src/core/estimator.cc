@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -19,36 +20,6 @@ constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
 /** Salt separating the phase-2 draw stream from the pilot stream. */
 constexpr std::uint64_t kPhase2Salt = 0x5ca1ab1e0ddba11ull;
 
-/** Sample mean / sample stddev over a slice described by sums. */
-struct RunningMoments
-{
-    double sum = 0.0;
-    double sumSq = 0.0;
-    std::uint64_t n = 0;
-
-    void
-    add(double v)
-    {
-        sum += v;
-        sumSq += v * v;
-        ++n;
-    }
-
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-
-    /** Unbiased sample variance (0 when n < 2). */
-    double
-    variance() const
-    {
-        if (n < 2)
-            return 0.0;
-        const double m = mean();
-        double v = (sumSq - static_cast<double>(n) * m * m) /
-                   static_cast<double>(n - 1);
-        return v > 0.0 ? v : 0.0;
-    }
-};
-
 /** Zip-sort a plan so chosen indices ascend with groups kept parallel. */
 void
 sortPlan(SelectionPlan &plan)
@@ -65,23 +36,28 @@ sortPlan(SelectionPlan &plan)
 }
 
 /**
- * Candidate order sorted by (score, index): the canonical proxy ranking
- * used for both within-set ordering and stratification. The index
- * tie-break makes equal scores (common for short synthetic clusters)
- * deterministic.
+ * The canonical proxy ranking, (score, index) ascending, used for both
+ * within-set ordering and stratification. The index tie-break makes
+ * equal scores (common for short synthetic clusters) deterministic, so
+ * a selection never depends on memory layout.
  */
+auto
+byScore(const std::vector<double> &scores)
+{
+    return [&scores](std::size_t a, std::size_t b) {
+        if (scores[a] != scores[b])
+            return scores[a] < scores[b];
+        return a < b;
+    };
+}
+
+/** Every candidate index in byScore() order. */
 std::vector<std::size_t>
 scoreOrder(const std::vector<double> &scores)
 {
     std::vector<std::size_t> order(scores.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (scores[a] != scores[b])
-                      return scores[a] < scores[b];
-                  return a < b;
-              });
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), byScore(scores));
     return order;
 }
 
@@ -201,8 +177,7 @@ rankedSetSelect(const std::vector<double> &scores, std::uint64_t budget,
     // Seeded assignment of candidates to ranking sets: a full
     // Fisher-Yates permutation, then consecutive runs of m.
     std::vector<std::size_t> perm(scores.size());
-    for (std::size_t i = 0; i < perm.size(); ++i)
-        perm[i] = i;
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
     Rng rng(opts.rankSeed);
     for (std::size_t i = perm.size() - 1; i > 0; --i) {
         const std::uint64_t j = rng.below(i + 1);
@@ -217,14 +192,7 @@ rankedSetSelect(const std::vector<double> &scores, std::uint64_t budget,
         const auto begin = perm.begin() + static_cast<std::ptrdiff_t>(s * m);
         std::copy(begin, begin + static_cast<std::ptrdiff_t>(m),
                   set.begin());
-        // Proxy-rank the set; ties resolve by candidate index so equal
-        // scores never make the selection depend on memory layout.
-        std::sort(set.begin(), set.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (scores[a] != scores[b])
-                          return scores[a] < scores[b];
-                      return a < b;
-                  });
+        std::sort(set.begin(), set.end(), byScore(scores));
         // Repeated subsampling: set s contributes the order statistic of
         // rank s mod m, cycling so every rank class gets budget/m sets.
         const std::uint32_t rank = static_cast<std::uint32_t>(s % m);
@@ -241,25 +209,15 @@ stratifyByScore(const std::vector<double> &scores, std::uint64_t strata)
     const std::uint64_t n = scores.size();
     if (n == 0)
         rsr_throw_user("cannot stratify an empty candidate pool");
-    const std::uint64_t h_eff =
-        std::max<std::uint64_t>(1, std::min(strata, n));
 
     const std::vector<std::size_t> order = scoreOrder(scores);
     StrataPlan plan;
     plan.stratumOf.assign(n, 0);
-    plan.stratumSize.assign(h_eff, 0);
-    // Equal-probability quantile split: the first n % H strata take the
-    // extra candidate so sizes differ by at most one.
-    const std::uint64_t base = n / h_eff;
-    const std::uint64_t extra = n % h_eff;
-    std::uint64_t pos = 0;
-    for (std::uint64_t h = 0; h < h_eff; ++h) {
-        const std::uint64_t size = base + (h < extra ? 1 : 0);
-        for (std::uint64_t k = 0; k < size; ++k)
-            plan.stratumOf[order[pos + k]] = static_cast<std::uint32_t>(h);
-        plan.stratumSize[h] = size;
-        pos += size;
-    }
+    plan.stratumSize = quantileStratumSizes(n, strata);
+    std::size_t pos = 0;
+    for (std::size_t h = 0; h < plan.stratumSize.size(); ++h)
+        for (std::uint64_t k = 0; k < plan.stratumSize[h]; ++k)
+            plan.stratumOf[order[pos++]] = static_cast<std::uint32_t>(h);
     return plan;
 }
 

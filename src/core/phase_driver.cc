@@ -71,7 +71,6 @@ SkipPhase::run(std::uint64_t skip_len)
     else
         skipLoop(dynamic_cast<ReverseReconstructionWarmup &>(policy), fs,
                  deadline, ilineMask, observe_from, skip_len, last_iblock);
-    counters.skipInsts += skip_len;
     counters.skipSeconds += timer.seconds();
 }
 
@@ -377,7 +376,6 @@ ReplayLedger::fold(SampledResult &res) const
         recon += slot.reconUpdates;
     }
     res.hotInsts += insts;
-    res.phases.measureInsts += insts;
     res.warmWork.reconstructionUpdates += recon;
     res.estimate = summarizeClusters(res.clusterIpc);
     return recon;

@@ -110,7 +110,7 @@ class ReplaySink
 /**
  * Functional fast-forward over one skip region: steps the functional
  * simulator, detects new fetch blocks for the policy, polls the
- * cooperative deadline, and accounts skip work into PhaseCounters.
+ * cooperative deadline, and accounts skip time into PhaseCounters.
  */
 class SkipPhase
 {

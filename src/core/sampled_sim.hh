@@ -55,23 +55,21 @@ struct SampledConfig
 };
 
 /**
- * Per-phase observability counters: how much work and wall time the
- * skip (functional fast-forward), reconstruct (warm-up at the cluster
- * boundary), and measure (cycle-accurate cluster) phases consumed, plus
- * the snapshot footprint when a live-point store captures clusters.
+ * Per-phase observability counters: how much wall time the skip
+ * (functional fast-forward), reconstruct (warm-up at the cluster
+ * boundary), capture and measure (cycle-accurate cluster) phases
+ * consumed, plus the snapshot footprint when a live-point store captures
+ * clusters. The instructions each phase covered are
+ * SampledResult::skippedInsts and ::hotInsts.
  */
 struct PhaseCounters
 {
-    /** Instructions functionally executed across all skip regions. */
-    std::uint64_t skipInsts = 0;
     /** Wall time in the skip phase (includes policy logging/warming). */
     double skipSeconds = 0.0;
     /** Wall time in the reconstruct phase (policy beforeCluster work). */
     double reconstructSeconds = 0.0;
     /** Wall time copying the warm machine + recording cluster traces. */
     double captureSeconds = 0.0;
-    /** Instructions measured by the timing model. */
-    std::uint64_t measureInsts = 0;
     /** Wall time in the measure phase (sums worker time when parallel). */
     double measureSeconds = 0.0;
     /** Largest machine snapshot a store capture serialized, in bytes
@@ -96,7 +94,9 @@ struct SampledResult
     /** Wall-clock seconds for the whole sampled simulation. */
     double seconds = 0.0;
     WarmupWork warmWork;
+    /** Instructions measured by the timing model. */
     std::uint64_t hotInsts = 0;
+    /** Instructions functionally executed across all skip regions. */
     std::uint64_t skippedInsts = 0;
     std::uint64_t branchMispredicts = 0;
     PhaseCounters phases;

@@ -42,6 +42,36 @@ struct ClusterEstimate
 /** Compute the cluster-sampling estimate from per-cluster IPC values. */
 ClusterEstimate summarizeClusters(const std::vector<double> &cluster_ipcs);
 
+/** Sample mean / sample stddev over a slice described by sums. */
+struct RunningMoments
+{
+    double sum = 0.0;
+    double sumSq = 0.0;
+    std::uint64_t n = 0;
+
+    void
+    add(double v)
+    {
+        sum += v;
+        sumSq += v * v;
+        ++n;
+    }
+
+    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
+
+    /** Unbiased sample variance (0 when n < 2). */
+    double
+    variance() const
+    {
+        if (n < 2)
+            return 0.0;
+        const double m = mean();
+        double v = (sumSq - static_cast<double>(n) * m * m) /
+                   static_cast<double>(n - 1);
+        return v > 0.0 ? v : 0.0;
+    }
+};
+
 /** Plain mean of a vector (0 for empty input). */
 double mean(const std::vector<double> &values);
 

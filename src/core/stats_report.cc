@@ -96,23 +96,45 @@ formatStats(const Machine &machine, const uarch::RunResult &run)
     return out;
 }
 
+std::vector<RunMetric>
+runMetrics(const SampledResult &r)
+{
+    using K = MetricKind;
+    const PhaseCounters &p = r.phases;
+    const WarmupWork &w = r.warmWork;
+    return {
+        {"ipc", r.estimate.mean, K::Estimate},
+        {"ci_low", r.estimate.ciLow, K::Estimate, "95% confidence interval"},
+        {"ci_high", r.estimate.ciHigh, K::Estimate},
+        {"aggregate_ipc", r.aggregateIpc(), K::Estimate},
+        {"clusters", std::uint64_t{r.clusterIpc.size()}, K::Estimate},
+        {"seconds", r.seconds, K::WallClock},
+        {"phase.skip.insts", r.skippedInsts, K::Work,
+         "functionally fast-forwarded"},
+        {"phase.skip.seconds", p.skipSeconds, K::WallClock},
+        {"phase.reconstruct.seconds", p.reconstructSeconds, K::WallClock,
+         "cluster-boundary warm-up"},
+        {"phase.capture.seconds", p.captureSeconds, K::WallClock,
+         "warm-state copy + trace recording"},
+        {"phase.measure.insts", r.hotInsts, K::Work, "cycle-accurate"},
+        {"phase.measure.seconds", p.measureSeconds, K::WallClock,
+         "summed across replay workers"},
+        {"phase.peak_snapshot_bytes", p.peakSnapshotBytes, K::Work,
+         "store captures only"},
+        {"warm.updates", w.totalUpdates(), K::Work,
+         "functional warming + reverse reconstruction"},
+        {"warm.logged_records", w.loggedRecords, K::Work},
+        {"warm.peak_log_bytes", w.peakLogBytes, K::Work},
+    };
+}
+
 std::string
-formatPhaseCounters(const PhaseCounters &phases)
+formatRunMetrics(const std::vector<RunMetric> &metrics)
 {
     std::string out;
-    line(out, "phase.skip.insts", phases.skipInsts,
-         "functionally fast-forwarded");
-    line(out, "phase.skip.seconds", phases.skipSeconds);
-    line(out, "phase.reconstruct.seconds", phases.reconstructSeconds,
-         "cluster-boundary warm-up");
-    line(out, "phase.capture.seconds", phases.captureSeconds,
-         "warm-state copy + trace recording");
-    line(out, "phase.measure.insts", phases.measureInsts,
-         "cycle-accurate");
-    line(out, "phase.measure.seconds", phases.measureSeconds,
-         "summed across replay workers");
-    line(out, "phase.peak_snapshot_bytes", phases.peakSnapshotBytes,
-         "store captures only");
+    for (const RunMetric &m : metrics)
+        std::visit([&](auto value) { line(out, m.name, value, m.note); },
+                   m.value);
     return out;
 }
 

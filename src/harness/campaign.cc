@@ -12,6 +12,7 @@
 
 #include "core/config_file.hh"
 #include "core/livepoint_store.hh"
+#include "core/stats_report.hh"
 #include "core/warmup.hh"
 #include "harness/estimator_run.hh"
 #include "harness/json.hh"
@@ -165,25 +166,14 @@ CampaignRunner::executeJob(const JobSpec &spec)
         r = replayStoreParallel(*store, sim.machine, 1);
     }
 
+    // The run-metrics table. phase.peak_snapshot_bytes reads 0 here:
+    // an in-process run serializes nothing, and a store replay reports
+    // no capture.
     JsonWriter w;
     w.put("id", spec.id)
         .put("workload", spec.workload)
         .put("policy", spec.policy)
-        .put("ipc", r.estimate.mean)
-        .put("ci_low", r.estimate.ciLow)
-        .put("ci_high", r.estimate.ciHigh)
-        .put("aggregate_ipc", r.aggregateIpc())
-        .put("clusters", static_cast<std::uint64_t>(r.clusterIpc.size()))
-        .put("skipped_insts", r.skippedInsts)
-        .put("seconds", r.seconds)
-        .put("skip_insts", r.phases.skipInsts)
-        .put("skip_seconds", r.phases.skipSeconds)
-        .put("reconstruct_seconds", r.phases.reconstructSeconds)
-        .put("measure_insts", r.phases.measureInsts)
-        .put("measure_seconds", r.phases.measureSeconds)
-        // Bytes a store capture serialized: 0 here, since an in-process
-        // run serializes nothing and a store replay reports no capture.
-        .put("peak_snapshot_bytes", r.phases.peakSnapshotBytes);
+        .putMetrics(core::runMetrics(r));
     const core::EstimatorOptions &sampling =
         store ? store->meta().estimator : config.sampling;
     if (sampling.kind != core::SamplingPolicyKind::UniformCluster) {

@@ -130,7 +130,6 @@ struct CampaignResult
     std::uint64_t stopped = 0;
 
     bool allComplete() const { return completed + skipped == total; }
-    bool partial() const { return failed > 0 && !allComplete(); }
 
     /** Process exit status: 0 fully complete, 2 partial success. */
     int

@@ -124,29 +124,17 @@ selectTwoPhase(const func::Program &program,
     const core::SampledResult pilot_res = measureSchedule(
         program, policy_name, config,
         core::subsetSchedule(sel.candidates, pilot.chosen), jobs);
-    sel.pilotMeasuredInsts = pilot_res.phases.measureInsts;
+    sel.pilotMeasuredInsts = pilot_res.hotInsts;
 
     const std::size_t h_count = strata.stratumSize.size();
-    std::vector<double> sum(h_count, 0.0), sum_sq(h_count, 0.0);
-    std::vector<std::uint64_t> pilot_n(h_count, 0);
-    for (std::size_t i = 0; i < pilot.chosen.size(); ++i) {
-        const std::uint32_t h = pilot.group[i];
-        const double v = pilot_res.clusterIpc[i];
-        sum[h] += v;
-        sum_sq[h] += v * v;
-        ++pilot_n[h];
-    }
+    std::vector<core::RunningMoments> pilot_moments(h_count);
+    for (std::size_t i = 0; i < pilot.chosen.size(); ++i)
+        pilot_moments[pilot.group[i]].add(pilot_res.clusterIpc[i]);
     std::vector<double> sigma(h_count, 0.0);
     std::vector<std::uint64_t> cap(h_count, 0);
     for (std::size_t h = 0; h < h_count; ++h) {
-        if (pilot_n[h] >= 2) {
-            const double n = static_cast<double>(pilot_n[h]);
-            const double m = sum[h] / n;
-            const double var =
-                (sum_sq[h] - n * m * m) / (n - 1.0);
-            sigma[h] = var > 0.0 ? std::sqrt(var) : 0.0;
-        }
-        cap[h] = strata.stratumSize[h] - pilot_n[h];
+        sigma[h] = std::sqrt(pilot_moments[h].variance());
+        cap[h] = strata.stratumSize[h] - pilot_moments[h].n;
     }
 
     const std::vector<std::uint64_t> extra = core::allocateNeyman(
@@ -211,9 +199,8 @@ runEstimator(const func::Program &program, const std::string &policy_name,
 
     out.sampled = measureSchedule(program, policy_name, config,
                                   out.schedule, jobs);
-    out.estimate = core::estimateFor(opts, out.candidateCount,
-                                     out.sampled.clusterIpc, out.groups);
-    out.sampled.estimate = out.estimate;
+    out.sampled.estimate = core::estimateFor(
+        opts, out.candidateCount, out.sampled.clusterIpc, out.groups);
     return out;
 }
 

@@ -43,11 +43,9 @@ namespace rsr::harness
 /** Everything an estimator run produces beyond a plain SampledResult. */
 struct EstimatorRunResult
 {
-    /** The final measurement pass; its `estimate` field already holds
-     *  the estimator-specific estimate below. */
+    /** The final measurement pass; its `estimate` is the estimator's
+     *  (ranked-set / stratified / SRS) point estimate and CI. */
     core::SampledResult sampled;
-    /** Ranked-set / stratified / SRS point estimate and CI. */
-    core::ClusterEstimate estimate;
     /** The clusters the final pass measured, sorted by start. */
     std::vector<core::Cluster> schedule;
     /** Estimator group per measured cluster (rank class / stratum). */
@@ -64,7 +62,7 @@ struct EstimatorRunResult
     std::uint64_t
     measuredInsts() const
     {
-        return sampled.phases.measureInsts + pilotMeasuredInsts;
+        return sampled.hotInsts + pilotMeasuredInsts;
     }
 };
 

@@ -1,8 +1,9 @@
 #include "json.hh"
 
-#include <cctype>
 #include <cstdio>
+#include <utility>
 
+#include "core/stats_report.hh"
 #include "util/error.hh"
 
 namespace rsr::harness
@@ -84,6 +85,14 @@ JsonWriter::putBool(const std::string &key, bool value)
     return putRaw(key, value ? "true" : "false");
 }
 
+JsonWriter &
+JsonWriter::putMetrics(const std::vector<core::RunMetric> &metrics)
+{
+    for (const core::RunMetric &m : metrics)
+        std::visit([&](auto value) { put(m.name, value); }, m.value);
+    return *this;
+}
+
 std::string
 JsonWriter::str() const
 {
@@ -99,11 +108,20 @@ struct Cursor
     const std::string &text;
     std::size_t pos = 0;
 
+    /** std::isspace / std::isalnum in the "C" locale, without a libc
+     *  call per character: a serve client parses every reply. */
+    static bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+    static bool
+    isAlnum(char c)
+    {
+        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+               (c >= 'A' && c <= 'Z');
+    }
+
     void
     skipSpace()
     {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
+        while (pos < text.size() && isSpace(text[pos]))
             ++pos;
     }
 
@@ -131,18 +149,20 @@ struct Cursor
         expect('"');
         std::string out;
         while (true) {
-            if (pos >= text.size())
+            // Copy the run up to the next quote or escape in one append.
+            std::size_t stop = pos;
+            while (stop < text.size() && text[stop] != '"' &&
+                   text[stop] != '\\')
+                ++stop;
+            if (stop >= text.size())
                 rsr_throw_corrupt("unterminated JSON string");
-            char c = text[pos++];
-            if (c == '"')
+            out.append(text, pos, stop - pos);
+            pos = stop + 1;
+            if (text[stop] == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos >= text.size())
                 rsr_throw_corrupt("unterminated JSON escape");
-            c = text[pos++];
+            char c = text[pos++];
             switch (c) {
               case '"':
               case '\\':
@@ -192,9 +212,8 @@ struct Cursor
         skipSpace();
         const std::size_t start = pos;
         while (pos < text.size() &&
-               (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '+' || text[pos] == '-' ||
-                text[pos] == '.'))
+               (isAlnum(text[pos]) || text[pos] == '+' ||
+                text[pos] == '-' || text[pos] == '.'))
             ++pos;
         if (pos == start)
             rsr_throw_corrupt("expected a JSON value at offset ", pos);
@@ -214,9 +233,11 @@ parseJsonObject(const std::string &text)
         ++c.pos;
     } else {
         while (true) {
-            const std::string key = c.parseString();
+            std::string key = c.parseString();
             c.expect(':');
-            out[key] = c.peek() == '"' ? c.parseString() : c.parseScalar();
+            out.insert_or_assign(std::move(key), c.peek() == '"'
+                                                     ? c.parseString()
+                                                     : c.parseScalar());
             if (c.peek() == ',') {
                 ++c.pos;
                 continue;

@@ -12,6 +12,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
+
+namespace rsr::core { struct RunMetric; }
 
 namespace rsr::harness
 {
@@ -28,6 +31,9 @@ class JsonWriter
     JsonWriter &put(const std::string &key, std::uint64_t value);
     JsonWriter &put(const std::string &key, double value);
     JsonWriter &putBool(const std::string &key, bool value);
+    /** Every row of a run-metrics table (core/stats_report.hh), in
+     *  table order, under its table name. */
+    JsonWriter &putMetrics(const std::vector<core::RunMetric> &metrics);
 
     /** The finished object, e.g. `{"a":1,"b":"x"}`. */
     std::string str() const;

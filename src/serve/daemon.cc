@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/machine.hh"
+#include "core/stats_report.hh"
 #include "core/warmup.hh"
 #include "harness/json.hh"
 #include "harness/parallel_run.hh"
@@ -308,10 +309,9 @@ void
 Server::handleSimRequest(int fd, const Frame &frame)
 {
     const SimRequest request = decodeSimRequest(frame.payload);
-    const std::uint64_t request_hash = request.requestHash();
 
     // Fast path: a repeated request never touches the simulator.
-    if (const auto cached = results_.get(request_hash)) {
+    if (const auto cached = results_.get(request.requestHash())) {
         counters_->cacheHits.fetch_add(1);
         counters_->completed.fetch_add(1);
         const Deadline io(config_.ioDeadlineSec);
@@ -378,16 +378,7 @@ Server::handleSimRequest(int fd, const Frame &frame)
         journal_->append(id, RequestStatus::Queued, request);
 
     try {
-        bool warm = false;
-        bool cold = false;
-        const std::string result =
-            executeWithRetry(request, run, capture_key, &warm, &cold);
-        if (journal_)
-            journal_->append(id, RequestStatus::Done, request);
-        results_.put(request_hash,
-                     std::make_shared<const std::string>(result),
-                     result.size());
-        counters_->completed.fetch_add(1);
+        const std::string result = complete(id, request, run, capture_key);
         const Deadline io(config_.ioDeadlineSec);
         sendFrame(fd,
                   textFrame(FrameType::SimResponse, frame.requestId,
@@ -399,31 +390,29 @@ Server::handleSimRequest(int fd, const Frame &frame)
 }
 
 std::string
-Server::executeWithRetry(const SimRequest &request,
-                         const core::SampledConfig &run,
-                         std::uint64_t capture_key, bool *warm_reuse,
-                         bool *cold_capture)
+Server::complete(std::uint64_t id, const SimRequest &request,
+                 const core::SampledConfig &run, std::uint64_t capture_key)
 {
-    return retryTransient(
+    const std::string result = retryTransient(
         config_.maxRetries, config_.backoffMs,
         [this] {
             counters_->retries.fetch_add(1);
             return true;
         },
-        [&] {
-            return execute(request, run, capture_key, warm_reuse,
-                           cold_capture);
-        });
+        [&] { return execute(request, run, capture_key); });
+    if (journal_)
+        journal_->append(id, RequestStatus::Done, request);
+    results_.put(request.requestHash(),
+                 std::make_shared<const std::string>(result),
+                 result.size());
+    counters_->completed.fetch_add(1);
+    return result;
 }
 
 std::string
 Server::execute(const SimRequest &request, const core::SampledConfig &run,
-                std::uint64_t capture_key, bool *warm_reuse,
-                bool *cold_capture)
+                std::uint64_t capture_key)
 {
-    *warm_reuse = false;
-    *cold_capture = false;
-
     // Per-request watchdog: a wedged capture is cancelled cooperatively
     // at the next cluster boundary instead of pinning a worker forever.
     const double deadline_sec =
@@ -433,14 +422,13 @@ Server::execute(const SimRequest &request, const core::SampledConfig &run,
 
     std::shared_ptr<const core::LivePointStore> store =
         stores_.get(capture_key);
-    if (store) {
-        *warm_reuse = true;
+    const bool warm = store != nullptr;
+    if (warm) {
         counters_->warmReplays.fetch_add(1);
     } else {
         // Cold path: run the expensive functional front half once and
         // cache the warmed live-point store for every future request
         // whose machine differs only in timing (`core.*`) fields.
-        *cold_capture = true;
         const auto program = workload::buildSynthetic(
             workload::standardWorkloadParams(request.workload));
         const auto policy = core::makePolicyByName(request.policy);
@@ -458,18 +446,14 @@ Server::execute(const SimRequest &request, const core::SampledConfig &run,
     const core::SampledResult result =
         harness::replayStoreParallel(*store, run.machine, 1);
 
+    // The run-metrics table of the store replay: the capture's skip
+    // and warm-up cost is not in it, as for a campaign --livepoints job.
     harness::JsonWriter w;
     w.put("request_hash", checksumHex(request.requestHash()))
         .put("workload", request.workload)
         .put("policy", request.policy)
-        .put("ipc", result.estimate.mean)
-        .put("ci_low", result.estimate.ciLow)
-        .put("ci_high", result.estimate.ciHigh)
-        .put("aggregate_ipc", result.aggregateIpc())
-        .put("clusters",
-             static_cast<std::uint64_t>(result.clusterIpc.size()))
-        .put("seconds", result.seconds)
-        .putBool("warm", *warm_reuse);
+        .putMetrics(core::runMetrics(result))
+        .putBool("warm", warm);
     return w.str();
 }
 
@@ -477,21 +461,11 @@ void
 Server::runBacklog(std::uint64_t id, const SimRequest &request)
 {
     try {
-        bool warm = false;
-        bool cold = false;
         const core::SampledConfig run = request.sampledConfig();
-        const std::string result = executeWithRetry(
-            request, run,
-            core::LivePointStore::configHash(request.workload,
-                                             request.policy, run),
-            &warm, &cold);
-        if (journal_)
-            journal_->append(id, RequestStatus::Done, request);
-        results_.put(request.requestHash(),
-                     std::make_shared<const std::string>(result),
-                     result.size());
+        complete(id, request, run,
+                 core::LivePointStore::configHash(request.workload,
+                                                  request.policy, run));
         counters_->journalResumed.fetch_add(1);
-        counters_->completed.fetch_add(1);
     } catch (const std::exception &) {
         if (journal_)
             journal_->append(id, RequestStatus::Failed, request);

@@ -155,13 +155,13 @@ class Server
      *  key @p capture_key (cache-aware); returns the result JSON. */
     std::string execute(const SimRequest &request,
                         const core::SampledConfig &run,
-                        std::uint64_t capture_key, bool *warm_reuse,
-                        bool *cold_capture);
-    /** Execute with retry-with-backoff for transient failures. */
-    std::string executeWithRetry(const SimRequest &request,
-                                 const core::SampledConfig &run,
-                                 std::uint64_t capture_key,
-                                 bool *warm_reuse, bool *cold_capture);
+                        std::uint64_t capture_key);
+    /** execute() with retry-with-backoff for transient failures, then
+     *  journal @p id Done, cache the result and count it completed;
+     *  returns the result JSON. */
+    std::string complete(std::uint64_t id, const SimRequest &request,
+                         const core::SampledConfig &run,
+                         std::uint64_t capture_key);
     void runBacklog(std::uint64_t id, const SimRequest &request);
     void sendBestEffort(int fd, const Frame &frame);
     void replyBusy(int fd, std::uint64_t request_id, const char *reason,

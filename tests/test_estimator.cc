@@ -368,8 +368,8 @@ class EstimatorRun : public ::testing::Test
     expectSameRun(const EstimatorRunResult &a, const EstimatorRunResult &b)
     {
         EXPECT_EQ(a.sampled.clusterIpc, b.sampled.clusterIpc);
-        EXPECT_EQ(a.estimate.mean, b.estimate.mean);
-        EXPECT_EQ(a.estimate.stdErr, b.estimate.stdErr);
+        EXPECT_EQ(a.sampled.estimate.mean, b.sampled.estimate.mean);
+        EXPECT_EQ(a.sampled.estimate.stdErr, b.sampled.estimate.stdErr);
         EXPECT_EQ(a.groups, b.groups);
         ASSERT_EQ(a.schedule.size(), b.schedule.size());
         for (std::size_t i = 0; i < a.schedule.size(); ++i) {
@@ -389,7 +389,6 @@ class EstimatorRun : public ::testing::Test
     {
         EstimatorRunResult out;
         out.sampled = replayStoreParallel(store, cfg->machine, jobs);
-        out.estimate = out.sampled.estimate;
         for (const core::LivePointEntry &e : store.entries()) {
             out.schedule.push_back(e.cluster);
             out.groups.push_back(e.group);
@@ -412,7 +411,7 @@ TEST_F(EstimatorRun, UniformKindMatchesPlainParallelRun)
     auto policy = core::makePolicyByName("smarts");
     const auto plain = runSampledParallel(*prog, *policy, *cfg, 1);
     EXPECT_EQ(est.sampled.clusterIpc, plain.clusterIpc);
-    EXPECT_EQ(est.estimate.mean, plain.estimate.mean);
+    EXPECT_EQ(est.sampled.estimate.mean, plain.estimate.mean);
     EXPECT_EQ(est.candidateCount, est.schedule.size());
     EXPECT_EQ(est.pilotMeasuredInsts, 0u);
 }
@@ -437,7 +436,7 @@ TEST_F(EstimatorRun, TwoPhaseBitIdenticalAcrossJobs)
     expectSameRun(j1, j4);
     // Union schedule: exactly the budget, pilot cost charged on top.
     EXPECT_EQ(j1.schedule.size(), 12u);
-    EXPECT_EQ(j1.sampled.phases.measureInsts, 12u * 2000u);
+    EXPECT_EQ(j1.sampled.hotInsts, 12u * 2000u);
     EXPECT_EQ(j1.pilotMeasuredInsts, 8u * 2000u); // 4 strata x 2 pilots
     EXPECT_EQ(j1.measuredInsts(), 20u * 2000u);
 }

@@ -13,6 +13,8 @@
 #include "core/stats_report.hh"
 #include "core/warmup.hh"
 #include "func/funcsim.hh"
+#include "harness/json.hh"
+#include "util/error.hh"
 #include "workload/synthetic.hh"
 
 namespace rsr
@@ -126,6 +128,59 @@ TEST(StatsReport, IpcFieldConsistent)
     std::snprintf(expect, sizeof(expect), "%.6f", r.ipc());
     EXPECT_NE(core::formatStats(machine, r).find(expect),
               std::string::npos);
+}
+
+TEST(RunMetrics, WallClockRowsAreExactlyTheSecondsRows)
+{
+    // Determinism checks drop the `*seconds` keys of a job JSON: that
+    // is sound only if the suffix marks exactly the wall-clock rows.
+    std::set<std::string> names;
+    core::SampledResult r;
+    r.hotInsts = 1234;
+    r.phases.skipSeconds = 0.5;
+    const auto metrics = core::runMetrics(r);
+    const std::string text = core::formatRunMetrics(metrics);
+    for (const core::RunMetric &m : metrics) {
+        const std::string name = m.name;
+        EXPECT_TRUE(names.insert(name).second) << name << " twice";
+        EXPECT_EQ(name.ends_with("seconds"), !m.deterministic()) << name;
+        EXPECT_NE(text.find(name + " "), std::string::npos) << name;
+    }
+    EXPECT_NE(text.find("phase.measure.insts"), std::string::npos);
+    EXPECT_NE(text.find(" 1234 "), std::string::npos);
+    EXPECT_NE(text.find("0.500000"), std::string::npos);
+}
+
+TEST(Json, ParserRoundTripsEscapesAndRejectsMalformedInput)
+{
+    // Every reply a serve client reads and every manifest line goes
+    // through parseJsonObject: strings with escapes, scalars, any
+    // whitespace between tokens, the last of a repeated key.
+    const std::string nasty = "a\"b\\c\nd\te\rf\x01g/h";
+    const std::string text = harness::JsonWriter()
+                                 .put("s", nasty)
+                                 .put("n", std::uint64_t{42})
+                                 .put("x", -1.5e-3)
+                                 .putBool("b", true)
+                                 .str();
+    auto obj = harness::parseJsonObject(text);
+    EXPECT_EQ(obj.at("s"), nasty);
+    EXPECT_EQ(obj.at("n"), "42");
+    EXPECT_EQ(obj.at("x"), "-0.0015");
+    EXPECT_EQ(obj.at("b"), "true");
+
+    obj = harness::parseJsonObject(
+        " {\t\"k\" :\n\"v\\/w\" ,\v\"k\":\f7\r}\n");
+    EXPECT_EQ(obj.size(), 1u);
+    EXPECT_EQ(obj.at("k"), "7");
+    EXPECT_TRUE(harness::parseJsonObject("{}").empty());
+
+    for (const char *bad :
+         {"", "{", "{\"k\":\"v}", "{\"k\":\"v\\", "{\"k\":\"\\q\"}",
+          "{\"k\":}", "{\"k\" \"v\"}", "{\"k\":1,}", "{\"k\":1} x",
+          "{\"k\":\"\\u00zz\"}"})
+        EXPECT_THROW(harness::parseJsonObject(bad), CorruptInputError)
+            << bad;
 }
 
 // ---------------------------------------------------------------------------

@@ -757,9 +757,9 @@ TEST(Robustness, EverySampledRunSurfaceAgrees)
         harness::runEstimator(prog, "rsr40", cfg, ranked.sampling, 1);
     const auto want = estimateFields(
         harness::JsonWriter()
-            .put("ipc", direct.estimate.mean)
-            .put("ci_low", direct.estimate.ciLow)
-            .put("ci_high", direct.estimate.ciHigh)
+            .put("ipc", direct.sampled.estimate.mean)
+            .put("ci_low", direct.sampled.estimate.ciLow)
+            .put("ci_high", direct.sampled.estimate.ciHigh)
             .put("aggregate_ipc", direct.sampled.aggregateIpc())
             .put("clusters",
                  static_cast<std::uint64_t>(direct.sampled.clusterIpc.size()))
@@ -831,9 +831,9 @@ TEST(Robustness, LivePointCampaignCoreSweepMatchesDirectRuns)
             EXPECT_EQ(estimateFields(text),
                       estimateFields(
                           harness::JsonWriter()
-                              .put("ipc", direct.estimate.mean)
-                              .put("ci_low", direct.estimate.ciLow)
-                              .put("ci_high", direct.estimate.ciHigh)
+                              .put("ipc", direct.sampled.estimate.mean)
+                              .put("ci_low", direct.sampled.estimate.ciLow)
+                              .put("ci_high", direct.sampled.estimate.ciHigh)
                               .put("aggregate_ipc",
                                    direct.sampled.aggregateIpc())
                               .put("clusters",
@@ -846,7 +846,7 @@ TEST(Robustness, LivePointCampaignCoreSweepMatchesDirectRuns)
             starts.emplace_back();
             for (const auto &cluster : direct.schedule)
                 starts.back().push_back(cluster.start);
-            direct_ipc.push_back(direct.estimate.mean);
+            direct_ipc.push_back(direct.sampled.estimate.mean);
         }
         EXPECT_NE(direct_ipc[0], direct_ipc[1]) << uniform;
         if (uniform) {

@@ -28,11 +28,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/stats_report.hh"
 #include "core/warmup.hh"
+#include "harness/campaign.hh"
 #include "harness/json.hh"
 #include "harness/parallel_run.hh"
 #include "serve/cache.hh"
@@ -587,6 +590,47 @@ TEST(ServeDaemon, ColdThenCachedThenWarmReplay)
     EXPECT_EQ(stats.warmReplays, 1u);
     EXPECT_EQ(stats.completed, 3u); // every answered request counts
     EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(RunMetrics, CampaignJobAndServeResponseCarryEveryTableName)
+{
+    // Every surface that reports a run reports every row of the one
+    // run-metrics table, under the table's name: a campaign job with
+    // and without live-point stores, and the daemon's SimResponse.
+    const auto missing = [](const std::string &json) {
+        const auto obj = harness::parseJsonObject(json);
+        std::string out;
+        for (const core::RunMetric &m : core::runMetrics({}))
+            if (obj.count(m.name) == 0)
+                out += std::string(" ") + m.name;
+        return out;
+    };
+    const SimRequest req = tinyRequest();
+
+    for (const bool livepoints : {false, true}) {
+        harness::CampaignConfig camp;
+        camp.outDir = std::string(::testing::TempDir()) +
+                      "/rsr_run_metrics" + (livepoints ? "_lvpt" : "");
+        camp.workloads = {req.workload};
+        camp.policies = {req.policy};
+        camp.insts = req.insts;
+        camp.clusters = req.clusters;
+        camp.clusterSize = req.clusterSize;
+        camp.livepointDir = livepoints ? camp.outDir + "/stores" : "";
+        std::remove(
+            harness::CampaignRunner::manifestPath(camp.outDir).c_str());
+        ASSERT_TRUE(harness::CampaignRunner(camp).run().allComplete());
+        std::ifstream job(camp.outDir + "/job-0.json");
+        const std::string text((std::istreambuf_iterator<char>(job)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_EQ(missing(text), "") << "campaign, livepoints "
+                                     << livepoints;
+    }
+
+    DaemonHarness daemon(tinyDaemonConfig());
+    const Frame reply = exchangeRequest(daemon.port(), req);
+    ASSERT_EQ(reply.type, FrameType::SimResponse) << reply.payloadText();
+    EXPECT_EQ(missing(reply.payloadText()), "") << "serve";
 }
 
 TEST(ServeDaemon, MalformedFramesGetTypedErrorsAndDaemonSurvives)

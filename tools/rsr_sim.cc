@@ -234,25 +234,13 @@ cmdRun(const ArgParser &args)
                 args.get("workload").c_str(), jobs,
                 opts.describe().c_str(), r.estimate.mean,
                 r.estimate.ciLow, r.estimate.ciHigh, r.aggregateIpc());
-    std::printf("  %llu clusters x %llu insts, %llu skipped; %.3fs; "
-                "warm updates %llu; logged %llu (peak %llu bytes)\n",
-                static_cast<unsigned long long>(r.clusterIpc.size()),
-                static_cast<unsigned long long>(cfg.regimen.clusterSize),
-                static_cast<unsigned long long>(r.skippedInsts),
-                r.seconds,
-                static_cast<unsigned long long>(
-                    r.warmWork.totalUpdates()),
-                static_cast<unsigned long long>(
-                    r.warmWork.loggedRecords),
-                static_cast<unsigned long long>(r.warmWork.peakLogBytes));
     if (opts.kind != core::SamplingPolicyKind::UniformCluster)
         std::printf("  selected from %llu candidates; proxy pass %llu "
-                    "insts; pilot %llu + final %llu measured insts\n",
+                    "insts; pilot %llu measured insts\n",
                     static_cast<unsigned long long>(er.candidateCount),
                     static_cast<unsigned long long>(er.proxyInsts),
-                    static_cast<unsigned long long>(er.pilotMeasuredInsts),
-                    static_cast<unsigned long long>(r.phases.measureInsts));
-    std::printf("%s", core::formatPhaseCounters(r.phases).c_str());
+                    static_cast<unsigned long long>(er.pilotMeasuredInsts));
+    std::printf("%s", core::formatRunMetrics(core::runMetrics(r)).c_str());
 
     if (args.has("true-ipc")) {
         const auto full =
@@ -294,12 +282,12 @@ cmdMkLvpt(const ArgParser &args)
                 store.serialize().size() / 1024.0,
                 store.bytesPerCluster() / 1024.0, store.dedupRatio(),
                 static_cast<unsigned long long>(store.storeHash()));
-    std::printf("  capture: %llu insts skipped, %.3fs front half "
-                "(skip %.3fs, reconstruct %.3fs, capture %.3fs)\n",
-                static_cast<unsigned long long>(front.skippedInsts),
-                front.seconds, front.phases.skipSeconds,
-                front.phases.reconstructSeconds,
-                front.phases.captureSeconds);
+    // A capture measures nothing: print its cost rows, no estimate.
+    std::vector<core::RunMetric> metrics;
+    for (const core::RunMetric &m : core::runMetrics(front))
+        if (m.kind != core::MetricKind::Estimate)
+            metrics.push_back(m);
+    std::printf("%s", core::formatRunMetrics(metrics).c_str());
     return 0;
 }
 
@@ -366,9 +354,7 @@ cmdReplay(const ArgParser &args)
                 store.meta().policy.c_str(), path.c_str(), jobs,
                 r.estimate.mean, r.estimate.ciLow, r.estimate.ciHigh,
                 r.aggregateIpc());
-    std::printf("  %zu clusters, %.3fs, zero functional re-simulation; "
-                "store hash %016llx\n",
-                store.clusterCount(), r.seconds,
+    std::printf("  zero functional re-simulation; store hash %016llx\n",
                 static_cast<unsigned long long>(store.storeHash()));
     if (store.meta().estimator.kind !=
         core::SamplingPolicyKind::UniformCluster)
@@ -376,6 +362,7 @@ cmdReplay(const ArgParser &args)
                     store.meta().estimator.describe().c_str(),
                     static_cast<unsigned long long>(
                         store.meta().candidateCount));
+    std::printf("%s", core::formatRunMetrics(core::runMetrics(r)).c_str());
     return 0;
 }
 
