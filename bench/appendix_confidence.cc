@@ -22,7 +22,8 @@ main()
     const auto setups = bench::prepareWorkloads(true);
 
     std::vector<bench::PolicyResults> all;
-    for (const auto &policy : core::makeTable2Policies()) {
+    for (const std::string &name : core::table2PolicyNames()) {
+        const auto policy = core::makePolicyByName(name);
         std::printf("running %-12s ...\n", policy->name().c_str());
         std::fflush(stdout);
         all.push_back(bench::runPolicy(*policy, setups));

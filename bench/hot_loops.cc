@@ -164,7 +164,8 @@ table2MinstsPerSec(const bench::WorkloadSetup &setup)
 {
     std::uint64_t total_insts = 0;
     WallTimer timer;
-    for (const auto &policy : core::makeTable2Policies()) {
+    for (const std::string &name : core::table2PolicyNames()) {
+        const auto policy = core::makePolicyByName(name);
         const auto r =
             core::runSampled(setup.program, *policy, setup.cfg);
         total_insts += r.skippedInsts + r.hotInsts;

@@ -28,7 +28,8 @@ main()
 
     TextTable t({"name", "warms caches", "warms BP", "mechanism",
                  "smoke IPC", "warm-updates", "logged"});
-    for (const auto &policy : core::makeTable2Policies()) {
+    for (const std::string &policy_name : core::table2PolicyNames()) {
+        const auto policy = core::makePolicyByName(policy_name);
         const auto r =
             core::runSampled(setups[0].program, *policy, setups[0].cfg);
         const std::string name = policy->name();

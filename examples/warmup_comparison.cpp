@@ -41,7 +41,8 @@ main(int argc, char **argv)
 
     TextTable t({"method", "IPC", "rel-error", "CI", "time(s)",
                  "warm-updates", "logged"});
-    for (const auto &policy : core::makeTable2Policies()) {
+    for (const std::string &policy_name : core::table2PolicyNames()) {
+        const auto policy = core::makePolicyByName(policy_name);
         const auto r = core::runSampled(program, *policy, cfg);
         t.addRow({policy->name(), TextTable::num(r.estimate.mean),
                   TextTable::num(r.estimate.relativeError(true_ipc)),

@@ -159,6 +159,21 @@ effectiveRankedSetBudget(std::uint64_t budget, const EstimatorOptions &opts)
     return (budget / m) * m;
 }
 
+std::uint64_t
+estimatorCandidateCount(std::uint64_t budget, const EstimatorOptions &opts)
+{
+    switch (opts.kind) {
+      case SamplingPolicyKind::UniformCluster:
+        return budget;
+      case SamplingPolicyKind::RankedSet:
+        return effectiveRankedSetBudget(budget, opts) * opts.setSize;
+      case SamplingPolicyKind::TwoPhaseStratified:
+        return budget * std::max<std::uint64_t>(opts.setSize, 1);
+    }
+    rsr_throw_internal("unknown SamplingPolicyKind ",
+                       static_cast<int>(opts.kind));
+}
+
 SelectionPlan
 rankedSetSelect(const std::vector<double> &scores, std::uint64_t budget,
                 const EstimatorOptions &opts)
@@ -504,7 +519,7 @@ quantileStratumSizes(std::uint64_t candidate_count, std::uint64_t strata)
 }
 
 ClusterEstimate
-estimateFor(const EstimatorOptions &opts, std::uint64_t candidate_count,
+estimateFor(const EstimatorOptions &opts, std::uint64_t budget,
             const std::vector<double> &ipc,
             const std::vector<std::uint32_t> &groups)
 {
@@ -515,7 +530,9 @@ estimateFor(const EstimatorOptions &opts, std::uint64_t candidate_count,
         return rankedSetEstimate(ipc, groups, opts.setSize);
       case SamplingPolicyKind::TwoPhaseStratified:
         return stratifiedEstimate(
-            ipc, groups, quantileStratumSizes(candidate_count, opts.strata));
+            ipc, groups,
+            quantileStratumSizes(estimatorCandidateCount(budget, opts),
+                                 opts.strata));
     }
     rsr_throw_internal("unknown SamplingPolicyKind ",
                        static_cast<int>(opts.kind));

@@ -119,6 +119,16 @@ SelectionPlan rankedSetSelect(const std::vector<double> &scores,
 std::uint64_t effectiveRankedSetBudget(std::uint64_t budget,
                                        const EstimatorOptions &opts);
 
+/**
+ * Size of the candidate pool an estimator run with measurement budget
+ * @p budget (= regimen.numClusters) draws: uniform measures the budget
+ * itself, ranked-set draws effective-budget * m, two-phase draws
+ * budget * oversampling. A pure function of the options and the budget,
+ * so stores, capture keys and job records never carry it.
+ */
+std::uint64_t estimatorCandidateCount(std::uint64_t budget,
+                                      const EstimatorOptions &opts);
+
 /** Candidate -> stratum assignment by proxy-score quantile. */
 struct StrataPlan
 {
@@ -201,14 +211,14 @@ std::vector<std::uint64_t> quantileStratumSizes(std::uint64_t candidate_count,
 
 /**
  * The estimate @p opts calls for over measured clusters @p ipc with
- * estimator groups @p groups (parallel to @p ipc) drawn from a pool of
- * @p candidate_count candidates: summarizeClusters() for uniform,
- * rankedSetEstimate() for ranked-set, stratifiedEstimate() over the
- * quantile stratum sizes for two-phase. Direct runs and store replays
- * both estimate through here.
+ * estimator groups @p groups (parallel to @p ipc) under measurement
+ * budget @p budget (= regimen.numClusters): summarizeClusters() for
+ * uniform, rankedSetEstimate() for ranked-set, stratifiedEstimate() over
+ * the quantile stratum sizes of the estimatorCandidateCount() pool for
+ * two-phase. Direct runs and store replays both estimate through here.
  */
 ClusterEstimate estimateFor(const EstimatorOptions &opts,
-                            std::uint64_t candidate_count,
+                            std::uint64_t budget,
                             const std::vector<double> &ipc,
                             const std::vector<std::uint32_t> &groups);
 

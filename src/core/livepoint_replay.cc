@@ -33,9 +33,10 @@ LivePointStore::makeReplayTask(std::size_t index) const
     task.machineState.assign(state.begin(), state.end());
 
     // Decode the committed trace. Sequence numbers are regenerated from
-    // the entry's firstSeq — the trace is a contiguous commit stream, and
-    // the timing model indexes its ROB by absolute sequence number.
-    trace::TraceDecoder in(reader_->blob(e.traceHash), e.firstSeq);
+    // cluster.start — the trace is a contiguous commit stream from the
+    // cluster's first instruction, and the timing model indexes its ROB
+    // by absolute sequence number.
+    trace::TraceDecoder in(reader_->blob(e.traceHash), e.cluster.start);
     task.trace.resize(e.cluster.size);
     for (auto &d : task.trace)
         in.next(d);

@@ -26,13 +26,18 @@ namespace rsr::core
 namespace
 {
 
-/** Index frame tag and version. v5 is the first index in the 16-byte
- *  frame header (no per-frame checksum: the container's index FNV covers
- *  these bytes); its machine metadata is the machine schema's bytes
- *  (config_file.hh), store forwarding included. Older stores are
- *  rejected as version skew and must be recaptured. */
+/** Index frame tag and version. The frame has the 16-byte header (no
+ *  per-frame checksum: the container's index FNV covers these bytes);
+ *  its machine metadata is the machine schema's bytes (config_file.hh).
+ *  It stores nothing derivable: the candidate count, the offered bytes
+ *  and each trace's first sequence number follow from the metadata and
+ *  the referenced blobs. Older stores are rejected as version skew and
+ *  must be recaptured. */
 constexpr std::uint32_t indexTag = fourcc('L', 'V', 'P', 'T');
-constexpr std::uint32_t indexVersion = 5;
+constexpr std::uint32_t indexVersion = 6;
+/** Index payload bytes per entry: start, size, state hash, trace hash,
+ *  context flag, context hash, group. */
+constexpr std::uint64_t entryBytes = 8 + 8 + 8 + 8 + 1 + 8 + 4;
 
 void
 putString(Serializer &out, const std::string &s)
@@ -74,9 +79,14 @@ class CaptureSink : public ReplaySink
     onCluster(ClusterReplayTask task) override
     {
         rsr_assert(task.machine, "captured cluster carries no machine");
+        // Replay numbers the trace from cluster.start (FuncSim numbers
+        // instructions from 0), so the index need not store it.
+        rsr_assert(task.trace.empty() ||
+                       task.trace.front().seq == task.cluster.start,
+                   "captured trace does not start at its cluster's "
+                   "first instruction ", task.cluster.start);
         LivePointEntry e;
         e.cluster = task.cluster;
-        e.firstSeq = task.trace.empty() ? 0 : task.trace.front().seq;
         const auto state = snapshotToBytes(*task.machine);
         peakSnapshotBytes =
             std::max<std::uint64_t>(peakSnapshotBytes, state.size());
@@ -127,8 +137,6 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
 
     const EstimatorOptions est_opts =
         annotations ? annotations->estimator : EstimatorOptions{};
-    const std::uint64_t candidate_count =
-        annotations ? annotations->candidateCount : 0;
     if (annotations) {
         rsr_assert(annotations->groups.size() == entries.size(),
                    "capture annotations carry ",
@@ -153,16 +161,13 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
     index.putU64(est_opts.strata);
     index.putU64(est_opts.phase1PerStratum);
     index.putU64(est_opts.rankSeed);
-    index.putU64(candidate_count);
     const auto machine_bytes = machineBytes(config.machine);
     index.putU64(machine_bytes.size());
     index.putBytes(machine_bytes.data(), machine_bytes.size());
-    index.putU64(writer.addedBytes());
     index.putU64(entries.size());
     for (const auto &e : entries) {
         index.putU64(e.cluster.start);
         index.putU64(e.cluster.size);
-        index.putU64(e.firstSeq);
         index.putU64(e.stateHash);
         index.putU64(e.traceHash);
         index.putU8(e.hasContext ? 1 : 0);
@@ -206,7 +211,6 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
     store.meta_.estimator.strata = in.getU64();
     store.meta_.estimator.phase1PerStratum = in.getU64();
     store.meta_.estimator.rankSeed = in.getU64();
-    store.meta_.candidateCount = in.getU64();
     const std::uint64_t machine_len = in.getU64();
     if (machine_len > in.frameRemaining())
         rsr_throw_corrupt("live-point index machine metadata of ",
@@ -216,9 +220,8 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
     std::vector<std::uint8_t> machine_bytes(machine_len);
     in.getBytes(machine_bytes.data(), machine_bytes.size());
     store.meta_.machine = machineFromBytes(machine_bytes);
-    store.offeredBytes_ = in.getU64();
     const std::uint64_t count = in.getU64();
-    if (count > in.frameRemaining() / 53) // 53 payload bytes per entry
+    if (count > in.frameRemaining() / entryBytes)
         rsr_throw_corrupt("live-point index claims ", count,
                           " entries in ", in.frameRemaining(), " bytes");
     FaultInjector::global().checkAlloc("livepoint_store:entries",
@@ -228,7 +231,6 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
         LivePointEntry e;
         e.cluster.start = in.getU64();
         e.cluster.size = in.getU64();
-        e.firstSeq = in.getU64();
         e.stateHash = in.getU64();
         e.traceHash = in.getU64();
         e.hasContext = in.getU8() != 0;
@@ -237,16 +239,18 @@ LivePointStore::deserialize(std::vector<std::uint8_t> bytes)
 
         // Fail at load, not mid-replay: every referenced blob must be
         // present, and the trace blob must hold exactly cluster.size
-        // well-formed records.
-        store.reader_->blob(e.stateHash);
-        const std::uint64_t records =
-            trace::countTraceRecords(store.reader_->blob(e.traceHash));
+        // well-formed records. Every reference counts as offered bytes.
+        store.offeredBytes_ += store.reader_->blob(e.stateHash).size();
+        const auto trace = store.reader_->blob(e.traceHash);
+        store.offeredBytes_ += trace.size();
+        const std::uint64_t records = trace::countTraceRecords(trace);
         if (records != e.cluster.size)
             rsr_throw_corrupt("live-point entry ", i, " trace blob holds ",
                               records, " records, cluster has ",
                               e.cluster.size, " insts");
         if (e.hasContext)
-            store.reader_->blob(e.contextHash);
+            store.offeredBytes_ +=
+                store.reader_->blob(e.contextHash).size();
         store.entries_.push_back(e);
     }
     in.end();
@@ -283,7 +287,8 @@ LivePointStore::storeHash() const
 std::uint64_t
 LivePointStore::configHash(const std::string &workload,
                            const std::string &policy,
-                           const SampledConfig &config)
+                           const SampledConfig &config,
+                           const EstimatorOptions &sampling)
 {
     Fnv64 h;
     h.update(workload);
@@ -298,39 +303,27 @@ LivePointStore::configHash(const std::string &workload,
     const auto capture = machineBytes(config.machine, /*capture_only=*/true);
     params.putBytes(capture.data(), capture.size());
     h.update(params.bytes().data(), params.size());
-    return h.value();
-}
-
-std::uint64_t
-LivePointStore::configHash(const std::string &workload,
-                           const std::string &policy,
-                           const SampledConfig &config,
-                           const EstimatorOptions &estimator,
-                           std::uint64_t candidate_count)
-{
-    std::uint64_t h = configHash(workload, policy, config);
-    if (estimator.kind == SamplingPolicyKind::UniformCluster)
-        return h;
+    if (sampling.kind == SamplingPolicyKind::UniformCluster)
+        return h.value();
     // Fold the selection inputs, not the selection itself: the explicit
     // schedule is a pure function of these, and hashing the inputs lets
     // the CLI validate a store against flags without a proxy pass.
     Fnv64 fold;
-    ByteSink params;
-    params.putU64(h);
-    params.putU8(static_cast<std::uint8_t>(estimator.kind));
-    params.putU8(static_cast<std::uint8_t>(estimator.proxy));
-    params.putU64(estimator.setSize);
-    params.putU64(estimator.strata);
-    params.putU64(estimator.phase1PerStratum);
-    params.putU64(estimator.rankSeed);
-    params.putU64(candidate_count);
+    ByteSink selection;
+    selection.putU64(h.value());
+    selection.putU8(static_cast<std::uint8_t>(sampling.kind));
+    selection.putU8(static_cast<std::uint8_t>(sampling.proxy));
+    selection.putU64(sampling.setSize);
+    selection.putU64(sampling.strata);
+    selection.putU64(sampling.phase1PerStratum);
+    selection.putU64(sampling.rankSeed);
     // Two-phase picks its final schedule from pilot clusters timed on
     // the whole machine, so its selection depends on core.* too.
-    if (estimator.kind == SamplingPolicyKind::TwoPhaseStratified) {
+    if (sampling.kind == SamplingPolicyKind::TwoPhaseStratified) {
         const auto machine = machineBytes(config.machine);
-        params.putBytes(machine.data(), machine.size());
+        selection.putBytes(machine.data(), machine.size());
     }
-    fold.update(params.bytes().data(), params.size());
+    fold.update(selection.bytes().data(), selection.size());
     return fold.value();
 }
 
@@ -342,8 +335,7 @@ LivePointStore::configHash() const
     config.totalInsts = meta_.totalInsts;
     config.scheduleSeed = meta_.scheduleSeed;
     config.machine = meta_.machine;
-    return configHash(meta_.workload, meta_.policy, config, meta_.estimator,
-                      meta_.candidateCount);
+    return configHash(meta_.workload, meta_.policy, config, meta_.estimator);
 }
 
 double

@@ -13,10 +13,13 @@
  * hash, so identical state across clusters (common for small predictors
  * or quickly-saturating caches) is stored once. Trace blobs are record
  * payloads of the src/trace delta codec, the same records a trace file
- * holds. A versioned index frame ('LVPT' v5) records the capture
+ * holds. A versioned index frame ('LVPT' v6) records the capture
  * metadata — workload, policy, schedule, machine schema bytes,
- * estimator selection — plus one entry per cluster referencing the
- * blobs by hash. Stores written with an
+ * estimator options — plus one entry per cluster referencing the
+ * blobs by hash. It stores nothing derivable: the candidate-pool size
+ * follows from the options and the budget (estimatorCandidateCount),
+ * each trace starts at its cluster's first instruction, and the offered
+ * bytes are the sizes of the referenced blobs. Stores written with an
  * older index version are rejected as version skew and must be
  * recaptured.
  *
@@ -49,12 +52,9 @@ namespace rsr::core
 /** One stored cluster: blob references plus replay bookkeeping. */
 struct LivePointEntry
 {
+    /** The cluster's instructions; its trace is the contiguous commit
+     *  stream numbered from cluster.start. */
     Cluster cluster;
-    /** Sequence number of the cluster's first committed instruction
-     *  (traces are contiguous commit streams; the timing model indexes
-     *  its ROB by absolute sequence number, so replay must regenerate
-     *  the exact values). */
-    std::uint64_t firstSeq = 0;
     /** Content hash of the framed machine snapshot. */
     std::uint64_t stateHash = 0;
     /** Content hash of the committed trace's record payload. */
@@ -89,9 +89,6 @@ class LivePointStore
         /** Sampling-estimator capture parameters (defaults describe a
          *  plain uniform capture). */
         EstimatorOptions estimator;
-        /** Size of the candidate pool the estimator's selection plan
-         *  drew from (0 for uniform captures). */
-        std::uint64_t candidateCount = 0;
     };
 
     /**
@@ -102,7 +99,6 @@ class LivePointStore
     struct CaptureAnnotations
     {
         EstimatorOptions estimator;
-        std::uint64_t candidateCount = 0;
         std::vector<std::uint32_t> groups;
     };
 
@@ -164,35 +160,27 @@ class LivePointStore
      * `core.*`) fields, so one store replays under any core. Replay
      * validation, campaign store reuse and the serve store cache all
      * compare it.
-     */
-    static std::uint64_t configHash(const std::string &workload,
-                                    const std::string &policy,
-                                    const SampledConfig &config);
-
-    /**
-     * configHash() folding in an estimator selection. The explicit
-     * schedule itself is deliberately *not* hashed: it is a pure
-     * deterministic function of (workload, policy, config, estimator
-     * options), so hashing the inputs is equivalent and lets replay-side
-     * validation compute the expected hash from CLI flags without
-     * re-running the proxy pass. Identical to the plain overload when
-     * the options describe uniform sampling. Two-phase also folds in the
-     * machine's `core.*` fields: its pilot clusters are timed on the
-     * whole machine, so a two-phase store serves only the core it was
-     * captured on.
+     *
+     * Non-uniform @p sampling folds in its options, not the selection
+     * they make: the explicit schedule and the candidate-pool size are
+     * pure functions of (workload, policy, config, options), so replay
+     * validation computes the key from CLI flags without re-running the
+     * proxy pass. Two-phase also folds in the machine's `core.*` fields:
+     * its pilot clusters are timed on the whole machine, so a two-phase
+     * store serves only the core it was captured on.
      */
     static std::uint64_t configHash(const std::string &workload,
                                     const std::string &policy,
                                     const SampledConfig &config,
-                                    const EstimatorOptions &estimator,
-                                    std::uint64_t candidate_count);
+                                    const EstimatorOptions &sampling = {});
 
     /** configHash() of this store's own metadata. */
     std::uint64_t configHash() const;
 
     // ---- storage accounting (bench/livepoint_store.cc reports these).
 
-    /** offered / stored — 1.0 means no cross-cluster sharing. */
+    /** offered / stored, where offered sums the size of every blob the
+     *  entries reference — 1.0 means no cross-cluster sharing. */
     double dedupRatio() const;
 
     /** Serialized container bytes per stored cluster. */

@@ -301,13 +301,4 @@ table2PolicyNames()
     return names;
 }
 
-std::vector<std::unique_ptr<WarmupPolicy>>
-makeTable2Policies()
-{
-    std::vector<std::unique_ptr<WarmupPolicy>> out;
-    for (const std::string &name : table2PolicyNames())
-        out.push_back(makePolicyByName(name));
-    return out;
-}
-
 } // namespace rsr::core

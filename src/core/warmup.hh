@@ -276,9 +276,6 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
  */
 const std::vector<std::string> &table2PolicyNames();
 
-/** Build every table2PolicyNames() policy, in that order. */
-std::vector<std::unique_ptr<WarmupPolicy>> makeTable2Policies();
-
 /**
  * Build a policy from a command-line-friendly name — the one way to
  * build a policy:

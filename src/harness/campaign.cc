@@ -144,8 +144,7 @@ CampaignRunner::executeJob(const JobSpec &spec)
                                        spec.workload + "-" + spec.policy +
                                        ".lvpt";
         const std::uint64_t want = core::LivePointStore::configHash(
-            spec.workload, spec.policy, sim, config.sampling,
-            estimatorCandidateCount(config.clusters, config.sampling));
+            spec.workload, spec.policy, sim, config.sampling);
         if (fileExists(store_path)) {
             try {
                 auto loaded = core::LivePointStore::loadFile(store_path);
@@ -174,23 +173,22 @@ CampaignRunner::executeJob(const JobSpec &spec)
         .put("workload", spec.workload)
         .put("policy", spec.policy)
         .putMetrics(core::runMetrics(r));
-    const core::EstimatorOptions &sampling =
-        store ? store->meta().estimator : config.sampling;
+    // A reused store's key matched config.sampling, so a store replay
+    // and a direct run describe the same selection.
+    const core::EstimatorOptions &sampling = config.sampling;
     if (sampling.kind != core::SamplingPolicyKind::UniformCluster) {
         w.put("sampling", core::samplingPolicyName(sampling.kind))
             .put("proxy", core::proxyKindName(sampling.proxy))
-            .put("candidates", store ? store->meta().candidateCount
-                                     : est.candidateCount);
+            .put("candidates",
+                 core::estimatorCandidateCount(config.clusters, sampling));
         // A store replay pays no proxy or pilot cost: the capture did.
         if (!store)
             w.put("proxy_insts", est.proxyInsts)
                 .put("pilot_measure_insts", est.pilotMeasuredInsts)
                 .put("total_measure_insts", est.measuredInsts());
     }
-    std::string store_hash;
     if (store) {
-        store_hash = checksumHex(store->storeHash());
-        w.put("store_hash", store_hash)
+        w.put("store_hash", checksumHex(store->storeHash()))
             .put("store_bytes",
                  static_cast<std::uint64_t>(store->serialize().size()));
     }
@@ -199,9 +197,6 @@ CampaignRunner::executeJob(const JobSpec &spec)
     JobOutcome out;
     out.resultFile = "job-" + std::to_string(spec.id) + ".json";
     out.checksum = checksumHex(fnv64(text.data(), text.size()));
-    out.storeHash = store_hash;
-    out.ipc = r.estimate.mean;
-    out.seconds = r.seconds;
     atomicWriteFile(config.outDir + "/" + out.resultFile, text);
     return out;
 }
@@ -377,9 +372,6 @@ CampaignRunner::work(const std::vector<JobSpec> &jobs,
                     rec.status = JobStatus::Complete;
                     rec.resultFile = out.resultFile;
                     rec.checksum = out.checksum;
-                    rec.storeHash = out.storeHash;
-                    rec.ipc = out.ipc;
-                    rec.seconds = out.seconds;
                     manifest.append(rec);
                 });
         } catch (const SimError &e) {

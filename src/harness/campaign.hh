@@ -170,9 +170,6 @@ class CampaignRunner
     {
         std::string resultFile;
         std::string checksum;
-        std::string storeHash;
-        double ipc = 0.0;
-        double seconds = 0.0;
     };
 
     /** Run one sampled simulation and write its result artifact. */

@@ -1,6 +1,5 @@
 #include "estimator_run.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/phase_driver.hh"
@@ -77,7 +76,8 @@ selectRankedSet(const func::Program &program,
         core::effectiveRankedSetBudget(config.regimen.numClusters, opts);
     Selection sel;
     sel.candidates = drawCandidates(
-        config, estimatorCandidateCount(config.regimen.numClusters, opts));
+        config,
+        core::estimatorCandidateCount(config.regimen.numClusters, opts));
     const std::vector<double> scores =
         proxyScores(program, sel.candidates, opts, config.deadline);
     sel.proxyInsts =
@@ -101,7 +101,7 @@ selectTwoPhase(const func::Program &program,
     const std::uint64_t budget = config.regimen.numClusters;
     Selection sel;
     sel.candidates =
-        drawCandidates(config, estimatorCandidateCount(budget, opts));
+        drawCandidates(config, core::estimatorCandidateCount(budget, opts));
     const std::vector<double> scores =
         proxyScores(program, sel.candidates, opts, config.deadline);
     sel.proxyInsts =
@@ -157,22 +157,6 @@ selectFor(const func::Program &program, const std::string &policy_name,
 
 } // namespace
 
-std::uint64_t
-estimatorCandidateCount(std::uint64_t budget,
-                        const core::EstimatorOptions &opts)
-{
-    switch (opts.kind) {
-      case core::SamplingPolicyKind::UniformCluster:
-        return budget;
-      case core::SamplingPolicyKind::RankedSet:
-        return core::effectiveRankedSetBudget(budget, opts) * opts.setSize;
-      case core::SamplingPolicyKind::TwoPhaseStratified:
-        return budget * std::max<std::uint64_t>(opts.setSize, 1);
-    }
-    rsr_throw_internal("unknown SamplingPolicyKind ",
-                       static_cast<int>(opts.kind));
-}
-
 EstimatorRunResult
 runEstimator(const func::Program &program, const std::string &policy_name,
              const core::SampledConfig &config,
@@ -186,21 +170,20 @@ runEstimator(const func::Program &program, const std::string &policy_name,
                                                 config.totalInsts, rng)
                            : config.explicitSchedule;
         out.groups.assign(out.schedule.size(), 0);
-        out.candidateCount = out.schedule.size();
     } else {
         Selection sel = selectFor(program, policy_name, config, opts, jobs);
         out.schedule =
             core::subsetSchedule(sel.candidates, sel.plan.chosen);
         out.groups = sel.plan.group;
-        out.candidateCount = sel.candidates.size();
         out.proxyInsts = sel.proxyInsts;
         out.pilotMeasuredInsts = sel.pilotMeasuredInsts;
     }
 
     out.sampled = measureSchedule(program, policy_name, config,
                                   out.schedule, jobs);
-    out.sampled.estimate = core::estimateFor(
-        opts, out.candidateCount, out.sampled.clusterIpc, out.groups);
+    out.sampled.estimate =
+        core::estimateFor(opts, config.regimen.numClusters,
+                          out.sampled.clusterIpc, out.groups);
     return out;
 }
 
@@ -230,7 +213,6 @@ captureEstimatorStore(const func::Program &program,
 
     core::LivePointStore::CaptureAnnotations notes;
     notes.estimator = opts;
-    notes.candidateCount = sel.candidates.size();
     notes.groups = sel.plan.group;
     return core::LivePointStore::create(program, *policy, cfg,
                                         workload_name, policy_name,

@@ -50,8 +50,6 @@ struct EstimatorRunResult
     std::vector<core::Cluster> schedule;
     /** Estimator group per measured cluster (rank class / stratum). */
     std::vector<std::uint32_t> groups;
-    /** Size of the candidate pool the selection drew from. */
-    std::uint64_t candidateCount = 0;
     /** Instructions functionally executed by the proxy-rank pass. */
     std::uint64_t proxyInsts = 0;
     /** Timing-measured instructions spent on the two-phase pilot. */
@@ -94,16 +92,6 @@ captureEstimatorStore(const func::Program &program,
                       const core::EstimatorOptions &opts,
                       const std::string &workload_name,
                       core::SampledResult *front_half = nullptr);
-
-/**
- * Size of the candidate pool an estimator run with measurement budget
- * @p budget (= regimen.numClusters) draws: uniform measures the budget
- * itself, ranked-set draws effective-budget * m, two-phase draws
- * budget * oversampling. Shared with replay-side staleness validation so
- * the expected configHash is computable from CLI flags alone.
- */
-std::uint64_t estimatorCandidateCount(std::uint64_t budget,
-                                      const core::EstimatorOptions &opts);
 
 } // namespace rsr::harness
 

@@ -24,15 +24,6 @@ toU64(const std::map<std::string, std::string> &obj,
     return std::strtoull(it->second.c_str(), nullptr, 0);
 }
 
-double
-toDouble(const std::map<std::string, std::string> &obj,
-         const std::string &key)
-{
-    const auto it = obj.find(key);
-    return it == obj.end() ? 0.0 : std::strtod(it->second.c_str(),
-                                               nullptr);
-}
-
 std::string
 toStr(const std::map<std::string, std::string> &obj,
       const std::string &key)
@@ -47,8 +38,6 @@ const char *
 jobStatusName(JobStatus status)
 {
     switch (status) {
-      case JobStatus::Pending:
-        return "pending";
       case JobStatus::Running:
         return "running";
       case JobStatus::Complete:
@@ -64,9 +53,8 @@ jobStatusName(JobStatus status)
 JobStatus
 parseJobStatus(const std::string &name)
 {
-    for (JobStatus s : {JobStatus::Pending, JobStatus::Running,
-                        JobStatus::Complete, JobStatus::Failed,
-                        JobStatus::TimedOut})
+    for (JobStatus s : {JobStatus::Running, JobStatus::Complete,
+                        JobStatus::Failed, JobStatus::TimedOut})
         if (name == jobStatusName(s))
             return s;
     rsr_throw_corrupt("unknown job status '", name, "'");
@@ -85,10 +73,6 @@ formatJobRecord(const JobRecord &r)
         w.put("error_kind", r.errorKind).put("error", r.error);
     if (!r.resultFile.empty())
         w.put("result", r.resultFile).put("checksum", r.checksum);
-    if (!r.storeHash.empty())
-        w.put("store_hash", r.storeHash);
-    if (r.status == JobStatus::Complete)
-        w.put("ipc", r.ipc).put("seconds", r.seconds);
     return w.str();
 }
 
@@ -106,9 +90,6 @@ parseJobRecord(const std::string &line)
     r.error = toStr(obj, "error");
     r.resultFile = toStr(obj, "result");
     r.checksum = toStr(obj, "checksum");
-    r.storeHash = toStr(obj, "store_hash");
-    r.ipc = toDouble(obj, "ipc");
-    r.seconds = toDouble(obj, "seconds");
     return r;
 }
 

@@ -25,7 +25,6 @@ namespace rsr::harness
 /** Lifecycle of one campaign job. */
 enum class JobStatus
 {
-    Pending,
     Running,
     Complete,
     Failed,
@@ -43,20 +42,16 @@ struct JobRecord
     std::uint64_t id = 0;
     std::string workload;
     std::string policy;
-    JobStatus status = JobStatus::Pending;
+    JobStatus status = JobStatus::Running;
     std::uint64_t attempts = 0;
     /** Error taxonomy name + message of the last failure ("" if none). */
     std::string errorKind;
     std::string error;
-    /** Result artifact (relative to the campaign directory) + checksum. */
+    /** Result artifact (relative to the campaign directory) + checksum.
+     *  The artifact holds the job's results; the record only ties it to
+     *  this line. */
     std::string resultFile;
     std::string checksum;
-    /** Hash of the live-point store the job replayed from ("" when the
-     *  job ran the classic functional pipeline). Lets resume verify that
-     *  a re-run would consume the same stored state. */
-    std::string storeHash;
-    double ipc = 0.0;
-    double seconds = 0.0;
 };
 
 /** Serialize one record as a single JSON line (no trailing newline). */

@@ -98,7 +98,8 @@ replayStoreParallel(const core::LivePointStore &store,
     for (const core::LivePointEntry &e : store.entries())
         groups.push_back(e.group);
     const core::LivePointStore::Metadata &meta = store.meta();
-    res.estimate = core::estimateFor(meta.estimator, meta.candidateCount,
+    res.estimate = core::estimateFor(meta.estimator,
+                                     meta.regimen.numClusters,
                                      res.clusterIpc, groups);
     res.seconds = timer.seconds();
     return res;

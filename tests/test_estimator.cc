@@ -300,11 +300,11 @@ TEST(EstimatorSelect, CandidateCountPerKind)
     EstimatorOptions opts;
     opts.setSize = 4;
     opts.kind = SamplingPolicyKind::UniformCluster;
-    EXPECT_EQ(estimatorCandidateCount(10, opts), 10u);
+    EXPECT_EQ(core::estimatorCandidateCount(10, opts), 10u);
     opts.kind = SamplingPolicyKind::RankedSet;
-    EXPECT_EQ(estimatorCandidateCount(10, opts), 32u); // 8 sets of 4
+    EXPECT_EQ(core::estimatorCandidateCount(10, opts), 32u); // 8 sets of 4
     opts.kind = SamplingPolicyKind::TwoPhaseStratified;
-    EXPECT_EQ(estimatorCandidateCount(10, opts), 40u);
+    EXPECT_EQ(core::estimatorCandidateCount(10, opts), 40u);
 }
 
 TEST(EstimatorSelect, NamesRoundTrip)
@@ -376,14 +376,13 @@ class EstimatorRun : public ::testing::Test
             EXPECT_EQ(a.schedule[i].start, b.schedule[i].start);
             EXPECT_EQ(a.schedule[i].size, b.schedule[i].size);
         }
-        EXPECT_EQ(a.candidateCount, b.candidateCount);
         // pilotMeasuredInsts deliberately not compared: store replay
         // skips the pilot (the capture already paid it) yet must still
         // reproduce the estimate bit-exactly.
     }
 
     /** A store replay in the shape of a direct run: the measurement,
-     *  plus the schedule, groups and pool size the store recorded. */
+     *  plus the schedule and groups the store recorded. */
     static EstimatorRunResult
     replayed(const core::LivePointStore &store, unsigned jobs)
     {
@@ -393,7 +392,6 @@ class EstimatorRun : public ::testing::Test
             out.schedule.push_back(e.cluster);
             out.groups.push_back(e.group);
         }
-        out.candidateCount = store.meta().candidateCount;
         return out;
     }
 
@@ -412,7 +410,6 @@ TEST_F(EstimatorRun, UniformKindMatchesPlainParallelRun)
     const auto plain = runSampledParallel(*prog, *policy, *cfg, 1);
     EXPECT_EQ(est.sampled.clusterIpc, plain.clusterIpc);
     EXPECT_EQ(est.sampled.estimate.mean, plain.estimate.mean);
-    EXPECT_EQ(est.candidateCount, est.schedule.size());
     EXPECT_EQ(est.pilotMeasuredInsts, 0u);
 }
 
@@ -424,7 +421,9 @@ TEST_F(EstimatorRun, RankedSetBitIdenticalAcrossJobs)
     expectSameRun(j1, j3);
     expectSameRun(j1, j4);
     EXPECT_EQ(j1.schedule.size(), 12u);
-    EXPECT_EQ(j1.candidateCount, 48u);
+    EXPECT_EQ(core::estimatorCandidateCount(cfg->regimen.numClusters,
+                                            rankedOpts()),
+              48u);
 }
 
 TEST_F(EstimatorRun, TwoPhaseBitIdenticalAcrossJobs)
@@ -481,7 +480,10 @@ TEST_F(EstimatorRun, TwoPhaseStoreSurvivesSerializationRoundTrip)
         core::LivePointStore::deserialize(store.serialize());
     EXPECT_EQ(reloaded.meta().estimator.kind,
               SamplingPolicyKind::TwoPhaseStratified);
-    EXPECT_EQ(reloaded.meta().candidateCount, 48u);
+    EXPECT_EQ(core::estimatorCandidateCount(
+                  reloaded.meta().regimen.numClusters,
+                  reloaded.meta().estimator),
+              48u);
     EXPECT_EQ(reloaded.configHash(), store.configHash());
 
     expectSameRun(direct, replayed(reloaded, 4));
@@ -492,13 +494,17 @@ TEST_F(EstimatorRun, CaptureAnnotationsSurviveBytesAndRejectReorder)
     const auto store = captureEstimatorStore(*prog, "rsr40", *cfg,
                                              rankedOpts(), "twolf");
     // The index round-trips every capture annotation: estimator
-    // options, candidate-pool size, and the per-cluster groups that
-    // drive rankedSetEstimate() on replay.
+    // options (which, with the budget, fix the candidate-pool size),
+    // and the per-cluster groups that drive rankedSetEstimate() on
+    // replay.
     const auto reloaded =
         core::LivePointStore::deserialize(store.serialize());
     EXPECT_EQ(reloaded.meta().estimator.kind,
               SamplingPolicyKind::RankedSet);
-    EXPECT_EQ(reloaded.meta().candidateCount, 48u);
+    EXPECT_EQ(core::estimatorCandidateCount(
+                  reloaded.meta().regimen.numClusters,
+                  reloaded.meta().estimator),
+              48u);
     ASSERT_EQ(reloaded.entries().size(), store.entries().size());
     for (std::size_t i = 0; i < store.entries().size(); ++i)
         EXPECT_EQ(reloaded.entries()[i].group,
@@ -534,15 +540,15 @@ TEST_F(EstimatorRun, ConfigHashSeparatesEstimators)
         "twolf", "smarts", *cfg);
     EstimatorOptions uniform;
     EXPECT_EQ(core::LivePointStore::configHash("twolf", "smarts", *cfg,
-                                               uniform, 12),
+                                               uniform),
               base);
     const auto ranked = core::LivePointStore::configHash(
-        "twolf", "smarts", *cfg, rankedOpts(), 48);
+        "twolf", "smarts", *cfg, rankedOpts());
     EXPECT_NE(ranked, base);
     auto reseeded = rankedOpts();
     reseeded.rankSeed ^= 1;
     EXPECT_NE(core::LivePointStore::configHash("twolf", "smarts", *cfg,
-                                               reseeded, 48),
+                                               reseeded),
               ranked);
 }
 

@@ -135,7 +135,8 @@ TEST(Integration, AllWorkloadsSurviveAllPolicies)
     cfg.machine = core::MachineConfig::scaledDefault();
     for (const auto &wp : workload::standardWorkloadParams()) {
         const auto prog = workload::buildSynthetic(wp);
-        for (const auto &policy : core::makeTable2Policies()) {
+        for (const std::string &name : core::table2PolicyNames()) {
+            const auto policy = core::makePolicyByName(name);
             const auto r = core::runSampled(prog, *policy, cfg);
             EXPECT_EQ(r.clusterIpc.size(), 5u)
                 << wp.name << " / " << policy->name();

@@ -20,6 +20,7 @@
 #include "core/config_file.hh"
 #include "core/livepoint_store.hh"
 #include "core/warmup.hh"
+#include "harness/estimator_run.hh"
 #include "harness/parallel_run.hh"
 #include "trace/trace.hh"
 #include "util/error.hh"
@@ -268,7 +269,8 @@ TEST_F(LivePoints, TraceSequenceNumbersAreContiguousFromFirstSeq)
         const auto task = store->makeReplayTask(i);
         const auto &want = captured.traces[i];
         ASSERT_EQ(task.trace.size(), want.size()) << i;
-        std::uint64_t seq = store->entries()[i].firstSeq;
+        // The first sequence number is the cluster's first instruction.
+        std::uint64_t seq = store->entries()[i].cluster.start;
         for (std::size_t k = 0; k < want.size(); ++k) {
             const auto &got = task.trace[k];
             EXPECT_EQ(got.seq, seq++) << i << ":" << k;
@@ -345,6 +347,94 @@ TEST_F(LivePoints, MalformedTraceBlobFailsAtOpen)
         CorruptInputError);
 }
 
+TEST_F(LivePoints, DerivedIndexFieldsMatchCapture)
+{
+    // The index stores no candidate count, offered-bytes word or first
+    // sequence number: each is derived on open. The derived values must
+    // equal the ones an index that stored them recorded for these
+    // gcc/rsr40 captures (dedup 1.0; 12, 48 and 48 candidates).
+    const auto gcc = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    SampledConfig gcc_cfg;
+    gcc_cfg.totalInsts = 400'000;
+    gcc_cfg.regimen = {12, 2000};
+    gcc_cfg.machine = MachineConfig::scaledDefault();
+    struct Capture
+    {
+        SamplingPolicyKind kind;
+        std::uint64_t candidates;
+    };
+    for (const Capture c :
+         {Capture{SamplingPolicyKind::UniformCluster, 12},
+          Capture{SamplingPolicyKind::RankedSet, 48},
+          Capture{SamplingPolicyKind::TwoPhaseStratified, 48}}) {
+        EstimatorOptions opts;
+        opts.kind = c.kind;
+        SCOPED_TRACE(samplingPolicyName(c.kind));
+        const auto store = LivePointStore::deserialize(
+            harness::captureEstimatorStore(gcc, "rsr40", gcc_cfg, opts,
+                                           "gcc")
+                .serialize());
+        EXPECT_EQ(store.dedupRatio(), 1.0);
+        EXPECT_EQ(estimatorCandidateCount(store.meta().regimen.numClusters,
+                                          store.meta().estimator),
+                  c.candidates);
+        for (std::size_t i = 0; i < store.clusterCount(); ++i) {
+            const auto task = store.makeReplayTask(i);
+            ASSERT_FALSE(task.trace.empty()) << i;
+            EXPECT_EQ(task.trace.front().seq,
+                      store.entries()[i].cluster.start)
+                << i;
+        }
+        const auto direct =
+            harness::runEstimator(gcc, "rsr40", gcc_cfg, opts, 1);
+        for (const unsigned jobs : {1u, 4u}) {
+            const auto r = harness::replayStoreParallel(store, jobs);
+            EXPECT_EQ(r.clusterIpc, direct.sampled.clusterIpc) << jobs;
+            EXPECT_EQ(r.estimate.mean, direct.sampled.estimate.mean)
+                << jobs;
+            EXPECT_EQ(r.estimate.stdErr, direct.sampled.estimate.stdErr)
+                << jobs;
+        }
+    }
+
+    // Entries that all reference entry 0's state blob, built the way
+    // MalformedTraceBlobFailsAtOpen builds its store: the shared blob is
+    // stored once but offered once per entry, so the ratio is the
+    // referenced blob sizes over the stored ones, above 1.
+    const BlobStoreReader original(store->serialize());
+    const auto &entries = store->entries();
+    ASSERT_GE(entries.size(), 2u);
+    BlobStoreWriter w;
+    for (const auto &e : entries) {
+        w.add(bytesOf(original.blob(entries[0].stateHash)));
+        w.add(bytesOf(original.blob(e.traceHash)));
+        if (e.hasContext)
+            w.add(bytesOf(original.blob(e.contextHash)));
+    }
+    auto index = original.index();
+    ByteSink shared_hash;
+    shared_hash.putU64(entries[0].stateHash);
+    for (std::size_t i = 1; i < entries.size(); ++i) {
+        ByteSink old_hash;
+        old_hash.putU64(entries[i].stateHash);
+        // Past the 16-byte frame header; entry 0's own field comes
+        // first, so an equal hash finds it and is left as it is.
+        const auto at = std::search(index.begin() + 16, index.end(),
+                                    old_hash.bytes().begin(),
+                                    old_hash.bytes().end());
+        ASSERT_NE(at, index.end()) << i;
+        std::copy(shared_hash.bytes().begin(), shared_hash.bytes().end(),
+                  at);
+    }
+    const auto shared = LivePointStore::deserialize(w.finish(index));
+    for (const auto &e : shared.entries())
+        EXPECT_EQ(e.stateHash, entries[0].stateHash);
+    EXPECT_GT(shared.dedupRatio(), 1.0);
+    EXPECT_EQ(shared.dedupRatio(),
+              static_cast<double>(w.addedBytes()) / w.storedBytes());
+}
+
 TEST_F(LivePoints, ReplayMatchesDeferredRunExactly)
 {
     // The snapshot + context fully determine the cluster's initial
@@ -402,8 +492,8 @@ TEST_F(LivePoints, SerializeRoundTrip)
                   store->entries()[i].stateHash);
         EXPECT_EQ(copy.entries()[i].traceHash,
                   store->entries()[i].traceHash);
-        EXPECT_EQ(copy.entries()[i].firstSeq,
-                  store->entries()[i].firstSeq);
+        EXPECT_EQ(copy.entries()[i].cluster.start,
+                  store->entries()[i].cluster.start);
     }
     const auto r1 = harness::replayStoreParallel(*store, 1);
     const auto r2 = harness::replayStoreParallel(copy, 1);

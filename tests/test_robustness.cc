@@ -377,15 +377,15 @@ TEST(Robustness, V4IndexFrameIsRejectedNamingBothVersions)
     // index layout (24-byte header: tag, version, payload length,
     // payload FNV-1a-64) inside an otherwise sound container.
     const auto store = takeSmallStore("v4index");
-    const auto v5 = BlobStoreReader(store.serialize()).index();
-    ASSERT_GT(v5.size(), 16u);
-    const std::size_t payload = v5.size() - 16;
+    const auto v6 = BlobStoreReader(store.serialize()).index();
+    ASSERT_GT(v6.size(), 16u);
+    const std::size_t payload = v6.size() - 16;
     ByteSink v4;
-    v4.putBytes(v5.data(), 4); // 'LVPT'
+    v4.putBytes(v6.data(), 4); // 'LVPT'
     v4.putU32(4);
     v4.putU64(payload);
-    v4.putU64(fnv64(v5.data() + 16, payload));
-    v4.putBytes(v5.data() + 16, payload);
+    v4.putU64(fnv64(v6.data() + 16, payload));
+    v4.putBytes(v6.data() + 16, payload);
     try {
         core::LivePointStore::deserialize(
             resealedWithIndex(store, v4.bytes()));
@@ -394,7 +394,30 @@ TEST(Robustness, V4IndexFrameIsRejectedNamingBothVersions)
         const std::string what = e.what();
         EXPECT_NE(what.find("LVPT"), std::string::npos) << what;
         EXPECT_NE(what.find("v4"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads v6"), std::string::npos) << what;
+    }
+}
+
+TEST(Robustness, V5IndexFrameIsRejectedNamingBothVersions)
+{
+    // A v5 index (the 16-byte frame header with version word 5) inside
+    // an otherwise sound container: a store from before the index
+    // dropped its derived fields must be recaptured, not misparsed.
+    const auto store = takeSmallStore("v5index");
+    auto v5 = BlobStoreReader(store.serialize()).index();
+    ASSERT_GT(v5.size(), 16u);
+    ByteSink version;
+    version.putU32(5);
+    std::copy(version.bytes().begin(), version.bytes().end(),
+              v5.begin() + 4);
+    try {
+        core::LivePointStore::deserialize(resealedWithIndex(store, v5));
+        FAIL() << "v5 index accepted";
+    } catch (const CorruptInputError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("LVPT"), std::string::npos) << what;
         EXPECT_NE(what.find("v5"), std::string::npos) << what;
+        EXPECT_NE(what.find("reads v6"), std::string::npos) << what;
     }
 }
 
@@ -412,16 +435,15 @@ TEST(Robustness, MalformedIndexFrameThrowsCorruptInput)
         return in.getU64();
     };
     // Payload after the 16-byte frame header: two strings, four u64
-    // schedule fields, two u8 estimator kinds, five u64 estimator
-    // fields, then the machine metadata, the offered-bytes word and the
-    // entry count.
+    // schedule fields, two u8 estimator kinds, four u64 estimator
+    // fields, then the machine metadata and the entry count.
     const std::size_t workload_len_at = 16;
     const std::size_t policy_len_at =
         workload_len_at + 8 + wordAt(workload_len_at);
     const std::size_t machine_len_at =
-        policy_len_at + 8 + wordAt(policy_len_at) + 4 * 8 + 2 + 5 * 8;
+        policy_len_at + 8 + wordAt(policy_len_at) + 4 * 8 + 2 + 4 * 8;
     const std::size_t entry_count_at =
-        machine_len_at + 8 + wordAt(machine_len_at) + 8;
+        machine_len_at + 8 + wordAt(machine_len_at);
     ASSERT_EQ(wordAt(entry_count_at), store.entries().size());
     auto trailing = pristine;
     trailing.push_back(0);
@@ -778,7 +800,8 @@ TEST(Robustness, EverySampledRunSurfaceAgrees)
         const auto all = harness::parseJsonObject(text);
         EXPECT_EQ(all.at("sampling"), "ranked-set");
         EXPECT_EQ(all.at("candidates"),
-                  std::to_string(direct.candidateCount));
+                  std::to_string(core::estimatorCandidateCount(
+                      ranked.clusters, ranked.sampling)));
         EXPECT_EQ(all.count("store_hash"), livepoints ? 1u : 0u);
         EXPECT_EQ(all.count("proxy_insts"), livepoints ? 0u : 1u);
         EXPECT_EQ(fileExists(job.outDir + "/stores/gcc-rsr40.lvpt"),

@@ -182,11 +182,10 @@ TEST_F(SampledRun, PolicyNames)
 
 TEST_F(SampledRun, Table2PolicyListComplete)
 {
-    const auto policies = makeTable2Policies();
-    ASSERT_EQ(policies.size(), 16u);
+    ASSERT_EQ(table2PolicyNames().size(), 16u);
     std::vector<std::string> names;
-    for (const auto &p : policies)
-        names.push_back(p->name());
+    for (const std::string &name : table2PolicyNames())
+        names.push_back(makePolicyByName(name)->name());
     for (const char *want :
          {"None", "FP (20%)", "FP (40%)", "FP (80%)", "S$", "SBP", "S$BP",
           "R$ (20%)", "R$ (40%)", "R$ (80%)", "R$ (100%)", "RBP",

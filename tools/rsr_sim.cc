@@ -25,9 +25,11 @@
  *                        simulation + warming once, write the per-cluster
  *                        live-point store
  *   rsr_sim replay       --store file.lvpt [--jobs N] [--csv]
- *                        [--set core.<field>=V] [validation flags] —
- *                        consumer pass: any policy/timing sweep straight
- *                        from the store, zero functional re-simulation
+ *                        [--config FILE] [--set core.<field>=V]
+ *                        [validation flags] — consumer pass: any
+ *                        policy/timing sweep straight from the store,
+ *                        zero functional re-simulation; the other run
+ *                        flags need --workload, --policy or --sampling
  *   rsr_sim record-trace --workload gcc --out file.trc [--insts N]
  *   rsr_sim sim-trace    --trace file.trc [--insts N] [--machine ...]
  *   rsr_sim simpoint     --workload gcc [--insts N] [--interval I]
@@ -49,6 +51,7 @@
  * (some jobs failed; see the manifest).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -56,6 +59,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/config_file.hh"
@@ -91,14 +96,18 @@ constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 constexpr std::uint64_t kMaxMegabytes =
     std::numeric_limits<std::uint64_t>::max() >> 20;
 
-/** Apply every `--set key=value` machine option, in order, to @p mc, and
- *  check the resolved machine. */
-void
-applySetFlag(const ArgParser &args, core::MachineConfig &mc)
+/** @p mc with the `--config` file (when given) and then every `--set
+ *  key=value` option, in order, applied; the resolved machine is
+ *  checked. */
+core::MachineConfig
+withMachineFlags(const ArgParser &args, core::MachineConfig mc)
 {
+    if (args.has("config"))
+        mc = core::loadMachineConfig(args.get("config"), mc);
     for (const std::string &setting : args.getAll("set"))
         core::applyMachineSetting(mc, setting);
     core::checkMachine(mc);
+    return mc;
 }
 
 /** The `cluster,ipc` CSV of run and replay: full precision, so two
@@ -114,12 +123,8 @@ printClusterCsv(const std::vector<double> &cluster_ipc)
 core::MachineConfig
 machineFor(const ArgParser &args)
 {
-    core::MachineConfig mc =
-        core::baseMachine(args.get("machine", "scaled"));
-    if (args.has("config"))
-        mc = core::loadMachineConfig(args.get("config"), mc);
-    applySetFlag(args, mc);
-    return mc;
+    return withMachineFlags(args,
+                            core::baseMachine(args.get("machine", "scaled")));
 }
 
 func::Program
@@ -237,7 +242,9 @@ cmdRun(const ArgParser &args)
     if (opts.kind != core::SamplingPolicyKind::UniformCluster)
         std::printf("  selected from %llu candidates; proxy pass %llu "
                     "insts; pilot %llu measured insts\n",
-                    static_cast<unsigned long long>(er.candidateCount),
+                    static_cast<unsigned long long>(
+                        core::estimatorCandidateCount(
+                            cfg.regimen.numClusters, opts)),
                     static_cast<unsigned long long>(er.proxyInsts),
                     static_cast<unsigned long long>(er.pilotMeasuredInsts));
     std::printf("%s", core::formatRunMetrics(core::runMetrics(r)).c_str());
@@ -274,7 +281,8 @@ cmdMkLvpt(const ArgParser &args)
         std::printf("sampling %s: captured %zu of %llu candidates\n",
                     opts.describe().c_str(), store.clusterCount(),
                     static_cast<unsigned long long>(
-                        store.meta().candidateCount));
+                        core::estimatorCandidateCount(
+                            cfg.regimen.numClusters, opts)));
 
     std::printf("wrote %s: %zu live-points, %.1f KB (%.1f KB/cluster, "
                 "dedup %.2fx), store hash %016llx\n",
@@ -303,16 +311,28 @@ cmdReplay(const ArgParser &args)
         rsr_throw_user("live-point store ", path, " does not exist; "
                        "create it with: rsr_sim mklvpt --workload W "
                        "--policy P --out ", path);
-    const auto store = core::LivePointStore::loadFile(path);
-
     // With --workload/--policy/--sampling given, the flags describe a
     // run: the store must hold its capture (a stale store is an error,
     // never silently replayed) and the replay runs under its machine,
     // exactly as `run` with the same flags. Without them, the replay
-    // runs under the store's capture machine plus any --set.
+    // runs under the store's capture machine plus any --config and
+    // --set, and a flag that only describes a run is refused rather
+    // than ignored.
+    const bool validated = args.has("workload") || args.has("policy") ||
+                           args.has("sampling");
+    if (!validated)
+        for (const char *flag :
+             {"machine", "insts", "clusters", "cluster-size", "seed",
+              "proxy", "set-size", "strata", "phase1", "rank-seed"})
+            if (args.has(flag))
+                rsr_throw_user("replay takes --", flag,
+                               " only with --workload, --policy or "
+                               "--sampling (it describes the run the "
+                               "store is checked against)");
+    const auto store = core::LivePointStore::loadFile(path);
+
     auto machine = store.meta().machine;
-    if (args.has("workload") || args.has("policy") ||
-        args.has("sampling")) {
+    if (validated) {
         const std::string workload =
             args.get("workload", store.meta().workload);
         const std::string policy_name =
@@ -320,9 +340,7 @@ cmdReplay(const ArgParser &args)
         const auto opts = estimatorOptionsFor(args);
         const auto cfg = sampledConfigFor(args);
         const std::uint64_t want = core::LivePointStore::configHash(
-            workload, policy_name, cfg, opts,
-            harness::estimatorCandidateCount(cfg.regimen.numClusters,
-                                             opts));
+            workload, policy_name, cfg, opts);
         if (want != store.configHash())
             rsr_throw_user(
                 "live-point store ", path, " is stale: expected config "
@@ -335,7 +353,7 @@ cmdReplay(const ArgParser &args)
                 core::samplingPolicyName(opts.kind), " --out ", path);
         machine = cfg.machine;
     } else {
-        applySetFlag(args, machine);
+        machine = withMachineFlags(args, machine);
     }
 
     const unsigned jobs =
@@ -356,12 +374,13 @@ cmdReplay(const ArgParser &args)
                 r.aggregateIpc());
     std::printf("  zero functional re-simulation; store hash %016llx\n",
                 static_cast<unsigned long long>(store.storeHash()));
-    if (store.meta().estimator.kind !=
-        core::SamplingPolicyKind::UniformCluster)
+    const core::LivePointStore::Metadata &meta = store.meta();
+    if (meta.estimator.kind != core::SamplingPolicyKind::UniformCluster)
         std::printf("  sampling %s over %llu candidates\n",
-                    store.meta().estimator.describe().c_str(),
+                    meta.estimator.describe().c_str(),
                     static_cast<unsigned long long>(
-                        store.meta().candidateCount));
+                        core::estimatorCandidateCount(
+                            meta.regimen.numClusters, meta.estimator)));
     std::printf("%s", core::formatRunMetrics(core::runMetrics(r)).c_str());
     return 0;
 }
@@ -465,8 +484,12 @@ cmdCompare(const ArgParser &args)
                             e.result.clusterIpc[i]);
     }
 
-    std::vector<std::string> headers{"policy",  "ipc",     "ci low",
-                                     "ci high", "warm upd", "seconds"};
+    // The sweep's columns are run-table rows, under their run-table
+    // names.
+    const std::vector<std::string> columns{"ipc", "ci_low", "ci_high",
+                                           "warm.updates", "seconds"};
+    std::vector<std::string> headers{"policy"};
+    headers.insert(headers.end(), columns.begin(), columns.end());
     if (have_true) {
         headers.push_back("err %");
         headers.push_back("ci");
@@ -474,11 +497,22 @@ cmdCompare(const ArgParser &args)
     TextTable t(std::move(headers));
     for (const auto &e : entries) {
         const auto &est = e.result.estimate;
-        std::vector<std::string> row{
-            e.displayName, TextTable::num(est.mean),
-            TextTable::num(est.ciLow), TextTable::num(est.ciHigh),
-            std::to_string(e.result.warmWork.totalUpdates()),
-            TextTable::num(e.result.seconds, 3)};
+        const auto metrics = core::runMetrics(e.result);
+        std::vector<std::string> row{e.displayName};
+        for (const std::string &name : columns) {
+            const auto m = std::find_if(
+                metrics.begin(), metrics.end(),
+                [&](const core::RunMetric &r) { return name == r.name; });
+            rsr_assert(m != metrics.end(), "no run metric ", name);
+            row.push_back(std::visit(
+                [](auto v) {
+                    if constexpr (std::is_same_v<decltype(v), double>)
+                        return TextTable::num(v);
+                    else
+                        return std::to_string(v);
+                },
+                m->value));
+        }
         if (have_true) {
             row.push_back(
                 TextTable::num(est.relativeError(true_ipc) * 100, 2));
@@ -680,13 +714,15 @@ usage()
         "               [sampling flags] (producer: run functional\n"
         "               simulation + warming once, write a\n"
         "               content-addressed live-point store)\n"
-        "  replay       --store FILE [--jobs N] [--csv] "
-        "[--set core.<field>=V]\n"
+        "  replay       --store FILE [--jobs N] [--csv] [--config FILE]\n"
+        "               [--set core.<field>=V]\n"
         "               (consumer: measure straight from the store, zero\n"
-        "               functional re-simulation; --workload/--policy/\n"
-        "               --sampling + sample flags validate the store is\n"
-        "               not stale; estimator stores recompute their\n"
-        "               ranked-set / stratified estimate)\n"
+        "               functional re-simulation; --config and --set\n"
+        "               adjust the store's machine; --workload/--policy/\n"
+        "               --sampling + run flags validate the store is\n"
+        "               not stale, and the other run flags need them;\n"
+        "               estimator stores recompute their ranked-set /\n"
+        "               stratified estimate)\n"
         "  campaign     --workloads W1,W2,... --policies P1,P2,... "
         "--out DIR\n"
         "               [--insts N] [--clusters C] [--cluster-size S] "
