@@ -21,10 +21,6 @@
  * beats uniform at equal measured budget) and the two mean
  * error-ratio gains. The bench also self-enforces the frontier claim:
  * exit 1 unless an estimator wins on at least 3 of the 9 workloads.
- *
- * Flags: --quick (CI sizing: fewer seeds, smaller population),
- * --out FILE (default BENCH_estimator_frontier.json), --policy P
- * (warm-up policy held constant across methods, default rsr40).
  */
 
 #include <algorithm>
@@ -97,13 +93,9 @@ meanGain(const std::vector<double> &uniform_err,
                : s / static_cast<double>(uniform_err.size());
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const ArgParser &args)
 {
-    using namespace rsr;
-    ArgParser args(argc, argv);
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_estimator_frontier.json");
@@ -233,4 +225,21 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"estimator_frontier",
+         {{"estimator_frontier",
+           "estimator accuracy per measured instruction at equal budget",
+           {{"quick", ""}, {"out", "FILE"}, {"policy", "P"}},
+           runBench}},
+         "--quick: CI sizing (fewer seeds, smaller population); --out\n"
+         "defaults to BENCH_estimator_frontier.json; --policy, the warm-up\n"
+         "policy every method shares, defaults to rsr40\n"},
+        argc, argv);
 }

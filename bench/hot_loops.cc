@@ -14,9 +14,6 @@
  * (metric rate) / (calibration rate), a dimensionless ratio that mostly
  * cancels machine speed. The perf-smoke job compares the `norm_*` keys
  * against the committed baseline with tools/bench_compare.
- *
- * Flags: --quick (CI-sized inputs), --out FILE (default
- * BENCH_hot_loops.json in the current directory).
  */
 
 #include <algorithm>
@@ -175,13 +172,9 @@ table2MinstsPerSec(const bench::WorkloadSetup &setup)
     return static_cast<double>(total_insts) / timer.seconds() / 1e6;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const ArgParser &args)
 {
-    using namespace rsr;
-    ArgParser args(argc, argv);
     const bool quick = args.has("quick");
     const std::string out_path = args.get("out", "BENCH_hot_loops.json");
 
@@ -248,4 +241,20 @@ main(int argc, char **argv)
     atomicWriteFile(out_path, j.str() + "\n");
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"hot_loops",
+         {{"hot_loops",
+           "hot-loop throughput: func step, cache warm, RSR scan, Table 2",
+           {{"quick", ""}, {"out", "FILE"}},
+           runBench}},
+         "--quick: CI perf-smoke sizing; --out defaults to\n"
+         "BENCH_hot_loops.json\n"},
+        argc, argv);
 }

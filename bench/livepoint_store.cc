@@ -18,9 +18,6 @@
  * relative to capture, the amortization rate of the one-time pass). The
  * storage economics (bytes/cluster, dedup ratio) are deterministic and
  * reported for the record.
- *
- * Flags: --quick (CI-sized inputs), --out FILE (default
- * BENCH_livepoint_store.json in the current directory).
  */
 
 #include <algorithm>
@@ -55,13 +52,9 @@ bestSeconds(unsigned reps, Fn &&run)
     return best;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const ArgParser &args)
 {
-    using namespace rsr;
-    ArgParser args(argc, argv);
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_livepoint_store.json");
@@ -159,4 +152,20 @@ main(int argc, char **argv)
     atomicWriteFile(out_path, j.str() + "\n");
     std::printf("wrote %s\n", out_path.c_str());
     return identical ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"livepoint_store",
+         {{"livepoint_store",
+           "live-point store: capture once, replay per design point",
+           {{"quick", ""}, {"out", "FILE"}},
+           runBench}},
+         "--quick: CI perf-smoke sizing; --out defaults to\n"
+         "BENCH_livepoint_store.json\n"},
+        argc, argv);
 }

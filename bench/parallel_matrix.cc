@@ -19,10 +19,6 @@
  * runner the timings are honest but meaningless as a scaling claim, the
  * efficiency floor is not self-enforced, and consumers must skip
  * scaling assertions. `--baseline` is refused outright on such runners.
- *
- * Flags: --quick (CI sizing), --out FILE (default
- * BENCH_parallel_matrix.json), --baseline (refused when
- * hardware_concurrency() <= 1).
  */
 
 #include <cstdio>
@@ -76,12 +72,9 @@ deterministicFields(const std::string &path)
     return out;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const ArgParser &args)
 {
-    ArgParser args(argc, argv);
     const bool quick = args.has("quick");
     const bool baseline = args.has("baseline");
     const std::string out =
@@ -245,4 +238,21 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"parallel_matrix",
+         {{"parallel_matrix",
+           "replay scaling over jobs x clusters, and shard identity",
+           {{"quick", ""}, {"out", "FILE"}, {"baseline", ""}},
+           runBench}},
+         "--quick: CI perf-smoke sizing; --out defaults to\n"
+         "BENCH_parallel_matrix.json; --baseline is refused on a 1-core\n"
+         "machine\n"},
+        argc, argv);
 }

@@ -13,10 +13,6 @@
  * records the machine's core count next to the measured speedup — on a
  * single-core container the two sweeps cost the same and `speedup`
  * honestly reports ~1.0.
- *
- * Flags: --out FILE (default BENCH_parallel_replay.json), --baseline
- * (stamping a committed baseline; refused on machines with a single
- * hardware core, where the recorded speedup would be meaningless).
  */
 
 #include <cstdio>
@@ -30,11 +26,14 @@
 #include "util/table.hh"
 #include "util/timer.hh"
 
-int
-main(int argc, char **argv)
+namespace
 {
-    using namespace rsr;
-    ArgParser args(argc, argv);
+
+using namespace rsr;
+
+int
+runBench(const ArgParser &args)
+{
     const bool baseline = args.has("baseline");
     const std::string out =
         args.get("out", "BENCH_parallel_replay.json");
@@ -128,4 +127,20 @@ main(int argc, char **argv)
     atomicWriteFile(out, j.str() + "\n");
     std::printf("wrote %s\n", out.c_str());
     return identical ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"parallel_replay",
+         {{"parallel_replay",
+           "Table-2 sweep, serial against pooled timing replays",
+           {{"out", "FILE"}, {"baseline", ""}},
+           runBench}},
+         "--out defaults to BENCH_parallel_replay.json; --baseline is\n"
+         "refused on a 1-core machine\n"},
+        argc, argv);
 }

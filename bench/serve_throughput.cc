@@ -21,9 +21,6 @@
  * the gate tracks the required 5x floor without flapping on loopback
  * latency noise far above it. The bench itself exits non-zero if the
  * cache-hit speedup falls below 5x — the contract ISSUE 7 pins.
- *
- * Flags: --quick (CI-sized inputs), --out FILE (default
- * BENCH_serve_throughput.json in the current directory).
  */
 
 #include <algorithm>
@@ -96,12 +93,9 @@ percentile(std::vector<double> sorted, double p)
     return sorted[idx];
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const ArgParser &args)
 {
-    ArgParser args(argc, argv);
     const bool quick = args.has("quick");
     const std::string out_path =
         args.get("out", "BENCH_serve_throughput.json");
@@ -218,4 +212,20 @@ main(int argc, char **argv)
     server.requestDrain();
     serve_thread.join();
     return exit_status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return rsr::runProgram(
+        {"serve_throughput",
+         {{"serve_throughput",
+           "serve daemon throughput and cache-tier latency",
+           {{"quick", ""}, {"out", "FILE"}},
+           runBench}},
+         "--quick: CI perf-smoke sizing; --out defaults to\n"
+         "BENCH_serve_throughput.json\n"},
+        argc, argv);
 }

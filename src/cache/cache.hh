@@ -89,13 +89,6 @@ class Cache : public Snapshotable
     const CacheStats &stats() const { return stats_; }
     void clearStats() { stats_ = CacheStats{}; }
 
-    /** Line-aligned address of @p addr. */
-    std::uint64_t
-    lineAddr(std::uint64_t addr) const
-    {
-        return addr & ~std::uint64_t{params_.lineBytes - 1};
-    }
-
     /** Set index of @p addr (for reconstruction-scan bookkeeping). */
     std::uint64_t setIndexOf(std::uint64_t addr) const
     {

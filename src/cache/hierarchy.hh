@@ -90,7 +90,6 @@ class MemoryHierarchy : public Snapshotable
 
     /** Component state updates applied by warmAccess() so far. */
     std::uint64_t warmUpdates() const { return warmUpdates_; }
-    void clearWarmUpdates() { warmUpdates_ = 0; }
 
     /** Invalidate all caches and release all buses. */
     void reset();

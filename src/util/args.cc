@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 #include "error.hh"
 
@@ -147,19 +149,6 @@ ArgParser::unknownFlags(const std::set<std::string> &allowed) const
     return out;
 }
 
-void
-ArgParser::requireKnown(const std::set<std::string> &allowed) const
-{
-    for (const auto &flag : unknownFlags(allowed)) {
-        const std::string near = nearestName(flag, allowed);
-        if (!near.empty())
-            rsr_throw_user("unknown flag --", flag, " (did you mean --",
-                           near, "?)");
-        rsr_throw_user("unknown flag --", flag,
-                       " (run without arguments for usage)");
-    }
-}
-
 std::string
 nearestName(const std::string &name,
             const std::set<std::string> &candidates)
@@ -176,6 +165,121 @@ nearestName(const std::string &name,
         }
     }
     return best;
+}
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::istringstream in(csv);
+    for (std::string item; std::getline(in, item, ',');)
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
+Flags
+operator+(Flags a, const Flags &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+std::string
+helpText(const Program &program)
+{
+    // A single command is the program: help shows its summary and flags.
+    const bool single = program.commands.size() == 1;
+    std::size_t width = 0;
+    for (const Command &c : program.commands)
+        width = single ? 0 : std::max(width, c.name.size() + 2);
+    std::ostringstream os;
+    os << "usage: " << program.name << (single ? "" : " <command>")
+       << " [flags]\n";
+    for (const Command &c : program.commands) {
+        const std::string name = single ? "" : c.name;
+        os << "  " << name << std::string(width - name.size(), ' ')
+           << c.summary
+           << (c.alias.empty() ? "" : " (alias: " + c.alias + ")");
+        // Flags wrap at 78 columns, under the summary.
+        std::size_t column = 78;
+        for (const Flag &f : c.flags) {
+            const std::string item =
+                "--" + f.name + (f.value.empty() ? "" : " " + f.value);
+            if (column + 1 + item.size() > 78) {
+                os << '\n' << std::string(2 + width, ' ') << item;
+                column = 2 + width + item.size();
+            } else {
+                os << ' ' << item;
+                column += 1 + item.size();
+            }
+        }
+        os << '\n';
+    }
+    os << program.notes;
+    return os.str();
+}
+
+void
+requireDeclaredFlags(const Program &program, const Command &cmd,
+                     const ArgParser &args)
+{
+    std::set<std::string> names;
+    for (const Flag &f : cmd.flags)
+        names.insert(f.name);
+    for (const std::string &flag : args.unknownFlags(names)) {
+        std::ostringstream msg;
+        msg << cmd.name << " does not take --" << flag;
+        const std::string near = nearestName(flag, names);
+        if (!near.empty())
+            msg << " (did you mean --" << near << "?)";
+        std::vector<std::string> takers;
+        for (const Command &other : program.commands)
+            if (std::any_of(other.flags.begin(), other.flags.end(),
+                            [&](const Flag &f) { return f.name == flag; }))
+                takers.push_back(other.name);
+        for (std::size_t i = 0; i < takers.size(); ++i)
+            msg << (i == 0                   ? "; it applies to "
+                    : i + 1 < takers.size() ? ", "
+                                            : " and ")
+                << takers[i];
+        rsr_throw_user(msg.str());
+    }
+}
+
+int
+runProgram(const Program &program, int argc, const char *const *argv,
+           int error_status)
+{
+    try {
+        const ArgParser args(argc, argv);
+        const std::string &word = args.command();
+        const bool single = program.commands.size() == 1;
+        if (!args.getAll("help").empty() || (!single && word.empty())) {
+            std::printf("%s", helpText(program).c_str());
+            return 0;
+        }
+        if (single && !word.empty())
+            rsr_throw_user(program.name, " takes no positional argument, "
+                           "got '", word, "'");
+        const auto cmd = std::find_if(
+            program.commands.begin(), program.commands.end(),
+            [&](const Command &c) {
+                return single || c.name == word || c.alias == word;
+            });
+        if (cmd == program.commands.end()) {
+            std::printf("%s", helpText(program).c_str());
+            return error_status;
+        }
+        requireDeclaredFlags(program, *cmd, args);
+        return cmd->run(args);
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "fatal [%s]: %s\n", errorKindName(e.kind()),
+                     e.what());
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+    }
+    return error_status;
 }
 
 } // namespace rsr

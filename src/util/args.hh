@@ -1,11 +1,11 @@
 /**
  * @file
- * Small command-line argument parser for the tools: one positional
- * command followed by `--flag value` and `--switch` options, with typed
- * accessors and strict unknown-flag rejection (with nearest-valid-flag
- * suggestions for typos). Every value of a repeated flag is kept;
- * getAll() reads them all, and every other accessor refuses a flag
- * given more than once. All parse errors throw UserError.
+ * The command-line front end of the tools and benches: ArgParser reads
+ * one positional command followed by `--flag value` and `--switch`
+ * options, with typed accessors. Every value of a repeated flag is
+ * kept; getAll() reads them all, and every other accessor refuses a
+ * flag given more than once. runProgram() runs a program's command
+ * table. All parse errors throw UserError.
  */
 
 #ifndef RSR_UTIL_ARGS_HH
@@ -78,13 +78,6 @@ class ArgParser
     std::vector<std::string>
     unknownFlags(const std::set<std::string> &allowed) const;
 
-    /**
-     * Throw UserError if any flag is not in @p allowed, naming the
-     * offending flag and — when one is close enough — the nearest valid
-     * flag ("did you mean --cluster-size?").
-     */
-    void requireKnown(const std::set<std::string> &allowed) const;
-
   private:
     /** The value of @p flag, or nullptr if absent; throws if repeated. */
     const std::string *single(const std::string &flag) const;
@@ -100,6 +93,61 @@ class ArgParser
  */
 std::string nearestName(const std::string &name,
                         const std::set<std::string> &candidates);
+
+/** The non-empty items of the comma-separated @p csv, in order. */
+std::vector<std::string> splitList(const std::string &csv);
+
+/** A flag a command reads, with its value's placeholder in help ("" for
+ *  a switch). */
+struct Flag
+{
+    std::string name;
+    std::string value;
+};
+
+using Flags = std::vector<Flag>;
+
+Flags operator+(Flags a, const Flags &b);
+
+/** A command, declared once: help and flag checking both read it. */
+struct Command
+{
+    std::string name;
+    std::string summary;
+    /** Exactly the flags run() reads; any other is refused. */
+    Flags flags;
+    int (*run)(const ArgParser &);
+    /** A second name for the command ("" for none). */
+    std::string alias = "";
+};
+
+/** A program. With one command it is that command, and takes no
+ *  command word; help prints the notes after the commands. */
+struct Program
+{
+    std::string name;
+    std::vector<Command> commands;
+    std::string notes;
+};
+
+/** @p program's help, rendered from its command table. */
+std::string helpText(const Program &program);
+
+/** Throw UserError for a flag in @p args that @p cmd does not declare:
+ *  "<cmd> does not take --f (did you mean --g?); it applies to A and B". */
+void requireDeclaredFlags(const Program &program, const Command &cmd,
+                          const ArgParser &args);
+
+/**
+ * Run @p program on argv and return the command's status. `--help`
+ * anywhere, or no command word given to a multi-command program, prints
+ * help and returns 0; an unknown command prints help and returns
+ * @p error_status. A single-command program refuses a positional. An
+ * error prints `fatal [<kind>]: <message>` (`fatal: <message>` for a
+ * non-SimError) and returns @p error_status.
+ */
+int runProgram(const Program &program, int argc, const char *const *argv,
+               int error_status = 1);
 
 } // namespace rsr
 

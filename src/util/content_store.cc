@@ -19,8 +19,6 @@ std::uint64_t
 BlobStoreWriter::add(const std::vector<std::uint8_t> &bytes)
 {
     const std::uint64_t hash = fnv64(bytes.data(), bytes.size());
-    ++addedCount_;
-    addedBytes_ += bytes.size();
     const auto it = blobs_.find(hash);
     if (it != blobs_.end()) {
         if (it->second != bytes)

@@ -53,12 +53,6 @@ class BlobStoreWriter
     /** Bytes actually stored (after dedup). */
     std::uint64_t storedBytes() const { return storedBytes_; }
 
-    /** Bytes offered via add() (before dedup). */
-    std::uint64_t addedBytes() const { return addedBytes_; }
-
-    /** Number of add() calls. */
-    std::uint64_t addedCount() const { return addedCount_; }
-
     /**
      * Seal the container around @p index (the owner's opaque metadata)
      * and return the complete serialized file.
@@ -72,8 +66,6 @@ class BlobStoreWriter
     // and make the container bytes depend on hash-table layout.
     std::map<std::uint64_t, std::vector<std::uint8_t>> blobs_;
     std::uint64_t storedBytes_ = 0;
-    std::uint64_t addedBytes_ = 0;
-    std::uint64_t addedCount_ = 0;
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the command-line argument parser and the policy-by-name
- * factory used by the rsr_sim tool.
+ * Tests for the command-line front end (the argument parser and the
+ * command runner) and the policy-by-name factory used by rsr_sim.
  */
 
 #include <gtest/gtest.h>
@@ -154,13 +154,22 @@ TEST(ArgParser, BoundedIntegersRejectValuesAboveTheirType)
     }
 }
 
+/** A one-command program whose command takes @p flags. */
+Program
+oneCommand(const Flags &flags)
+{
+    return {"prog", {{"sample", "", flags, nullptr}}, ""};
+}
+
 TEST(ArgParser, UnknownFlagRejectedWithSuggestion)
 {
     // The classic typo: --cluster-sizes used to be silently ignored.
     const auto a = parse({"sample", "--cluster-sizes", "3000"});
+    const Program p = oneCommand(
+        {{"clusters", "C"}, {"cluster-size", "S"}, {"workload", "W"}});
     try {
-        a.requireKnown({"clusters", "cluster-size", "workload"});
-        FAIL() << "requireKnown did not throw";
+        requireDeclaredFlags(p, p.commands[0], a);
+        FAIL() << "requireDeclaredFlags did not throw";
     } catch (const UserError &e) {
         EXPECT_NE(std::string(e.what()).find("--cluster-sizes"),
                   std::string::npos);
@@ -170,10 +179,179 @@ TEST(ArgParser, UnknownFlagRejectedWithSuggestion)
     }
 }
 
-TEST(ArgParser, RequireKnownAcceptsValidFlags)
+TEST(ArgParser, DeclaredFlagsAreAccepted)
 {
     const auto a = parse({"sample", "--workload", "gcc"});
-    EXPECT_NO_THROW(a.requireKnown({"workload", "insts"}));
+    const Program p = oneCommand({{"workload", "W"}, {"insts", "N"}});
+    EXPECT_NO_THROW(requireDeclaredFlags(p, p.commands[0], a));
+}
+
+TEST(SplitList, DropsEmptyItems)
+{
+    EXPECT_EQ(splitList("gcc,,mcf,"),
+              (std::vector<std::string>{"gcc", "mcf"}));
+    EXPECT_TRUE(splitList("").empty());
+}
+
+// A small program for the runner: two commands share --cluster and
+// --csv, and `check` always fails with an I/O error.
+int g_handlerRuns = 0;
+
+int
+countRun(const ArgParser &)
+{
+    ++g_handlerRuns;
+    return 0;
+}
+
+int
+failRun(const ArgParser &)
+{
+    rsr_throw_io("disk gone");
+}
+
+const Program &
+toy()
+{
+    static const Program p{
+        "toy",
+        {{"build", "build it", {{"jobs", "N"}, {"cluster", "C"}, {"csv", ""}},
+          countRun},
+         {"show", "show it", {{"cluster", "C"}, {"csv", ""}}, countRun,
+          "display"},
+         {"check", "check it", {{"clusters", "C"}, {"cluster-size", "S"}},
+          failRun}},
+        "exit status: 0 ok\n"};
+    return p;
+}
+
+/** runProgram(@p program) on `prog <tokens>`, with what it printed. */
+struct RunOutput
+{
+    int status;
+    std::string out;
+    std::string err;
+};
+
+RunOutput
+run(const Program &program, std::initializer_list<const char *> tokens,
+    int error_status = 1)
+{
+    std::vector<const char *> argv{"prog"};
+    argv.insert(argv.end(), tokens.begin(), tokens.end());
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int status = runProgram(program, static_cast<int>(argv.size()),
+                                  argv.data(), error_status);
+    std::string out = testing::internal::GetCapturedStdout();
+    return {status, out, testing::internal::GetCapturedStderr()};
+}
+
+TEST(CommandLine, HelpListsEveryDeclaredFlag)
+{
+    const std::string help = helpText(toy());
+    EXPECT_NE(help.find("usage: toy <command>"), std::string::npos);
+    for (const Command &c : toy().commands) {
+        // Each command's flags follow its own summary line.
+        const auto at = help.find("  " + c.name + " ");
+        ASSERT_NE(at, std::string::npos) << c.name;
+        const std::string section = help.substr(at, help.find(
+            '\n', help.find('\n', at) + 1) - at);
+        for (const Flag &f : c.flags)
+            EXPECT_NE(section.find("--" + f.name +
+                                   (f.value.empty() ? "" : " " + f.value)),
+                      std::string::npos)
+                << c.name << " --" << f.name << "\n" << help;
+    }
+    EXPECT_NE(help.find("(alias: display)"), std::string::npos);
+    EXPECT_NE(help.find("exit status: 0 ok"), std::string::npos);
+}
+
+TEST(CommandLine, UndeclaredFlagNamesNearestFlagAndTakers)
+{
+    const auto a = parse({"check", "--cluster", "3"});
+    try {
+        requireDeclaredFlags(toy(), toy().commands[2], a);
+        FAIL() << "an undeclared flag was accepted";
+    } catch (const UserError &e) {
+        EXPECT_STREQ(e.what(), "check does not take --cluster (did you "
+                               "mean --clusters?); it applies to build "
+                               "and show");
+    }
+    const RunOutput r = run(toy(), {"check", "--cluster", "3"});
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("fatal [user-error]: check does not take "
+                         "--cluster"),
+              std::string::npos)
+        << r.err;
+}
+
+TEST(CommandLine, HelpRunsNoHandler)
+{
+    g_handlerRuns = 0;
+    for (const auto &tokens :
+         {std::vector<const char *>{"build", "--help"},
+          std::vector<const char *>{"--help"},
+          std::vector<const char *>{"build", "--jobs", "2", "--help"},
+          std::vector<const char *>{"build", "--bogus", "--help"}}) {
+        std::vector<const char *> argv{"prog"};
+        argv.insert(argv.end(), tokens.begin(), tokens.end());
+        testing::internal::CaptureStdout();
+        const int status = runProgram(
+            toy(), static_cast<int>(argv.size()), argv.data());
+        const std::string out = testing::internal::GetCapturedStdout();
+        EXPECT_EQ(status, 0);
+        EXPECT_NE(out.find("usage: toy"), std::string::npos);
+    }
+    EXPECT_EQ(g_handlerRuns, 0);
+}
+
+TEST(CommandLine, CommandWordPicksTheHandler)
+{
+    g_handlerRuns = 0;
+    EXPECT_EQ(run(toy(), {"build", "--jobs", "2"}).status, 0);
+    EXPECT_EQ(run(toy(), {"display", "--csv"}).status, 0);
+    EXPECT_EQ(g_handlerRuns, 2);
+    // No command is a request for help; an unknown one is an error.
+    const RunOutput none = run(toy(), {});
+    EXPECT_EQ(none.status, 0);
+    EXPECT_NE(none.out.find("usage: toy"), std::string::npos);
+    const RunOutput unknown = run(toy(), {"bulid"}, 7);
+    EXPECT_EQ(unknown.status, 7);
+    EXPECT_NE(unknown.out.find("usage: toy"), std::string::npos);
+    EXPECT_EQ(g_handlerRuns, 2);
+}
+
+TEST(CommandLine, SingleCommandRefusesPositional)
+{
+    const Program one{"one", {{"one", "do it", {{"quick", ""}}, countRun}},
+                      ""};
+    g_handlerRuns = 0;
+    const RunOutput stray = run(one, {"extra", "--quick"});
+    EXPECT_EQ(stray.status, 1);
+    EXPECT_NE(stray.err.find("fatal [user-error]: one takes no "
+                             "positional argument, got 'extra'"),
+              std::string::npos)
+        << stray.err;
+    // A stray token after a flag's value is a parse error, still typed.
+    const RunOutput late = run(one, {"--quick", "--out", "x", "y"}, 2);
+    EXPECT_EQ(late.status, 2);
+    EXPECT_NE(late.err.find("fatal [user-error]: expected a --flag, got "
+                            "'y'"),
+              std::string::npos)
+        << late.err;
+    EXPECT_EQ(g_handlerRuns, 0);
+    EXPECT_EQ(run(one, {"--quick"}).status, 0);
+    EXPECT_EQ(g_handlerRuns, 1);
+    EXPECT_EQ(run(one, {"--help"}).out.find("usage: one [flags]"), 0u);
+}
+
+TEST(CommandLine, HandlerSimErrorReturnsErrorStatus)
+{
+    const RunOutput r = run(toy(), {"check"}, 2);
+    EXPECT_EQ(r.status, 2);
+    EXPECT_EQ(r.err, "fatal [io]: disk gone\n");
+    EXPECT_EQ(run(toy(), {"check"}).status, 1);
 }
 
 TEST(NearestName, PicksClosestWithinCutoff)

@@ -529,6 +529,45 @@ TEST(Robustness, FaultInjectedCampaignRecordsFailuresThenResumes)
     EXPECT_EQ(r2.exitStatus(), 0);
 }
 
+TEST(Robustness, AllocFaultFailsJobsNotTheCampaign)
+{
+    // Capture the stores first, fault-free.
+    auto cfg = smallCampaign("alloc_capture");
+    cfg.workloads = {"twolf", "gcc"};
+    cfg.livepointDir = cfg.outDir + "/stores";
+    ASSERT_TRUE(harness::CampaignRunner(cfg).run().allComplete());
+
+    // Every store open now fails its guarded allocation with
+    // std::bad_alloc. retryTransient retries only SimErrors, so each job
+    // fails once, recorded as an internal invariant, and the campaign
+    // carries on to report partial success.
+    cfg.outDir = std::string(::testing::TempDir()) + "/rsr_campaign_alloc";
+    std::remove(harness::CampaignRunner::manifestPath(cfg.outDir).c_str());
+    cfg.maxRetries = 2;
+    cfg.faults.seed = 5;
+    cfg.faults.allocFailProb = 1.0;
+    const auto r1 = harness::CampaignRunner(cfg).run();
+    EXPECT_EQ(r1.total, 4u);
+    EXPECT_EQ(r1.failed, 4u);
+    EXPECT_EQ(r1.retries, 0u);
+    EXPECT_EQ(r1.exitStatus(), 2);
+    const auto state = harness::loadManifest(
+        harness::CampaignRunner::manifestPath(cfg.outDir));
+    ASSERT_EQ(state.jobs.size(), 4u);
+    for (const auto &[id, job] : state.jobs) {
+        EXPECT_EQ(job.status, harness::JobStatus::Failed) << id;
+        EXPECT_EQ(job.errorKind, "internal-invariant") << id;
+        EXPECT_EQ(job.attempts, 1u) << id;
+    }
+
+    // Without faults the same campaign completes from the same stores.
+    cfg.faults = FaultConfig{};
+    const auto r2 = harness::CampaignRunner(cfg).run(/*resume=*/true);
+    EXPECT_EQ(r2.completed, 4u);
+    EXPECT_TRUE(r2.allComplete());
+    EXPECT_EQ(r2.exitStatus(), 0);
+}
+
 TEST(Robustness, WatchdogTimesOutSlowJobs)
 {
     auto cfg = smallCampaign("timeout");

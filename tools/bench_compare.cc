@@ -23,15 +23,11 @@
  * (a 1-core runner), the comparison is skipped with exit 0 — an honest
  * "cannot measure scaling here" must not fail the gate.
  *
- * Exit status: 0 within tolerance (or skipped), 1 regression or bad
- * input, 2 error (unreadable file, malformed JSON, bad flags),
- * 3 incomparable records. `bench_compare --help` documents the same
- * table for CI authors.
+ * `bench_compare --help` prints the exit-status table for CI authors.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <map>
 #include <string>
 
@@ -46,32 +42,17 @@ namespace
 std::map<std::string, std::string>
 loadRecord(const std::string &path)
 {
+    // A wrong path is the usual CI slip; name the tool, as the
+    // INCOMPARABLE lines do.
+    if (!rsr::fileExists(path))
+        rsr_throw_user("bench_compare: no record at ", path);
     const auto bytes = rsr::readFileBytes(path);
     return rsr::harness::parseJsonObject(
         std::string(bytes.begin(), bytes.end()));
 }
 
-constexpr const char *usage_text =
-    "usage: bench_compare --baseline FILE --current FILE"
-    " [--tolerance 0.15]\n"
-    "\n"
-    "Compare the machine-normalized norm_* metrics of a freshly\n"
-    "measured hot-loop benchmark record against the committed\n"
-    "baseline. Improvements never fail; the baseline is refreshed\n"
-    "deliberately, not ratcheted automatically.\n"
-    "\n"
-    "exit status:\n"
-    "  0  every norm_* metric within tolerance, or the scaling\n"
-    "     comparison was honestly skipped"
-    " (parallel_scaling_valid=false)\n"
-    "  1  regression, metric missing from the current record, bad\n"
-    "     baseline value, or no norm_* metrics to compare\n"
-    "  2  error: unreadable file, malformed JSON, or bad flags\n"
-    "  3  INCOMPARABLE records: jobs mismatch, or cores mismatch\n"
-    "     between parallel-scaling records\n";
-
 int
-run(rsr::ArgParser &args)
+run(const rsr::ArgParser &args)
 {
     using namespace rsr;
     const std::string base_path = args.get("baseline");
@@ -183,15 +164,25 @@ run(rsr::ArgParser &args)
 int
 main(int argc, char **argv)
 {
-    rsr::ArgParser args(argc, argv);
-    if (args.has("help")) {
-        std::printf("%s", usage_text);
-        return 0;
-    }
-    try {
-        return run(args);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "bench_compare: %s\n", e.what());
-        return 2;
-    }
+    const rsr::Program bench_compare{
+        "bench_compare",
+        {{"bench_compare",
+          "compare a fresh benchmark record's norm_* metrics with the "
+          "baseline",
+          {{"baseline", "FILE"}, {"current", "FILE"}, {"tolerance", "F"}},
+          run}},
+        "Only the machine-normalized norm_* metrics are compared (default\n"
+        "tolerance 0.15). Improvements never fail; the baseline is\n"
+        "refreshed deliberately, not ratcheted automatically.\n"
+        "\n"
+        "exit status:\n"
+        "  0  every norm_* metric within tolerance, or the scaling\n"
+        "     comparison was honestly skipped"
+        " (parallel_scaling_valid=false)\n"
+        "  1  regression, metric missing from the current record, bad\n"
+        "     baseline value, or no norm_* metrics to compare\n"
+        "  2  error: unreadable file, malformed JSON, or bad flags\n"
+        "  3  INCOMPARABLE records: jobs mismatch, or cores mismatch\n"
+        "     between parallel-scaling records\n"};
+    return rsr::runProgram(bench_compare, argc, argv, 2);
 }

@@ -1,15 +1,7 @@
 /**
  * @file
- * Command-line client for the rsr_sim serve daemon.
- *
- *   rsr_serve_client ping    --port P
- *   rsr_serve_client request --port P --workload W --policy P
- *                    [--insts N] [--clusters C] [--cluster-size S]
- *                    [--seed X] [--machine scaled|paper]
- *                    [--set key=V]... (repeatable, or --set k1=v1,k2=v2)
- *                    [--deadline-ms MS] [--timeout SECS]
- *   rsr_serve_client stats   --port P
- *   rsr_serve_client drain   --port P
+ * Command-line client for the rsr_sim serve daemon: ping, request,
+ * stats and drain, each with the flags `rsr_serve_client --help` lists.
  *
  * Responses print their JSON payload on stdout. Exit status: 0 success,
  * 1 fatal/typed error reply, 3 BUSY (backpressure — retry after the
@@ -30,23 +22,6 @@ namespace
 {
 
 using namespace rsr;
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        const auto comma = csv.find(',', pos);
-        const auto end = comma == std::string::npos ? csv.size() : comma;
-        if (end > pos)
-            out.push_back(csv.substr(pos, end - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
 
 serve::SimRequest
 requestFor(const ArgParser &args)
@@ -115,73 +90,58 @@ report(const serve::Frame &reply)
     }
 }
 
+/** Send one @p type frame (a SimRequest carries the request flags)
+ *  and report the reply. */
 int
-dispatch(const ArgParser &args)
+exchange(const ArgParser &args, serve::FrameType type)
 {
-    const std::set<std::string> allowed{
-        "port",     "workload", "policy",       "insts",
-        "clusters", "cluster-size", "seed",     "machine",
-        "set",      "deadline-ms",  "timeout",  "request-id"};
-    args.requireKnown(allowed);
-
-    const std::string cmd_peek = args.command();
-    if (!cmd_peek.empty() && !args.has("port"))
+    if (!args.has("port"))
         rsr_throw_user("--port is required");
     const auto port = static_cast<std::uint16_t>(args.getPositiveU64(
         "port", 0, std::numeric_limits<std::uint16_t>::max()));
     const double timeout = args.getDouble("timeout", 30.0);
-    const std::uint64_t request_id = args.getU64("request-id", 1);
-
-    const std::string cmd = args.command();
-    if (cmd == "ping")
-        return report(roundTrip(
-            port, serve::textFrame(serve::FrameType::Ping, request_id, ""),
-            timeout));
-    if (cmd == "stats")
-        return report(roundTrip(
-            port,
-            serve::textFrame(serve::FrameType::StatsRequest, request_id,
-                             ""),
-            timeout));
-    if (cmd == "drain")
-        return report(roundTrip(
-            port,
-            serve::textFrame(serve::FrameType::Drain, request_id, ""),
-            timeout));
-    if (cmd == "request") {
-        const serve::SimRequest req = requestFor(args);
-        serve::Frame frame;
-        frame.type = serve::FrameType::SimRequest;
-        frame.requestId = request_id;
-        frame.payload = serve::encodeSimRequest(req);
-        return report(roundTrip(port, frame, timeout));
-    }
-
-    std::printf(
-        "usage: rsr_serve_client <ping|request|stats|drain> --port P\n"
-        "  request --workload W --policy P [--insts N] [--clusters C]\n"
-        "          [--cluster-size S] [--seed X] [--machine "
-        "scaled|paper]\n"
-        "          [--set k1=v1,k2=v2] [--deadline-ms MS]\n"
-        "  common: [--timeout SECS] [--request-id N]\n"
-        "exit status: 0 ok, 1 error, 3 busy (retry later)\n");
-    return cmd.empty() ? 0 : 1;
+    serve::Frame frame =
+        serve::textFrame(type, args.getU64("request-id", 1), "");
+    if (type == serve::FrameType::SimRequest)
+        frame.payload = serve::encodeSimRequest(requestFor(args));
+    return report(roundTrip(port, frame, timeout));
 }
+
+const Flags kCommonFlags{
+    {"port", "P"}, {"timeout", "SECS"}, {"request-id", "N"}};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    try {
-        const ArgParser args(argc, argv);
-        return dispatch(args);
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "fatal [%s]: %s\n",
-                     errorKindName(e.kind()), e.what());
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        return 1;
-    }
+    const Program client{
+        "rsr_serve_client",
+        {
+            {"ping", "check that the daemon answers", kCommonFlags,
+             [](const ArgParser &args) {
+                 return exchange(args, serve::FrameType::Ping);
+             }},
+            {"request", "run one simulation (or answer it from a cache)",
+             kCommonFlags +
+                 Flags{{"workload", "W"}, {"policy", "P"}, {"insts", "N"},
+                       {"clusters", "C"}, {"cluster-size", "S"},
+                       {"seed", "X"}, {"machine", "scaled|paper"},
+                       {"set", "K1=V1,K2=V2"}, {"deadline-ms", "MS"}},
+             [](const ArgParser &args) {
+                 return exchange(args, serve::FrameType::SimRequest);
+             }},
+            {"stats", "print the daemon's counters", kCommonFlags,
+             [](const ArgParser &args) {
+                 return exchange(args, serve::FrameType::StatsRequest);
+             }},
+            {"drain", "ask the daemon to finish its queue and exit",
+             kCommonFlags,
+             [](const ArgParser &args) {
+                 return exchange(args, serve::FrameType::Drain);
+             }},
+        },
+        "--set may be repeated; each value may hold several settings\n"
+        "exit status: 0 ok, 1 error, 3 busy (retry later)\n"};
+    return runProgram(client, argc, argv);
 }

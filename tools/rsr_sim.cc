@@ -1,54 +1,9 @@
 /**
  * @file
  * The rsr-sim command-line driver: one binary exposing the library's
- * main flows for interactive use and scripting.
- *
- *   rsr_sim list-workloads
- *   rsr_sim true-ipc     --workload gcc [--insts N] [--machine scaled|paper]
- *   rsr_sim run          --workload gcc --policy rsr20 [--insts N]
- *                        [--clusters C] [--cluster-size S] [--seed X]
- *                        [--machine scaled|paper] [--true-ipc] [--csv]
- *                        [--jobs N] — the sampled run, whose result is
- *                        bit-identical for any --jobs value (`sample` is
- *                        an alias)
- *                        [--sampling uniform|ranked-set|two-phase
- *                         --proxy ipc|bbv --set-size M --strata H
- *                         --phase1 P --rank-seed X] — estimator sampling
- *                        policies over a proxy-ranked candidate pool
- *                        (run, mklvpt, replay, and campaign all accept
- *                        the sampling flags)
- *   rsr_sim compare      --workload gcc [--policies P1,P2,...] [--jobs N]
- *                        [run flags] — Table-2-style policy sweep,
- *                        one pool task per policy
- *   rsr_sim mklvpt       --workload gcc --policy rsr40 --out file.lvpt
- *                        [run flags] — producer pass: run functional
- *                        simulation + warming once, write the per-cluster
- *                        live-point store
- *   rsr_sim replay       --store file.lvpt [--jobs N] [--csv]
- *                        [--config FILE] [--set core.<field>=V]
- *                        [validation flags] — consumer pass: any
- *                        policy/timing sweep straight from the store,
- *                        zero functional re-simulation; the other run
- *                        flags need --workload, --policy or --sampling
- *   rsr_sim record-trace --workload gcc --out file.trc [--insts N]
- *   rsr_sim sim-trace    --trace file.trc [--insts N] [--machine ...]
- *   rsr_sim simpoint     --workload gcc [--insts N] [--interval I]
- *                        [--max-k K] [--warm]
- *   rsr_sim campaign     --workloads gcc,vpr,twolf --policies none,smarts
- *                        --out DIR [--livepoints DIR] [--resume]
- *                        [--shards N] [--retries R] [--timeout SECS]
- *                        [--fault-io P] [...]
- *
- * Each command takes its own flags and refuses every other; `--set` may
- * be repeated (every setting applies, in order), any other flag is
- * given at most once.
- *
- * Policies, on every command: none, smarts, scache, sbp, fp<pct>,
- * rsr<pct>, rcache<pct>, rbp (RSR variants accept a +stale suffix),
- * mrrl, blrl.
- *
- * Exit status: 0 success, 1 fatal error, 2 campaign partially complete
- * (some jobs failed; see the manifest).
+ * main flows for interactive use and scripting. `rsr_sim --help` lists
+ * every command with exactly the flags it takes; both come from the
+ * command table at the end of this file.
  */
 
 #include <algorithm>
@@ -56,8 +11,6 @@
 #include <csignal>
 #include <cstdio>
 #include <limits>
-#include <set>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <variant>
@@ -81,6 +34,7 @@
 #include "util/args.hh"
 #include "util/checksum.hh"
 #include "util/error.hh"
+#include "util/fault.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -95,6 +49,22 @@ constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 /** The largest `--*-mb` value whose byte count fits in 64 bits. */
 constexpr std::uint64_t kMaxMegabytes =
     std::numeric_limits<std::uint64_t>::max() >> 20;
+
+/** What machineFor() reads. */
+const Flags kMachineFlags{
+    {"machine", "scaled|paper"}, {"config", "FILE"}, {"set", "KEY=V"}};
+/** What sampledConfigFor() reads. */
+const Flags kSampledFlags =
+    kMachineFlags + Flags{{"insts", "N"}, {"clusters", "C"},
+                          {"cluster-size", "S"}, {"seed", "X"}};
+/** What estimatorOptionsFor() reads. */
+const Flags kSamplingFlags{{"sampling", "uniform|ranked-set|two-phase"},
+                           {"proxy", "ipc|bbv"}, {"set-size", "M"},
+                           {"strata", "H"}, {"phase1", "P"},
+                           {"rank-seed", "X"}};
+/** What faultConfigFor() reads. */
+const Flags kFaultFlags{{"fault-seed", "X"}, {"fault-io", "P"},
+                        {"fault-corrupt", "P"}, {"fault-alloc", "P"}};
 
 /** @p mc with the `--config` file (when given) and then every `--set
  *  key=value` option, in order, applied; the resolved machine is
@@ -320,12 +290,13 @@ cmdReplay(const ArgParser &args)
     // than ignored.
     const bool validated = args.has("workload") || args.has("policy") ||
                            args.has("sampling");
+    // Every run flag but --config and --set (they adjust the store's
+    // machine) describes the run.
     if (!validated)
-        for (const char *flag :
-             {"machine", "insts", "clusters", "cluster-size", "seed",
-              "proxy", "set-size", "strata", "phase1", "rank-seed"})
-            if (args.has(flag))
-                rsr_throw_user("replay takes --", flag,
+        for (const Flag &flag : kSampledFlags + kSamplingFlags)
+            if (flag.name != "config" && flag.name != "set" &&
+                flag.name != "sampling" && args.has(flag.name))
+                rsr_throw_user("replay takes --", flag.name,
                                " only with --workload, --policy or "
                                "--sampling (it describes the run the "
                                "store is checked against)");
@@ -435,22 +406,6 @@ cmdSimPoint(const ArgParser &args)
     std::printf("SimPoint IPC estimate %.4f (%s warm-up, %.2fs)\n", r.ipc,
                 args.has("warm") ? "SMARTS" : "no", r.seconds);
     return 0;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > pos)
-            out.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
 }
 
 int
@@ -572,6 +527,18 @@ class ScopedSignalHandlers
     void (*priorTerm_)(int);
 };
 
+/** The fault classes campaign and serve inject. */
+FaultConfig
+faultConfigFor(const ArgParser &args)
+{
+    FaultConfig faults;
+    faults.seed = args.getU64("fault-seed", 0);
+    faults.ioFailProb = args.getDouble("fault-io", 0.0);
+    faults.corruptProb = args.getDouble("fault-corrupt", 0.0);
+    faults.allocFailProb = args.getDouble("fault-alloc", 0.0);
+    return faults;
+}
+
 int
 cmdCampaign(const ArgParser &args)
 {
@@ -600,10 +567,7 @@ cmdCampaign(const ArgParser &args)
     cfg.backoffMs =
         static_cast<unsigned>(args.getU64("backoff-ms", 10, kUnsignedMax));
     cfg.jobTimeoutSec = args.getDouble("timeout", 0.0);
-    cfg.faults.seed = args.getU64("fault-seed", 0);
-    cfg.faults.ioFailProb = args.getDouble("fault-io", 0.0);
-    cfg.faults.corruptProb = args.getDouble("fault-corrupt", 0.0);
-    cfg.faults.allocFailProb = args.getDouble("fault-alloc", 0.0);
+    cfg.faults = faultConfigFor(args);
 
     // Graceful shutdown: SIGINT/SIGTERM stop dispatching new jobs while
     // in-flight jobs finish and flush their manifest entries, so the
@@ -656,10 +620,7 @@ cmdServe(const ArgParser &args)
     cfg.storeCacheBytes =
         args.getPositiveU64("store-cache-mb", 256, kMaxMegabytes) << 20;
     cfg.journalPath = args.get("journal");
-    cfg.faults.seed = args.getU64("fault-seed", 0);
-    cfg.faults.ioFailProb = args.getDouble("fault-io", 0.0);
-    cfg.faults.corruptProb = args.getDouble("fault-corrupt", 0.0);
-    cfg.faults.allocFailProb = args.getDouble("fault-alloc", 0.0);
+    cfg.faults = faultConfigFor(args);
     cfg.faults.tornFrameProb = args.getDouble("fault-torn", 0.0);
 
     const unsigned threads = cfg.threads;
@@ -690,72 +651,65 @@ cmdServe(const ArgParser &args)
     return 0;
 }
 
-void
-usage()
+const Program &
+program()
 {
-    std::printf(
-        "usage: rsr_sim <command> [--flags]\n"
-        "  list-workloads\n"
-        "  true-ipc     --workload W [--insts N] [--machine scaled|paper]\n"
-        "  run          --workload W --policy P [--insts N] [--clusters C]\n"
-        "               [--cluster-size S] [--seed X] [--true-ipc] [--csv]\n"
-        "               [--jobs N] [sampling flags]\n"
-        "               (per-cluster timing replays on N workers;\n"
-        "               bit-identical for any --jobs)\n"
-        "  sample       alias of run\n"
-        "  compare      --workload W [--policies P1,P2,...] [--jobs N]\n"
-        "               [run flags] (policy sweep; defaults to the\n"
-        "               full Table-2 matrix)\n"
-        "  record-trace --workload W --out FILE [--insts N]\n"
-        "  sim-trace    --trace FILE [--insts N]\n"
-        "  simpoint     --workload W [--insts N] [--interval I] [--max-k K]"
-        " [--warm]\n"
-        "  mklvpt       --workload W --policy P --out FILE [run flags]\n"
-        "               [sampling flags] (producer: run functional\n"
-        "               simulation + warming once, write a\n"
-        "               content-addressed live-point store)\n"
-        "  replay       --store FILE [--jobs N] [--csv] [--config FILE]\n"
-        "               [--set core.<field>=V]\n"
-        "               (consumer: measure straight from the store, zero\n"
-        "               functional re-simulation; --config and --set\n"
-        "               adjust the store's machine; --workload/--policy/\n"
-        "               --sampling + run flags validate the store is\n"
-        "               not stale, and the other run flags need them;\n"
-        "               estimator stores recompute their ranked-set /\n"
-        "               stratified estimate)\n"
-        "  campaign     --workloads W1,W2,... --policies P1,P2,... "
-        "--out DIR\n"
-        "               [--insts N] [--clusters C] [--cluster-size S] "
-        "[--seed X]\n"
-        "               [--livepoints DIR] [--shards N] [--retries R] "
-        "[--backoff-ms MS]\n"
-        "               [--timeout SECS] [--resume] [--fault-seed X] "
-        "[--fault-io P]\n"
-        "               [--fault-corrupt P] [--fault-alloc P] "
-        "[sampling flags]\n"
-        "               (SIGINT/SIGTERM stop dispatching, let in-flight\n"
-        "               jobs finish, and leave a resumable manifest;\n"
-        "               --shards N > 1 forks N worker processes over one\n"
-        "               claim-locked manifest — a killed worker's jobs\n"
-        "               are rerun by --resume, never lost or duplicated)\n"
-        "  serve        [--port P] [--threads T] [--queue-capacity N]\n"
-        "               [--shed-fill F] [--io-timeout SECS] "
-        "[--timeout SECS]\n"
-        "               [--retries R] [--backoff-ms MS] "
-        "[--result-cache-mb M]\n"
-        "               [--store-cache-mb M] [--journal FILE] "
-        "[--fault-seed X]\n"
-        "               [--fault-io P] [--fault-corrupt P] "
-        "[--fault-torn P]\n"
-        "               (fault-tolerant simulation daemon on 127.0.0.1;\n"
-        "               drive it with rsr_serve_client; SIGTERM drains\n"
-        "               gracefully and --journal makes the queue "
-        "resumable)\n"
-        "examples:\n"
-        "  rsr_sim mklvpt --workload gcc --policy rsr40 --out gcc.lvpt\n"
-        "  rsr_sim replay --store gcc.lvpt --jobs 4 --csv\n"
-        "  rsr_sim replay --store gcc.lvpt --set core.rob_size=256 "
-        "--set core.issue_width=8\n"
+    const Flags run =
+        Flags{{"workload", "W"}, {"policy", "P"}} + kSampledFlags;
+    const Flags output{{"jobs", "N"}, {"csv", ""}, {"true-ipc", ""}};
+    static const Program rsr_sim{
+        "rsr_sim",
+        {
+            {"list-workloads", "the synthetic workloads and their shapes",
+             {}, cmdListWorkloads},
+            {"true-ipc", "full-detail reference IPC (--stats: counters)",
+             Flags{{"workload", "W"}, {"insts", "N"}, {"stats", ""}} +
+                 kMachineFlags,
+             cmdTrueIpc},
+            {"run", "the sampled run, bit-identical for any --jobs",
+             run + kSamplingFlags + output, cmdRun, "sample"},
+            {"compare", "Table-2 policy sweep (default: all 16 policies)",
+             Flags{{"workload", "W"}, {"policies", "P1,P2,..."}} +
+                 kSampledFlags + output,
+             cmdCompare},
+            {"mklvpt",
+             "producer: simulate and warm once, write a live-point store",
+             Flags{{"out", "FILE"}} + run + kSamplingFlags, cmdMkLvpt},
+            {"replay",
+             "consumer: measure from a store, no functional simulation",
+             Flags{{"store", "FILE"}, {"jobs", "N"}, {"csv", ""}} + run +
+                 kSamplingFlags,
+             cmdReplay},
+            {"record-trace", "record a workload's committed instructions",
+             {{"workload", "W"}, {"out", "FILE"}, {"insts", "N"}},
+             cmdRecordTrace},
+            {"sim-trace", "time a recorded trace on the out-of-order core",
+             Flags{{"trace", "FILE"}, {"insts", "N"}} + kMachineFlags,
+             cmdSimTrace},
+            {"simpoint",
+             "SimPoint selection and estimate (--warm: SMARTS warm-up)",
+             Flags{{"workload", "W"}, {"insts", "N"}, {"interval", "I"},
+                   {"max-k", "K"}, {"warm", ""}} +
+                 kMachineFlags,
+             cmdSimPoint},
+            {"campaign",
+             "resumable workload x policy matrix, one artifact per job",
+             Flags{{"workloads", "W1,W2,..."}, {"policies", "P1,P2,..."},
+                   {"out", "DIR"}, {"livepoints", "DIR"}, {"resume", ""},
+                   {"shards", "N"}, {"retries", "R"}, {"backoff-ms", "MS"},
+                   {"timeout", "SECS"}} +
+                 kSampledFlags + kSamplingFlags + kFaultFlags,
+             cmdCampaign},
+            {"serve", "simulation daemon on 127.0.0.1 for rsr_serve_client",
+             Flags{{"port", "P"}, {"threads", "T"},
+                   {"queue-capacity", "N"}, {"shed-fill", "F"},
+                   {"io-timeout", "SECS"}, {"timeout", "SECS"},
+                   {"retries", "R"}, {"backoff-ms", "MS"},
+                   {"result-cache-mb", "M"}, {"store-cache-mb", "M"},
+                   {"journal", "FILE"}} +
+                 kFaultFlags + Flags{{"fault-torn", "P"}},
+             cmdServe},
+        },
         "policies (every command): none smarts scache sbp fp<pct>\n"
         "  rsr<pct>[+stale] rcache<pct> rbp mrrl blrl\n"
         "sampling flags (run/mklvpt/replay/campaign):\n"
@@ -766,115 +720,20 @@ usage()
         "                        candidate oversampling (default 4)\n"
         "  --strata H --phase1 P two-phase strata and pilot per stratum\n"
         "  --rank-seed X         seed for set formation and pilot draws\n"
-        "each command refuses the flags it does not read; only --set\n"
-        "may be repeated (every setting applies, in order)\n"
-        "exit status: 0 ok, 1 fatal, 2 campaign partially complete\n");
-}
-
-using Flags = std::set<std::string>;
-
-Flags
-operator+(Flags a, const Flags &b)
-{
-    a.insert(b.begin(), b.end());
-    return a;
-}
-
-const Flags kMachineFlags{"machine", "config", "set"};
-/** What sampledConfigFor() reads. */
-const Flags kSampledFlags =
-    kMachineFlags + Flags{"insts", "clusters", "cluster-size", "seed"};
-const Flags kSamplingFlags{"sampling", "proxy",  "set-size",
-                           "strata",   "phase1", "rank-seed"};
-const Flags kFaultFlags{"fault-seed", "fault-io", "fault-corrupt",
-                        "fault-alloc"};
-
-/** A command: its handler and exactly the flags it reads. */
-struct Command
-{
-    std::string name;
-    int (*handler)(const ArgParser &);
-    Flags flags;
-};
-
-const std::vector<Command> &
-commands()
-{
-    const Flags run = kSampledFlags + Flags{"workload", "policy"};
-    static const std::vector<Command> table{
-        {"list-workloads", cmdListWorkloads, {}},
-        {"true-ipc", cmdTrueIpc,
-         kMachineFlags + Flags{"workload", "insts", "stats"}},
-        {"run", cmdRun,
-         run + kSamplingFlags + Flags{"jobs", "csv", "true-ipc"}},
-        {"compare", cmdCompare,
-         kSampledFlags +
-             Flags{"workload", "policies", "jobs", "csv", "true-ipc"}},
-        {"mklvpt", cmdMkLvpt, run + kSamplingFlags + Flags{"out"}},
-        {"replay", cmdReplay,
-         run + kSamplingFlags + Flags{"store", "jobs", "csv"}},
-        {"record-trace", cmdRecordTrace, {"workload", "out", "insts"}},
-        {"sim-trace", cmdSimTrace, kMachineFlags + Flags{"trace", "insts"}},
-        {"simpoint", cmdSimPoint,
-         kMachineFlags +
-             Flags{"workload", "insts", "interval", "max-k", "warm"}},
-        {"campaign", cmdCampaign,
-         kSampledFlags + kSamplingFlags + kFaultFlags +
-             Flags{"workloads", "policies", "out", "livepoints", "resume",
-                   "shards", "retries", "backoff-ms", "timeout"}},
-        {"serve", cmdServe,
-         kFaultFlags + Flags{"port", "threads", "queue-capacity",
-                             "shed-fill", "io-timeout", "timeout",
-                             "retries", "backoff-ms", "result-cache-mb",
-                             "store-cache-mb", "journal", "fault-torn"}},
-    };
-    return table;
-}
-
-/**
- * Refuse every flag @p cmd does not read, naming the nearest flag it
- * does and the commands that take the refused one.
- */
-void
-requireCommandFlags(const ArgParser &args, const Command &cmd)
-{
-    for (const std::string &flag : args.unknownFlags(cmd.flags)) {
-        std::ostringstream msg;
-        msg << cmd.name << " does not take --" << flag;
-        const std::string near = nearestName(flag, cmd.flags);
-        if (!near.empty())
-            msg << " (did you mean --" << near << "?)";
-        std::vector<std::string> takers;
-        for (const Command &other : commands())
-            if (other.flags.count(flag))
-                takers.push_back(other.name);
-        for (std::size_t i = 0; i < takers.size(); ++i)
-            msg << (i == 0                   ? "; it applies to "
-                    : i + 1 < takers.size() ? ", "
-                                            : " and ")
-                << takers[i];
-        rsr_throw_user(msg.str());
-    }
-}
-
-int
-dispatch(const ArgParser &args)
-{
-    if (args.has("help")) {
-        usage();
-        return 0;
-    }
-    // `sample` is an alias of run.
-    const std::string name =
-        args.command() == "sample" ? "run" : args.command();
-    for (const Command &cmd : commands()) {
-        if (cmd.name != name)
-            continue;
-        requireCommandFlags(args, cmd);
-        return cmd.handler(args);
-    }
-    usage();
-    return name.empty() ? 0 : 1;
+        "replay: --config and --set adjust the store's machine; with\n"
+        "  --workload, --policy or --sampling the run flags check that the\n"
+        "  store is not stale, and the other run flags need one of them\n"
+        "campaign: SIGINT/SIGTERM let in-flight jobs finish and leave a\n"
+        "  resumable manifest; --shards N forks N workers over it\n"
+        "serve: SIGTERM drains; --journal makes the queue resumable\n"
+        "only --set may be repeated (every setting applies, in order)\n"
+        "examples:\n"
+        "  rsr_sim mklvpt --workload gcc --policy rsr40 --out gcc.lvpt\n"
+        "  rsr_sim replay --store gcc.lvpt --jobs 4 --csv\n"
+        "  rsr_sim replay --store gcc.lvpt --set core.rob_size=256 "
+        "--set core.issue_width=8\n"
+        "exit status: 0 ok, 1 fatal, 2 campaign partially complete\n"};
+    return rsr_sim;
 }
 
 } // namespace
@@ -882,17 +741,5 @@ dispatch(const ArgParser &args)
 int
 main(int argc, char **argv)
 {
-    // Library code throws the SimError taxonomy; the CLI is the one
-    // place where errors become an exit code.
-    try {
-        const ArgParser args(argc, argv);
-        return dispatch(args);
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "fatal [%s]: %s\n",
-                     errorKindName(e.kind()), e.what());
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        return 1;
-    }
+    return runProgram(program(), argc, argv);
 }
