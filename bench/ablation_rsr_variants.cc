@@ -29,10 +29,11 @@ main()
 
     const auto setups = bench::prepareWorkloads(true);
 
-    bench::runAndPrintFigure("Ablation",
-                             {"rsr20", "rsr20+stale", "rsr100",
-                              "rsr100+stale", "smarts"},
-                             setups, "S$BP");
+    const std::vector<std::string> policies{"rsr20", "rsr20+stale",
+                                            "rsr100", "rsr100+stale",
+                                            "smarts"};
+    bench::printFigure("Ablation", bench::runMatrix(policies, setups),
+                       policies, setups, "smarts");
 
     // MRRL/BLRL profile the exact cluster schedule the sampled run draws
     // (ClusterScheduleDriver prepares the policy with it); time(s)

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "harness/parallel_run.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -105,22 +106,37 @@ PolicyResults::ciPasses(const std::vector<WorkloadSetup> &setups) const
     return n;
 }
 
-PolicyResults
-runPolicy(core::WarmupPolicy &policy,
-          const std::vector<WorkloadSetup> &setups, unsigned repeats)
+std::vector<PolicyResults>
+runMatrix(const std::vector<std::string> &policies,
+          const std::vector<WorkloadSetup> &setups)
 {
-    rsr_assert(repeats >= 1, "need at least one run");
-    PolicyResults res;
-    res.name = policy.name();
-    for (const auto &s : setups) {
-        auto best = core::runSampled(s.program, policy, s.cfg);
-        for (unsigned r = 1; r < repeats; ++r) {
-            auto again = core::runSampled(s.program, policy, s.cfg);
-            best.seconds = std::min(best.seconds, again.seconds);
+    std::vector<PolicyResults> matrix(policies.size());
+    for (const WorkloadSetup &s : setups) {
+        std::printf("running %zu methods on %-8s ...\n", policies.size(),
+                    s.params.name.c_str());
+        std::fflush(stdout);
+        auto best = harness::runPolicySweep(s.program, policies, s.cfg, 1);
+        const auto again =
+            harness::runPolicySweep(s.program, policies, s.cfg, 1);
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+            core::SampledResult &r = best[p].result;
+            r.seconds = std::min(r.seconds, again[p].result.seconds);
+            matrix[p].cliName = best[p].cliName;
+            matrix[p].name = best[p].displayName;
+            matrix[p].perWorkload.push_back(std::move(r));
         }
-        res.perWorkload.push_back(std::move(best));
     }
-    return res;
+    return matrix;
+}
+
+const PolicyResults &
+matrixRow(const std::vector<PolicyResults> &matrix,
+          const std::string &cli_name)
+{
+    for (const PolicyResults &r : matrix)
+        if (r.cliName == cli_name)
+            return r;
+    rsr_throw_user("no matrix row for policy ", cli_name);
 }
 
 void
@@ -143,42 +159,30 @@ benchJson(const std::string &bench, unsigned jobs)
 }
 
 void
-runAndPrintFigure(const std::string &title,
-                  const std::vector<std::string> &policies,
-                  const std::vector<WorkloadSetup> &setups,
-                  const std::string &speedup_baseline)
+printFigure(const std::string &title,
+            const std::vector<PolicyResults> &matrix,
+            const std::vector<std::string> &policies,
+            const std::vector<WorkloadSetup> &setups,
+            const std::string &speedup_baseline)
 {
-    std::vector<PolicyResults> all;
-    for (const std::string &name : policies) {
-        auto policy = core::makePolicyByName(name);
-        std::printf("running %-12s ...\n", policy->name().c_str());
-        std::fflush(stdout);
-        all.push_back(runPolicy(*policy, setups));
-    }
-
-    const PolicyResults *baseline = nullptr;
-    for (const auto &r : all)
-        if (r.name == speedup_baseline)
-            baseline = &r;
+    std::vector<const PolicyResults *> all;
+    for (const std::string &name : policies)
+        all.push_back(&matrixRow(matrix, name));
+    const double baseline_seconds =
+        matrixRow(matrix, speedup_baseline).avgSeconds();
 
     std::printf("\n%s — averages over %zu workloads\n", title.c_str(),
                 setups.size());
     TextTable avg({"method", "rel-error", "time(s)", "warm-updates",
-                   "logged", "CI-pass", baseline ? "speedup" : "-"});
-    for (const auto &r : all) {
-        std::string speed = "-";
-        if (baseline && &r != baseline)
-            speed = TextTable::num(baseline->avgSeconds() / r.avgSeconds(),
-                                   2);
-        else if (baseline)
-            speed = "1.00";
-        avg.addRow({r.name, TextTable::num(r.avgRelErr(setups)),
-                    TextTable::num(r.avgSeconds(), 3),
-                    TextTable::num(r.avgWarmUpdates(), 0),
-                    TextTable::num(r.avgLoggedRecords(), 0),
-                    std::to_string(r.ciPasses(setups)) + "/" +
+                   "logged", "CI-pass", "speedup"});
+    for (const PolicyResults *r : all) {
+        avg.addRow({r->name, TextTable::num(r->avgRelErr(setups)),
+                    TextTable::num(r->avgSeconds(), 3),
+                    TextTable::num(r->avgWarmUpdates(), 0),
+                    TextTable::num(r->avgLoggedRecords(), 0),
+                    std::to_string(r->ciPasses(setups)) + "/" +
                         std::to_string(setups.size()),
-                    speed});
+                    TextTable::num(baseline_seconds / r->avgSeconds(), 2)});
     }
     avg.print();
 
@@ -187,20 +191,20 @@ runAndPrintFigure(const std::string &title,
     for (const auto &s : setups)
         headers.push_back(s.params.name);
     TextTable per(headers);
-    for (const auto &r : all) {
-        std::vector<std::string> row{r.name};
+    for (const PolicyResults *r : all) {
+        std::vector<std::string> row{r->name};
         for (std::size_t i = 0; i < setups.size(); ++i)
             row.push_back(TextTable::num(
-                r.perWorkload[i].estimate.relativeError(setups[i].trueIpc)));
+                r->perWorkload[i].estimate.relativeError(setups[i].trueIpc)));
         per.addRow(row);
     }
     per.print();
 
     std::printf("\nper-workload simulation time (s)\n");
     TextTable times(headers);
-    for (const auto &r : all) {
-        std::vector<std::string> row{r.name};
-        for (const auto &w : r.perWorkload)
+    for (const PolicyResults *r : all) {
+        std::vector<std::string> row{r->name};
+        for (const auto &w : r->perWorkload)
             row.push_back(TextTable::num(w.seconds, 3));
         times.addRow(row);
     }

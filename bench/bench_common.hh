@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared infrastructure for the per-table/per-figure benchmark harnesses.
+ * Shared infrastructure for the benchmark programs.
  *
  * Every experiment follows the paper's protocol (Section 5): the nine
  * SPEC2000-like workloads each get a fixed sampling regimen (Table 1);
@@ -53,7 +53,8 @@ prepareWorkloads(bool need_true_ipc = true,
 /** Results of one warm-up method across all workloads. */
 struct PolicyResults
 {
-    std::string name;
+    std::string cliName; ///< the core::makePolicyByName() name
+    std::string name;    ///< the policy's paper-style label
     std::vector<core::SampledResult> perWorkload;
 
     double avgRelErr(const std::vector<WorkloadSetup> &setups) const;
@@ -64,25 +65,34 @@ struct PolicyResults
 };
 
 /**
- * Run one policy over every workload (fresh machine per workload).
- * Each (policy, workload) pair is run @p repeats times; results are
- * bit-identical across repeats (everything is seeded), and the minimum
- * wall time is reported to suppress scheduler/turbo noise.
+ * The method matrix: every policy in @p policies (core::makePolicyByName()
+ * names) over every workload, one harness::runPolicySweep per workload
+ * on one job so no two runs contend for a core. The sweep runs twice;
+ * results are bit-identical across the two (everything is seeded), and
+ * each cell keeps the lower wall time to suppress scheduler/turbo noise.
+ * Rows come back in the order of @p policies.
  */
-PolicyResults
-runPolicy(core::WarmupPolicy &policy,
-          const std::vector<WorkloadSetup> &setups, unsigned repeats = 2);
+std::vector<PolicyResults>
+runMatrix(const std::vector<std::string> &policies,
+          const std::vector<WorkloadSetup> &setups);
+
+/** The row of @p matrix run under core::makePolicyByName() name
+ *  @p cli_name. */
+const PolicyResults &matrixRow(const std::vector<PolicyResults> &matrix,
+                               const std::string &cli_name);
 
 /**
- * Standard figure harness: run each policy, given by its
- * core::makePolicyByName() name, over all workloads and print
- * (a) the averaged relative-error / time / work table (the paper's bar
- * charts) and (b) a per-workload relative-error appendix table.
+ * Print one figure as a view of @p matrix: the rows named in
+ * @p policies as (a) the averaged relative-error / time / work table
+ * (the paper's bar charts), (b) a per-workload relative-error table and
+ * (c) a per-workload simulation-time table. Speedups are average
+ * times relative to the row named @p speedup_baseline.
  */
-void runAndPrintFigure(const std::string &title,
-                       const std::vector<std::string> &policies,
-                       const std::vector<WorkloadSetup> &setups,
-                       const std::string &speedup_baseline = "");
+void printFigure(const std::string &title,
+                 const std::vector<PolicyResults> &matrix,
+                 const std::vector<std::string> &policies,
+                 const std::vector<WorkloadSetup> &setups,
+                 const std::string &speedup_baseline);
 
 /** Print the experiment banner. */
 void banner(const std::string &title, const std::string &paper_ref);

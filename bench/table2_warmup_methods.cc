@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "harness/parallel_run.hh"
 #include "util/table.hh"
 
 int
@@ -28,11 +29,12 @@ main()
 
     TextTable t({"name", "warms caches", "warms BP", "mechanism",
                  "smoke IPC", "warm-updates", "logged"});
-    for (const std::string &policy_name : core::table2PolicyNames()) {
-        const auto policy = core::makePolicyByName(policy_name);
-        const auto r =
-            core::runSampled(setups[0].program, *policy, setups[0].cfg);
-        const std::string name = policy->name();
+    for (const auto &entry :
+         harness::runPolicySweep(setups[0].program,
+                                 core::table2PolicyNames(), setups[0].cfg,
+                                 1)) {
+        const std::string &name = entry.displayName;
+        const core::SampledResult &r = entry.result;
         // FP warms both; S$/R$ warm caches; SBP/RBP warm the predictor;
         // S$BP/R$BP warm both.
         const bool cache = name[0] == 'F' ||

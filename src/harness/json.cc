@@ -1,5 +1,6 @@
 #include "json.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <utility>
 
@@ -250,6 +251,24 @@ parseJsonObject(const std::string &text)
     if (c.pos != text.size())
         rsr_throw_corrupt("trailing bytes after JSON object");
     return out;
+}
+
+std::uint64_t
+jsonU64(const std::map<std::string, std::string> &obj,
+        const std::string &key)
+{
+    const auto it = obj.find(key);
+    if (it == obj.end())
+        rsr_throw_corrupt("JSON record missing '", key, "'");
+    const std::string &text = it->second;
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        rsr_throw_corrupt("JSON field '", key,
+                          "' is not a 64-bit decimal integer: '", text,
+                          "'");
+    return value;
 }
 
 } // namespace rsr::harness

@@ -52,6 +52,15 @@ class JsonWriter
 std::map<std::string, std::string>
 parseJsonObject(const std::string &text);
 
+/**
+ * The unsigned decimal integer under @p key of a parsed object. A
+ * missing key, or a value that is not all decimal digits or does not
+ * fit in 64 bits, throws CorruptInputError: a bit-flipped digit must
+ * not read as 0 or as another number.
+ */
+std::uint64_t jsonU64(const std::map<std::string, std::string> &obj,
+                      const std::string &key);
+
 } // namespace rsr::harness
 
 #endif // RSR_HARNESS_JSON_HH

@@ -1,7 +1,5 @@
 #include "manifest.hh"
 
-#include <cstdlib>
-
 #include "json.hh"
 #include "util/error.hh"
 
@@ -13,16 +11,6 @@ namespace
 
 constexpr const char *manifestTag = "rsr-campaign";
 constexpr std::uint64_t manifestVersion = 1;
-
-std::uint64_t
-toU64(const std::map<std::string, std::string> &obj,
-      const std::string &key)
-{
-    const auto it = obj.find(key);
-    if (it == obj.end())
-        rsr_throw_corrupt("manifest record missing '", key, "'");
-    return std::strtoull(it->second.c_str(), nullptr, 0);
-}
 
 std::string
 toStr(const std::map<std::string, std::string> &obj,
@@ -81,11 +69,11 @@ parseJobRecord(const std::string &line)
 {
     const auto obj = parseJsonObject(line);
     JobRecord r;
-    r.id = toU64(obj, "id");
+    r.id = jsonU64(obj, "id");
     r.workload = toStr(obj, "workload");
     r.policy = toStr(obj, "policy");
     r.status = parseJobStatus(toStr(obj, "status"));
-    r.attempts = toU64(obj, "attempts");
+    r.attempts = jsonU64(obj, "attempts");
     r.errorKind = toStr(obj, "error_kind");
     r.error = toStr(obj, "error");
     r.resultFile = toStr(obj, "result");
@@ -120,11 +108,11 @@ loadManifest(const std::string &path)
             const auto obj = parseJsonObject(line);
             if (toStr(obj, "manifest") != manifestTag)
                 rsr_throw_corrupt(path, " is not a campaign manifest");
-            if (toU64(obj, "version") != manifestVersion)
+            if (jsonU64(obj, "version") != manifestVersion)
                 rsr_throw_corrupt("unsupported manifest version in ",
                                   path);
             state.fingerprint = toStr(obj, "fingerprint");
-            state.numJobs = toU64(obj, "jobs");
+            state.numJobs = jsonU64(obj, "jobs");
             have_header = true;
             continue;
         }

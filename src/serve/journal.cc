@@ -1,6 +1,5 @@
 #include "journal.hh"
 
-#include <cstdlib>
 #include <map>
 
 #include "harness/json.hh"
@@ -46,12 +45,10 @@ loadJournal(const std::string &path)
     for (const std::string &line : readJournalLines(path)) {
         try {
             const auto obj = harness::parseJsonObject(line);
-            const auto id_it = obj.find("id");
+            const std::uint64_t id = harness::jsonU64(obj, "id");
             const auto status_it = obj.find("status");
-            if (id_it == obj.end() || status_it == obj.end())
-                rsr_throw_corrupt("journal line missing id/status");
-            const std::uint64_t id =
-                std::strtoull(id_it->second.c_str(), nullptr, 10);
+            if (status_it == obj.end())
+                rsr_throw_corrupt("journal line missing status");
             const RequestStatus status =
                 parseRequestStatus(status_it->second);
             SimRequest request = simRequestFromJson(line);

@@ -1,7 +1,6 @@
 #include "protocol.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/config_file.hh"
 #include "harness/json.hh"
@@ -322,20 +321,17 @@ simRequestFromJson(const std::string &text)
                               "'");
         return it->second;
     };
-    auto getU64 = [&](const char *key) {
-        return static_cast<std::uint64_t>(
-            std::strtoull(get(key).c_str(), nullptr, 10));
-    };
     SimRequest r;
     r.workload = get("workload");
     r.policy = get("policy");
-    r.insts = getU64("insts");
-    r.clusters = getU64("clusters");
-    r.clusterSize = getU64("cluster_size");
-    r.seed = getU64("seed");
+    r.insts = harness::jsonU64(obj, "insts");
+    r.clusters = harness::jsonU64(obj, "clusters");
+    r.clusterSize = harness::jsonU64(obj, "cluster_size");
+    r.seed = harness::jsonU64(obj, "seed");
     r.machineKind = get("machine");
-    r.deadlineMs = static_cast<std::uint32_t>(getU64("deadline_ms"));
-    const std::uint64_t n = getU64("num_overrides");
+    r.deadlineMs =
+        static_cast<std::uint32_t>(harness::jsonU64(obj, "deadline_ms"));
+    const std::uint64_t n = harness::jsonU64(obj, "num_overrides");
     if (n > 1024)
         rsr_throw_corrupt("implausible journaled override count ", n);
     for (std::uint64_t i = 0; i < n; ++i)

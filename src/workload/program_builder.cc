@@ -187,16 +187,6 @@ ProgramBuilder::ret()
 }
 
 void
-ProgramBuilder::jumpReg(unsigned rs1)
-{
-    Inst in;
-    in.op = Opcode::Jalr;
-    in.rd = 0;
-    in.rs1 = static_cast<std::uint8_t>(rs1);
-    emit(in);
-}
-
-void
 ProgramBuilder::callReg(unsigned rs1)
 {
     Inst in;
@@ -215,15 +205,6 @@ ProgramBuilder::allocData(std::uint64_t bytes, std::uint64_t align)
     const std::uint64_t base = dataCursor;
     dataCursor += bytes;
     dataSegs.push_back({base, std::vector<std::uint8_t>(bytes, 0)});
-    return base;
-}
-
-std::uint64_t
-ProgramBuilder::addData(const std::vector<std::uint8_t> &bytes,
-                        std::uint64_t align)
-{
-    const std::uint64_t base = allocData(bytes.size(), align);
-    dataSegs.back().bytes = bytes;
     return base;
 }
 

@@ -74,8 +74,6 @@ class ProgramBuilder
     void call(Label target);
     /** Return through the link register. */
     void ret();
-    /** Indirect jump through @p rs1 (BTB-exercising). */
-    void jumpReg(unsigned rs1);
     /** Indirect call through @p rs1, linking into ra. */
     void callReg(unsigned rs1);
 
@@ -83,10 +81,6 @@ class ProgramBuilder
 
     /** Reserve @p bytes of zeroed data; returns its base address. */
     std::uint64_t allocData(std::uint64_t bytes, std::uint64_t align = 64);
-
-    /** Reserve and initialize a data region; returns its base address. */
-    std::uint64_t addData(const std::vector<std::uint8_t> &bytes,
-                          std::uint64_t align = 64);
 
     /** Write a little-endian value into a previously allocated region. */
     void pokeData(std::uint64_t addr, std::uint64_t value, unsigned bytes);

@@ -548,17 +548,4 @@ standardWorkloadParams(const std::string &name)
     return makeProfile(name);
 }
 
-std::vector<Workload>
-standardWorkloads()
-{
-    std::vector<Workload> out;
-    for (auto &p : standardWorkloadParams()) {
-        Workload w;
-        w.program = buildSynthetic(p);
-        w.params = std::move(p);
-        out.push_back(std::move(w));
-    }
-    return out;
-}
-
 } // namespace rsr::workload

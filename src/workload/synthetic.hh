@@ -84,13 +84,6 @@ struct WorkloadParams
 /** Build the program image for a parameter set. */
 func::Program buildSynthetic(const WorkloadParams &params);
 
-/** Named workload: parameters plus the generated program. */
-struct Workload
-{
-    WorkloadParams params;
-    func::Program program;
-};
-
 /**
  * The nine SPEC2000-like profiles used throughout the paper's evaluation
  * (gcc, mcf, parser, perl, vortex, vpr, twolf, ammp, art), in the paper's
@@ -100,9 +93,6 @@ std::vector<WorkloadParams> standardWorkloadParams();
 
 /** Parameters for one named standard workload. */
 WorkloadParams standardWorkloadParams(const std::string &name);
-
-/** Build every standard workload. */
-std::vector<Workload> standardWorkloads();
 
 } // namespace rsr::workload
 

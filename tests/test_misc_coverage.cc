@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "core/sampled_sim.hh"
@@ -181,6 +182,25 @@ TEST(Json, ParserRoundTripsEscapesAndRejectsMalformedInput)
           "{\"k\":\"\\u00zz\"}"})
         EXPECT_THROW(harness::parseJsonObject(bad), CorruptInputError)
             << bad;
+}
+
+TEST(Json, U64FieldReadsOnlyPlainDecimalIntegers)
+{
+    const auto obj = harness::parseJsonObject(
+        "{\"zero\":0,\"max\":18446744073709551615,\"s\":\"12\"}");
+    EXPECT_EQ(harness::jsonU64(obj, "zero"), 0u);
+    EXPECT_EQ(harness::jsonU64(obj, "max"), ~std::uint64_t{0});
+    EXPECT_EQ(harness::jsonU64(obj, "s"), 12u);
+    EXPECT_THROW(harness::jsonU64(obj, "absent"), CorruptInputError);
+
+    // A flipped bit turns a digit into a letter ('3' -> 's'); neither
+    // that nor any other non-decimal spelling may read as a number.
+    for (const char *bad : {"s", "3s", "-1", "+1", "0x10", "1.0", "1e3",
+                            "true", "18446744073709551616"}) {
+        const std::map<std::string, std::string> one{{"id", bad}};
+        EXPECT_THROW(harness::jsonU64(one, "id"), CorruptInputError)
+            << bad;
+    }
 }
 
 // ---------------------------------------------------------------------------

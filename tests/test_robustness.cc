@@ -692,6 +692,38 @@ TEST(Robustness, ResumeTruncatesTornManifestTail)
     EXPECT_EQ(state.jobs.size(), 2u);
 }
 
+TEST(Robustness, ManifestLineWithFlippedIdDigitIsDropped)
+{
+    // Job 3's completion record with one bit of its id flipped
+    // ('3' -> 's') still parses as JSON. It must be dropped as torn, not
+    // load as job 0 complete pointing at job 3's artifact: a resume
+    // would then skip job 0.
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/rsr_manifest_flipped_id.jsonl";
+    std::remove(path.c_str());
+    harness::JobRecord r;
+    r.id = 3;
+    r.workload = "gcc";
+    r.policy = "rsr40";
+    r.status = harness::JobStatus::Complete;
+    r.attempts = 1;
+    r.resultFile = "job-3.json";
+    r.checksum = "0123456789abcdef";
+    { // header only
+        harness::ManifestWriter writer(
+            path, "fingerprint", 4, harness::ManifestWriter::OpenMode::Fresh);
+    }
+    std::string line = harness::formatJobRecord(r);
+    const auto at = line.find("\"id\":3");
+    ASSERT_NE(at, std::string::npos);
+    line[at + 5] = 's';
+    std::ofstream(path, std::ios::app) << line << "\n";
+
+    const auto state = harness::loadManifest(path);
+    EXPECT_EQ(state.droppedLines, 1u);
+    EXPECT_TRUE(state.jobs.empty());
+}
+
 TEST(Robustness, ResumeRejectsMismatchedCampaign)
 {
     auto cfg = smallCampaign("fingerprint");

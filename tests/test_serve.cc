@@ -352,6 +352,40 @@ TEST(ServeJournal, TornTrailingLineDroppedAndRepaired)
     EXPECT_TRUE(repaired.backlog.empty());
 }
 
+TEST(ServeJournal, FlippedIdDigitLineIsDropped)
+{
+    const std::string path = journalPath("flipped_id");
+    {
+        RequestJournal journal(path);
+        journal.append(0, RequestStatus::Queued, tinyRequest(1));
+        journal.append(7, RequestStatus::Done, tinyRequest(2));
+    }
+    // Flip one bit of request 7's id ('7' -> 'w'). The line still parses
+    // and its request_hash (which leaves the id out) still matches, but
+    // it must not load as "request 0 done" and empty the backlog.
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 2u);
+    const auto at = lines[1].find("\"id\":7");
+    ASSERT_NE(at, std::string::npos);
+    lines[1][at + 5] = 'w';
+    {
+        std::ofstream out(path);
+        for (const std::string &line : lines)
+            out << line << "\n";
+    }
+
+    const JournalState state = loadJournal(path);
+    EXPECT_EQ(state.droppedLines, 1u);
+    ASSERT_EQ(state.backlog.size(), 1u);
+    EXPECT_EQ(state.backlog[0].first, 0u);
+    EXPECT_EQ(state.nextId, 1u);
+}
+
 TEST(ServeJournal, HashMismatchLineIsDropped)
 {
     const std::string path = journalPath("hash");
