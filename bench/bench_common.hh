@@ -66,11 +66,12 @@ struct PolicyResults
 
 /**
  * The method matrix: every policy in @p policies (core::makePolicyByName()
- * names) over every workload, one harness::runPolicySweep per workload
- * on one job so no two runs contend for a core. The sweep runs twice;
- * results are bit-identical across the two (everything is seeded), and
- * each cell keeps the lower wall time to suppress scheduler/turbo noise.
- * Rows come back in the order of @p policies.
+ * names) over every workload, one solo harness::runSampledParallel per
+ * cell on one job, so each cell's time is the method's own wall time and
+ * no two runs contend for a core. Each cell runs twice; results are
+ * bit-identical across the two (everything is seeded), and the cell
+ * keeps the lower wall time to suppress scheduler/turbo noise. Rows come
+ * back in the order of @p policies.
  */
 std::vector<PolicyResults>
 runMatrix(const std::vector<std::string> &policies,

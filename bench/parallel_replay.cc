@@ -1,16 +1,15 @@
 /**
  * @file
- * Parallel cluster-replay benchmark: runs the full Table-2 policy matrix
- * through the deferred phase-driver pipeline twice — once with all
- * timing replays serial (--jobs 1) and once spread over a worker pool —
- * verifies the two produce bit-identical per-cluster IPC and estimates,
- * and records the wall-clock comparison in BENCH_parallel_replay.json.
+ * Parallel policy-sweep benchmark: runs the full Table-2 policy matrix
+ * through harness::runPolicySweep twice — once with one pool worker
+ * (--jobs 1) and once with four — verifies the two produce bit-identical
+ * per-cluster IPC and estimates, and records the wall-clock comparison
+ * in BENCH_parallel_replay.json.
  *
- * The parallel grain is one pool task per policy (each replaying its
- * own clusters serially): a sweep is embarrassingly parallel, so the
- * speedup approaches the core count, while within a single run the
- * serial functional front half bounds the gain (Amdahl). The JSON
- * records the machine's core count next to the measured speedup — on a
+ * Both runs share one functional pass on the calling thread; the grain
+ * is one task per (region, policy), each warming that policy's machine
+ * from the shared region log and measuring its cluster. The JSON records
+ * the machine's core count next to the measured speedup — on a
  * single-core container the two sweeps cost the same and `speedup`
  * honestly reports ~1.0.
  */

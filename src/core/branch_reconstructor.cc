@@ -25,9 +25,16 @@ BranchReconstructor::~BranchReconstructor()
 void
 BranchReconstructor::begin(const SkipLog &skip_log)
 {
+    begin(skip_log.branches, skip_log.ghrAtStart);
+}
+
+void
+BranchReconstructor::begin(const std::vector<BranchRecord> &branches,
+                           std::uint32_t ghr_at_start)
+{
     rsr_assert(!active(), "begin() while a reconstruction is active");
-    log = &skip_log;
-    const auto &br = skip_log.branches;
+    log = &branches;
+    const auto &br = branches;
     const std::uint32_t ghr_mask =
         static_cast<std::uint32_t>(maskBits(bp.params().historyBits));
 
@@ -35,7 +42,7 @@ BranchReconstructor::begin(const SkipLog &skip_log)
     // (equivalently: the last n logged outcomes) reconstructs the GHR for
     // the coming cluster.
     ghrBefore.resize(br.size());
-    std::uint32_t ghr = skip_log.ghrAtStart;
+    std::uint32_t ghr = ghr_at_start;
     for (std::size_t i = 0; i < br.size(); ++i) {
         ghrBefore[i] = ghr;
         if (br[i].kind == BranchKind::Conditional)
@@ -86,7 +93,7 @@ void
 BranchReconstructor::stepCursor()
 {
     --cursor;
-    const BranchRecord &r = log->branches[cursor];
+    const BranchRecord &r = (*log)[cursor];
     ++stats_.recordsScanned;
 
     if (r.kind == BranchKind::Conditional) {

@@ -79,6 +79,11 @@ class BranchReconstructor : public branch::ReconstructionClient
      */
     void begin(const SkipLog &log);
 
+    /** begin() over a branch log whose skip region began with GHR
+     *  @p ghr_at_start; @p branches must outlive the reconstruction. */
+    void begin(const std::vector<BranchRecord> &branches,
+               std::uint32_t ghr_at_start);
+
     /** Detach from the predictor and drop per-cluster state. */
     void end();
 
@@ -108,7 +113,7 @@ class BranchReconstructor : public branch::ReconstructionClient
     branch::GsharePredictor &bp;
     const PhtResolveMode mode;
     const CounterInference &infer;
-    const SkipLog *log = nullptr;
+    const std::vector<BranchRecord> *log = nullptr;
     /** GHR value immediately before each logged branch executed. */
     std::vector<std::uint32_t> ghrBefore;
     /** Next (older) record to consume; processed records are [cursor,n). */

@@ -1,5 +1,7 @@
 #include "phase_driver.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/timer.hh"
 
@@ -10,13 +12,38 @@ namespace
 {
 
 /**
- * The skip inner loop, templated on the concrete final policy type so
- * that the onSkipInst() call resolves statically and inlines. Each
- * instantiation stays a function of its own, so each is optimized as
- * one loop around the always-inlined FuncSim::step (PERFORMANCE.md).
+ * Fast-forward @p n instructions of a skip region: no instruction record
+ * is captured and no policy is called. Returns the I-line of the last
+ * one (~0 when @p n is 0), so an observed tail sees the same fetch-block
+ * boundary it would in a single pass.
+ */
+std::uint64_t
+fastForward(func::FuncSim &fs, const Deadline *deadline, std::uint64_t n,
+            std::uint64_t iline_mask)
+{
+    std::uint64_t last_pc = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (deadline && (i & Deadline::pollMask) == 0 &&
+            deadline->expired())
+            throw TimeoutError("sampled run exceeded its deadline "
+                               "inside a skip region");
+        last_pc = fs.pc();
+        const bool ok = fs.step(nullptr);
+        rsr_assert(ok, "workload halted inside a skip region");
+    }
+    return n > 0 ? last_pc & iline_mask : ~std::uint64_t{0};
+}
+
+/**
+ * The skip inner loop over instructions [@p begin, @p end) of a region,
+ * templated on the concrete observer type (a final policy, or the
+ * sweep's log writer) so that the onSkipInst() call resolves statically
+ * and inlines. Each instantiation stays a function of its own, so each
+ * is optimized as one loop around the always-inlined FuncSim::step
+ * (PERFORMANCE.md). Returns the last instruction's I-line.
  */
 template <typename P>
-[[gnu::noinline]] void
+[[gnu::noinline]] std::uint64_t
 skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
          std::uint64_t iline_mask, std::uint64_t begin, std::uint64_t end,
          std::uint64_t last_iblock)
@@ -34,6 +61,71 @@ skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
         last_iblock = blk;
         policy.onSkipInst(d, new_block);
     }
+    return last_iblock;
+}
+
+/** The sweep producer's observer: logs every record, as `rsr100` does. */
+struct RegionLogWriter
+{
+    SkipLog &log;
+    bool mem;
+    bool branches;
+
+    void
+    onSkipInst(const func::DynInst &d, bool new_fetch_block)
+    {
+        logSkipInst(log, d, new_fetch_block, mem, branches);
+    }
+};
+
+/**
+ * A cluster's state effects on @p m, applied functionally in commit
+ * order, so the next skip region begins from hot state no matter where
+ * (or when) the cluster's timing replay runs.
+ */
+void
+warmCluster(Machine &m, const std::vector<func::DynInst> &trace,
+            std::uint64_t iline_mask)
+{
+    std::uint64_t last_iblock = ~std::uint64_t{0};
+    for (const func::DynInst &d : trace) {
+        const std::uint64_t blk = d.pc & iline_mask;
+        if (blk != last_iblock)
+            m.hier.warmAccess(d.pc, false, true);
+        last_iblock = blk;
+        if (d.inst.isMem())
+            m.hier.warmAccess(d.effAddr, d.inst.isStore(), false);
+        if (d.isBranch())
+            m.bp.warmApply(d.pc, d.inst.branchKind(), d.taken, d.nextPc);
+    }
+}
+
+/** The I-line mask of @p config's instruction cache. */
+std::uint64_t
+ilineMaskOf(const MachineConfig &config)
+{
+    return ~std::uint64_t{config.hier.il1.lineBytes - 1};
+}
+
+/**
+ * Measure @p trace on @p m, a machine holding the cluster's warm state,
+ * with @p context (may be null) attached for the cluster.
+ */
+uarch::RunResult
+measureCluster(Machine &m, MeasureContext *context,
+               const std::vector<func::DynInst> &trace,
+               const uarch::CoreParams &core_params,
+               std::uint64_t *recon_updates)
+{
+    if (context)
+        context->attach(m);
+    uarch::OoOCore core(core_params, m.hier, m.bp);
+    TraceSource src(trace);
+    const uarch::RunResult rr = core.run(src, trace.size());
+    rsr_assert(rr.insts == trace.size(),
+               "stored trace ended inside a cluster");
+    *recon_updates = context ? context->detach(m) : 0;
+    return rr;
 }
 
 } // namespace
@@ -43,28 +135,10 @@ SkipPhase::run(std::uint64_t skip_len)
 {
     WallTimer timer;
     policy.beginSkip(skip_len);
-
-    // Fast-forward the unobserved prefix: no instruction record is
-    // captured and the policy is not called, only the last PC is tracked
-    // so the observed tail sees the same I-line boundary it would in a
-    // single pass.
     const std::uint64_t observe_from =
-        std::min(policy.observeFrom(skip_len), skip_len);
-    std::uint64_t last_iblock = ~std::uint64_t{0};
-    if (observe_from > 0) {
-        std::uint64_t last_pc = 0;
-        for (std::uint64_t i = 0; i < observe_from; ++i) {
-            if (deadline && (i & Deadline::pollMask) == 0 &&
-                deadline->expired())
-                throw TimeoutError("sampled run exceeded its deadline "
-                                   "inside a skip region");
-            last_pc = fs.pc();
-            const bool ok = fs.step(nullptr);
-            rsr_assert(ok, "workload halted inside a skip region");
-        }
-        last_iblock = last_pc & ilineMask;
-    }
-
+        std::min(policy.observeFrom(region++, skip_len), skip_len);
+    const std::uint64_t last_iblock =
+        fastForward(fs, deadline, observe_from, ilineMask);
     if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy))
         skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
                  last_iblock);
@@ -92,29 +166,17 @@ CapturePhase::take(std::size_t index, const Cluster &cluster)
     task.machine.emplace(machine.warmCopy());
     task.context = policy.makeMeasureContext();
 
-    // Record the cluster's committed trace. The shared machine receives
-    // the cluster's state effects functionally, in commit order, so the
-    // next skip region begins from hot state no matter where (or when)
-    // the timing replay runs. This is what makes the front half — and
+    // Record the cluster's committed trace, then give the shared machine
+    // its state effects. That the next skip region begins from hot state
+    // wherever the timing replay runs is what makes the front half — and
     // therefore the whole result — independent of the replay thread
     // count.
-    task.trace.reserve(cluster.size);
-    func::DynInst d;
-    std::uint64_t last_iblock = ~std::uint64_t{0};
-    for (std::uint64_t i = 0; i < cluster.size; ++i) {
+    task.trace.resize(cluster.size);
+    for (func::DynInst &d : task.trace) {
         const bool ok = fs.step(&d);
         rsr_assert(ok, "workload halted inside a cluster");
-        task.trace.push_back(d);
-        const std::uint64_t blk = d.pc & ilineMask;
-        if (blk != last_iblock)
-            machine.hier.warmAccess(d.pc, false, true);
-        last_iblock = blk;
-        if (d.inst.isMem())
-            machine.hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-        if (d.isBranch())
-            machine.bp.warmApply(d.pc, d.inst.branchKind(), d.taken,
-                                 d.nextPc);
     }
+    warmCluster(machine, task.trace, ilineMask);
     counters.captureSeconds += capture.seconds();
     return task;
 }
@@ -128,19 +190,23 @@ CapturePhase::run(std::size_t index, const Cluster &cluster)
     return task;
 }
 
-ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
-                                             WarmupPolicy &policy,
-                                             const SampledConfig &config)
-    : program(program), policy(policy), config(config)
+std::vector<Cluster>
+scheduleFor(const SampledConfig &config)
 {
     if (!config.explicitSchedule.empty()) {
         validateSchedule(config.explicitSchedule, config.totalInsts);
-        schedule_ = config.explicitSchedule;
-    } else {
-        Rng rng(config.scheduleSeed);
-        schedule_ = makeSchedule(config.regimen, config.totalInsts, rng);
+        return config.explicitSchedule;
     }
+    Rng rng(config.scheduleSeed);
+    return makeSchedule(config.regimen, config.totalInsts, rng);
 }
+
+ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
+                                             WarmupPolicy &policy,
+                                             const SampledConfig &config)
+    : program(program), policy(policy), config(config),
+      schedule_(scheduleFor(config))
+{}
 
 SampledResult
 ClusterScheduleDriver::runDeferred(ReplaySink &sink)
@@ -154,8 +220,7 @@ ClusterScheduleDriver::runDeferred(ReplaySink &sink)
     policy.clearWork();
     policy.attach(machine);
 
-    const std::uint64_t iline_mask =
-        ~std::uint64_t{machine.hier.il1().params().lineBytes - 1};
+    const std::uint64_t iline_mask = ilineMaskOf(config.machine);
 
     SkipPhase skip(fs, policy, config.deadline, iline_mask, res.phases);
     ReconstructPhase reconstruct(policy, res.phases);
@@ -178,6 +243,127 @@ ClusterScheduleDriver::runDeferred(ReplaySink &sink)
 
     res.warmWork = policy.work();
     res.seconds = timer.seconds();
+    return res;
+}
+
+RegionProducer::RegionProducer(
+    const func::Program &program, const std::vector<Cluster> &schedule,
+    const std::vector<std::unique_ptr<WarmupPolicy>> &consumers,
+    const SampledConfig &config)
+    : fs(program), schedule(schedule), consumers(consumers),
+      deadline(config.deadline), ilineMask(ilineMaskOf(config.machine))
+{
+    for (const auto &p : consumers) {
+        logMem = logMem || p->warmsCache();
+        logBranches = logBranches || p->warmsBranches();
+    }
+}
+
+void
+RegionProducer::produce(RegionLog &out)
+{
+    rsr_assert(next < schedule.size(), "producer ran past the schedule");
+    if (deadline && deadline->expired())
+        throw TimeoutError("sampled run exceeded its deadline at "
+                           "cluster boundary");
+    WallTimer timer;
+    const Cluster &cluster = schedule[next];
+    out.index = next;
+    out.skipLen = cluster.start - pos;
+    out.log.clear();
+
+    // Each consumer's first observed instruction, visited in order: the
+    // log starts at the earliest, and a consumer's cursor is the log's
+    // size when the pass reaches its instruction.
+    std::vector<std::pair<std::uint64_t, std::size_t>> from;
+    for (std::size_t k = 0; k < consumers.size(); ++k)
+        from.emplace_back(std::min(consumers[k]->observeFrom(next,
+                                                             out.skipLen),
+                                   out.skipLen),
+                          k);
+    std::sort(from.begin(), from.end());
+    std::uint64_t i = from.empty() ? out.skipLen : from.front().first;
+    std::uint64_t last_iblock = fastForward(fs, deadline, i, ilineMask);
+
+    RegionLogWriter writer{out.log, logMem, logBranches};
+    out.cursors.resize(consumers.size());
+    for (const auto &[at, k] : from) {
+        last_iblock =
+            skipLoop(writer, fs, deadline, ilineMask, i, at, last_iblock);
+        i = at;
+        out.cursors[k] = {out.log.mem.size(), out.log.branches.size()};
+    }
+    skipLoop(writer, fs, deadline, ilineMask, i, out.skipLen, last_iblock);
+    counters_.skipSeconds += timer.seconds();
+
+    timer.reset();
+    out.trace.resize(cluster.size);
+    for (func::DynInst &d : out.trace) {
+        const bool ok = fs.step(&d);
+        rsr_assert(ok, "workload halted inside a cluster");
+    }
+    counters_.captureSeconds += timer.seconds();
+    pos = cluster.start + cluster.size;
+    ++next;
+}
+
+RegionConsumer::RegionConsumer(WarmupPolicy &policy, std::size_t slot,
+                               const SampledConfig &config,
+                               std::size_t clusters)
+    : policy(policy), slot(slot), machine(config.machine),
+      ilineMask(ilineMaskOf(config.machine)),
+      reconstruct(policy, res.phases), ledger(clusters, 0, config.machine)
+{
+    policy.clearWork();
+    policy.attach(machine);
+}
+
+void
+RegionConsumer::prepare(const func::Program &program,
+                        const std::vector<Cluster> &schedule,
+                        const Deadline *deadline)
+{
+    WallTimer timer;
+    policy.prepare(program, schedule, deadline);
+    seconds += timer.seconds();
+}
+
+void
+RegionConsumer::consume(const RegionLog &region, ReplayArena &arena)
+{
+    WallTimer task;
+    WallTimer phase;
+    policy.consumeRegion(region.log, region.cursors[slot]);
+    res.skippedInsts += region.skipLen;
+    res.phases.skipSeconds += phase.seconds();
+    reconstruct.run();
+
+    // Capture (CapturePhase::take), with the trace shared and the warm
+    // copy made straight into the arena machine.
+    phase.reset();
+    Machine &m = arena.copy(machine);
+    const std::unique_ptr<MeasureContext> context =
+        policy.makeMeasureContext();
+    warmCluster(machine, region.trace, ilineMask);
+    res.phases.captureSeconds += phase.seconds();
+
+    phase.reset();
+    std::uint64_t recon = 0;
+    const uarch::RunResult rr = measureCluster(m, context.get(), region.trace,
+                                               machine.config.core, &recon);
+    ledger.commit(region.index, rr, recon, phase.seconds());
+    seconds += task.seconds();
+}
+
+SampledResult
+RegionConsumer::finish(const PhaseCounters &producer, double share)
+{
+    res.phases.skipSeconds += share * producer.skipSeconds;
+    res.phases.captureSeconds += share * producer.captureSeconds;
+    res.warmWork = policy.work();
+    policy.addReconstructionWork(ledger.fold(res));
+    res.seconds = seconds + share * (producer.skipSeconds +
+                                     producer.captureSeconds);
     return res;
 }
 
@@ -303,6 +489,17 @@ ReplayArena::acquire(const MachineConfig &machine_config)
 }
 
 Machine &
+ReplayArena::copy(const Machine &warm)
+{
+    if (machine)
+        *machine = warm;
+    else
+        machine = std::make_unique<Machine>(warm);
+    machine->clearTransientState();
+    return *machine;
+}
+
+Machine &
 ReplayArena::load(ClusterReplayTask &task,
                   const MachineConfig &machine_config)
 {
@@ -327,16 +524,9 @@ replayCluster(ClusterReplayTask &task,
 {
     WallTimer timer;
     Machine &m = arena.load(task, machine_config);
-    if (task.context)
-        task.context->attach(m);
-    uarch::OoOCore core(machine_config.core, m.hier, m.bp);
-    TraceSource src(task.trace);
-    const uarch::RunResult rr = core.run(src, task.trace.size());
-    rsr_assert(rr.insts == task.trace.size(),
-               "stored trace ended inside a cluster");
     std::uint64_t updates = 0;
-    if (task.context)
-        updates = task.context->detach(m);
+    const uarch::RunResult rr = measureCluster(
+        m, task.context.get(), task.trace, machine_config.core, &updates);
     if (recon_updates)
         *recon_updates = updates;
     if (seconds)
@@ -353,10 +543,21 @@ void
 ReplayLedger::replay(ClusterReplayTask &task, std::size_t lane)
 {
     rsr_assert(lane < arenas.size(), "replay lane out of range");
-    rsr_assert(task.index < slots.size(), "replay slot out of range");
-    Slot &slot = slots[task.index];
-    const uarch::RunResult rr = replayCluster(
-        task, machine, arenas[lane], &slot.reconUpdates, &slot.seconds);
+    std::uint64_t recon = 0;
+    double seconds = 0.0;
+    const uarch::RunResult rr =
+        replayCluster(task, machine, arenas[lane], &recon, &seconds);
+    commit(task.index, rr, recon, seconds);
+}
+
+void
+ReplayLedger::commit(std::size_t index, const uarch::RunResult &rr,
+                     std::uint64_t recon_updates, double seconds)
+{
+    rsr_assert(index < slots.size(), "replay slot out of range");
+    Slot &slot = slots[index];
+    slot.reconUpdates = recon_updates;
+    slot.seconds = seconds;
     slot.ipc = rr.ipc();
     slot.insts = rr.insts;
     slot.cycles = rr.cycles;

@@ -21,6 +21,14 @@
  * (commit-order warm accesses), so there is one estimator: the result
  * does not depend on where, when, or on how many threads the timing
  * replays run.
+ *
+ * A policy sweep splits the front half by what it depends on: what the
+ * program did does not depend on the warm-up policy, so a RegionProducer
+ * steps the functional simulator once and writes each region's log and
+ * cluster trace (a RegionLog), and one RegionConsumer per policy warms
+ * its own machine from that log, then captures and measures the cluster
+ * as runDeferred() would. Each consumer's result is bit-identical to the
+ * policy's solo run.
  */
 
 #ifndef RSR_CORE_PHASE_DRIVER_HH
@@ -131,6 +139,7 @@ class SkipPhase
     const Deadline *deadline;
     std::uint64_t ilineMask;
     PhaseCounters &counters;
+    std::size_t region = 0;
 };
 
 /** Cluster-boundary warm-up: times the policy's beforeCluster() work. */
@@ -190,6 +199,10 @@ class CapturePhase
     std::uint64_t ilineMask;
     PhaseCounters &counters;
 };
+
+/** The clusters @p config measures: its explicit schedule, validated, or
+ *  one drawn from its regimen and schedule seed. */
+std::vector<Cluster> scheduleFor(const SampledConfig &config);
 
 /** Drives the phases over a whole cluster schedule (single-use). */
 class ClusterScheduleDriver
@@ -271,6 +284,10 @@ class ReplayArena
     Machine &load(ClusterReplayTask &task,
                   const MachineConfig &machine_config);
 
+    /** Load Machine::warmCopy() of @p warm as the arena machine, copying
+     *  into its arrays. */
+    Machine &copy(const Machine &warm);
+
   private:
     std::unique_ptr<Machine> machine;
 };
@@ -322,6 +339,10 @@ class ReplayLedger : public ReplaySink
     /** Measure @p task on @p lane's arena and commit its slot. */
     void replay(ClusterReplayTask &task, std::size_t lane);
 
+    /** Commit cluster @p index's measurement, taken elsewhere. */
+    void commit(std::size_t index, const uarch::RunResult &rr,
+                std::uint64_t recon_updates, double seconds);
+
     /** Inline consumer of the deferred front half: replay on lane 0. */
     void
     onCluster(ClusterReplayTask task) override
@@ -351,6 +372,97 @@ class ReplayLedger : public ReplaySink
     const MachineConfig &machine;
     std::vector<Slot> slots;
     std::vector<ReplayArena> arenas;
+};
+
+/**
+ * One region of a policy sweep's shared functional pass: the skip region
+ * before a cluster, logged as `rsr100` logs it from the first
+ * instruction any consumer observes, each consumer's cursor into that
+ * log, and the cluster's committed trace.
+ */
+struct RegionLog
+{
+    /** Schedule position of the cluster that ends the region. */
+    std::size_t index = 0;
+    std::uint64_t skipLen = 0;
+    SkipLog log;
+    /** Per consumer: the log position at its observeFrom(). */
+    std::vector<LogCursor> cursors;
+    std::vector<func::DynInst> trace;
+};
+
+/**
+ * The producer of a policy sweep: one functional pass over @p schedule,
+ * one RegionLog per cluster. It logs the memory references if any
+ * consumer warms caches and the branches if any warms the branch unit,
+ * and polls the deadline like SkipPhase.
+ */
+class RegionProducer
+{
+  public:
+    /** @p schedule and @p consumers (prepared) must outlive the producer. */
+    RegionProducer(
+        const func::Program &program, const std::vector<Cluster> &schedule,
+        const std::vector<std::unique_ptr<WarmupPolicy>> &consumers,
+        const SampledConfig &config);
+
+    /**
+     * Fill @p out with the next region, in schedule order, reusing its
+     * buffers. Throws TimeoutError when the deadline expires.
+     */
+    void produce(RegionLog &out);
+
+    /** Skip (stepping + logging) and capture (trace) wall time so far. */
+    const PhaseCounters &counters() const { return counters_; }
+
+  private:
+    func::FuncSim fs;
+    const std::vector<Cluster> &schedule;
+    const std::vector<std::unique_ptr<WarmupPolicy>> &consumers;
+    const Deadline *deadline;
+    std::uint64_t ilineMask;
+    bool logMem = false;
+    bool logBranches = false;
+    std::size_t next = 0;
+    std::uint64_t pos = 0;
+    PhaseCounters counters_;
+};
+
+/**
+ * One policy of a sweep: warms its own machine from each RegionLog, then
+ * captures and measures the region's cluster on a replay arena — the
+ * same steps, in the same order, as the policy's solo run.
+ */
+class RegionConsumer
+{
+  public:
+    /** @param slot this consumer's index into RegionLog::cursors */
+    RegionConsumer(WarmupPolicy &policy, std::size_t slot,
+                   const SampledConfig &config, std::size_t clusters);
+
+    /** WarmupPolicy::prepare() for the sweep, timed as this policy's. */
+    void prepare(const func::Program &program,
+                 const std::vector<Cluster> &schedule,
+                 const Deadline *deadline);
+
+    /** Consume the next region (schedule order) on @p arena. */
+    void consume(const RegionLog &region, ReplayArena &arena);
+
+    /**
+     * The run's result. Its phase times and seconds are this consumer's
+     * own plus @p share of the producer's skip and capture time.
+     */
+    SampledResult finish(const PhaseCounters &producer, double share);
+
+  private:
+    WarmupPolicy &policy;
+    std::size_t slot;
+    Machine machine;
+    std::uint64_t ilineMask;
+    SampledResult res;
+    ReconstructPhase reconstruct;
+    ReplayLedger ledger;
+    double seconds = 0.0;
 };
 
 } // namespace rsr::core

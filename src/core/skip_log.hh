@@ -158,6 +158,17 @@ class SkipLog
     std::uint64_t records() const { return mem.size() + branches.size(); }
 };
 
+/**
+ * A position in a SkipLog: the first memory and branch records of one
+ * instruction. A policy sweep logs each region once and hands every
+ * consumer the cursor at the first instruction it observes.
+ */
+struct LogCursor
+{
+    std::size_t mem = 0;
+    std::size_t branch = 0;
+};
+
 } // namespace rsr::core
 
 #endif // RSR_CORE_SKIP_LOG_HH

@@ -38,7 +38,7 @@ percentLabel(const char *base, double fraction)
 
 FunctionalWarmup::FunctionalWarmup(bool warm_cache, bool warm_bp,
                                    double fraction, std::string label)
-    : warmCache(warm_cache), warmBp(warm_bp), fraction(fraction),
+    : WarmupPolicy(warm_cache, warm_bp), fraction(fraction),
       label(std::move(label))
 {
     rsr_assert(fraction >= 0.0 && fraction <= 1.0,
@@ -65,24 +65,46 @@ FunctionalWarmup::prepare(const func::Program &program,
         return;
     profile_ = profileReuseLatency(program, schedule, profile_.kind,
                                    percentile, deadline);
-    region = 0;
 }
 
-void
-FunctionalWarmup::beginSkip(std::uint64_t skip_len)
+std::uint64_t
+FunctionalWarmup::observeFrom(std::size_t region,
+                              std::uint64_t skip_len) const
 {
-    // Warm the instructions in [warmStart, skip_len).
+    // Warm the instructions in [skip_len - warm_len, skip_len).
     std::uint64_t warm_len;
     if (profiled) {
         rsr_assert(region < profile_.warmupLengths.size(),
                    "more skip regions than the profile covers — prepare() "
                    "the policy with the run's schedule first");
-        warm_len = std::min(profile_.warmupLengths[region++], skip_len);
+        warm_len = std::min(profile_.warmupLengths[region], skip_len);
     } else {
         warm_len = static_cast<std::uint64_t>(
             std::llround(static_cast<double>(skip_len) * fraction));
     }
-    warmStart = skip_len - warm_len;
+    return skip_len - warm_len;
+}
+
+void
+FunctionalWarmup::consumeRegion(const SkipLog &log, LogCursor from)
+{
+    // Cache and branch records apply in commit order, each to its own
+    // structure: the two never interact, so this is the state (and the
+    // update count) onSkipInst() reaches interleaving them.
+    if (warmCache) {
+        const std::uint64_t before = machine->hier.warmUpdates();
+        for (std::size_t i = from.mem; i < log.mem.size(); ++i)
+            machine->hier.warmAccess(log.mem.addr(i), log.mem.isStore(i),
+                                     log.mem.isInstr(i));
+        work_.functionalUpdates += machine->hier.warmUpdates() - before;
+    }
+    if (warmBp) {
+        for (std::size_t i = from.branch; i < log.branches.size(); ++i) {
+            const BranchRecord &b = log.branches[i];
+            machine->bp.warmApply(b.pc, b.kind, b.taken, b.target);
+        }
+        work_.functionalUpdates += log.branches.size() - from.branch;
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -92,7 +114,7 @@ FunctionalWarmup::beginSkip(std::uint64_t skip_len)
 ReverseReconstructionWarmup::ReverseReconstructionWarmup(
     bool warm_cache, bool warm_bp, double fraction,
     PhtResolveMode pht_mode)
-    : warmCache(warm_cache), warmBp(warm_bp), fraction(fraction),
+    : WarmupPolicy(warm_cache, warm_bp), fraction(fraction),
       phtMode(pht_mode)
 {
     rsr_assert(fraction > 0.0 && fraction <= 1.0,
@@ -119,22 +141,39 @@ void
 ReverseReconstructionWarmup::beginSkip(std::uint64_t skip_len)
 {
     // Storage is kept only for the current skip region.
+    shared = nullptr;
     skipLog.clear();
     if (warmCache)
         skipLog.mem.reserve(skip_len / 2);
     if (warmBp) {
         skipLog.branches.reserve(skip_len / 4);
-        skipLog.ghrAtStart = machine->bp.ghr();
+        ghrAtStart = machine->bp.ghr();
     }
+}
+
+void
+ReverseReconstructionWarmup::consumeRegion(const SkipLog &log,
+                                           LogCursor from)
+{
+    rsr_assert(from.mem == 0 && from.branch == 0,
+               "reverse reconstruction reads the whole region's log");
+    shared = &log;
+    ghrAtStart = machine->bp.ghr();
+    // The records this policy would have logged itself.
+    work_.loggedRecords += (warmCache ? log.mem.size() : 0) +
+                           (warmBp ? log.branches.size() : 0);
 }
 
 void
 ReverseReconstructionWarmup::beforeCluster()
 {
-    work_.peakLogBytes = std::max(work_.peakLogBytes, skipLog.bytes());
+    const SkipLog &log = shared ? *shared : skipLog;
+    const std::uint64_t log_bytes =
+        (warmCache ? log.mem.bytes() : 0) +
+        (warmBp ? log.branches.size() * sizeof(BranchRecord) : 0);
+    work_.peakLogBytes = std::max(work_.peakLogBytes, log_bytes);
     if (warmCache) {
-        const auto res =
-            reconstructCaches(machine->hier, skipLog.mem, fraction);
+        const auto res = reconstructCaches(machine->hier, log.mem, fraction);
         work_.reconstructionUpdates += res.updatesApplied;
     }
 }
@@ -144,14 +183,21 @@ ReverseReconstructionWarmup::beforeCluster()
 // --------------------------------------------------------------------------
 
 MeasureContext::MeasureContext(SkipLog &&branch_log, PhtResolveMode mode)
-    : log(std::move(branch_log)), mode(mode)
+    : owned(std::move(branch_log)), branches(owned.branches),
+      ghrAtStart(owned.ghrAtStart), mode(mode)
+{}
+
+MeasureContext::MeasureContext(const std::vector<BranchRecord> &branches,
+                               std::uint32_t ghr_at_start,
+                               PhtResolveMode mode)
+    : branches(branches), ghrAtStart(ghr_at_start), mode(mode)
 {}
 
 void
 MeasureContext::attach(Machine &m)
 {
     recon = std::make_unique<BranchReconstructor>(m.bp, mode);
-    recon->begin(log);
+    recon->begin(branches, ghrAtStart);
 }
 
 std::uint64_t
@@ -170,9 +216,9 @@ MeasureContext::snapshot(Serializer &out) const
 {
     out.begin(contextTag, contextVersion);
     out.putU8(static_cast<std::uint8_t>(mode));
-    out.putU32(log.ghrAtStart);
-    out.putU64(log.branches.size());
-    for (const auto &b : log.branches) {
+    out.putU32(ghrAtStart);
+    out.putU64(branches.size());
+    for (const auto &b : branches) {
         out.putU64(b.pc);
         out.putU64(b.target);
         out.putU8(static_cast<std::uint8_t>(b.kind));
@@ -220,12 +266,15 @@ ReverseReconstructionWarmup::makeMeasureContext()
 {
     if (!warmBp)
         return nullptr;
+    if (shared)
+        return std::make_unique<MeasureContext>(shared->branches,
+                                                ghrAtStart, phtMode);
     // Hand the branch records to the context; the memory half stays here
     // (it was consumed eagerly by beforeCluster) until the next
     // beginSkip() clears the log.
     SkipLog branch_log;
     branch_log.branches = std::move(skipLog.branches);
-    branch_log.ghrAtStart = skipLog.ghrAtStart;
+    branch_log.ghrAtStart = ghrAtStart;
     skipLog.branches.clear();
     return std::make_unique<MeasureContext>(std::move(branch_log), phtMode);
 }

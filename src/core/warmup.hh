@@ -67,15 +67,26 @@ struct WarmupWork
  * Measurement-time half of RBP/R$BP: on-demand branch reconstruction,
  * active *during* the hot phase. ReverseReconstructionWarmup creates it
  * at the cluster boundary (after beforeCluster()) from the branch half
- * of the skip log, which the context owns, so it outlives the policy's
- * per-skip log. It is attached to whichever machine actually executes
- * the cluster: the replay machine holding the cluster's warm state, on
+ * of the skip log. A solo run's context owns those records, so it
+ * outlives the policy's per-skip log; a policy sweep's context borrows
+ * them from the sweep's shared region log, which outlives the cluster's
+ * replay. It is attached to whichever machine actually executes the
+ * cluster: the replay machine holding the cluster's warm state, on
  * whichever thread replays it.
  */
 class MeasureContext
 {
   public:
+    /** Own @p branch_log's branch records and start GHR. */
     MeasureContext(SkipLog &&branch_log, PhtResolveMode mode);
+
+    /** Borrow @p branches (must outlive the context) of a skip region
+     *  that began with GHR @p ghr_at_start. */
+    MeasureContext(const std::vector<BranchRecord> &branches,
+                   std::uint32_t ghr_at_start, PhtResolveMode mode);
+
+    MeasureContext(const MeasureContext &) = delete;
+    MeasureContext &operator=(const MeasureContext &) = delete;
 
     /** Arm the context on the machine about to measure the cluster. */
     void attach(Machine &machine);
@@ -94,7 +105,9 @@ class MeasureContext
     void snapshot(Serializer &out) const;
 
   private:
-    SkipLog log;
+    SkipLog owned; ///< empty when the records are borrowed
+    const std::vector<BranchRecord> &branches;
+    std::uint32_t ghrAtStart;
     PhtResolveMode mode;
     std::unique_ptr<BranchReconstructor> recon;
 };
@@ -127,22 +140,29 @@ class WarmupPolicy
     /** Bind to the machine whose state the policy warms. */
     void attach(Machine &machine) { this->machine = &machine; }
 
-    /** A new skip region of @p skip_len instructions begins. */
-    virtual void beginSkip(std::uint64_t skip_len) = 0;
+    /** Does the policy warm the cache hierarchy / the branch unit? */
+    bool warmsCache() const { return warmCache; }
+    bool warmsBranches() const { return warmBp; }
 
     /**
-     * Index of the first skipped instruction this policy needs to
-     * observe (called once per region, after beginSkip()). The driver
+     * Index of the first instruction of skip region @p region (0-based,
+     * @p skip_len instructions) this policy needs to observe. The driver
      * fast-forwards the functional simulator over the prefix without
      * capturing instruction records and never calls onSkipInst() for it.
-     * The default observes the whole region.
+     * A function of the prepared schedule only, so a sweep's producer may
+     * ask while the policy is busy warming an earlier region. The default
+     * observes the whole region.
      */
     virtual std::uint64_t
-    observeFrom(std::uint64_t skip_len)
+    observeFrom(std::size_t region, std::uint64_t skip_len) const
     {
+        (void)region;
         (void)skip_len;
         return 0;
     }
+
+    /** A new skip region of @p skip_len instructions begins. */
+    virtual void beginSkip(std::uint64_t skip_len) { (void)skip_len; }
 
     /**
      * One skipped (functionally executed) instruction.
@@ -151,6 +171,15 @@ class WarmupPolicy
      */
     virtual void onSkipInst(const func::DynInst &d,
                             bool new_fetch_block) = 0;
+
+    /**
+     * The policy-sweep form of beginSkip() + onSkipInst() over one whole
+     * skip region: @p log holds the region's fetch-block and data
+     * references and branch records as `rsr100` logs them, and @p from
+     * is this policy's cursor, at its observeFrom(). The log outlives
+     * the cluster's replay.
+     */
+    virtual void consumeRegion(const SkipLog &log, LogCursor from) = 0;
 
     /** The skip region ended; the next cluster is about to execute. */
     virtual void beforeCluster() {}
@@ -177,6 +206,12 @@ class WarmupPolicy
     }
 
   protected:
+    WarmupPolicy(bool warm_cache, bool warm_bp)
+        : warmCache(warm_cache), warmBp(warm_bp)
+    {}
+
+    const bool warmCache;
+    const bool warmBp;
     Machine *machine = nullptr;
     WarmupWork work_;
 };
@@ -214,26 +249,23 @@ class FunctionalWarmup final : public WarmupPolicy
     void prepare(const func::Program &program,
                  const std::vector<Cluster> &schedule,
                  const Deadline *deadline) override;
-    void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
+    void consumeRegion(const SkipLog &log, LogCursor from) override;
 
     /** The region's warm start: the cold prefix is never observed. */
-    std::uint64_t observeFrom(std::uint64_t) override { return warmStart; }
+    std::uint64_t observeFrom(std::size_t region,
+                              std::uint64_t skip_len) const override;
 
     /** The profile of the last prepared schedule (MRRL/BLRL only). */
     const ReuseLatencyProfile &profile() const { return profile_; }
 
   private:
-    bool warmCache;
-    bool warmBp;
     double fraction;
     std::string label;
     /** MRRL/BLRL: take each region's warm length from profile_. */
     bool profiled = false;
     double percentile = 0.0;
     ReuseLatencyProfile profile_;
-    std::size_t region = 0;
-    std::uint64_t warmStart = 0;
 };
 
 /** Reverse State Reconstruction (the paper's contribution). */
@@ -256,17 +288,21 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
     std::string name() const override;
     void beginSkip(std::uint64_t skip_len) override;
     void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
+    void consumeRegion(const SkipLog &log, LogCursor from) override;
     void beforeCluster() override;
     std::unique_ptr<MeasureContext> makeMeasureContext() override;
 
+    /** The policy's own log of the current skip region (solo runs). */
     const SkipLog &log() const { return skipLog; }
 
   private:
-    bool warmCache;
-    bool warmBp;
     double fraction;
     PhtResolveMode phtMode;
     SkipLog skipLog;
+    /** The sweep's log of the current region (null in solo runs). */
+    const SkipLog *shared = nullptr;
+    /** This machine's GHR when the current region began. */
+    std::uint32_t ghrAtStart = 0;
 };
 
 /**
@@ -311,25 +347,40 @@ FunctionalWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
     }
 }
 
+/**
+ * Log skipped instruction @p d as RSR does: with @p mem, its fetch block
+ * when new and its data reference; with @p branches, its control
+ * transfer. Returns the records appended.
+ */
+inline std::uint64_t
+logSkipInst(SkipLog &log, const func::DynInst &d, bool new_fetch_block,
+            bool mem, bool branches)
+{
+    std::uint64_t records = 0;
+    if (mem) {
+        if (new_fetch_block) {
+            log.mem.append(d.pc, d.pc, true, false);
+            ++records;
+        }
+        if (d.inst.isMem()) {
+            log.mem.append(d.pc, d.effAddr, false, d.inst.isStore());
+            ++records;
+        }
+    }
+    if (branches && d.isBranch()) {
+        log.branches.push_back(
+            {d.pc, d.nextPc, d.inst.branchKind(), d.taken});
+        ++records;
+    }
+    return records;
+}
+
 inline void
 ReverseReconstructionWarmup::onSkipInst(const func::DynInst &d,
                                         bool new_fetch_block)
 {
-    if (warmCache) {
-        if (new_fetch_block) {
-            skipLog.mem.append(d.pc, d.pc, true, false);
-            ++work_.loggedRecords;
-        }
-        if (d.inst.isMem()) {
-            skipLog.mem.append(d.pc, d.effAddr, false, d.inst.isStore());
-            ++work_.loggedRecords;
-        }
-    }
-    if (warmBp && d.isBranch()) {
-        skipLog.branches.push_back(
-            {d.pc, d.nextPc, d.inst.branchKind(), d.taken});
-        ++work_.loggedRecords;
-    }
+    work_.loggedRecords +=
+        logSkipInst(skipLog, d, new_fetch_block, warmCache, warmBp);
 }
 
 } // namespace rsr::core

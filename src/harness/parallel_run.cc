@@ -1,6 +1,10 @@
 #include "parallel_run.hh"
 
+#include <algorithm>
+#include <array>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 
 #include "core/estimator.hh"
 #include "core/phase_driver.hh"
@@ -39,6 +43,138 @@ class PoolSink : public core::ReplaySink
   private:
     ThreadPool &pool;
     core::ReplayLedger &ledger;
+};
+
+/**
+ * The policy sweep's pipeline. The calling thread runs the producer,
+ * filling two RegionLog buffers in turn; the pool runs one task per
+ * (region, policy). A policy's tasks run one at a time, in region order,
+ * each submitted once its region is produced and the policy's previous
+ * task is done, so no policy waits for another: one slow task (a
+ * heavier policy, a preempted worker) holds up only its own chain. The
+ * producer refills a buffer only after every policy has finished the
+ * region in it, so at most two regions are in flight whatever the
+ * population length.
+ */
+class SweepPipeline
+{
+  public:
+    SweepPipeline(
+        const func::Program &program,
+        const std::vector<std::unique_ptr<core::WarmupPolicy>> &policies,
+        const core::SampledConfig &config, unsigned jobs)
+        : program(program), policies(policies), config(config),
+          schedule(core::scheduleFor(config)), arenas(std::max(jobs, 1u)),
+          next(policies.size(), 0), pool(jobs)
+    {
+        for (std::size_t k = 0; k < policies.size(); ++k)
+            consumers.push_back(std::make_unique<core::RegionConsumer>(
+                *policies[k], k, config, schedule.size()));
+    }
+
+    std::vector<core::SampledResult>
+    run()
+    {
+        // Profiled policies (MRRL, BLRL) profile the schedule first.
+        for (auto &c : consumers)
+            pool.submit([this, c = c.get()] {
+                c->prepare(program, schedule, config.deadline);
+            });
+        pool.wait();
+
+        core::RegionProducer producer(program, schedule, policies, config);
+        try {
+            for (std::size_t r = 0; r < schedule.size(); ++r) {
+                {
+                    std::unique_lock<std::mutex> lk(mu);
+                    regionFree.wait(lk, [&] {
+                        return readers[r % 2] == 0 || failed;
+                    });
+                    if (failed)
+                        break;
+                }
+                producer.produce(regions[r % 2]);
+
+                std::lock_guard<std::mutex> lk(mu);
+                produced = r + 1;
+                readers[r % 2] = consumers.size();
+                for (std::size_t k = 0; k < consumers.size(); ++k)
+                    if (next[k] == r)
+                        submit(k, r);
+            }
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                failed = true;
+            }
+            // No task may outlive the buffers it reads.
+            try {
+                pool.wait();
+            } catch (...) {
+                // The producer's exception is the one to report.
+            }
+            throw;
+        }
+        pool.wait(); // rethrows a consumer's failure
+
+        std::vector<core::SampledResult> out;
+        const double share = 1.0 / static_cast<double>(consumers.size());
+        for (auto &c : consumers)
+            out.push_back(c->finish(producer.counters(), share));
+        return out;
+    }
+
+  private:
+    /** Queue policy @p k's task for region @p r; the caller holds mu. */
+    void
+    submit(std::size_t k, std::size_t r)
+    {
+        pool.submit([this, k, r] { consume(k, r); });
+    }
+
+    void
+    consume(std::size_t k, std::size_t r)
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            if (failed)
+                return;
+        }
+        try {
+            consumers[k]->consume(
+                regions[r % 2],
+                arenas[static_cast<std::size_t>(ThreadPool::workerIndex())]);
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(mu);
+            failed = true;
+            regionFree.notify_all();
+            throw;
+        }
+        std::lock_guard<std::mutex> lk(mu);
+        next[k] = r + 1;
+        if (--readers[r % 2] == 0)
+            regionFree.notify_all();
+        if (r + 1 < produced && !failed)
+            submit(k, r + 1);
+    }
+
+    const func::Program &program;
+    const std::vector<std::unique_ptr<core::WarmupPolicy>> &policies;
+    const core::SampledConfig &config;
+    const std::vector<core::Cluster> schedule;
+    std::vector<std::unique_ptr<core::RegionConsumer>> consumers;
+    std::vector<core::ReplayArena> arenas; // one per worker lane
+    std::array<core::RegionLog, 2> regions;
+
+    std::mutex mu; // guards the fields below
+    std::condition_variable regionFree;
+    std::array<std::size_t, 2> readers{}; // policies yet to finish a buffer
+    std::size_t produced = 0;              // regions published so far
+    std::vector<std::size_t> next;         // per policy: its next region
+    bool failed = false;
+
+    // Last: destroyed first, so no task outlives the state above.
+    ThreadPool pool;
 };
 
 } // namespace
@@ -116,25 +252,22 @@ runPolicySweep(const func::Program &program,
                const std::vector<std::string> &policy_names,
                const core::SampledConfig &config, unsigned jobs)
 {
-    // Validate every name up front so a typo late in the list cannot
+    // Build every policy up front so a typo late in the list cannot
     // waste the whole sweep.
     std::vector<PolicySweepEntry> out(policy_names.size());
+    std::vector<std::unique_ptr<core::WarmupPolicy>> policies;
     for (std::size_t i = 0; i < policy_names.size(); ++i) {
+        policies.push_back(core::makePolicyByName(policy_names[i]));
         out[i].cliName = policy_names[i];
-        out[i].displayName =
-            core::makePolicyByName(policy_names[i])->name();
+        out[i].displayName = policies.back()->name();
     }
+    if (policies.empty())
+        return out;
 
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        pool.submit([&, i] {
-            const auto policy = core::makePolicyByName(out[i].cliName);
-            // rsrlint: commit-zone — per-policy slot, disjoint by index.
-            out[i].result =
-                runSampledParallel(program, *policy, config, 1);
-        });
-    }
-    pool.wait();
+    std::vector<core::SampledResult> results =
+        SweepPipeline(program, policies, config, jobs).run();
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i].result = std::move(results[i]);
     return out;
 }
 

@@ -53,7 +53,14 @@ core::SampledResult replayStoreParallel(const core::LivePointStore &store,
 core::SampledResult replayStoreParallel(const core::LivePointStore &store,
                                         unsigned jobs);
 
-/** One policy's outcome in a sweep. */
+/**
+ * One policy's outcome in a sweep. Every field but the wall-clock ones
+ * is bit-identical to the policy's solo run. `result.seconds` is the
+ * policy's own wall time (its prepare() and its consumer tasks) plus 1/N
+ * of the shared producer's, for N policies, so the entries sum to the
+ * sweep's total work; the skip and capture phase times split the
+ * producer's the same way.
+ */
 struct PolicySweepEntry
 {
     std::string cliName;       ///< the name the sweep was asked for
@@ -62,11 +69,15 @@ struct PolicySweepEntry
 };
 
 /**
- * Evaluate several warm-up policies over the same workload and schedule,
- * one pool task per policy (each task replays its clusters serially —
- * policy-level parallelism scales better than cluster-level for sweeps).
+ * Evaluate several warm-up policies over the same workload and schedule
+ * with one functional pass: the calling thread steps the program once,
+ * logging each skip region as `rsr100` does and recording each cluster's
+ * trace (core::RegionProducer), and @p jobs pool workers run one
+ * core::RegionConsumer per policy, which warms its own machine from that
+ * log and measures the cluster. At most two regions are buffered.
  * Results come back in the order of @p policy_names; unknown names throw
- * UserInputError before any work starts.
+ * UserError before any work starts, and a deadline that expires throws
+ * TimeoutError with no task left running.
  */
 std::vector<PolicySweepEntry>
 runPolicySweep(const func::Program &program,

@@ -48,13 +48,18 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
+    bool wake;
     {
         std::lock_guard<std::mutex> lk(mu);
         rsr_assert(!stopping, "submit on a stopping thread pool");
         tasks.push_back(std::move(task));
         ++pending;
+        // A busy worker checks the queue before it parks, so only a
+        // parked one needs waking.
+        wake = parked > 0;
     }
-    cvWork.notify_one();
+    if (wake)
+        cvWork.notify_one();
 }
 
 void
@@ -63,7 +68,11 @@ ThreadPool::workerLoop(unsigned self)
     tlWorkerSlot() = static_cast<int>(self);
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-        cvWork.wait(lk, [this] { return stopping || !tasks.empty(); });
+        while (!stopping && tasks.empty()) {
+            ++parked;
+            cvWork.wait(lk);
+            --parked;
+        }
         if (tasks.empty())
             return; // stopping and drained
         std::function<void()> task = std::move(tasks.front());

@@ -59,11 +59,12 @@ class ThreadPool
   private:
     void workerLoop(unsigned self);
 
-    std::mutex mu; // guards tasks/pending/stopping/firstError
+    std::mutex mu; // guards every field below but workers
     std::condition_variable cvWork;
     std::condition_variable cvDone;
     std::deque<std::function<void()>> tasks;
     std::size_t pending = 0; // queued + running
+    unsigned parked = 0;     // workers waiting on cvWork
     bool stopping = false;
     std::exception_ptr firstError;
     std::vector<std::thread> workers;

@@ -285,7 +285,7 @@ TEST(WarmupBoundary, FixedPeriodTinySkipWarmsAtMostAll)
     d.inst.rd = 1;
     d.effAddr = 0x1000;
     // SkipPhase feeds only the observed tail [observeFrom, skip_len).
-    for (int i = static_cast<int>(fp->observeFrom(3)); i < 3; ++i) {
+    for (int i = static_cast<int>(fp->observeFrom(0, 3)); i < 3; ++i) {
         d.pc = 0x10000 + 4 * i;
         fp->onSkipInst(d, i == 0);
     }

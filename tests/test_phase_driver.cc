@@ -23,6 +23,7 @@
 #include "core/warmup.hh"
 #include "harness/parallel_run.hh"
 #include "harness/thread_pool.hh"
+#include "util/deadline.hh"
 #include "util/error.hh"
 #include "util/serial.hh"
 #include "util/snapshot.hh"
@@ -53,6 +54,25 @@ TEST(ThreadPool, WaitRethrowsFirstTaskError)
     pool.submit([&sum] { ++sum; });
     pool.wait();
     EXPECT_EQ(sum, 1);
+}
+
+TEST(ThreadPool, TenThousandTinyTasksWithConcurrentWait)
+{
+    // submit() wakes a worker only when one is parked: a lost wake-up
+    // would leave tasks queued and hang a wait().
+    harness::ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    std::atomic<bool> submitting{true};
+    std::thread waiter([&] {
+        while (submitting.load())
+            pool.wait();
+    });
+    for (int i = 0; i < 10'000; ++i)
+        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    submitting = false;
+    waiter.join();
+    pool.wait();
+    EXPECT_EQ(ran.load(), 10'000);
 }
 
 TEST(ThreadPool, ZeroThreadsClampsToOne)
@@ -561,6 +581,134 @@ TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobs)
                   }))
             << "store-replay CSV diverged at jobs=" << jobs;
     }
+}
+
+// ---------------------------------------------------------------------
+// The policy sweep: one functional pass, every policy warmed from the
+// producer's region log, each entry bit-identical to its solo run.
+// ---------------------------------------------------------------------
+
+struct SweepCase
+{
+    const char *machine;
+    unsigned jobs;
+};
+
+class SweepIdentity : public ::testing::TestWithParam<SweepCase>
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        prog = new func::Program(workload::buildSynthetic(
+            workload::standardWorkloadParams("gcc")));
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete prog;
+    }
+
+    /** The Table-2 names plus the reuse-latency and +stale variants. */
+    static std::vector<std::string>
+    names()
+    {
+        std::vector<std::string> n = core::table2PolicyNames();
+        for (const char *extra : {"mrrl", "blrl", "rsr20+stale",
+                                  "rcache40+stale", "rbp+stale"})
+            n.push_back(extra);
+        return n;
+    }
+
+    static core::SampledConfig
+    config(const std::string &machine)
+    {
+        core::SampledConfig cfg;
+        cfg.totalInsts = 150'000;
+        cfg.regimen = {8, 1500};
+        cfg.machine = machine == "paper"
+                          ? core::MachineConfig::paperDefault()
+                          : core::MachineConfig::scaledDefault();
+        return cfg;
+    }
+
+    static func::Program *prog;
+};
+
+func::Program *SweepIdentity::prog = nullptr;
+
+TEST_P(SweepIdentity, EveryEntryMatchesItsSoloRunFieldByField)
+{
+    const core::SampledConfig cfg = config(GetParam().machine);
+    const std::vector<std::string> n = names();
+    const auto sweep = harness::runPolicySweep(*prog, n, cfg,
+                                               GetParam().jobs);
+    ASSERT_EQ(sweep.size(), n.size());
+    for (std::size_t i = 0; i < n.size(); ++i) {
+        const auto policy = core::makePolicyByName(n[i]);
+        const core::SampledResult solo =
+            harness::runSampledParallel(*prog, *policy, cfg, 1);
+        const core::SampledResult &got = sweep[i].result;
+        EXPECT_EQ(sweep[i].cliName, n[i]);
+        EXPECT_EQ(sweep[i].displayName, policy->name());
+        EXPECT_EQ(got.clusterIpc, solo.clusterIpc) << n[i];
+        EXPECT_EQ(got.estimate.mean, solo.estimate.mean) << n[i];
+        EXPECT_EQ(got.estimate.ciLow, solo.estimate.ciLow) << n[i];
+        EXPECT_EQ(got.estimate.ciHigh, solo.estimate.ciHigh) << n[i];
+        EXPECT_EQ(got.hotCycles, solo.hotCycles) << n[i];
+        EXPECT_EQ(got.hotInsts, solo.hotInsts) << n[i];
+        EXPECT_EQ(got.branchMispredicts, solo.branchMispredicts) << n[i];
+        EXPECT_EQ(got.skippedInsts, solo.skippedInsts) << n[i];
+        const core::WarmupWork &a = got.warmWork;
+        const core::WarmupWork &b = solo.warmWork;
+        EXPECT_EQ(a.functionalUpdates, b.functionalUpdates) << n[i];
+        EXPECT_EQ(a.reconstructionUpdates, b.reconstructionUpdates)
+            << n[i];
+        EXPECT_EQ(a.loggedRecords, b.loggedRecords) << n[i];
+        EXPECT_EQ(a.peakLogBytes, b.peakLogBytes) << n[i];
+        EXPECT_GT(got.seconds, 0.0) << n[i];
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, SweepIdentity,
+    ::testing::Values(SweepCase{"scaled", 1}, SweepCase{"scaled", 3},
+                      SweepCase{"paper", 1}, SweepCase{"paper", 3}),
+    [](const ::testing::TestParamInfo<SweepCase> &info) {
+        return std::string(info.param.machine) + "_jobs" +
+               std::to_string(info.param.jobs);
+    });
+
+TEST(SweepDeadline, ExpiryMidRegionThrowsTimeoutAndStopsEveryTask)
+{
+    // Four short regions keep the consumers busy; the fifth skip is
+    // hundreds of millions of instructions, so the deadline (generous
+    // for the short regions even under a sanitizer) expires while the
+    // producer steps it. The sweep must rethrow the producer's
+    // TimeoutError only after its pool has drained: the consumers read
+    // buffers that die with the sweep.
+    const func::Program prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    core::SampledConfig cfg;
+    cfg.machine = core::MachineConfig::scaledDefault();
+    for (std::uint64_t c = 1; c <= 4; ++c)
+        cfg.explicitSchedule.push_back({c * 10'000, 1000});
+    cfg.explicitSchedule.push_back({300'000'000, 1000});
+    cfg.totalInsts = 300'001'000;
+    const Deadline deadline(1.0);
+    cfg.deadline = &deadline;
+
+    std::string what;
+    try {
+        harness::runPolicySweep(prog, {"none", "smarts", "rsr20", "rbp"},
+                                cfg, 3);
+    } catch (const TimeoutError &e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("inside a skip region"), std::string::npos)
+        << "got: '" << what << "'";
+    EXPECT_TRUE(deadline.expired());
 }
 
 } // namespace

@@ -723,6 +723,9 @@ program()
         "replay: --config and --set adjust the store's machine; with\n"
         "  --workload, --policy or --sampling the run flags check that the\n"
         "  store is not stale, and the other run flags need one of them\n"
+        "compare: one functional pass feeds every policy; a policy's\n"
+        "  seconds is its own wall time plus 1/N of that pass (N\n"
+        "  policies), so the column sums to the sweep's work\n"
         "campaign: SIGINT/SIGTERM let in-flight jobs finish and leave a\n"
         "  resumable manifest; --shards N forks N workers over it\n"
         "serve: SIGTERM drains; --journal makes the queue resumable\n"
