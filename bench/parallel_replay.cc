@@ -8,10 +8,13 @@
  *
  * Both runs share one functional pass on the calling thread; the grain
  * is one task per (region, policy), each warming that policy's machine
- * from the shared region log and measuring its cluster. The JSON records
- * the machine's core count next to the measured speedup — on a
- * single-core container the two sweeps cost the same and `speedup`
- * honestly reports ~1.0.
+ * from the shared region log and measuring its cluster. Beside each
+ * sweep's wall time the bench records what bounds it: the producer's
+ * seconds (the one functional pass, the critical path) and the
+ * consumers' summed seconds (the work the pool spreads), both from the
+ * sweep entries. The JSON records the machine's core count next to the
+ * measured speedup — on a single-core container the two sweeps cost the
+ * same and `speedup` honestly reports ~1.0.
  */
 
 #include <cstdio>
@@ -29,6 +32,26 @@ namespace
 {
 
 using namespace rsr;
+
+/** A sweep's producer seconds and its consumers' summed seconds. */
+struct SweepSplit
+{
+    double producer = 0.0;
+    double consumers = 0.0;
+};
+
+SweepSplit
+splitOf(const std::vector<harness::PolicySweepEntry> &sweep)
+{
+    // Each entry's seconds are its consumer's own plus 1/N of the
+    // producer's, so the entries sum to the producer plus the consumers.
+    SweepSplit s;
+    s.producer = sweep.front().producerSeconds;
+    for (const auto &e : sweep)
+        s.consumers += e.result.seconds;
+    s.consumers -= s.producer;
+    return s;
+}
 
 int
 runBench(const ArgParser &args)
@@ -95,6 +118,8 @@ runBench(const ArgParser &args)
     }
     t.print();
 
+    const SweepSplit serial_split = splitOf(serial);
+    const SweepSplit parallel_split = splitOf(parallel);
     const double speedup =
         parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
     // A scaling claim only means something with real parallel hardware:
@@ -103,9 +128,13 @@ runBench(const ArgParser &args)
     // gate) must skip scaling assertions rather than fail honestly-flat
     // numbers.
     const bool scaling_valid = cores > 1;
-    std::printf("\nserial sweep  %.3fs\npooled sweep  %.3fs  "
-                "(%u jobs on %u cores)\nspeedup       %.2fx\n",
-                serial_seconds, parallel_seconds, jobs, cores, speedup);
+    std::printf("\nserial sweep  %.3fs  (producer %.3fs, consumers %.3fs)\n"
+                "pooled sweep  %.3fs  (producer %.3fs, consumers %.3fs; "
+                "%u jobs on %u cores)\nspeedup       %.2fx\n",
+                serial_seconds, serial_split.producer,
+                serial_split.consumers, parallel_seconds,
+                parallel_split.producer, parallel_split.consumers, jobs,
+                cores, speedup);
     if (!scaling_valid)
         std::printf("note: only %u hardware core(s) visible; the pooled "
                     "sweep cannot run faster than serial here\n", cores);
@@ -119,7 +148,11 @@ runBench(const ArgParser &args)
              static_cast<std::uint64_t>(setup.cfg.regimen.numClusters))
         .put("total_insts", setup.cfg.totalInsts)
         .put("serial_seconds", serial_seconds)
+        .put("serial_producer_seconds", serial_split.producer)
+        .put("serial_consumer_seconds", serial_split.consumers)
         .put("parallel_seconds", parallel_seconds)
+        .put("parallel_producer_seconds", parallel_split.producer)
+        .put("parallel_consumer_seconds", parallel_split.consumers)
         .put("speedup", speedup)
         .putBool("parallel_scaling_valid", scaling_valid)
         .putBool("identical", identical);

@@ -5,8 +5,8 @@
  * Sampling with Live-Points", ISPASS 2006 — the paper's reference [18]).
  *
  * A one-time *producer* pass (`rsr_sim mklvpt`) runs the deferred front
- * half of sampled simulation — functional execution, warm-up, and the
- * per-cluster CapturePhase — and stores each cluster's warmed machine
+ * half of sampled simulation — the functional pass, warm-up from its
+ * region log, and the per-cluster capture — and stores each cluster's warmed machine
  * (serialized here, at the store boundary, as its snapshot), committed
  * trace, and measurement context as content-addressed
  * blobs in a BlobStoreWriter: frames are keyed by their FNV-1a-64 content
@@ -26,7 +26,7 @@
  * Any number of *consumer* passes (`rsr_sim replay`,
  * harness::replayStoreParallel) then measure the stored clusters with
  * zero functional re-simulation, in any order, on any thread. Because
- * capture goes through the same CapturePhase as every sampled run and
+ * capture goes through the same RegionConsumer as every sampled run and
  * the measurement context round-trips bit-exactly, a replay from the
  * store reproduces `runSampled`'s Table-2 statistics bit-identically for
  * every warm-up policy — including RSR's on-demand branch

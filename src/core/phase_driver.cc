@@ -35,16 +35,39 @@ fastForward(func::FuncSim &fs, const Deadline *deadline, std::uint64_t n,
 }
 
 /**
- * The skip inner loop over instructions [@p begin, @p end) of a region,
- * templated on the concrete observer type (a final policy, or the
- * sweep's log writer) so that the onSkipInst() call resolves statically
- * and inlines. Each instantiation stays a function of its own, so each
- * is optimized as one loop around the always-inlined FuncSim::step
+ * The skip loop's one observer: logs each instruction as `rsr100` does —
+ * with @c mem, its fetch block when new and its data reference; with
+ * @c branches, its control transfer.
+ */
+struct RegionLogWriter
+{
+    SkipLog &log;
+    bool mem;
+    bool branches;
+
+    void
+    append(const func::DynInst &d, bool new_fetch_block)
+    {
+        if (mem) {
+            if (new_fetch_block)
+                log.mem.append(d.pc, d.pc, true, false);
+            if (d.inst.isMem())
+                log.mem.append(d.pc, d.effAddr, false, d.inst.isStore());
+        }
+        if (branches && d.isBranch())
+            log.branches.push_back(
+                {d.pc, d.nextPc, d.inst.branchKind(), d.taken});
+    }
+};
+
+/**
+ * The skip inner loop over instructions [@p begin, @p end) of a region.
+ * It stays a function of its own, so it is optimized as one loop around
+ * the always-inlined FuncSim::step and the writer's inlined append
  * (PERFORMANCE.md). Returns the last instruction's I-line.
  */
-template <typename P>
 [[gnu::noinline]] std::uint64_t
-skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
+skipLoop(RegionLogWriter writer, func::FuncSim &fs, const Deadline *deadline,
          std::uint64_t iline_mask, std::uint64_t begin, std::uint64_t end,
          std::uint64_t last_iblock)
 {
@@ -59,24 +82,37 @@ skipLoop(P &policy, func::FuncSim &fs, const Deadline *deadline,
         const std::uint64_t blk = d.pc & iline_mask;
         const bool new_block = blk != last_iblock;
         last_iblock = blk;
-        policy.onSkipInst(d, new_block);
+        writer.append(d, new_block);
     }
     return last_iblock;
 }
 
-/** The sweep producer's observer: logs every record, as `rsr100` does. */
-struct RegionLogWriter
+/**
+ * Step one skip region of @p skip_len instructions and log it into
+ * @p log (cleared first), starting at the earliest instruction a
+ * consumer observes. @p from lists (first observed instruction,
+ * consumer) pairs; @p cursors[consumer] receives the log's position at
+ * that consumer's instruction.
+ */
+void
+logRegion(func::FuncSim &fs, const Deadline *deadline,
+          std::uint64_t iline_mask, std::uint64_t skip_len,
+          std::vector<std::pair<std::uint64_t, std::size_t>> &from,
+          RegionLogWriter writer, std::vector<LogCursor> &cursors)
 {
-    SkipLog &log;
-    bool mem;
-    bool branches;
-
-    void
-    onSkipInst(const func::DynInst &d, bool new_fetch_block)
-    {
-        logSkipInst(log, d, new_fetch_block, mem, branches);
+    writer.log.clear();
+    std::sort(from.begin(), from.end());
+    std::uint64_t i = from.empty() ? skip_len : from.front().first;
+    std::uint64_t last_iblock = fastForward(fs, deadline, i, iline_mask);
+    cursors.resize(from.size());
+    for (const auto &[at, k] : from) {
+        last_iblock =
+            skipLoop(writer, fs, deadline, iline_mask, i, at, last_iblock);
+        i = at;
+        cursors[k] = {writer.log.mem.size(), writer.log.branches.size()};
     }
-};
+    skipLoop(writer, fs, deadline, iline_mask, i, skip_len, last_iblock);
+}
 
 /**
  * A cluster's state effects on @p m, applied functionally in commit
@@ -134,17 +170,12 @@ void
 SkipPhase::run(std::uint64_t skip_len)
 {
     WallTimer timer;
-    policy.beginSkip(skip_len);
-    const std::uint64_t observe_from =
-        std::min(policy.observeFrom(region++, skip_len), skip_len);
-    const std::uint64_t last_iblock =
-        fastForward(fs, deadline, observe_from, ilineMask);
-    if (auto *p = dynamic_cast<FunctionalWarmup *>(&policy))
-        skipLoop(*p, fs, deadline, ilineMask, observe_from, skip_len,
-                 last_iblock);
-    else
-        skipLoop(dynamic_cast<ReverseReconstructionWarmup &>(policy), fs,
-                 deadline, ilineMask, observe_from, skip_len, last_iblock);
+    std::vector<std::pair<std::uint64_t, std::size_t>> from{
+        {std::min(policy.observeFrom(region++, skip_len), skip_len), 0}};
+    std::vector<LogCursor> cursors;
+    logRegion(fs, deadline, ilineMask, skip_len, from,
+              {log, policy.warmsCache(), policy.warmsBranches()}, cursors);
+    policy.consumeRegion(log, cursors.front());
     counters.skipSeconds += timer.seconds();
 }
 
@@ -157,20 +188,18 @@ ReconstructPhase::run()
 }
 
 ClusterReplayTask
-CapturePhase::take(std::size_t index, const Cluster &cluster)
+CapturePhase::run(std::size_t index, const Cluster &cluster)
 {
     WallTimer capture;
     ClusterReplayTask task;
     task.index = index;
     task.cluster = cluster;
-    task.machine.emplace(machine.warmCopy());
+    task.machineState = snapshotToBytes(machine);
     task.context = policy.makeMeasureContext();
+    if (task.context)
+        task.context->own(
+            std::vector<BranchRecord>(task.context->records()));
 
-    // Record the cluster's committed trace, then give the shared machine
-    // its state effects. That the next skip region begins from hot state
-    // wherever the timing replay runs is what makes the front half — and
-    // therefore the whole result — independent of the replay thread
-    // count.
     task.trace.resize(cluster.size);
     for (func::DynInst &d : task.trace) {
         const bool ok = fs.step(&d);
@@ -178,15 +207,6 @@ CapturePhase::take(std::size_t index, const Cluster &cluster)
     }
     warmCluster(machine, task.trace, ilineMask);
     counters.captureSeconds += capture.seconds();
-    return task;
-}
-
-ClusterReplayTask
-CapturePhase::run(std::size_t index, const Cluster &cluster)
-{
-    ClusterReplayTask task = take(index, cluster);
-    task.machineState = snapshotToBytes(*task.machine);
-    task.machine.reset();
     return task;
 }
 
@@ -211,49 +231,28 @@ ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
 SampledResult
 ClusterScheduleDriver::runDeferred(ReplaySink &sink)
 {
-    SampledResult res;
     WallTimer timer;
-
-    policy.prepare(program, schedule_, config.deadline);
-    func::FuncSim fs(program);
-    Machine machine(config.machine);
-    policy.clearWork();
-    policy.attach(machine);
-
-    const std::uint64_t iline_mask = ilineMaskOf(config.machine);
-
-    SkipPhase skip(fs, policy, config.deadline, iline_mask, res.phases);
-    ReconstructPhase reconstruct(policy, res.phases);
-    CapturePhase capture(fs, policy, machine, iline_mask, res.phases);
-
-    std::uint64_t pos = 0;
-    std::size_t index = 0;
-    for (const Cluster &cluster : schedule_) {
-        if (config.deadline && config.deadline->expired())
-            throw TimeoutError("sampled run exceeded its deadline at "
-                               "cluster boundary");
-        skip.run(cluster.start - pos);
-        res.skippedInsts += cluster.start - pos;
-        reconstruct.run();
-
-        sink.onCluster(capture.take(index, cluster));
-        pos = cluster.start + cluster.size;
-        ++index;
+    RegionConsumer consumer(policy, 0, config);
+    consumer.prepare(program, schedule_, config.deadline);
+    RegionProducer producer(program, schedule_, {&policy}, config);
+    RegionLog region;
+    for (std::size_t i = 0; i < schedule_.size(); ++i) {
+        producer.produce(region);
+        consumer.capture(region, sink);
     }
-
-    res.warmWork = policy.work();
+    SampledResult res = consumer.finish(producer.counters(), 1.0);
     res.seconds = timer.seconds();
     return res;
 }
 
-RegionProducer::RegionProducer(
-    const func::Program &program, const std::vector<Cluster> &schedule,
-    const std::vector<std::unique_ptr<WarmupPolicy>> &consumers,
-    const SampledConfig &config)
-    : fs(program), schedule(schedule), consumers(consumers),
+RegionProducer::RegionProducer(const func::Program &program,
+                               const std::vector<Cluster> &schedule,
+                               std::vector<const WarmupPolicy *> consumers,
+                               const SampledConfig &config)
+    : fs(program), schedule(schedule), consumers(std::move(consumers)),
       deadline(config.deadline), ilineMask(ilineMaskOf(config.machine))
 {
-    for (const auto &p : consumers) {
+    for (const WarmupPolicy *p : this->consumers) {
         logMem = logMem || p->warmsCache();
         logBranches = logBranches || p->warmsBranches();
     }
@@ -269,31 +268,20 @@ RegionProducer::produce(RegionLog &out)
     WallTimer timer;
     const Cluster &cluster = schedule[next];
     out.index = next;
+    out.cluster = cluster;
     out.skipLen = cluster.start - pos;
-    out.log.clear();
 
-    // Each consumer's first observed instruction, visited in order: the
-    // log starts at the earliest, and a consumer's cursor is the log's
-    // size when the pass reaches its instruction.
+    // Each consumer's first observed instruction: the log starts at the
+    // earliest, and a consumer's cursor is the log's size when the pass
+    // reaches its instruction.
     std::vector<std::pair<std::uint64_t, std::size_t>> from;
     for (std::size_t k = 0; k < consumers.size(); ++k)
-        from.emplace_back(std::min(consumers[k]->observeFrom(next,
-                                                             out.skipLen),
-                                   out.skipLen),
-                          k);
-    std::sort(from.begin(), from.end());
-    std::uint64_t i = from.empty() ? out.skipLen : from.front().first;
-    std::uint64_t last_iblock = fastForward(fs, deadline, i, ilineMask);
-
-    RegionLogWriter writer{out.log, logMem, logBranches};
-    out.cursors.resize(consumers.size());
-    for (const auto &[at, k] : from) {
-        last_iblock =
-            skipLoop(writer, fs, deadline, ilineMask, i, at, last_iblock);
-        i = at;
-        out.cursors[k] = {out.log.mem.size(), out.log.branches.size()};
-    }
-    skipLoop(writer, fs, deadline, ilineMask, i, out.skipLen, last_iblock);
+        from.emplace_back(
+            std::min(consumers[k]->observeFrom(next, out.skipLen),
+                     out.skipLen),
+            k);
+    logRegion(fs, deadline, ilineMask, out.skipLen, from,
+              {out.log, logMem, logBranches}, out.cursors);
     counters_.skipSeconds += timer.seconds();
 
     timer.reset();
@@ -308,11 +296,10 @@ RegionProducer::produce(RegionLog &out)
 }
 
 RegionConsumer::RegionConsumer(WarmupPolicy &policy, std::size_t slot,
-                               const SampledConfig &config,
-                               std::size_t clusters)
+                               const SampledConfig &config)
     : policy(policy), slot(slot), machine(config.machine),
       ilineMask(ilineMaskOf(config.machine)),
-      reconstruct(policy, res.phases), ledger(clusters, 0, config.machine)
+      reconstruct(policy, res.phases)
 {
     policy.clearWork();
     policy.attach(machine);
@@ -329,18 +316,50 @@ RegionConsumer::prepare(const func::Program &program,
 }
 
 void
-RegionConsumer::consume(const RegionLog &region, ReplayArena &arena)
+RegionConsumer::warm(const RegionLog &region)
 {
-    WallTimer task;
     WallTimer phase;
     policy.consumeRegion(region.log, region.cursors[slot]);
     res.skippedInsts += region.skipLen;
     res.phases.skipSeconds += phase.seconds();
     reconstruct.run();
+}
 
-    // Capture (CapturePhase::take), with the trace shared and the warm
-    // copy made straight into the arena machine.
-    phase.reset();
+void
+RegionConsumer::capture(RegionLog &region, ReplaySink &sink)
+{
+    WallTimer task_timer;
+    warm(region);
+
+    // Record the cluster, then give this machine its state effects. That
+    // the next region is warmed from hot state wherever the timing
+    // replay runs is what makes the front half — and therefore the
+    // whole result — independent of the replay thread count.
+    WallTimer phase;
+    ClusterReplayTask task;
+    task.index = region.index;
+    task.cluster = region.cluster;
+    task.machine.emplace(machine.warmCopy());
+    task.context = policy.makeMeasureContext();
+    if (task.context)
+        task.context->own(std::move(region.log.branches));
+    warmCluster(machine, region.trace, ilineMask);
+    task.trace = std::move(region.trace);
+    res.phases.captureSeconds += phase.seconds();
+    seconds += task_timer.seconds();
+    sink.onCluster(std::move(task));
+}
+
+void
+RegionConsumer::consume(const RegionLog &region, ReplayArena &arena,
+                        ReplayLedger &ledger)
+{
+    WallTimer task;
+    warm(region);
+
+    // capture(), with the trace shared and the warm copy made straight
+    // into the arena machine.
+    WallTimer phase;
     Machine &m = arena.copy(machine);
     const std::unique_ptr<MeasureContext> context =
         policy.makeMeasureContext();
@@ -361,7 +380,6 @@ RegionConsumer::finish(const PhaseCounters &producer, double share)
     res.phases.skipSeconds += share * producer.skipSeconds;
     res.phases.captureSeconds += share * producer.captureSeconds;
     res.warmWork = policy.work();
-    policy.addReconstructionWork(ledger.fold(res));
     res.seconds = seconds + share * (producer.skipSeconds +
                                      producer.captureSeconds);
     return res;
@@ -446,9 +464,9 @@ profileClusterProxies(const func::Program &program,
         const bool inside = i >= c.start;
         std::uint64_t misses = 0, mispred = 0;
 
-        // The models run continuously — skipped regions warm them just
-        // like SkipPhase warms the real hierarchy — but counts are only
-        // charged to the enclosing candidate cluster.
+        // The models run continuously — skipped regions warm them as
+        // they warm the real hierarchy — but counts are only charged to
+        // the enclosing candidate cluster.
         const std::uint64_t blk = d.pc >> ProxyModels::lineShift
                                        << ProxyModels::lineShift;
         if (blk != last_iblock)

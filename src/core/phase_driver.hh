@@ -1,34 +1,36 @@
 /**
  * @file
- * The phase driver: one controller for the hot/cold/warm loop of the
- * paper's Figure 1, decomposed into explicit phase objects —
+ * The phase driver: one front half for the hot/cold/warm loop of the
+ * paper's Figure 1, split by what each step depends on.
  *
- *   SkipPhase        functional fast-forward between clusters, feeding
- *                    the warm-up policy and polling the watchdog;
- *   ReconstructPhase the policy's cluster-boundary warm-up work (cache
- *                    reconstruction, log finalization);
- *   CapturePhase     the warm machine copy, measurement context and
- *                    committed trace of one cluster.
+ *   RegionProducer   what the program did, whatever the warm-up policy:
+ *                    one functional pass over the schedule that logs each
+ *                    skip region as `rsr100` logs it and records the
+ *                    cluster's committed trace (a RegionLog), polling the
+ *                    watchdog;
+ *   RegionConsumer   what one policy does with it: warm its machine from
+ *                    the log (WarmupPolicy::consumeRegion), run the
+ *                    cluster-boundary work (ReconstructPhase), and capture
+ *                    the cluster — the warm machine, the measurement
+ *                    context and the trace.
  *
- * ClusterScheduleDriver::runDeferred() composes them into the front half
- * of every sampled run: each cluster is emitted as a ClusterReplayTask,
- * and a ReplayLedger measures it on the cycle-accurate timing model
- * against the warmed machine the task carries by value — inline in
- * core::runSampled() or on pool workers in harness/parallel_run.hh — or
- * against one restored from snapshot bytes, later, from a live-point
- * store. While the trace is recorded, the shared
- * machine receives the cluster's state effects *functionally*
- * (commit-order warm accesses), so there is one estimator: the result
- * does not depend on where, when, or on how many threads the timing
- * replays run.
+ * Every sampled run is one producer and one consumer per policy.
+ * ClusterScheduleDriver::runDeferred() alternates one of each on the
+ * calling thread and emits each cluster as a ClusterReplayTask; a
+ * ReplayLedger measures it on the cycle-accurate timing model against the
+ * warmed machine the task carries by value — inline in core::runSampled()
+ * or on pool workers in harness/parallel_run.hh — or a live-point store
+ * keeps it and measures it later from snapshot bytes. A policy sweep
+ * (harness::runPolicySweep) runs one producer for many consumers, each
+ * measuring on a replay arena. While a cluster is captured, the
+ * consumer's own machine receives the cluster's state effects
+ * *functionally* (commit-order warm accesses), so there is one estimator:
+ * the result depends neither on where, when, or on how many threads the
+ * timing replays run, nor on how many policies share the pass.
  *
- * A policy sweep splits the front half by what it depends on: what the
- * program did does not depend on the warm-up policy, so a RegionProducer
- * steps the functional simulator once and writes each region's log and
- * cluster trace (a RegionLog), and one RegionConsumer per policy warms
- * its own machine from that log, then captures and measures the cluster
- * as runDeferred() would. Each consumer's result is bit-identical to the
- * policy's solo run.
+ * SkipPhase, ReconstructPhase and CapturePhase expose the same steps one
+ * at a time over a caller's functional simulator, for callers that time
+ * each step themselves (perfbench's traced replica).
  */
 
 #ifndef RSR_CORE_PHASE_DRIVER_HH
@@ -116,9 +118,11 @@ class ReplaySink
 };
 
 /**
- * Functional fast-forward over one skip region: steps the functional
- * simulator, detects new fetch blocks for the policy, polls the
- * cooperative deadline, and accounts skip time into PhaseCounters.
+ * Functional fast-forward over one skip region for one policy: steps the
+ * caller's functional simulator with the producer's logging loop from
+ * the policy's observeFrom() on, hands the log to the policy's
+ * consumeRegion(), polls the cooperative deadline, and accounts skip
+ * time into PhaseCounters. The log lives until the next run().
  */
 class SkipPhase
 {
@@ -140,6 +144,7 @@ class SkipPhase
     std::uint64_t ilineMask;
     PhaseCounters &counters;
     std::size_t region = 0;
+    SkipLog log;
 };
 
 /** Cluster-boundary warm-up: times the policy's beforeCluster() work. */
@@ -158,16 +163,13 @@ class ReconstructPhase
 };
 
 /**
- * Warm-state capture at one cluster boundary — the producer half of the
- * live-point split. Runs after ReconstructPhase (warm-up applied, the
- * machine is exactly the state a timed cluster would start from) and
- * packages everything a later timing replay needs: a warm copy of the
- * machine, the policy's measurement context, and the cluster's
- * committed trace.
- * While the trace is recorded, the shared machine receives the cluster's
- * state effects *functionally* in commit order, so the following skip
- * region starts from hot state no matter where or when the timing replay
- * runs. Used by runDeferred().
+ * Warm-state capture at one cluster boundary, after SkipPhase and
+ * ReconstructPhase, in the store's byte form: the warmed machine as
+ * snapshot bytes, the policy's measurement context, and the cluster's
+ * committed trace, stepped from the caller's functional simulator. The
+ * context owns a copy of its branch records, so the task may be replayed
+ * while the next region is logged. The shared machine then receives the
+ * cluster's state effects functionally, as RegionConsumer's does.
  */
 class CapturePhase
 {
@@ -178,18 +180,7 @@ class CapturePhase
           ilineMask(iline_mask), counters(counters)
     {}
 
-    /**
-     * Capture cluster @p cluster (schedule position @p index), carrying
-     * the warmed machine by value.
-     */
-    ClusterReplayTask take(std::size_t index, const Cluster &cluster);
-
-    /**
-     * take(), then the machine as snapshot bytes in
-     * ClusterReplayTask::machineState. No library path calls it: it
-     * keeps the byte form for out-of-tree callers that restore the
-     * bytes themselves.
-     */
+    /** Capture cluster @p cluster (schedule position @p index). */
     ClusterReplayTask run(std::size_t index, const Cluster &cluster);
 
   private:
@@ -215,11 +206,11 @@ class ClusterScheduleDriver
     const std::vector<Cluster> &schedule() const { return schedule_; }
 
     /**
-     * Deferred front half: skip + reconstruct + copy + record each
-     * cluster, emitting ClusterReplayTasks to @p sink in schedule order.
-     * The returned result carries the front-half accounting (skipped
-     * instructions, warm work, phase counters); ReplayLedger::fold()
-     * adds the per-cluster timing.
+     * Deferred front half: one RegionProducer and one RegionConsumer,
+     * alternating on the calling thread, emit each cluster's
+     * ClusterReplayTask to @p sink in schedule order. The returned result
+     * carries the front-half accounting (skipped instructions, warm work,
+     * phase counters); ReplayLedger::fold() adds the per-cluster timing.
      */
     SampledResult runDeferred(ReplaySink &sink);
 
@@ -246,7 +237,7 @@ class ClusterScheduleDriver
  * the pass stops after the last candidate ends. Costs one functional
  * simulation of the covered prefix — orders of magnitude cheaper than a
  * timing measurement, which is the whole point of ranking by proxy.
- * Polls @p deadline like SkipPhase (TimeoutError on expiry).
+ * Polls @p deadline like the skip loop (TimeoutError on expiry).
  */
 std::vector<double>
 profileClusterProxies(const func::Program &program,
@@ -296,8 +287,8 @@ class ReplayArena
  * Measure one deferred cluster on @p arena's machine: load the task's
  * warm state (move in its machine, or restore its snapshot bytes when it
  * carries none), attach the measurement context, run the timing model
- * over the stored trace. This is the entry that bypasses SkipPhase
- * entirely — the task already holds the warmed state a skip would have
+ * over the stored trace. This is the entry that bypasses the functional
+ * pass entirely — the task already holds the warmed state a skip would have
  * produced — so a stored ClusterReplayTask (e.g. from a live-point
  * store) replays with zero functional simulation. A by-value task
  * replays once: its machine is moved out. The arena must be private to
@@ -375,15 +366,16 @@ class ReplayLedger : public ReplaySink
 };
 
 /**
- * One region of a policy sweep's shared functional pass: the skip region
- * before a cluster, logged as `rsr100` logs it from the first
- * instruction any consumer observes, each consumer's cursor into that
- * log, and the cluster's committed trace.
+ * One region of the front half's functional pass: the skip region before
+ * a cluster, logged as `rsr100` logs it from the first instruction any
+ * consumer observes, each consumer's cursor into that log, and the
+ * cluster's committed trace.
  */
 struct RegionLog
 {
     /** Schedule position of the cluster that ends the region. */
     std::size_t index = 0;
+    Cluster cluster;
     std::uint64_t skipLen = 0;
     SkipLog log;
     /** Per consumer: the log position at its observeFrom(). */
@@ -392,19 +384,19 @@ struct RegionLog
 };
 
 /**
- * The producer of a policy sweep: one functional pass over @p schedule,
- * one RegionLog per cluster. It logs the memory references if any
- * consumer warms caches and the branches if any warms the branch unit,
- * and polls the deadline like SkipPhase.
+ * The functional pass of a sampled run: one pass over @p schedule, one
+ * RegionLog per cluster, for one or more consumers. It logs the memory
+ * references if any consumer warms caches and the branches if any warms
+ * the branch unit, and polls the deadline.
  */
 class RegionProducer
 {
   public:
     /** @p schedule and @p consumers (prepared) must outlive the producer. */
-    RegionProducer(
-        const func::Program &program, const std::vector<Cluster> &schedule,
-        const std::vector<std::unique_ptr<WarmupPolicy>> &consumers,
-        const SampledConfig &config);
+    RegionProducer(const func::Program &program,
+                   const std::vector<Cluster> &schedule,
+                   std::vector<const WarmupPolicy *> consumers,
+                   const SampledConfig &config);
 
     /**
      * Fill @p out with the next region, in schedule order, reusing its
@@ -418,7 +410,7 @@ class RegionProducer
   private:
     func::FuncSim fs;
     const std::vector<Cluster> &schedule;
-    const std::vector<std::unique_ptr<WarmupPolicy>> &consumers;
+    std::vector<const WarmupPolicy *> consumers;
     const Deadline *deadline;
     std::uint64_t ilineMask;
     bool logMem = false;
@@ -429,39 +421,55 @@ class RegionProducer
 };
 
 /**
- * One policy of a sweep: warms its own machine from each RegionLog, then
- * captures and measures the region's cluster on a replay arena — the
- * same steps, in the same order, as the policy's solo run.
+ * One policy of a sampled run: warms its own machine from each RegionLog
+ * (consumeRegion, then ReconstructPhase), then captures the region's
+ * cluster. A solo run capture()s it as a ClusterReplayTask; a policy
+ * sweep consume()s it, measuring on a replay arena.
  */
 class RegionConsumer
 {
   public:
     /** @param slot this consumer's index into RegionLog::cursors */
     RegionConsumer(WarmupPolicy &policy, std::size_t slot,
-                   const SampledConfig &config, std::size_t clusters);
+                   const SampledConfig &config);
 
-    /** WarmupPolicy::prepare() for the sweep, timed as this policy's. */
+    /** WarmupPolicy::prepare(), timed as this policy's. */
     void prepare(const func::Program &program,
                  const std::vector<Cluster> &schedule,
                  const Deadline *deadline);
 
-    /** Consume the next region (schedule order) on @p arena. */
-    void consume(const RegionLog &region, ReplayArena &arena);
+    /**
+     * Warm from the next region (schedule order) and emit its cluster to
+     * @p sink, the machine by value. The task takes the region's trace
+     * and, in its measurement context, its branch records by move.
+     */
+    void capture(RegionLog &region, ReplaySink &sink);
 
     /**
-     * The run's result. Its phase times and seconds are this consumer's
-     * own plus @p share of the producer's skip and capture time.
+     * Warm from the next region (schedule order), copy the warm machine
+     * onto @p arena, measure the cluster there and commit it to
+     * @p ledger. The region is left unchanged for other consumers.
+     */
+    void consume(const RegionLog &region, ReplayArena &arena,
+                 ReplayLedger &ledger);
+
+    /**
+     * The front half's result: skipped instructions, warm work, phase
+     * times, and seconds, each this consumer's own plus @p share of the
+     * producer's skip and capture time.
      */
     SampledResult finish(const PhaseCounters &producer, double share);
 
   private:
+    /** consumeRegion() + the cluster-boundary work, timed. */
+    void warm(const RegionLog &region);
+
     WarmupPolicy &policy;
     std::size_t slot;
     Machine machine;
     std::uint64_t ilineMask;
     SampledResult res;
     ReconstructPhase reconstruct;
-    ReplayLedger ledger;
     double seconds = 0.0;
 };
 

@@ -90,7 +90,7 @@ FunctionalWarmup::consumeRegion(const SkipLog &log, LogCursor from)
 {
     // Cache and branch records apply in commit order, each to its own
     // structure: the two never interact, so this is the state (and the
-    // update count) onSkipInst() reaches interleaving them.
+    // update count) that warming each instruction as it commits reaches.
     if (warmCache) {
         const std::uint64_t before = machine->hier.warmUpdates();
         for (std::size_t i = from.mem; i < log.mem.size(); ++i)
@@ -138,26 +138,12 @@ ReverseReconstructionWarmup::name() const
 }
 
 void
-ReverseReconstructionWarmup::beginSkip(std::uint64_t skip_len)
-{
-    // Storage is kept only for the current skip region.
-    shared = nullptr;
-    skipLog.clear();
-    if (warmCache)
-        skipLog.mem.reserve(skip_len / 2);
-    if (warmBp) {
-        skipLog.branches.reserve(skip_len / 4);
-        ghrAtStart = machine->bp.ghr();
-    }
-}
-
-void
 ReverseReconstructionWarmup::consumeRegion(const SkipLog &log,
                                            LogCursor from)
 {
     rsr_assert(from.mem == 0 && from.branch == 0,
                "reverse reconstruction reads the whole region's log");
-    shared = &log;
+    region = &log;
     ghrAtStart = machine->bp.ghr();
     // The records this policy would have logged itself.
     work_.loggedRecords += (warmCache ? log.mem.size() : 0) +
@@ -167,7 +153,8 @@ ReverseReconstructionWarmup::consumeRegion(const SkipLog &log,
 void
 ReverseReconstructionWarmup::beforeCluster()
 {
-    const SkipLog &log = shared ? *shared : skipLog;
+    rsr_assert(region, "reconstruction before any region was consumed");
+    const SkipLog &log = *region;
     const std::uint64_t log_bytes =
         (warmCache ? log.mem.bytes() : 0) +
         (warmBp ? log.branches.size() * sizeof(BranchRecord) : 0);
@@ -183,21 +170,30 @@ ReverseReconstructionWarmup::beforeCluster()
 // --------------------------------------------------------------------------
 
 MeasureContext::MeasureContext(SkipLog &&branch_log, PhtResolveMode mode)
-    : owned(std::move(branch_log)), branches(owned.branches),
-      ghrAtStart(owned.ghrAtStart), mode(mode)
+    : owned(std::move(branch_log.branches)), branches(&owned),
+      ghrAtStart(branch_log.ghrAtStart), mode(mode)
 {}
 
 MeasureContext::MeasureContext(const std::vector<BranchRecord> &branches,
                                std::uint32_t ghr_at_start,
                                PhtResolveMode mode)
-    : branches(branches), ghrAtStart(ghr_at_start), mode(mode)
+    : branches(&branches), ghrAtStart(ghr_at_start), mode(mode)
 {}
+
+void
+MeasureContext::own(std::vector<BranchRecord> &&records)
+{
+    rsr_assert(records.size() == branches->size(),
+               "a context owns only the records it reads");
+    owned = std::move(records);
+    branches = &owned;
+}
 
 void
 MeasureContext::attach(Machine &m)
 {
     recon = std::make_unique<BranchReconstructor>(m.bp, mode);
-    recon->begin(branches, ghrAtStart);
+    recon->begin(*branches, ghrAtStart);
 }
 
 std::uint64_t
@@ -217,8 +213,8 @@ MeasureContext::snapshot(Serializer &out) const
     out.begin(contextTag, contextVersion);
     out.putU8(static_cast<std::uint8_t>(mode));
     out.putU32(ghrAtStart);
-    out.putU64(branches.size());
-    for (const auto &b : branches) {
+    out.putU64(branches->size());
+    for (const auto &b : *branches) {
         out.putU64(b.pc);
         out.putU64(b.target);
         out.putU8(static_cast<std::uint8_t>(b.kind));
@@ -266,17 +262,9 @@ ReverseReconstructionWarmup::makeMeasureContext()
 {
     if (!warmBp)
         return nullptr;
-    if (shared)
-        return std::make_unique<MeasureContext>(shared->branches,
-                                                ghrAtStart, phtMode);
-    // Hand the branch records to the context; the memory half stays here
-    // (it was consumed eagerly by beforeCluster) until the next
-    // beginSkip() clears the log.
-    SkipLog branch_log;
-    branch_log.branches = std::move(skipLog.branches);
-    branch_log.ghrAtStart = ghrAtStart;
-    skipLog.branches.clear();
-    return std::make_unique<MeasureContext>(std::move(branch_log), phtMode);
+    rsr_assert(region, "capture before any region was consumed");
+    return std::make_unique<MeasureContext>(region->branches, ghrAtStart,
+                                            phtMode);
 }
 
 // --------------------------------------------------------------------------

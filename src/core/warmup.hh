@@ -14,12 +14,13 @@
  *                   cluster, and rebuild branch-predictor entries
  *                   on demand during the cluster
  *
- * and the reuse-latency baselines MRRL and BLRL (reuse_latency.hh). Two
- * mechanisms cover them all: FunctionalWarmup warms the tail of each
- * skip region (None, FP, S$, SBP, S$BP, MRRL, BLRL), and
- * ReverseReconstructionWarmup logs the region and reconstructs from the
- * log (R$, RBP, R$BP). makePolicyByName() builds every policy; the
- * phases in phase_driver.hh drive it.
+ * and the reuse-latency baselines MRRL and BLRL (reuse_latency.hh). Every
+ * policy warms from one input, the skip region's log as `rsr100` writes
+ * it (core::RegionProducer, phase_driver.hh), through one entry,
+ * consumeRegion(). Two mechanisms cover them all: FunctionalWarmup
+ * applies the log's tail forward (None, FP, S$, SBP, S$BP, MRRL, BLRL),
+ * and ReverseReconstructionWarmup reconstructs from the log backward
+ * (R$, RBP, R$BP). makePolicyByName() builds every policy.
  */
 
 #ifndef RSR_CORE_WARMUP_HH
@@ -36,7 +37,6 @@
 #include "core/regimen.hh"
 #include "core/reuse_latency.hh"
 #include "core/skip_log.hh"
-#include "func/dyninst.hh"
 #include "func/program.hh"
 #include "util/deadline.hh"
 #include "util/snapshot.hh"
@@ -66,13 +66,14 @@ struct WarmupWork
 /**
  * Measurement-time half of RBP/R$BP: on-demand branch reconstruction,
  * active *during* the hot phase. ReverseReconstructionWarmup creates it
- * at the cluster boundary (after beforeCluster()) from the branch half
- * of the skip log. A solo run's context owns those records, so it
- * outlives the policy's per-skip log; a policy sweep's context borrows
- * them from the sweep's shared region log, which outlives the cluster's
- * replay. It is attached to whichever machine actually executes the
- * cluster: the replay machine holding the cluster's warm state, on
- * whichever thread replays it.
+ * at the cluster boundary (after beforeCluster()) over the branch half
+ * of the region log it consumed, borrowing those records. A policy
+ * sweep's context keeps borrowing: the sweep's log outlives the
+ * cluster's replay. A solo run's context own()s them, taken from the
+ * region log by move, so it outlives the log's next region. It is
+ * attached to whichever machine actually executes the cluster: the
+ * replay machine holding the cluster's warm state, on whichever thread
+ * replays it.
  */
 class MeasureContext
 {
@@ -80,13 +81,22 @@ class MeasureContext
     /** Own @p branch_log's branch records and start GHR. */
     MeasureContext(SkipLog &&branch_log, PhtResolveMode mode);
 
-    /** Borrow @p branches (must outlive the context) of a skip region
-     *  that began with GHR @p ghr_at_start. */
+    /** Borrow @p branches (must outlive the context, unless own()ed)
+     *  of a skip region that began with GHR @p ghr_at_start. */
     MeasureContext(const std::vector<BranchRecord> &branches,
                    std::uint32_t ghr_at_start, PhtResolveMode mode);
 
     MeasureContext(const MeasureContext &) = delete;
     MeasureContext &operator=(const MeasureContext &) = delete;
+
+    /** The branch records the context reconstructs from. */
+    const std::vector<BranchRecord> &records() const { return *branches; }
+
+    /**
+     * Stop borrowing: own @p records, the records() the context reads,
+     * moved out of their owner (or copied), so the context outlives it.
+     */
+    void own(std::vector<BranchRecord> &&records);
 
     /** Arm the context on the machine about to measure the cluster. */
     void attach(Machine &machine);
@@ -105,8 +115,8 @@ class MeasureContext
     void snapshot(Serializer &out) const;
 
   private:
-    SkipLog owned; ///< empty when the records are borrowed
-    const std::vector<BranchRecord> &branches;
+    std::vector<BranchRecord> owned; ///< empty while borrowing
+    const std::vector<BranchRecord> *branches;
     std::uint32_t ghrAtStart;
     PhtResolveMode mode;
     std::unique_ptr<BranchReconstructor> recon;
@@ -146,11 +156,12 @@ class WarmupPolicy
 
     /**
      * Index of the first instruction of skip region @p region (0-based,
-     * @p skip_len instructions) this policy needs to observe. The driver
-     * fast-forwards the functional simulator over the prefix without
-     * capturing instruction records and never calls onSkipInst() for it.
-     * A function of the prepared schedule only, so a sweep's producer may
-     * ask while the policy is busy warming an earlier region. The default
+     * @p skip_len instructions) this policy needs to observe: the
+     * region log handed to consumeRegion() holds this policy's records
+     * from there on, and the functional simulator fast-forwards over
+     * the prefix without capturing instruction records. A function of
+     * the prepared schedule only, so a sweep's producer may ask while
+     * the policy is busy warming an earlier region. The default
      * observes the whole region.
      */
     virtual std::uint64_t
@@ -161,23 +172,12 @@ class WarmupPolicy
         return 0;
     }
 
-    /** A new skip region of @p skip_len instructions begins. */
-    virtual void beginSkip(std::uint64_t skip_len) { (void)skip_len; }
-
     /**
-     * One skipped (functionally executed) instruction.
-     * @param d the committed record
-     * @param new_fetch_block first instruction in a new I-cache line
-     */
-    virtual void onSkipInst(const func::DynInst &d,
-                            bool new_fetch_block) = 0;
-
-    /**
-     * The policy-sweep form of beginSkip() + onSkipInst() over one whole
-     * skip region: @p log holds the region's fetch-block and data
-     * references and branch records as `rsr100` logs them, and @p from
-     * is this policy's cursor, at its observeFrom(). The log outlives
-     * the cluster's replay.
+     * The one warm entry, once per skip region: @p log holds the
+     * region's fetch-block and data references and branch records as
+     * `rsr100` logs them, and @p from is this policy's cursor, at its
+     * observeFrom(). The log stays unchanged until the cluster is
+     * captured (makeMeasureContext()).
      */
     virtual void consumeRegion(const SkipLog &log, LogCursor from) = 0;
 
@@ -249,7 +249,6 @@ class FunctionalWarmup final : public WarmupPolicy
     void prepare(const func::Program &program,
                  const std::vector<Cluster> &schedule,
                  const Deadline *deadline) override;
-    void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
     void consumeRegion(const SkipLog &log, LogCursor from) override;
 
     /** The region's warm start: the cold prefix is never observed. */
@@ -286,21 +285,15 @@ class ReverseReconstructionWarmup final : public WarmupPolicy
         PhtResolveMode pht_mode = PhtResolveMode::PaperTieBreak);
 
     std::string name() const override;
-    void beginSkip(std::uint64_t skip_len) override;
-    void onSkipInst(const func::DynInst &d, bool new_fetch_block) override;
     void consumeRegion(const SkipLog &log, LogCursor from) override;
     void beforeCluster() override;
     std::unique_ptr<MeasureContext> makeMeasureContext() override;
 
-    /** The policy's own log of the current skip region (solo runs). */
-    const SkipLog &log() const { return skipLog; }
-
   private:
     double fraction;
     PhtResolveMode phtMode;
-    SkipLog skipLog;
-    /** The sweep's log of the current region (null in solo runs). */
-    const SkipLog *shared = nullptr;
+    /** The log of the current region (the last one consumed). */
+    const SkipLog *region = nullptr;
     /** This machine's GHR when the current region began. */
     std::uint32_t ghrAtStart = 0;
 };
@@ -324,64 +317,6 @@ const std::vector<std::string> &table2PolicyNames();
  * name. Any other name is a UserError naming it.
  */
 std::unique_ptr<WarmupPolicy> makePolicyByName(const std::string &name);
-
-// Per-skipped-instruction policy hooks, defined inline: the skip loop
-// (phase_driver.cc) dispatches on the concrete final policy type once per
-// skip region, so these bodies inline into the loop instead of costing an
-// indirect call per skipped instruction.
-
-inline void
-FunctionalWarmup::onSkipInst(const func::DynInst &d, bool new_fetch_block)
-{
-    if (warmCache) {
-        const std::uint64_t before = machine->hier.warmUpdates();
-        if (new_fetch_block)
-            machine->hier.warmAccess(d.pc, false, true);
-        if (d.inst.isMem())
-            machine->hier.warmAccess(d.effAddr, d.inst.isStore(), false);
-        work_.functionalUpdates += machine->hier.warmUpdates() - before;
-    }
-    if (warmBp && d.isBranch()) {
-        machine->bp.warmApply(d.pc, d.inst.branchKind(), d.taken, d.nextPc);
-        ++work_.functionalUpdates;
-    }
-}
-
-/**
- * Log skipped instruction @p d as RSR does: with @p mem, its fetch block
- * when new and its data reference; with @p branches, its control
- * transfer. Returns the records appended.
- */
-inline std::uint64_t
-logSkipInst(SkipLog &log, const func::DynInst &d, bool new_fetch_block,
-            bool mem, bool branches)
-{
-    std::uint64_t records = 0;
-    if (mem) {
-        if (new_fetch_block) {
-            log.mem.append(d.pc, d.pc, true, false);
-            ++records;
-        }
-        if (d.inst.isMem()) {
-            log.mem.append(d.pc, d.effAddr, false, d.inst.isStore());
-            ++records;
-        }
-    }
-    if (branches && d.isBranch()) {
-        log.branches.push_back(
-            {d.pc, d.nextPc, d.inst.branchKind(), d.taken});
-        ++records;
-    }
-    return records;
-}
-
-inline void
-ReverseReconstructionWarmup::onSkipInst(const func::DynInst &d,
-                                        bool new_fetch_block)
-{
-    work_.loggedRecords +=
-        logSkipInst(skipLog, d, new_fetch_block, warmCache, warmBp);
-}
 
 } // namespace rsr::core
 

@@ -164,11 +164,7 @@ runEstimator(const func::Program &program, const std::string &policy_name,
 {
     EstimatorRunResult out;
     if (opts.kind == core::SamplingPolicyKind::UniformCluster) {
-        Rng rng(config.scheduleSeed);
-        out.schedule = config.explicitSchedule.empty()
-                           ? core::makeSchedule(config.regimen,
-                                                config.totalInsts, rng)
-                           : config.explicitSchedule;
+        out.schedule = core::scheduleFor(config);
         out.groups.assign(out.schedule.size(), 0);
     } else {
         Selection sel = selectFor(program, policy_name, config, opts, jobs);

@@ -67,9 +67,12 @@ class SweepPipeline
           schedule(core::scheduleFor(config)), arenas(std::max(jobs, 1u)),
           next(policies.size(), 0), pool(jobs)
     {
-        for (std::size_t k = 0; k < policies.size(); ++k)
+        for (std::size_t k = 0; k < policies.size(); ++k) {
             consumers.push_back(std::make_unique<core::RegionConsumer>(
-                *policies[k], k, config, schedule.size()));
+                *policies[k], k, config));
+            ledgers.push_back(std::make_unique<core::ReplayLedger>(
+                schedule.size(), 0, config.machine));
+        }
     }
 
     std::vector<core::SampledResult>
@@ -82,7 +85,11 @@ class SweepPipeline
             });
         pool.wait();
 
-        core::RegionProducer producer(program, schedule, policies, config);
+        std::vector<const core::WarmupPolicy *> observers;
+        for (const auto &p : policies)
+            observers.push_back(p.get());
+        core::RegionProducer producer(program, schedule,
+                                      std::move(observers), config);
         try {
             for (std::size_t r = 0; r < schedule.size(); ++r) {
                 {
@@ -117,12 +124,19 @@ class SweepPipeline
         }
         pool.wait(); // rethrows a consumer's failure
 
+        const core::PhaseCounters &pc = producer.counters();
+        producerSeconds = pc.skipSeconds + pc.captureSeconds;
         std::vector<core::SampledResult> out;
         const double share = 1.0 / static_cast<double>(consumers.size());
-        for (auto &c : consumers)
-            out.push_back(c->finish(producer.counters(), share));
+        for (std::size_t k = 0; k < consumers.size(); ++k) {
+            out.push_back(consumers[k]->finish(producer.counters(), share));
+            policies[k]->addReconstructionWork(ledgers[k]->fold(out.back()));
+        }
         return out;
     }
+
+    /** The producer's skip + capture seconds, once run() returned. */
+    double producerSeconds = 0.0;
 
   private:
     /** Queue policy @p k's task for region @p r; the caller holds mu. */
@@ -141,9 +155,8 @@ class SweepPipeline
                 return;
         }
         try {
-            consumers[k]->consume(
-                regions[r % 2],
-                arenas[static_cast<std::size_t>(ThreadPool::workerIndex())]);
+            consumers[k]->consume(regions[r % 2], arenas[workerLane()],
+                                  *ledgers[k]);
         } catch (...) {
             std::lock_guard<std::mutex> lk(mu);
             failed = true;
@@ -163,6 +176,7 @@ class SweepPipeline
     const core::SampledConfig &config;
     const std::vector<core::Cluster> schedule;
     std::vector<std::unique_ptr<core::RegionConsumer>> consumers;
+    std::vector<std::unique_ptr<core::ReplayLedger>> ledgers; // per policy
     std::vector<core::ReplayArena> arenas; // one per worker lane
     std::array<core::RegionLog, 2> regions;
 
@@ -264,10 +278,12 @@ runPolicySweep(const func::Program &program,
     if (policies.empty())
         return out;
 
-    std::vector<core::SampledResult> results =
-        SweepPipeline(program, policies, config, jobs).run();
-    for (std::size_t i = 0; i < out.size(); ++i)
+    SweepPipeline pipeline(program, policies, config, jobs);
+    std::vector<core::SampledResult> results = pipeline.run();
+    for (std::size_t i = 0; i < out.size(); ++i) {
         out[i].result = std::move(results[i]);
+        out[i].producerSeconds = pipeline.producerSeconds;
+    }
     return out;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Parallel sampled simulation on top of the phase driver's deferred mode:
- * the functional front half (skip + warm-up + warm-state copy + trace
- * capture) runs on the calling thread, and the cycle-accurate timing
+ * the front half (the functional pass and its region log, warm-up from
+ * the log, warm-state copy) runs on the calling thread, and the
+ * cycle-accurate timing
  * replay of each cluster runs on a ThreadPool worker against the warmed
  * machine the cluster's task carries by value. Statistics are merged in schedule
  * order, so the result is bit-identical for any worker count — including
@@ -66,6 +67,9 @@ struct PolicySweepEntry
     std::string cliName;       ///< the name the sweep was asked for
     std::string displayName;   ///< the policy's paper-style label
     core::SampledResult result;
+    /** The shared producer's whole wall time (skip + capture), the same
+     *  in every entry of a sweep. */
+    double producerSeconds = 0.0;
 };
 
 /**

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "core/phase_driver.hh"
 #include "core/sampled_sim.hh"
 #include "core/stats_report.hh"
 #include "core/warmup.hh"
@@ -265,13 +266,34 @@ TEST(WorkloadStructure, DispatchTableTargetsAreFunctionEntries)
 // Warm-up boundary cases.
 // ---------------------------------------------------------------------------
 
+/** A functional simulator, machine and phase counters for SkipPhase. */
+struct SkipRig
+{
+    func::Program prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    func::FuncSim fs{prog};
+    core::Machine m{core::MachineConfig::scaledDefault()};
+    core::PhaseCounters counters;
+
+    std::uint64_t
+    ilineMask() const
+    {
+        return ~std::uint64_t{m.config.hier.il1.lineBytes - 1};
+    }
+};
+
 TEST(WarmupBoundary, FixedPeriodZeroLengthSkip)
 {
-    core::Machine m(core::MachineConfig::scaledDefault());
+    SkipRig rig;
     auto fp = core::makePolicyByName("fp20");
-    fp->attach(m);
-    fp->beginSkip(0); // must not divide by zero or underflow
-    SUCCEED();
+    fp->attach(rig.m);
+    // Must not divide by zero or underflow.
+    EXPECT_EQ(fp->observeFrom(0, 0), 0u);
+    core::SkipPhase skip(rig.fs, *fp, nullptr, rig.ilineMask(),
+                         rig.counters);
+    skip.run(0);
+    EXPECT_EQ(fp->work().functionalUpdates, 0u);
+    EXPECT_EQ(rig.fs.instCount(), 0u);
 }
 
 TEST(WarmupBoundary, FixedPeriodTinySkipWarmsAtMostAll)
@@ -279,16 +301,18 @@ TEST(WarmupBoundary, FixedPeriodTinySkipWarmsAtMostAll)
     core::Machine m(core::MachineConfig::scaledDefault());
     auto fp = core::makePolicyByName("fp50");
     fp->attach(m);
-    fp->beginSkip(3);
-    func::DynInst d;
-    d.inst.op = isa::Opcode::Ld;
-    d.inst.rd = 1;
-    d.effAddr = 0x1000;
-    // SkipPhase feeds only the observed tail [observeFrom, skip_len).
-    for (int i = static_cast<int>(fp->observeFrom(0, 3)); i < 3; ++i) {
-        d.pc = 0x10000 + 4 * i;
-        fp->onSkipInst(d, i == 0);
+    // The region log holds only the observed tail [observeFrom, 3): a
+    // load per instruction, the first opening a fetch block.
+    const std::uint64_t from = fp->observeFrom(0, 3);
+    ASSERT_LE(from, 3u);
+    core::SkipLog log;
+    for (std::uint64_t i = from; i < 3; ++i) {
+        const std::uint64_t pc = 0x10000 + 4 * i;
+        if (i == from)
+            log.mem.append(pc, pc, true, false);
+        log.mem.append(pc, 0x1000, false, false);
     }
+    fp->consumeRegion(log, {});
     // ceil/round of 0.5 * 3 -> warms the last 1-2 instructions only.
     EXPECT_GT(fp->work().functionalUpdates, 0u);
     EXPECT_LE(fp->work().functionalUpdates, 8u);
@@ -299,38 +323,40 @@ TEST(WarmupBoundary, RsrEmptySkipReconstructsNothing)
     core::Machine m(core::MachineConfig::scaledDefault());
     auto rsr = core::makePolicyByName("rsr20");
     rsr->attach(m);
-    rsr->beginSkip(0);
+    rsr->consumeRegion(core::SkipLog{}, {});
     rsr->beforeCluster();
     EXPECT_EQ(rsr->work().reconstructionUpdates, 0u);
     EXPECT_EQ(rsr->work().loggedRecords, 0u);
+    const auto context = rsr->makeMeasureContext();
+    ASSERT_NE(context, nullptr);
+    EXPECT_TRUE(context->records().empty());
 }
 
 TEST(WarmupBoundary, RsrLogDiscardedBetweenRegions)
 {
-    core::Machine m(core::MachineConfig::scaledDefault());
-    const auto policy = core::makePolicyByName("rsr100");
-    auto *rsr =
-        dynamic_cast<core::ReverseReconstructionWarmup *>(policy.get());
-    ASSERT_NE(rsr, nullptr);
-    rsr->attach(m);
-    func::DynInst d;
-    d.inst.op = isa::Opcode::Ld;
-    d.inst.rd = 1;
-    d.effAddr = 0x2000;
-    d.pc = 0x10000;
+    SkipRig rig;
+    const auto rsr = core::makePolicyByName("rsr100");
+    rsr->attach(rig.m);
+    core::SkipPhase skip(rig.fs, *rsr, nullptr, rig.ilineMask(),
+                         rig.counters);
+    core::ReconstructPhase reconstruct(*rsr, rig.counters);
 
-    rsr->beginSkip(5);
-    for (int i = 0; i < 5; ++i)
-        rsr->onSkipInst(d, i == 0);
-    const auto first_records = rsr->log().records();
-    rsr->beforeCluster();
-    rsr->beginSkip(5);
-    EXPECT_EQ(rsr->log().records(), 0u) << "log must be discarded";
+    skip.run(5000);
+    const std::uint64_t first_records = rsr->work().loggedRecords;
+    EXPECT_GT(first_records, 0u);
+    reconstruct.run();
+    const std::uint64_t first_updates = rsr->work().reconstructionUpdates;
+    EXPECT_GT(first_updates, 0u);
+    EXPECT_FALSE(rsr->makeMeasureContext()->records().empty());
 
-    for (int i = 0; i < 5; ++i)
-        rsr->onSkipInst(d, i == 0);
-    EXPECT_EQ(rsr->log().records(), first_records);
-    rsr->beforeCluster();
+    // An empty region after it starts from an empty log: nothing is
+    // logged, reconstructed or handed to the cluster's context.
+    skip.run(0);
+    EXPECT_EQ(rsr->work().loggedRecords, first_records)
+        << "log must be discarded";
+    reconstruct.run();
+    EXPECT_EQ(rsr->work().reconstructionUpdates, first_updates);
+    EXPECT_TRUE(rsr->makeMeasureContext()->records().empty());
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -383,6 +384,76 @@ TEST_F(ParallelReplay, SweepRejectsUnknownPolicyUpFront)
                  UserError);
 }
 
+/**
+ * The step-at-a-time phases, driven as a caller that times each step
+ * drives them: each CapturePhase::run task replays on a pool only after
+ * the next SkipPhase::run has refilled the skip log, so a measurement
+ * context that borrowed the log would reconstruct from the wrong region.
+ */
+TEST_F(ParallelReplay, PhaseTasksReplayedAfterNextSkipMatchRunSampled)
+{
+    for (const char *name : {"rsr40", "rbp"}) {
+        const auto policy = core::makePolicyByName(name);
+        const std::vector<core::Cluster> schedule = core::scheduleFor(*cfg);
+        func::FuncSim fs(*prog);
+        core::Machine machine(cfg->machine);
+        policy->clearWork();
+        policy->attach(machine);
+        const std::uint64_t iline_mask =
+            ~std::uint64_t{cfg->machine.hier.il1.lineBytes - 1};
+        core::PhaseCounters counters;
+        core::SkipPhase skip(fs, *policy, nullptr, iline_mask, counters);
+        core::ReconstructPhase reconstruct(*policy, counters);
+        core::CapturePhase capture(fs, *policy, machine, iline_mask,
+                                   counters);
+
+        core::ReplayLedger ledger(schedule.size(), 2, cfg->machine);
+        {
+            harness::ThreadPool pool(2);
+            const auto replay =
+                [&](std::shared_ptr<core::ClusterReplayTask> task) {
+                    ASSERT_FALSE(task->machine.has_value());
+                    ASSERT_NE(task->context, nullptr);
+                    pool.submit([&ledger, task] {
+                        ledger.replay(*task, static_cast<std::size_t>(
+                                                 harness::ThreadPool::
+                                                     workerIndex()));
+                    });
+                };
+            std::shared_ptr<core::ClusterReplayTask> pending;
+            std::uint64_t pos = 0;
+            for (std::size_t i = 0; i < schedule.size(); ++i) {
+                skip.run(schedule[i].start - pos);
+                if (pending)
+                    replay(std::move(pending));
+                reconstruct.run();
+                pending = std::make_shared<core::ClusterReplayTask>(
+                    capture.run(i, schedule[i]));
+                pos = schedule[i].start + schedule[i].size;
+            }
+            replay(std::move(pending));
+            pool.wait();
+        }
+        core::SampledResult got;
+        policy->addReconstructionWork(ledger.fold(got));
+
+        const auto solo_policy = core::makePolicyByName(name);
+        const core::SampledResult solo =
+            core::runSampled(*prog, *solo_policy, *cfg);
+        EXPECT_EQ(got.clusterIpc, solo.clusterIpc) << name;
+        EXPECT_EQ(got.estimate.mean, solo.estimate.mean) << name;
+        EXPECT_EQ(got.hotCycles, solo.hotCycles) << name;
+        EXPECT_EQ(got.branchMispredicts, solo.branchMispredicts) << name;
+        const core::WarmupWork &a = policy->work();
+        const core::WarmupWork &b = solo.warmWork;
+        EXPECT_GT(a.reconstructionUpdates, 0u) << name;
+        EXPECT_EQ(a.reconstructionUpdates, b.reconstructionUpdates)
+            << name;
+        EXPECT_EQ(a.loggedRecords, b.loggedRecords) << name;
+        EXPECT_EQ(a.peakLogBytes, b.peakLogBytes) << name;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pool mechanics.
 // ---------------------------------------------------------------------
@@ -682,12 +753,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SweepDeadline, ExpiryMidRegionThrowsTimeoutAndStopsEveryTask)
 {
-    // Four short regions keep the consumers busy; the fifth skip is
-    // hundreds of millions of instructions, so the deadline (generous
-    // for the short regions even under a sanitizer) expires while the
-    // producer steps it. The sweep must rethrow the producer's
-    // TimeoutError only after its pool has drained: the consumers read
-    // buffers that die with the sweep.
+    // Four short regions keep the consumers (and, in a solo run, the
+    // replay pool) busy; the fifth skip is hundreds of millions of
+    // instructions, so the deadline (generous for the short regions even
+    // under a sanitizer) expires while the producer steps it. Each entry
+    // must rethrow the producer's TimeoutError only after its pool has
+    // drained: its tasks read buffers that die with the run.
     const func::Program prog = workload::buildSynthetic(
         workload::standardWorkloadParams("gcc"));
     core::SampledConfig cfg;
@@ -696,19 +767,46 @@ TEST(SweepDeadline, ExpiryMidRegionThrowsTimeoutAndStopsEveryTask)
         cfg.explicitSchedule.push_back({c * 10'000, 1000});
     cfg.explicitSchedule.push_back({300'000'000, 1000});
     cfg.totalInsts = 300'001'000;
-    const Deadline deadline(1.0);
-    cfg.deadline = &deadline;
 
-    std::string what;
-    try {
-        harness::runPolicySweep(prog, {"none", "smarts", "rsr20", "rbp"},
-                                cfg, 3);
-    } catch (const TimeoutError &e) {
-        what = e.what();
+    const std::vector<
+        std::pair<const char *, std::function<void(const core::SampledConfig &)>>>
+        entries{
+            {"runPolicySweep",
+             [&](const core::SampledConfig &c) {
+                 harness::runPolicySweep(
+                     prog, {"none", "smarts", "rsr20", "rbp"}, c, 3);
+             }},
+            {"runSampledParallel jobs 1",
+             [&](const core::SampledConfig &c) {
+                 const auto policy = core::makePolicyByName("rsr20");
+                 harness::runSampledParallel(prog, *policy, c, 1);
+             }},
+            {"runSampledParallel jobs 3",
+             [&](const core::SampledConfig &c) {
+                 const auto policy = core::makePolicyByName("rsr20");
+                 harness::runSampledParallel(prog, *policy, c, 3);
+             }},
+            {"LivePointStore::create",
+             [&](const core::SampledConfig &c) {
+                 const auto policy = core::makePolicyByName("rsr20");
+                 core::LivePointStore::create(prog, *policy, c, "gcc",
+                                              "rsr20");
+             }},
+        };
+    for (const auto &[entry, run] : entries) {
+        const Deadline deadline(1.0);
+        core::SampledConfig timed = cfg;
+        timed.deadline = &deadline;
+        std::string what;
+        try {
+            run(timed);
+        } catch (const TimeoutError &e) {
+            what = e.what();
+        }
+        EXPECT_NE(what.find("inside a skip region"), std::string::npos)
+            << entry << " got: '" << what << "'";
+        EXPECT_TRUE(deadline.expired()) << entry;
     }
-    EXPECT_NE(what.find("inside a skip region"), std::string::npos)
-        << "got: '" << what << "'";
-    EXPECT_TRUE(deadline.expired());
 }
 
 } // namespace
