@@ -36,7 +36,7 @@ main()
                        policies, setups, "smarts");
 
     // MRRL/BLRL profile the exact cluster schedule the sampled run draws
-    // (ClusterScheduleDriver prepares the policy with it); time(s)
+    // (RegionConsumer::prepare hands it to the policy); time(s)
     // includes that pass.
     for (const auto kind :
          {core::ReuseLatencyKind::Mrrl, core::ReuseLatencyKind::Blrl}) {

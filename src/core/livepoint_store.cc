@@ -19,6 +19,7 @@
 #include "util/logging.hh"
 #include "util/serial.hh"
 #include "util/snapshot.hh"
+#include "util/timer.hh"
 
 namespace rsr::core
 {
@@ -59,59 +60,6 @@ getString(Deserializer &in)
     return s;
 }
 
-/**
- * Feeds captured clusters into a blob store as the front half runs. This
- * is the store boundary: the one place a warmed machine becomes
- * snapshot bytes.
- */
-class CaptureSink : public ReplaySink
-{
-  public:
-    CaptureSink(BlobStoreWriter &writer,
-                std::vector<LivePointEntry> &entries)
-        : writer(writer), entries(entries)
-    {}
-
-    /** Largest machine snapshot written, in bytes. */
-    std::uint64_t peakSnapshotBytes = 0;
-
-    void
-    onCluster(ClusterReplayTask task) override
-    {
-        rsr_assert(task.machine, "captured cluster carries no machine");
-        // Replay numbers the trace from cluster.start (FuncSim numbers
-        // instructions from 0), so the index need not store it.
-        rsr_assert(task.trace.empty() ||
-                       task.trace.front().seq == task.cluster.start,
-                   "captured trace does not start at its cluster's "
-                   "first instruction ", task.cluster.start);
-        LivePointEntry e;
-        e.cluster = task.cluster;
-        const auto state = snapshotToBytes(*task.machine);
-        peakSnapshotBytes =
-            std::max<std::uint64_t>(peakSnapshotBytes, state.size());
-        e.stateHash = writer.add(state);
-
-        trace::TraceEncoder encoder;
-        for (const auto &d : task.trace)
-            encoder.append(d);
-        e.traceHash = writer.add(encoder.bytes());
-
-        if (task.context) {
-            ByteSink ctx;
-            Serializer s(ctx);
-            task.context->snapshot(s);
-            e.contextHash = writer.add(ctx.take());
-            e.hasContext = true;
-        }
-        entries.push_back(e);
-    }
-
-  private:
-    BlobStoreWriter &writer;
-    std::vector<LivePointEntry> &entries;
-};
-
 } // namespace
 
 LivePointStore
@@ -122,16 +70,55 @@ LivePointStore::create(const func::Program &program, WarmupPolicy &policy,
                        SampledResult *front_half,
                        const CaptureAnnotations *annotations)
 {
+    // The sampled run's front half — skip, reconstruct, capture, no
+    // timing — so replays from the store compute the same estimator as
+    // runSampled, by construction. Each cluster boundary is the store
+    // boundary: the one place a warm machine becomes snapshot bytes.
+    WallTimer timer;
     BlobStoreWriter writer;
     std::vector<LivePointEntry> entries;
-    CaptureSink sink(writer, entries);
+    std::uint64_t peak_snapshot_bytes = 0;
+    const std::vector<Cluster> schedule = scheduleFor(config);
+    RegionConsumer consumer(policy, 0, config);
+    consumer.prepare(program, schedule, config.deadline);
+    RegionProducer producer(program, schedule, {&policy}, config);
+    RegionLog region;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        producer.produce(region);
+        consumer.consume(region, [&](const Machine &warm,
+                                     std::unique_ptr<MeasureContext> ctx) {
+            // Replay numbers the trace from cluster.start (FuncSim
+            // numbers instructions from 0), so the index need not store
+            // it.
+            rsr_assert(region.trace.empty() ||
+                           region.trace.front().seq == region.cluster.start,
+                       "captured trace does not start at its cluster's "
+                       "first instruction ", region.cluster.start);
+            LivePointEntry e;
+            e.cluster = region.cluster;
+            const auto state = snapshotToBytes(warm);
+            peak_snapshot_bytes =
+                std::max<std::uint64_t>(peak_snapshot_bytes, state.size());
+            e.stateHash = writer.add(state);
 
-    // The deferred front half is the producer pass: skip + reconstruct +
-    // capture, no timing. Replays from the store therefore compute the
-    // same estimator as runSampled, by construction.
-    ClusterScheduleDriver driver(program, policy, config);
-    SampledResult front = driver.runDeferred(sink);
-    front.phases.peakSnapshotBytes = sink.peakSnapshotBytes;
+            trace::TraceEncoder encoder;
+            for (const auto &d : region.trace)
+                encoder.append(d);
+            e.traceHash = writer.add(encoder.bytes());
+
+            if (ctx) {
+                ByteSink ctx_bytes;
+                Serializer out(ctx_bytes);
+                ctx->snapshot(out);
+                e.contextHash = writer.add(ctx_bytes.take());
+                e.hasContext = true;
+            }
+            entries.push_back(e);
+        });
+    }
+    SampledResult front = consumer.finish(producer.counters(), 1.0);
+    front.seconds = timer.seconds();
+    front.phases.peakSnapshotBytes = peak_snapshot_bytes;
     if (front_half)
         *front_half = front;
 

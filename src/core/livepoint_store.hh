@@ -4,11 +4,11 @@
  * simulation (after Wenisch, Wunderlich, Falsafi & Hoe, "Simulation
  * Sampling with Live-Points", ISPASS 2006 — the paper's reference [18]).
  *
- * A one-time *producer* pass (`rsr_sim mklvpt`) runs the deferred front
- * half of sampled simulation — the functional pass, warm-up from its
- * region log, and the per-cluster capture — and stores each cluster's warmed machine
- * (serialized here, at the store boundary, as its snapshot), committed
- * trace, and measurement context as content-addressed
+ * A one-time *producer* pass (`rsr_sim mklvpt`) runs the front half of
+ * sampled simulation — the functional pass and warm-up from its region
+ * log — and at each cluster boundary stores the consumer's warmed
+ * machine (serialized there, at the store boundary, as its snapshot),
+ * the committed trace, and the measurement context as content-addressed
  * blobs in a BlobStoreWriter: frames are keyed by their FNV-1a-64 content
  * hash, so identical state across clusters (common for small predictors
  * or quickly-saturating caches) is stored once. Trace blobs are record
@@ -103,8 +103,9 @@ class LivePointStore
     };
 
     /**
-     * Producer: run the deferred front half once under @p policy and
-     * store every cluster. No timing replay happens here — that is the
+     * Producer: run the sampled run's front half once under @p policy
+     * and store every cluster, snapshotting the consumer's warm machine
+     * at each cluster boundary. No timing replay happens here — that is the
      * consumer's job. @p front_half, when non-null, receives the
      * front-half accounting (skip/reconstruct/capture counters).
      * @p annotations, when non-null, records the estimator selection

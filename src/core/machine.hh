@@ -93,20 +93,6 @@ struct Machine : Snapshotable
     }
 
     /**
-     * The warmed state by value: a copy holding exactly what snapshot()
-     * would write, with every other field as clearTransientState()
-     * leaves it. Safe to hand to another thread: it points at nothing
-     * of this machine's.
-     */
-    Machine
-    warmCopy() const
-    {
-        Machine m(*this);
-        m.clearTransientState();
-        return m;
-    }
-
-    /**
      * Snapshot all microarchitectural-input state (caches + branch unit)
      * as one framed 'MACH' component. Core pipeline state is not part of
      * the machine: clusters always start from an empty pipeline.

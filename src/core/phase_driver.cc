@@ -143,27 +143,6 @@ ilineMaskOf(const MachineConfig &config)
     return ~std::uint64_t{config.hier.il1.lineBytes - 1};
 }
 
-/**
- * Measure @p trace on @p m, a machine holding the cluster's warm state,
- * with @p context (may be null) attached for the cluster.
- */
-uarch::RunResult
-measureCluster(Machine &m, MeasureContext *context,
-               const std::vector<func::DynInst> &trace,
-               const uarch::CoreParams &core_params,
-               std::uint64_t *recon_updates)
-{
-    if (context)
-        context->attach(m);
-    uarch::OoOCore core(core_params, m.hier, m.bp);
-    TraceSource src(trace);
-    const uarch::RunResult rr = core.run(src, trace.size());
-    rsr_assert(rr.insts == trace.size(),
-               "stored trace ended inside a cluster");
-    *recon_updates = context ? context->detach(m) : 0;
-    return rr;
-}
-
 } // namespace
 
 void
@@ -219,30 +198,6 @@ scheduleFor(const SampledConfig &config)
     }
     Rng rng(config.scheduleSeed);
     return makeSchedule(config.regimen, config.totalInsts, rng);
-}
-
-ClusterScheduleDriver::ClusterScheduleDriver(const func::Program &program,
-                                             WarmupPolicy &policy,
-                                             const SampledConfig &config)
-    : program(program), policy(policy), config(config),
-      schedule_(scheduleFor(config))
-{}
-
-SampledResult
-ClusterScheduleDriver::runDeferred(ReplaySink &sink)
-{
-    WallTimer timer;
-    RegionConsumer consumer(policy, 0, config);
-    consumer.prepare(program, schedule_, config.deadline);
-    RegionProducer producer(program, schedule_, {&policy}, config);
-    RegionLog region;
-    for (std::size_t i = 0; i < schedule_.size(); ++i) {
-        producer.produce(region);
-        consumer.capture(region, sink);
-    }
-    SampledResult res = consumer.finish(producer.counters(), 1.0);
-    res.seconds = timer.seconds();
-    return res;
 }
 
 RegionProducer::RegionProducer(const func::Program &program,
@@ -316,61 +271,23 @@ RegionConsumer::prepare(const func::Program &program,
 }
 
 void
-RegionConsumer::warm(const RegionLog &region)
+RegionConsumer::consume(const RegionLog &region, const Boundary &boundary)
 {
+    WallTimer task;
     WallTimer phase;
     policy.consumeRegion(region.log, region.cursors[slot]);
     res.skippedInsts += region.skipLen;
     res.phases.skipSeconds += phase.seconds();
     reconstruct.run();
-}
 
-void
-RegionConsumer::capture(RegionLog &region, ReplaySink &sink)
-{
-    WallTimer task_timer;
-    warm(region);
-
-    // Record the cluster, then give this machine its state effects. That
-    // the next region is warmed from hot state wherever the timing
-    // replay runs is what makes the front half — and therefore the
-    // whole result — independent of the replay thread count.
-    WallTimer phase;
-    ClusterReplayTask task;
-    task.index = region.index;
-    task.cluster = region.cluster;
-    task.machine.emplace(machine.warmCopy());
-    task.context = policy.makeMeasureContext();
-    if (task.context)
-        task.context->own(std::move(region.log.branches));
-    warmCluster(machine, region.trace, ilineMask);
-    task.trace = std::move(region.trace);
-    res.phases.captureSeconds += phase.seconds();
-    seconds += task_timer.seconds();
-    sink.onCluster(std::move(task));
-}
-
-void
-RegionConsumer::consume(const RegionLog &region, ReplayArena &arena,
-                        ReplayLedger &ledger)
-{
-    WallTimer task;
-    warm(region);
-
-    // capture(), with the trace shared and the warm copy made straight
-    // into the arena machine.
-    WallTimer phase;
-    Machine &m = arena.copy(machine);
-    const std::unique_ptr<MeasureContext> context =
-        policy.makeMeasureContext();
-    warmCluster(machine, region.trace, ilineMask);
-    res.phases.captureSeconds += phase.seconds();
-
+    // Hand the cluster over, then give this machine its state effects.
+    // That the next region is warmed from hot state wherever the cluster
+    // is measured is what makes the front half — and therefore the whole
+    // result — independent of the thread count.
     phase.reset();
-    std::uint64_t recon = 0;
-    const uarch::RunResult rr = measureCluster(m, context.get(), region.trace,
-                                               machine.config.core, &recon);
-    ledger.commit(region.index, rr, recon, phase.seconds());
+    boundary(machine, policy.makeMeasureContext());
+    warmCluster(machine, region.trace, ilineMask);
+    res.phases.captureSeconds += phase.seconds();
     seconds += task.seconds();
 }
 
@@ -518,21 +435,30 @@ ReplayArena::copy(const Machine &warm)
 }
 
 Machine &
-ReplayArena::load(ClusterReplayTask &task,
+ReplayArena::load(const ClusterReplayTask &task,
                   const MachineConfig &machine_config)
 {
-    if (!task.machine) {
-        Machine &m = acquire(machine_config);
-        restoreFromBytes(m, task.machineState);
-        m.clearTransientState();
-        return m;
-    }
-    if (machine)
-        *machine = std::move(*task.machine);
-    else
-        machine = std::make_unique<Machine>(std::move(*task.machine));
-    task.machine.reset();
-    return *machine;
+    Machine &m = acquire(machine_config);
+    restoreFromBytes(m, task.machineState);
+    m.clearTransientState();
+    return m;
+}
+
+uarch::RunResult
+measureCluster(Machine &m, MeasureContext *context,
+               const std::vector<func::DynInst> &trace,
+               const uarch::CoreParams &core_params,
+               std::uint64_t *recon_updates)
+{
+    if (context)
+        context->attach(m);
+    uarch::OoOCore core(core_params, m.hier, m.bp);
+    TraceSource src(trace);
+    const uarch::RunResult rr = core.run(src, trace.size());
+    rsr_assert(rr.insts == trace.size(),
+               "stored trace ended inside a cluster");
+    *recon_updates = context ? context->detach(m) : 0;
+    return rr;
 }
 
 uarch::RunResult
@@ -552,19 +478,29 @@ replayCluster(ClusterReplayTask &task,
     return rr;
 }
 
-ReplayLedger::ReplayLedger(std::size_t clusters, unsigned lanes,
+ReplayLedger::ReplayLedger(std::size_t clusters,
                            const MachineConfig &machine)
-    : machine(machine), slots(clusters), arenas(lanes)
+    : machine(machine), slots(clusters)
 {}
 
 void
-ReplayLedger::replay(ClusterReplayTask &task, std::size_t lane)
+ReplayLedger::measure(std::size_t index, Machine &m, MeasureContext *context,
+                      const std::vector<func::DynInst> &trace)
 {
-    rsr_assert(lane < arenas.size(), "replay lane out of range");
+    WallTimer timer;
+    std::uint64_t recon = 0;
+    const uarch::RunResult rr =
+        measureCluster(m, context, trace, machine.core, &recon);
+    commit(index, rr, recon, timer.seconds());
+}
+
+void
+ReplayLedger::replay(ClusterReplayTask &task, ReplayArena &arena)
+{
     std::uint64_t recon = 0;
     double seconds = 0.0;
     const uarch::RunResult rr =
-        replayCluster(task, machine, arenas[lane], &recon, &seconds);
+        replayCluster(task, machine, arena, &recon, &seconds);
     commit(task.index, rr, recon, seconds);
 }
 

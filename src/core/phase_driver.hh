@@ -1,7 +1,7 @@
 /**
  * @file
- * The phase driver: one front half for the hot/cold/warm loop of the
- * paper's Figure 1, split by what each step depends on.
+ * The phase driver: one sampled-run pipeline for the hot/cold/warm loop
+ * of the paper's Figure 1, split by what each step depends on.
  *
  *   RegionProducer   what the program did, whatever the warm-up policy:
  *                    one functional pass over the schedule that logs each
@@ -10,23 +10,23 @@
  *                    watchdog;
  *   RegionConsumer   what one policy does with it: warm its machine from
  *                    the log (WarmupPolicy::consumeRegion), run the
- *                    cluster-boundary work (ReconstructPhase), and capture
- *                    the cluster — the warm machine, the measurement
- *                    context and the trace.
+ *                    cluster-boundary work (ReconstructPhase), and hand
+ *                    the warm machine and the measurement context to its
+ *                    caller at the cluster boundary.
  *
- * Every sampled run is one producer and one consumer per policy.
- * ClusterScheduleDriver::runDeferred() alternates one of each on the
- * calling thread and emits each cluster as a ClusterReplayTask; a
- * ReplayLedger measures it on the cycle-accurate timing model against the
- * warmed machine the task carries by value — inline in core::runSampled()
- * or on pool workers in harness/parallel_run.hh — or a live-point store
- * keeps it and measures it later from snapshot bytes. A policy sweep
- * (harness::runPolicySweep) runs one producer for many consumers, each
- * measuring on a replay arena. While a cluster is captured, the
- * consumer's own machine receives the cluster's state effects
- * *functionally* (commit-order warm accesses), so there is one estimator:
- * the result depends neither on where, when, or on how many threads the
- * timing replays run, nor on how many policies share the pass.
+ * Every sampled run is one producer and one consumer per policy, and the
+ * caller decides what a cluster boundary does: copy the warm machine onto
+ * a ReplayArena and measure the cluster there on the cycle-accurate
+ * timing model (ReplayLedger), or snapshot it to bytes for a live-point
+ * store, which measures it later (replayCluster()). core::runSampled()
+ * and LivePointStore::create() alternate one producer and one consumer
+ * on the calling thread; harness::runSampledParallel() and
+ * harness::runPolicySweep() run the consumers on pool workers. After the
+ * boundary, the consumer's own machine receives the cluster's state
+ * effects *functionally* (commit-order warm accesses), so there is one
+ * estimator: the result depends neither on where, when, or on how many
+ * threads the timing measurements run, nor on how many policies share
+ * the pass.
  *
  * SkipPhase, ReconstructPhase and CapturePhase expose the same steps one
  * at a time over a caller's functional simulator, for callers that time
@@ -37,8 +37,8 @@
 #define RSR_CORE_PHASE_DRIVER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/sampled_sim.hh"
@@ -86,35 +86,20 @@ class TraceSource : public uarch::InstSource
 };
 
 /**
- * Everything needed to measure one cluster away from the shared machine:
- * the warm state, the committed trace, and the policy's measurement-time
- * context (on-demand reconstruction state). Produced by
- * ClusterScheduleDriver::runDeferred() or a live-point store, consumed by
+ * Everything needed to measure one stored cluster: the warm state as
+ * snapshot bytes, the committed trace, and the policy's measurement-time
+ * context (on-demand reconstruction state). Produced by a live-point
+ * store (LivePointStore::makeReplayTask()) or CapturePhase, consumed by
  * replayCluster().
- *
- * The warm state travels in one of two forms. In process it is the
- * machine itself (Machine::warmCopy()), so nothing is serialized; bytes
- * exist only where a store is written or read.
  */
 struct ClusterReplayTask
 {
     std::size_t index = 0;
     Cluster cluster;
-    /** The warmed machine by value (the in-process form). */
-    std::optional<Machine> machine;
-    /** The warmed machine as snapshot bytes (the store form); replay
-     *  reads these only when @c machine is empty. */
+    /** The warmed machine as snapshot bytes. */
     std::vector<std::uint8_t> machineState;
     std::vector<func::DynInst> trace;
     std::unique_ptr<MeasureContext> context;
-};
-
-/** Receives replay tasks as the deferred front half produces them. */
-class ReplaySink
-{
-  public:
-    virtual ~ReplaySink() = default;
-    virtual void onCluster(ClusterReplayTask task) = 0;
 };
 
 /**
@@ -195,32 +180,6 @@ class CapturePhase
  *  one drawn from its regimen and schedule seed. */
 std::vector<Cluster> scheduleFor(const SampledConfig &config);
 
-/** Drives the phases over a whole cluster schedule (single-use). */
-class ClusterScheduleDriver
-{
-  public:
-    ClusterScheduleDriver(const func::Program &program,
-                          WarmupPolicy &policy,
-                          const SampledConfig &config);
-
-    const std::vector<Cluster> &schedule() const { return schedule_; }
-
-    /**
-     * Deferred front half: one RegionProducer and one RegionConsumer,
-     * alternating on the calling thread, emit each cluster's
-     * ClusterReplayTask to @p sink in schedule order. The returned result
-     * carries the front-half accounting (skipped instructions, warm work,
-     * phase counters); ReplayLedger::fold() adds the per-cluster timing.
-     */
-    SampledResult runDeferred(ReplaySink &sink);
-
-  private:
-    const func::Program &program;
-    WarmupPolicy &policy;
-    const SampledConfig &config;
-    std::vector<Cluster> schedule_;
-};
-
 /**
  * Cheap per-cluster proxy IPC from one functional pass (the ranked-set /
  * two-phase proxy rank of core/estimator.hh). The pass drives two tiny
@@ -245,18 +204,16 @@ profileClusterProxies(const func::Program &program,
                       const Deadline *deadline = nullptr);
 
 /**
- * A thread-private machine reused across cluster replays. Building a
- * Machine allocates every cache array and predictor table; doing that
- * per store cluster on every worker makes replay a global-heap
- * contention benchmark instead of a simulation. One arena per replaying
- * thread amortizes the allocation (a by-value task was allocated once,
- * by the producer's copy). load() overwrites the arena machine with a
- * task's warm state in one of two ways: a by-value machine
- * (Machine::warmCopy()) is moved in whole, its arrays replacing the
- * arena's; snapshot bytes are restored in place (Machine::restore covers
- * the whole hierarchy and predictor state), then
- * Machine::clearTransientState() clears what the bytes leave out. Either
- * way a reused machine is bit-identical to a fresh one.
+ * A thread-private machine reused across cluster measurements. Building
+ * a Machine allocates every cache array and predictor table; doing that
+ * per cluster on every worker makes measurement a global-heap contention
+ * benchmark instead of a simulation. One arena per measuring thread
+ * amortizes the allocation. copy() and load() overwrite the arena
+ * machine with a cluster's warm state: copy() copies a warm machine into
+ * its arrays; load() restores snapshot bytes in place (Machine::restore
+ * covers the whole hierarchy and predictor state). Either then clears
+ * what a snapshot leaves out (Machine::clearTransientState()), so a
+ * reused machine is bit-identical to a fresh one.
  */
 class ReplayArena
 {
@@ -267,16 +224,14 @@ class ReplayArena
     Machine &acquire(const MachineConfig &machine_config);
 
     /**
-     * Load @p task's warm state as the arena machine: move its machine
-     * in (leaving the task without one), or restore its snapshot bytes
-     * into the machine for @p machine_config. Throws CorruptInputError
-     * on bytes that do not restore.
+     * Restore @p task's snapshot bytes as the arena machine for
+     * @p machine_config. Throws CorruptInputError on bytes that do not
+     * restore.
      */
-    Machine &load(ClusterReplayTask &task,
+    Machine &load(const ClusterReplayTask &task,
                   const MachineConfig &machine_config);
 
-    /** Load Machine::warmCopy() of @p warm as the arena machine, copying
-     *  into its arrays. */
+    /** Copy @p warm's snapshot state in as the arena machine. */
     Machine &copy(const Machine &warm);
 
   private:
@@ -284,14 +239,24 @@ class ReplayArena
 };
 
 /**
- * Measure one deferred cluster on @p arena's machine: load the task's
- * warm state (move in its machine, or restore its snapshot bytes when it
- * carries none), attach the measurement context, run the timing model
- * over the stored trace. This is the entry that bypasses the functional
- * pass entirely — the task already holds the warmed state a skip would have
- * produced — so a stored ClusterReplayTask (e.g. from a live-point
- * store) replays with zero functional simulation. A by-value task
- * replays once: its machine is moved out. The arena must be private to
+ * Measure @p trace on @p m, a machine holding the cluster's warm state,
+ * with @p context (may be null) attached for the cluster. @p m's state
+ * is consumed: it ends as the timing model left it.
+ *
+ * @param recon_updates receives the context's on-demand reconstruction
+ *        work (0 without a context).
+ */
+uarch::RunResult measureCluster(Machine &m, MeasureContext *context,
+                                const std::vector<func::DynInst> &trace,
+                                const uarch::CoreParams &core_params,
+                                std::uint64_t *recon_updates);
+
+/**
+ * Measure one stored cluster on @p arena's machine: restore the task's
+ * snapshot bytes, attach its measurement context, run the timing model
+ * over its trace. The task already holds the warmed state a skip would
+ * have produced, so a stored cluster (e.g. from a live-point store)
+ * replays with zero functional simulation. The arena must be private to
  * the calling thread; replays share nothing else mutable.
  *
  * @param recon_updates receives the context's on-demand reconstruction
@@ -306,50 +271,46 @@ uarch::RunResult replayCluster(ClusterReplayTask &task,
 
 /**
  * The replay ledger: the one place a sampled run measures its clusters
- * and accounts for them. Each lane owns a ReplayArena; replay() measures
- * a task on its lane's arena and commits the cluster's whole outcome
- * into a cache-line-padded slot keyed by the task's schedule index,
- * never by completion order. fold() walks the slots in index order on
- * one thread, so the result does not depend on which lane replayed
- * which cluster, or when.
- *
- * core::runSampled() feeds the ledger inline on lane 0 (it is itself a
- * ReplaySink); harness/parallel_run.hh replays on pool workers with
- * lane = ThreadPool::workerIndex(). Distinct lanes may replay
- * concurrently; one lane must not, and every slot is written once.
+ * and accounts for them. measure() and replay() each measure one cluster
+ * and commit its whole outcome into a cache-line-padded slot keyed by
+ * its schedule index, never by completion order. fold() walks the slots
+ * in index order on one thread, so the result does not depend on which
+ * thread measured which cluster, or when. Distinct clusters may be
+ * measured concurrently, each on its thread's own arena; every slot is
+ * written once.
  */
-class ReplayLedger : public ReplaySink
+class ReplayLedger
 {
   public:
     /** @p machine must outlive the ledger. */
-    ReplayLedger(std::size_t clusters, unsigned lanes,
-                 const MachineConfig &machine);
+    ReplayLedger(std::size_t clusters, const MachineConfig &machine);
     ReplayLedger(const ReplayLedger &) = delete;
     ReplayLedger &operator=(const ReplayLedger &) = delete;
 
-    /** Measure @p task on @p lane's arena and commit its slot. */
-    void replay(ClusterReplayTask &task, std::size_t lane);
+    /**
+     * Measure cluster @p index's @p trace on @p m, a machine holding the
+     * cluster's warm state (ReplayArena::copy()), with @p context (may
+     * be null) attached, and commit its slot.
+     */
+    void measure(std::size_t index, Machine &m, MeasureContext *context,
+                 const std::vector<func::DynInst> &trace);
 
-    /** Commit cluster @p index's measurement, taken elsewhere. */
-    void commit(std::size_t index, const uarch::RunResult &rr,
-                std::uint64_t recon_updates, double seconds);
-
-    /** Inline consumer of the deferred front half: replay on lane 0. */
-    void
-    onCluster(ClusterReplayTask task) override
-    {
-        replay(task, 0);
-    }
+    /** Measure the stored cluster @p task on @p arena (replayCluster())
+     *  and commit its slot. */
+    void replay(ClusterReplayTask &task, ReplayArena &arena);
 
     /**
      * Fold the slots, in schedule-index order, into @p res: per-cluster
      * IPC, the hot and measure-phase counters, the reconstruction work,
-     * and the uniform cluster estimate. Returns the replays' on-demand
-     * reconstruction updates (already added to res.warmWork).
+     * and the uniform cluster estimate. Returns the measurements'
+     * on-demand reconstruction updates (already added to res.warmWork).
      */
     std::uint64_t fold(SampledResult &res) const;
 
   private:
+    void commit(std::size_t index, const uarch::RunResult &rr,
+                std::uint64_t recon_updates, double seconds);
+
     struct alignas(64) Slot
     {
         double ipc = 0.0;
@@ -362,7 +323,6 @@ class ReplayLedger : public ReplaySink
 
     const MachineConfig &machine;
     std::vector<Slot> slots;
-    std::vector<ReplayArena> arenas;
 };
 
 /**
@@ -422,13 +382,22 @@ class RegionProducer
 
 /**
  * One policy of a sampled run: warms its own machine from each RegionLog
- * (consumeRegion, then ReconstructPhase), then captures the region's
- * cluster. A solo run capture()s it as a ClusterReplayTask; a policy
- * sweep consume()s it, measuring on a replay arena.
+ * (consumeRegion, then ReconstructPhase) and hands the cluster boundary
+ * to its caller, who copies the warm machine onto an arena to measure it
+ * or snapshots it for a store.
  */
 class RegionConsumer
 {
   public:
+    /**
+     * What a caller does at a cluster boundary, given the warm machine
+     * (valid only during the call) and the policy's measurement context
+     * for the cluster (may be null). The context borrows the region's
+     * branch records, so the region must outlive it.
+     */
+    using Boundary =
+        std::function<void(const Machine &, std::unique_ptr<MeasureContext>)>;
+
     /** @param slot this consumer's index into RegionLog::cursors */
     RegionConsumer(WarmupPolicy &policy, std::size_t slot,
                    const SampledConfig &config);
@@ -439,19 +408,12 @@ class RegionConsumer
                  const Deadline *deadline);
 
     /**
-     * Warm from the next region (schedule order) and emit its cluster to
-     * @p sink, the machine by value. The task takes the region's trace
-     * and, in its measurement context, its branch records by move.
+     * The per-region step: warm from the next region (schedule order),
+     * run @p boundary, then give this machine the cluster's state
+     * effects. @p boundary's time counts as capture time. The region is
+     * left unchanged for other consumers.
      */
-    void capture(RegionLog &region, ReplaySink &sink);
-
-    /**
-     * Warm from the next region (schedule order), copy the warm machine
-     * onto @p arena, measure the cluster there and commit it to
-     * @p ledger. The region is left unchanged for other consumers.
-     */
-    void consume(const RegionLog &region, ReplayArena &arena,
-                 ReplayLedger &ledger);
+    void consume(const RegionLog &region, const Boundary &boundary);
 
     /**
      * The front half's result: skipped instructions, warm work, phase
@@ -461,9 +423,6 @@ class RegionConsumer
     SampledResult finish(const PhaseCounters &producer, double share);
 
   private:
-    /** consumeRegion() + the cluster-boundary work, timed. */
-    void warm(const RegionLog &region);
-
     WarmupPolicy &policy;
     std::size_t slot;
     Machine machine;

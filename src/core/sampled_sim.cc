@@ -12,9 +12,25 @@ runSampled(const func::Program &program, WarmupPolicy &policy,
            const SampledConfig &config)
 {
     WallTimer timer;
-    ClusterScheduleDriver driver(program, policy, config);
-    ReplayLedger ledger(driver.schedule().size(), 1, config.machine);
-    SampledResult res = driver.runDeferred(ledger);
+    const std::vector<Cluster> schedule = scheduleFor(config);
+    RegionConsumer consumer(policy, 0, config);
+    consumer.prepare(program, schedule, config.deadline);
+    RegionProducer producer(program, schedule, {&policy}, config);
+    ReplayLedger ledger(schedule.size(), config.machine);
+    ReplayArena arena;
+    RegionLog region;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        producer.produce(region);
+        Machine *warm = nullptr;
+        std::unique_ptr<MeasureContext> context;
+        consumer.consume(region, [&](const Machine &m,
+                                     std::unique_ptr<MeasureContext> c) {
+            warm = &arena.copy(m);
+            context = std::move(c);
+        });
+        ledger.measure(region.index, *warm, context.get(), region.trace);
+    }
+    SampledResult res = consumer.finish(producer.counters(), 1.0);
     policy.addReconstructionWork(ledger.fold(res));
     res.seconds = timer.seconds();
     return res;

@@ -103,9 +103,10 @@ struct SampledResult
 };
 
 /**
- * Run one sampled simulation of @p program under @p policy: the deferred
- * front half of core/phase_driver.hh, with each cluster's timing replay
- * run on the calling thread as soon as it is captured.
+ * Run one sampled simulation of @p program under @p policy: one
+ * RegionProducer and one RegionConsumer (core/phase_driver.hh)
+ * alternating on the calling thread, each cluster measured on a copy of
+ * the consumer's warm machine as soon as its region is warmed.
  */
 SampledResult runSampled(const func::Program &program, WarmupPolicy &policy,
                          const SampledConfig &config);

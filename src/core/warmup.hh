@@ -67,13 +67,11 @@ struct WarmupWork
  * Measurement-time half of RBP/R$BP: on-demand branch reconstruction,
  * active *during* the hot phase. ReverseReconstructionWarmup creates it
  * at the cluster boundary (after beforeCluster()) over the branch half
- * of the region log it consumed, borrowing those records. A policy
- * sweep's context keeps borrowing: the sweep's log outlives the
- * cluster's replay. A solo run's context own()s them, taken from the
- * region log by move, so it outlives the log's next region. It is
- * attached to whichever machine actually executes the cluster: the
- * replay machine holding the cluster's warm state, on whichever thread
- * replays it.
+ * of the region log it consumed, borrowing those records: every sampled
+ * run keeps the region log until the cluster is measured. A caller that
+ * refills the log first (CapturePhase) own()s a copy. It is attached to
+ * whichever machine actually executes the cluster: the replay machine
+ * holding the cluster's warm state, on whichever thread measures it.
  */
 class MeasureContext
 {
@@ -138,10 +136,10 @@ class WarmupPolicy
     /** Short identifier as used in the paper (e.g. "R$BP (20%)"). */
     virtual std::string name() const = 0;
 
-    /** ClusterScheduleDriver is about to run this schedule of this
-     *  program (once per run, before attach()): a profiled policy
-     *  profiles it here, polling @p deadline (may be null) like the
-     *  skip phase does. */
+    /** A sampled run is about to run this schedule of this program
+     *  (once per run, before its first region; RegionConsumer::prepare):
+     *  a profiled policy profiles it here, polling @p deadline (may be
+     *  null) like the skip phase does. */
     virtual void
     prepare(const func::Program &, const std::vector<Cluster> &,
             const Deadline *)

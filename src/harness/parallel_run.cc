@@ -1,7 +1,6 @@
 #include "parallel_run.hh"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -17,61 +16,47 @@ namespace rsr::harness
 namespace
 {
 
-/** The ledger lane of the calling pool worker. */
+/** The calling pool worker's index, which picks its ReplayArena. */
 std::size_t
 workerLane()
 {
     return static_cast<std::size_t>(ThreadPool::workerIndex());
 }
 
-/** Hands each replay task to a pool worker. */
-class PoolSink : public core::ReplaySink
-{
-  public:
-    PoolSink(ThreadPool &pool, core::ReplayLedger &ledger)
-        : pool(pool), ledger(ledger)
-    {}
-
-    void
-    onCluster(core::ClusterReplayTask task) override
-    {
-        auto t = std::make_shared<core::ClusterReplayTask>(
-            std::move(task));
-        pool.submit([this, t] { ledger.replay(*t, workerLane()); });
-    }
-
-  private:
-    ThreadPool &pool;
-    core::ReplayLedger &ledger;
-};
-
 /**
- * The policy sweep's pipeline. The calling thread runs the producer,
- * filling two RegionLog buffers in turn; the pool runs one task per
- * (region, policy). A policy's tasks run one at a time, in region order,
- * each submitted once its region is produced and the policy's previous
- * task is done, so no policy waits for another: one slow task (a
- * heavier policy, a preempted worker) holds up only its own chain. The
- * producer refills a buffer only after every policy has finished the
- * region in it, so at most two regions are in flight whatever the
- * population length.
+ * The sampled-run pipeline on a pool. The calling thread runs the
+ * producer, filling the RegionLog buffers in turn; the pool runs one
+ * task per (region, policy). A policy's tasks warm one at a time, in
+ * region order: each task warms the policy's machine and copies it onto
+ * its worker's arena, submits the policy's next task (once that region
+ * is produced), and only then measures its cluster, so the measurement
+ * overlaps the next region's warm-up. No policy waits for another: one
+ * slow task (a heavier policy, a preempted worker) holds up only its own
+ * chain. The producer refills a buffer only after every policy has
+ * measured the region in it.
+ *
+ * The buffer count is derived, not tuned: max(2, 1 + ceil(jobs /
+ * policies)). Two suffice while the policies alone can keep every worker
+ * busy (a sweep); one policy on many workers needs one buffer per
+ * cluster in flight plus the one being produced.
  */
 class SweepPipeline
 {
   public:
-    SweepPipeline(
-        const func::Program &program,
-        const std::vector<std::unique_ptr<core::WarmupPolicy>> &policies,
-        const core::SampledConfig &config, unsigned jobs)
-        : program(program), policies(policies), config(config),
+    SweepPipeline(const func::Program &program,
+                  std::vector<core::WarmupPolicy *> policies,
+                  const core::SampledConfig &config, unsigned jobs)
+        : program(program), policies(std::move(policies)), config(config),
           schedule(core::scheduleFor(config)), arenas(std::max(jobs, 1u)),
-          next(policies.size(), 0), pool(jobs)
+          regions(bufferCount(jobs, this->policies.size())),
+          readers(regions.size(), 0), next(this->policies.size(), 0),
+          pool(jobs)
     {
-        for (std::size_t k = 0; k < policies.size(); ++k) {
+        for (std::size_t k = 0; k < this->policies.size(); ++k) {
             consumers.push_back(std::make_unique<core::RegionConsumer>(
-                *policies[k], k, config));
+                *this->policies[k], k, config));
             ledgers.push_back(std::make_unique<core::ReplayLedger>(
-                schedule.size(), 0, config.machine));
+                schedule.size(), config.machine));
         }
     }
 
@@ -85,26 +70,27 @@ class SweepPipeline
             });
         pool.wait();
 
-        std::vector<const core::WarmupPolicy *> observers;
-        for (const auto &p : policies)
-            observers.push_back(p.get());
-        core::RegionProducer producer(program, schedule,
-                                      std::move(observers), config);
+        core::RegionProducer producer(
+            program, schedule,
+            std::vector<const core::WarmupPolicy *>(policies.begin(),
+                                                    policies.end()),
+            config);
         try {
             for (std::size_t r = 0; r < schedule.size(); ++r) {
+                const std::size_t b = r % regions.size();
                 {
                     std::unique_lock<std::mutex> lk(mu);
                     regionFree.wait(lk, [&] {
-                        return readers[r % 2] == 0 || failed;
+                        return readers[b] == 0 || failed;
                     });
                     if (failed)
                         break;
                 }
-                producer.produce(regions[r % 2]);
+                producer.produce(regions[b]);
 
                 std::lock_guard<std::mutex> lk(mu);
                 produced = r + 1;
-                readers[r % 2] = consumers.size();
+                readers[b] = consumers.size();
                 for (std::size_t k = 0; k < consumers.size(); ++k)
                     if (next[k] == r)
                         submit(k, r);
@@ -129,8 +115,9 @@ class SweepPipeline
         std::vector<core::SampledResult> out;
         const double share = 1.0 / static_cast<double>(consumers.size());
         for (std::size_t k = 0; k < consumers.size(); ++k) {
-            out.push_back(consumers[k]->finish(producer.counters(), share));
+            out.push_back(consumers[k]->finish(pc, share));
             policies[k]->addReconstructionWork(ledgers[k]->fold(out.back()));
+            out.back().seconds += out.back().phases.measureSeconds;
         }
         return out;
     }
@@ -139,6 +126,13 @@ class SweepPipeline
     double producerSeconds = 0.0;
 
   private:
+    static std::size_t
+    bufferCount(unsigned jobs, std::size_t policies)
+    {
+        const std::size_t j = std::max(jobs, 1u);
+        return std::max<std::size_t>(2, 1 + (j + policies - 1) / policies);
+    }
+
     /** Queue policy @p k's task for region @p r; the caller holds mu. */
     void
     submit(std::size_t k, std::size_t r)
@@ -154,9 +148,24 @@ class SweepPipeline
             if (failed)
                 return;
         }
+        const core::RegionLog &region = regions[r % regions.size()];
+        core::ReplayArena &arena = arenas[workerLane()];
         try {
-            consumers[k]->consume(regions[r % 2], arenas[workerLane()],
-                                  *ledgers[k]);
+            core::Machine *warm = nullptr;
+            std::unique_ptr<core::MeasureContext> context;
+            consumers[k]->consume(
+                region, [&](const core::Machine &m,
+                            std::unique_ptr<core::MeasureContext> c) {
+                    warm = &arena.copy(m);
+                    context = std::move(c);
+                });
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                next[k] = r + 1;
+                if (r + 1 < produced && !failed)
+                    submit(k, r + 1);
+            }
+            ledgers[k]->measure(r, *warm, context.get(), region.trace);
         } catch (...) {
             std::lock_guard<std::mutex> lk(mu);
             failed = true;
@@ -164,27 +173,24 @@ class SweepPipeline
             throw;
         }
         std::lock_guard<std::mutex> lk(mu);
-        next[k] = r + 1;
-        if (--readers[r % 2] == 0)
+        if (--readers[r % regions.size()] == 0)
             regionFree.notify_all();
-        if (r + 1 < produced && !failed)
-            submit(k, r + 1);
     }
 
     const func::Program &program;
-    const std::vector<std::unique_ptr<core::WarmupPolicy>> &policies;
+    const std::vector<core::WarmupPolicy *> policies;
     const core::SampledConfig &config;
     const std::vector<core::Cluster> schedule;
     std::vector<std::unique_ptr<core::RegionConsumer>> consumers;
     std::vector<std::unique_ptr<core::ReplayLedger>> ledgers; // per policy
     std::vector<core::ReplayArena> arenas; // one per worker lane
-    std::array<core::RegionLog, 2> regions;
+    std::vector<core::RegionLog> regions;
 
     std::mutex mu; // guards the fields below
     std::condition_variable regionFree;
-    std::array<std::size_t, 2> readers{}; // policies yet to finish a buffer
-    std::size_t produced = 0;              // regions published so far
-    std::vector<std::size_t> next;         // per policy: its next region
+    std::vector<std::size_t> readers; // per buffer: policies yet to measure
+    std::size_t produced = 0;         // regions published so far
+    std::vector<std::size_t> next;    // per policy: its next region
     bool failed = false;
 
     // Last: destroyed first, so no task outlives the state above.
@@ -202,17 +208,8 @@ runSampledParallel(const func::Program &program,
         return core::runSampled(program, policy, config);
 
     WallTimer timer;
-    core::ClusterScheduleDriver driver(program, policy, config);
-    core::ReplayLedger ledger(driver.schedule().size(), jobs,
-                              config.machine);
-    // Pool declared after the ledger so in-flight replays finish (and
-    // abandoned ones are discarded) before the slots die if the front
-    // half throws.
-    ThreadPool pool(jobs);
-    PoolSink sink(pool, ledger);
-    core::SampledResult res = driver.runDeferred(sink);
-    pool.wait();
-    policy.addReconstructionWork(ledger.fold(res));
+    SweepPipeline pipeline(program, {&policy}, config, jobs);
+    core::SampledResult res = std::move(pipeline.run().front());
     res.seconds = timer.seconds();
     return res;
 }
@@ -227,14 +224,15 @@ replayStoreParallel(const core::LivePointStore &store,
     if (jobs == 0)
         jobs = 1;
 
-    core::ReplayLedger ledger(n, jobs, machine_config);
+    core::ReplayLedger ledger(n, machine_config);
+    std::vector<core::ReplayArena> arenas(jobs); // one per worker lane
     ThreadPool pool(jobs);
     for (std::size_t i = 0; i < n; ++i) {
         // Out-of-order consumer pass: each worker decodes and measures
         // its cluster independently (makeReplayTask is const).
-        pool.submit([&store, &ledger, i] {
+        pool.submit([&store, &ledger, &arenas, i] {
             core::ClusterReplayTask task = store.makeReplayTask(i);
-            ledger.replay(task, workerLane());
+            ledger.replay(task, arenas[workerLane()]);
         });
     }
     pool.wait();
@@ -278,7 +276,10 @@ runPolicySweep(const func::Program &program,
     if (policies.empty())
         return out;
 
-    SweepPipeline pipeline(program, policies, config, jobs);
+    std::vector<core::WarmupPolicy *> raw;
+    for (const auto &p : policies)
+        raw.push_back(p.get());
+    SweepPipeline pipeline(program, std::move(raw), config, jobs);
     std::vector<core::SampledResult> results = pipeline.run();
     for (std::size_t i = 0; i < out.size(); ++i) {
         out[i].result = std::move(results[i]);

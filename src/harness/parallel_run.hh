@@ -1,14 +1,15 @@
 /**
  * @file
- * Parallel sampled simulation on top of the phase driver's deferred mode:
- * the front half (the functional pass and its region log, warm-up from
- * the log, warm-state copy) runs on the calling thread, and the
- * cycle-accurate timing
- * replay of each cluster runs on a ThreadPool worker against the warmed
- * machine the cluster's task carries by value. Statistics are merged in schedule
- * order, so the result is bit-identical for any worker count — including
- * jobs == 1, which is core::runSampled(): the same deferred pipeline,
- * replayed serially on the calling thread.
+ * Sampled simulation on a ThreadPool, on top of the phase driver's one
+ * pipeline (core/phase_driver.hh): the calling thread runs the
+ * functional pass (RegionProducer) and pool workers run each policy's
+ * RegionConsumer, which warms its machine from the region log, copies it
+ * onto the worker's replay arena and measures the cluster there on the
+ * cycle-accurate timing model. A policy's next region warms while its
+ * last cluster is measured. Statistics are merged in schedule order, so
+ * the result is bit-identical for any worker count — including jobs ==
+ * 1, which is core::runSampled(): the same producer and consumer,
+ * alternating on the calling thread.
  */
 
 #ifndef RSR_HARNESS_PARALLEL_RUN_HH
@@ -25,8 +26,9 @@ namespace rsr::harness
 {
 
 /**
- * Run one sampled simulation with per-cluster timing replays spread over
- * @p jobs worker threads (1 = serial, same estimator). The result's
+ * Run one sampled simulation with its warm-up and per-cluster timing
+ * measurements on @p jobs worker threads — runPolicySweep's pipeline
+ * with one policy (1 = core::runSampled, same estimator). The result's
  * clusterIpc / estimate / hot counters are deterministic in @p jobs.
  */
 core::SampledResult runSampledParallel(const func::Program &program,
@@ -78,7 +80,9 @@ struct PolicySweepEntry
  * logging each skip region as `rsr100` does and recording each cluster's
  * trace (core::RegionProducer), and @p jobs pool workers run one
  * core::RegionConsumer per policy, which warms its own machine from that
- * log and measures the cluster. At most two regions are buffered.
+ * log and measures the cluster. The pipeline buffers max(2, 1 +
+ * ceil(jobs / policies)) regions: 2 for a sweep whose policies outnumber
+ * its workers, one per worker plus one for a solo run.
  * Results come back in the order of @p policy_names; unknown names throw
  * UserError before any work starts, and a deadline that expires throws
  * TimeoutError with no task left running.

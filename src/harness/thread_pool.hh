@@ -52,7 +52,7 @@ class ThreadPool
 
     /**
      * The calling thread's 0-based index in its own pool, or -1 off any
-     * pool: replays use it as their ReplayLedger lane (private arena).
+     * pool: measurements use it to pick their private ReplayArena.
      */
     static int workerIndex();
 

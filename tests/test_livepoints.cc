@@ -250,23 +250,21 @@ TEST_F(LivePoints, CaptureShapes)
 
 TEST_F(LivePoints, TraceSequenceNumbersAreContiguousFromFirstSeq)
 {
-    // The traces the capture pass produced, before any encoding.
-    struct Collect : ReplaySink
-    {
-        std::vector<std::vector<func::DynInst>> traces;
-        void
-        onCluster(ClusterReplayTask task) override
-        {
-            traces.push_back(std::move(task.trace));
-        }
-    } captured;
+    // The traces the functional pass produced, before any encoding.
     auto smarts = makePolicyByName("smarts");
-    ClusterScheduleDriver(*prog, *smarts, *cfg).runDeferred(captured);
-    ASSERT_EQ(captured.traces.size(), store->clusterCount());
+    const std::vector<Cluster> schedule = scheduleFor(*cfg);
+    RegionProducer producer(*prog, schedule, {smarts.get()}, *cfg);
+    std::vector<std::vector<func::DynInst>> traces;
+    RegionLog region;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        producer.produce(region);
+        traces.push_back(region.trace);
+    }
+    ASSERT_EQ(traces.size(), store->clusterCount());
 
     for (std::size_t i = 0; i < store->clusterCount(); ++i) {
         const auto task = store->makeReplayTask(i);
-        const auto &want = captured.traces[i];
+        const auto &want = traces[i];
         ASSERT_EQ(task.trace.size(), want.size()) << i;
         // The first sequence number is the cluster's first instruction.
         std::uint64_t seq = store->entries()[i].cluster.start;

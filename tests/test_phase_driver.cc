@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the phase driver's deferred/parallel mode and the harness
- * thread pool: the headline property is that `runSampledParallel` is
- * bit-identical for any worker count, across the paper's whole Table-2
- * policy matrix.
+ * Tests for the sampled-run pipeline on the calling thread and on the
+ * harness thread pool: the headline property is that
+ * `runSampledParallel` is bit-identical for any worker count, across the
+ * paper's whole Table-2 policy matrix.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -152,7 +151,7 @@ TEST_F(ParallelReplay, PhaseCountersAreConsistent)
     EXPECT_GT(r.phases.skipSeconds, 0.0);
     EXPECT_GT(r.phases.measureSeconds, 0.0);
     EXPECT_GT(r.phases.captureSeconds, 0.0);
-    // In process the warm state travels by value: nothing is serialized.
+    // In process the warm state is copied, never serialized.
     EXPECT_EQ(r.phases.peakSnapshotBytes, 0u);
 
     // A store capture serializes each warmed machine, and says how big.
@@ -165,30 +164,22 @@ TEST_F(ParallelReplay, PhaseCountersAreConsistent)
 }
 
 /**
- * A warmed machine carried by value to a pool worker must replay exactly
+ * A warm machine copied onto a pool worker's arena must measure exactly
  * like its snapshot bytes restored there. A plain copy of the shared
  * machine also carries what a snapshot leaves out — bus occupancy and
  * statistics, cache and predictor statistics, the warm-update counter,
- * the predictor's reconstruction hook — so Machine::warmCopy() must
+ * the predictor's reconstruction hook — so ReplayArena::copy() must
  * clear each of them, and the shared machine below dirties each one.
+ * Both arenas start dirty with another cluster's measurement.
  */
 TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
 {
-    struct Keep : core::ReplaySink
-    {
-        std::vector<core::ClusterReplayTask> tasks;
-        void
-        onCluster(core::ClusterReplayTask task) override
-        {
-            tasks.push_back(std::move(task));
-        }
-    } kept;
     auto policy = core::makePolicyByName("rsr40");
-    core::ClusterScheduleDriver(*prog, *policy, *cfg).runDeferred(kept);
-    ASSERT_EQ(kept.tasks.size(), 8u);
+    const auto store =
+        core::LivePointStore::create(*prog, *policy, *cfg, "gcc", "rsr40");
+    ASSERT_EQ(store.clusterCount(), 8u);
     const std::size_t k = 5;
-    core::ClusterReplayTask &source = kept.tasks[k];
-    ASSERT_TRUE(source.machine.has_value());
+    const core::ClusterReplayTask source = store.makeReplayTask(k);
     ASSERT_NE(source.context, nullptr);
 
     const auto cloneContext = [](const core::MeasureContext &c) {
@@ -203,7 +194,8 @@ TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
     // The shared machine: cluster k's warm state, then more functional
     // warming, a timed miss that leaves both buses busy far past any
     // replay's first cycle, and an RSR context attached.
-    core::Machine shared = *source.machine;
+    core::Machine shared(cfg->machine);
+    restoreFromBytes(shared, source.machineState);
     for (std::uint64_t i = 0; i < 64; ++i) {
         shared.hier.warmAccess(0x40000 + 64 * i, false, true);
         shared.hier.warmAccess(0x900000 + 64 * i, i % 4 == 0, false);
@@ -222,24 +214,17 @@ TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
     ASSERT_GT(shared.hier.l1Bus().stats().transfers, 0u);
     ASSERT_GT(shared.hier.l2Bus().stats().transfers, 0u);
 
-    // Cluster k's task, with its warm state in the given form.
-    const auto taskWith = [&](std::optional<core::Machine> machine,
-                              std::vector<std::uint8_t> bytes) {
+    // Cluster k as a stored task holding the shared machine's bytes.
+    const std::vector<std::uint8_t> bytes = snapshotToBytes(shared);
+    const auto restoredTask = [&] {
         core::ClusterReplayTask t;
         t.index = k;
         t.cluster = source.cluster;
-        t.machine = std::move(machine);
-        t.machineState = std::move(bytes);
+        t.machineState = bytes;
         t.trace = source.trace;
         t.context = cloneContext(*source.context);
         return t;
     };
-    auto by_value = taskWith(shared.warmCopy(), {});
-    const std::vector<std::uint8_t> bytes = snapshotToBytes(shared);
-    auto restored = taskWith(std::nullopt, bytes);
-    auto restored_dirty = taskWith(std::nullopt, bytes);
-    hook->detach(shared);
-    EXPECT_EQ(by_value.machine->bp.reconstructionClient(), nullptr);
 
     struct Outcome
     {
@@ -252,16 +237,13 @@ TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
         std::uint64_t warmUpdates = 0;
         bool hook = false;
     };
-    // Replay @p task on @p arena, after dirtying the arena with another
-    // cluster when @p dirty_with is given.
-    const auto replay = [&](core::ClusterReplayTask &task,
-                            core::ReplayArena &arena,
-                            core::ClusterReplayTask *dirty_with) {
-        if (dirty_with)
-            core::replayCluster(*dirty_with, cfg->machine, arena);
+    // The arena machine @p m after measuring @p rr.
+    const auto outcomeOf = [](const core::Machine &m,
+                              const uarch::RunResult &rr,
+                              std::uint64_t recon) {
         Outcome o;
-        o.rr = core::replayCluster(task, cfg->machine, arena, &o.recon);
-        const core::Machine &m = arena.acquire(cfg->machine);
+        o.rr = rr;
+        o.recon = recon;
         o.state = snapshotToBytes(m);
         o.l1Bus = m.hier.l1Bus().stats();
         o.l2Bus = m.hier.l2Bus().stats();
@@ -273,21 +255,41 @@ TEST_F(ParallelReplay, WarmMachineCopyReplaysLikeRestore)
         o.hook = m.bp.reconstructionClient() != nullptr;
         return o;
     };
+    // Measure cluster @p dirty_with on @p arena first, so the arena
+    // machine holds another cluster's state and statistics.
+    const auto dirty = [&](core::ReplayArena &arena, std::size_t dirty_with) {
+        core::ClusterReplayTask t = store.makeReplayTask(dirty_with);
+        core::replayCluster(t, cfg->machine, arena);
+    };
 
-    // The by-value leg crosses to a pool worker, as PoolSink hands it.
+    // The copy leg runs on a pool worker, as the sampled-run pipeline
+    // copies and measures there.
     Outcome copy_out;
     core::ReplayArena worker_arena;
     harness::ThreadPool pool(2);
     pool.submit([&] {
-        copy_out = replay(by_value, worker_arena, &kept.tasks[0]);
+        dirty(worker_arena, 0);
+        core::Machine &m = worker_arena.copy(shared);
+        const auto context = cloneContext(*source.context);
+        std::uint64_t recon = 0;
+        const uarch::RunResult rr = core::measureCluster(
+            m, context.get(), source.trace, cfg->machine.core, &recon);
+        copy_out = outcomeOf(m, rr, recon);
     });
     pool.wait();
-    EXPECT_FALSE(by_value.machine.has_value());
+    hook->detach(shared);
 
+    const auto restoreLeg = [&](core::ReplayArena &arena) {
+        core::ClusterReplayTask t = restoredTask();
+        std::uint64_t recon = 0;
+        const uarch::RunResult rr =
+            core::replayCluster(t, cfg->machine, arena, &recon);
+        return outcomeOf(arena.acquire(cfg->machine), rr, recon);
+    };
     core::ReplayArena fresh_arena, dirty_arena;
-    const Outcome fresh_out = replay(restored, fresh_arena, nullptr);
-    const Outcome dirty_out =
-        replay(restored_dirty, dirty_arena, &kept.tasks[1]);
+    const Outcome fresh_out = restoreLeg(fresh_arena);
+    dirty(dirty_arena, 1);
+    const Outcome dirty_out = restoreLeg(dirty_arena);
 
     for (const Outcome *o : {&fresh_out, &dirty_out}) {
         const char *leg =
@@ -338,8 +340,7 @@ TEST_F(ParallelReplay, InlineDriverCountersMatchLegacyResult)
     // cluster's end as skipped or measured, and times its phases.
     auto policy = core::makePolicyByName("smarts");
     const auto r = core::runSampled(*prog, *policy, *cfg);
-    const core::ClusterScheduleDriver driver(*prog, *policy, *cfg);
-    const core::Cluster &last = driver.schedule().back();
+    const core::Cluster last = core::scheduleFor(*cfg).back();
     EXPECT_EQ(r.skippedInsts + r.hotInsts, last.start + last.size);
     EXPECT_EQ(r.hotInsts, 8u * 1500u);
     EXPECT_GT(r.phases.skipSeconds, 0.0);
@@ -357,6 +358,60 @@ TEST_F(ParallelReplay, OnDemandReconstructionWorkIsJobIndependent)
     EXPECT_GT(serial.warmWork.reconstructionUpdates, 0u);
     EXPECT_EQ(serial.warmWork.reconstructionUpdates,
               parallel.warmWork.reconstructionUpdates);
+}
+
+/**
+ * runSampledParallel is the sweep pipeline with one policy, holding
+ * max(2, 1 + jobs) region buffers: 3, 5 and 9 at jobs 2, 4 and 8. Every
+ * count must reproduce core::runSampled field by field, also when the
+ * buffers outnumber the regions (3 clusters).
+ */
+TEST_F(ParallelReplay, OnePolicyPipelineMatchesRunSampledAtEveryBufferCount)
+{
+    for (const char *machine : {"scaled", "paper"}) {
+        for (const std::uint64_t clusters : {20u, 3u}) {
+            core::SampledConfig c = *cfg;
+            c.totalInsts = 100'000;
+            c.regimen = {clusters, 1000};
+            c.machine = std::string(machine) == "paper"
+                            ? core::MachineConfig::paperDefault()
+                            : core::MachineConfig::scaledDefault();
+            for (const char *name : {"rbp", "rsr20", "smarts"}) {
+                const core::SampledResult solo =
+                    core::runSampled(*prog, *core::makePolicyByName(name), c);
+                ASSERT_EQ(solo.clusterIpc.size(), clusters);
+                for (const unsigned jobs : {2u, 4u, 8u}) {
+                    const core::SampledResult got =
+                        harness::runSampledParallel(
+                            *prog, *core::makePolicyByName(name), c, jobs);
+                    const std::string what =
+                        std::string(name) + " " + machine + " clusters " +
+                        std::to_string(clusters) + " jobs " +
+                        std::to_string(jobs);
+                    EXPECT_EQ(got.clusterIpc, solo.clusterIpc) << what;
+                    EXPECT_EQ(got.estimate.mean, solo.estimate.mean) << what;
+                    EXPECT_EQ(got.estimate.ciLow, solo.estimate.ciLow)
+                        << what;
+                    EXPECT_EQ(got.estimate.ciHigh, solo.estimate.ciHigh)
+                        << what;
+                    EXPECT_EQ(got.hotCycles, solo.hotCycles) << what;
+                    EXPECT_EQ(got.hotInsts, solo.hotInsts) << what;
+                    EXPECT_EQ(got.branchMispredicts, solo.branchMispredicts)
+                        << what;
+                    EXPECT_EQ(got.skippedInsts, solo.skippedInsts) << what;
+                    const core::WarmupWork &a = got.warmWork;
+                    const core::WarmupWork &b = solo.warmWork;
+                    EXPECT_EQ(a.functionalUpdates, b.functionalUpdates)
+                        << what;
+                    EXPECT_EQ(a.reconstructionUpdates,
+                              b.reconstructionUpdates)
+                        << what;
+                    EXPECT_EQ(a.loggedRecords, b.loggedRecords) << what;
+                    EXPECT_EQ(a.peakLogBytes, b.peakLogBytes) << what;
+                }
+            }
+        }
+    }
 }
 
 TEST_F(ParallelReplay, PolicySweepMatchesIndividualRuns)
@@ -407,17 +462,18 @@ TEST_F(ParallelReplay, PhaseTasksReplayedAfterNextSkipMatchRunSampled)
         core::CapturePhase capture(fs, *policy, machine, iline_mask,
                                    counters);
 
-        core::ReplayLedger ledger(schedule.size(), 2, cfg->machine);
+        core::ReplayLedger ledger(schedule.size(), cfg->machine);
+        std::vector<core::ReplayArena> arenas(2);
         {
             harness::ThreadPool pool(2);
             const auto replay =
                 [&](std::shared_ptr<core::ClusterReplayTask> task) {
-                    ASSERT_FALSE(task->machine.has_value());
                     ASSERT_NE(task->context, nullptr);
-                    pool.submit([&ledger, task] {
-                        ledger.replay(*task, static_cast<std::size_t>(
-                                                 harness::ThreadPool::
-                                                     workerIndex()));
+                    pool.submit([&ledger, &arenas, task] {
+                        ledger.replay(*task,
+                                      arenas[static_cast<std::size_t>(
+                                          harness::ThreadPool::
+                                              workerIndex())]);
                     });
                 };
             std::shared_ptr<core::ClusterReplayTask> pending;
@@ -785,6 +841,11 @@ TEST(SweepDeadline, ExpiryMidRegionThrowsTimeoutAndStopsEveryTask)
              [&](const core::SampledConfig &c) {
                  const auto policy = core::makePolicyByName("rsr20");
                  harness::runSampledParallel(prog, *policy, c, 3);
+             }},
+            {"runSampledParallel jobs 8",
+             [&](const core::SampledConfig &c) {
+                 const auto policy = core::makePolicyByName("rsr20");
+                 harness::runSampledParallel(prog, *policy, c, 8);
              }},
             {"LivePointStore::create",
              [&](const core::SampledConfig &c) {
