@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "bench_common.hh"
@@ -37,19 +38,16 @@ namespace
 
 using namespace rsr;
 
-/** Best-of-N wall time: interference only ever slows a run down. */
+/** Time one call of @p run, keeping the lowest time so far in @p best
+ *  (0 = none yet): interference only ever slows a run down. */
 template <typename Fn>
-double
-bestSeconds(unsigned reps, Fn &&run)
+void
+keepBest(double &best, Fn &&run)
 {
-    double best = 0.0;
-    for (unsigned i = 0; i < reps; ++i) {
-        WallTimer timer;
-        run();
-        const double s = timer.seconds();
-        best = best == 0.0 ? s : std::min(best, s);
-    }
-    return best;
+    WallTimer timer;
+    run();
+    const double s = timer.seconds();
+    best = best == 0.0 ? s : std::min(best, s);
 }
 
 int
@@ -81,33 +79,44 @@ runBench(const ArgParser &args)
     setup.cfg.regimen = quick ? core::SamplingRegimen{20, 1500}
                               : core::SamplingRegimen{60, 3000};
 
-    // The conventional path: every design point pays functional
-    // fast-forwarding + warm-up + measurement.
+    // Three timings, each the best of kRounds: the conventional path,
+    // where every design point pays functional fast-forwarding +
+    // warm-up + measurement; the producer's one capture pass, priced
+    // like one direct run; and the consumer's replay of the store, what
+    // every further design point costs. They are timed in alternating
+    // rounds, so a slow stretch of the host hits every side of the gated
+    // ratios alike.
+    constexpr unsigned kRounds = 3;
     core::SampledResult direct;
-    const double direct_s = bestSeconds(2, [&] {
-        auto policy = core::makePolicyByName(policy_name);
-        direct = harness::runSampledParallel(setup.program, *policy,
-                                             setup.cfg, jobs);
-    });
+    std::unique_ptr<core::LivePointStore> captured;
+    core::SampledResult replayed;
+    double direct_s = 0.0;
+    double create_s = 0.0;
+    double replay_s = 0.0;
+    for (unsigned round = 0; round < kRounds; ++round) {
+        keepBest(direct_s, [&] {
+            auto policy = core::makePolicyByName(policy_name);
+            direct = harness::runSampledParallel(setup.program, *policy,
+                                                 setup.cfg, jobs);
+        });
+        keepBest(create_s, [&] {
+            auto store_policy = core::makePolicyByName(policy_name);
+            captured = std::make_unique<core::LivePointStore>(
+                core::LivePointStore::create(setup.program, *store_policy,
+                                             setup.cfg, workload,
+                                             policy_name));
+        });
+        keepBest(replay_s, [&] {
+            replayed = harness::replayStoreParallel(*captured, jobs);
+        });
+    }
+    const core::LivePointStore &store = *captured;
     std::printf("direct run       %8.3f s  (%zu clusters)\n", direct_s,
                 direct.clusterIpc.size());
-
-    // The producer: one capture pass, priced like one direct run.
-    auto store_policy = core::makePolicyByName(policy_name);
-    WallTimer create_timer;
-    const auto store = core::LivePointStore::create(
-        setup.program, *store_policy, setup.cfg, workload, policy_name);
-    const double create_s = create_timer.seconds();
     std::printf("capture (once)   %8.3f s  (%.1f KB, %.1f KB/cluster, "
                 "dedup %.2fx)\n",
                 create_s, store.serialize().size() / 1024.0,
                 store.bytesPerCluster() / 1024.0, store.dedupRatio());
-
-    // The consumer: what every further design point costs.
-    core::SampledResult replayed;
-    const double replay_s = bestSeconds(3, [&] {
-        replayed = harness::replayStoreParallel(store, jobs);
-    });
     std::printf("replay           %8.3f s\n", replay_s);
 
     // The invariant before any economics: bit-identical statistics.

@@ -21,7 +21,8 @@
  * store, which measures it later (replayCluster()). core::runSampled()
  * and LivePointStore::create() alternate one producer and one consumer
  * on the calling thread; harness::runSampledParallel() and
- * harness::runPolicySweep() run the consumers on pool workers. After the
+ * harness::runPolicySweep() run the consumers on pool workers and, while
+ * the producer would wait, on the calling thread. After the
  * boundary, the consumer's own machine receives the cluster's state
  * effects *functionally* (commit-order warm accesses), so there is one
  * estimator: the result depends neither on where, when, or on how many

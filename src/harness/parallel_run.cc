@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "core/estimator.hh"
 #include "core/phase_driver.hh"
@@ -25,20 +27,29 @@ workerLane()
 
 /**
  * The sampled-run pipeline on a pool. The calling thread runs the
- * producer, filling the RegionLog buffers in turn; the pool runs one
- * task per (region, policy). A policy's tasks warm one at a time, in
+ * producer, filling the RegionLog buffers in turn; each (region, policy)
+ * pair is one consumer task. A policy's tasks warm one at a time, in
  * region order: each task warms the policy's machine and copies it onto
- * its worker's arena, submits the policy's next task (once that region
- * is produced), and only then measures its cluster, so the measurement
+ * its thread's arena, queues the policy's next task (once that region is
+ * produced), and only then measures its cluster, so the measurement
  * overlaps the next region's warm-up. No policy waits for another: one
  * slow task (a heavier policy, a preempted worker) holds up only its own
  * chain. The producer refills a buffer only after every policy has
  * measured the region in it.
  *
- * The buffer count is derived, not tuned: max(2, 1 + ceil(jobs /
- * policies)). Two suffice while the policies alone can keep every worker
- * busy (a sweep); one policy on many workers needs one buffer per
- * cluster in flight plus the one being produced.
+ * The calling thread is a consumer lane too. Tasks wait in the
+ * pipeline's own queue; each queued task also submits one pool task that
+ * runs the oldest queued one, if any is left. While the calling thread
+ * waits for a free buffer, and once it has produced the last region, it
+ * runs queued tasks itself on its own arena, and blocks only when none
+ * is queued. Whichever thread runs a task, the policy's chain stays in
+ * region order and its ledger commits by cluster index.
+ *
+ * The buffer count is derived, not tuned: max(2, 1 + ceil(lanes /
+ * policies)), where lanes = jobs + 1 counts the calling thread. Two
+ * suffice while the policies alone can keep every lane busy (a sweep);
+ * one policy on many lanes needs one buffer per cluster in flight plus
+ * the one being produced.
  */
 class SweepPipeline
 {
@@ -47,7 +58,8 @@ class SweepPipeline
                   std::vector<core::WarmupPolicy *> policies,
                   const core::SampledConfig &config, unsigned jobs)
         : program(program), policies(std::move(policies)), config(config),
-          schedule(core::scheduleFor(config)), arenas(std::max(jobs, 1u)),
+          schedule(core::scheduleFor(config)),
+          arenas(std::max(jobs, 1u) + 1),
           regions(bufferCount(jobs, this->policies.size())),
           readers(regions.size(), 0), next(this->policies.size(), 0),
           pool(jobs)
@@ -78,14 +90,8 @@ class SweepPipeline
         try {
             for (std::size_t r = 0; r < schedule.size(); ++r) {
                 const std::size_t b = r % regions.size();
-                {
-                    std::unique_lock<std::mutex> lk(mu);
-                    regionFree.wait(lk, [&] {
-                        return readers[b] == 0 || failed;
-                    });
-                    if (failed)
-                        break;
-                }
+                if (!helpUntil([&] { return readers[b] == 0; }))
+                    break;
                 producer.produce(regions[b]);
 
                 std::lock_guard<std::mutex> lk(mu);
@@ -95,6 +101,10 @@ class SweepPipeline
                     if (next[k] == r)
                         submit(k, r);
             }
+            helpUntil([&] {
+                return std::all_of(readers.begin(), readers.end(),
+                                   [](std::size_t n) { return n == 0; });
+            });
         } catch (...) {
             {
                 std::lock_guard<std::mutex> lk(mu);
@@ -104,7 +114,7 @@ class SweepPipeline
             try {
                 pool.wait();
             } catch (...) {
-                // The producer's exception is the one to report.
+                // The calling thread's exception is the one to report.
             }
             throw;
         }
@@ -129,19 +139,56 @@ class SweepPipeline
     static std::size_t
     bufferCount(unsigned jobs, std::size_t policies)
     {
-        const std::size_t j = std::max(jobs, 1u);
-        return std::max<std::size_t>(2, 1 + (j + policies - 1) / policies);
+        const std::size_t lanes = std::max(jobs, 1u) + 1;
+        return std::max<std::size_t>(
+            2, 1 + (lanes + policies - 1) / policies);
     }
 
     /** Queue policy @p k's task for region @p r; the caller holds mu. */
     void
     submit(std::size_t k, std::size_t r)
     {
-        pool.submit([this, k, r] { consume(k, r); });
+        queued.emplace_back(k, r);
+        pool.submit([this] {
+            std::pair<std::size_t, std::size_t> task;
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                if (queued.empty())
+                    return; // the calling thread ran it
+                task = queued.front();
+                queued.pop_front();
+            }
+            consume(task.first, task.second, arenas[workerLane()]);
+        });
+        callerWake.notify_one();
+    }
+
+    /**
+     * On the calling thread: run queued tasks on its own arena until
+     * @p done (evaluated under mu) holds, blocking only while none is
+     * queued. Returns false, at once, when the pipeline has failed.
+     */
+    template <typename Done>
+    bool
+    helpUntil(Done done)
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        for (;;) {
+            callerWake.wait(lk, [&] {
+                return failed || done() || !queued.empty();
+            });
+            if (failed || done())
+                return !failed;
+            const auto [k, r] = queued.front();
+            queued.pop_front();
+            lk.unlock();
+            consume(k, r, arenas.back());
+            lk.lock();
+        }
     }
 
     void
-    consume(std::size_t k, std::size_t r)
+    consume(std::size_t k, std::size_t r, core::ReplayArena &arena)
     {
         {
             std::lock_guard<std::mutex> lk(mu);
@@ -149,7 +196,6 @@ class SweepPipeline
                 return;
         }
         const core::RegionLog &region = regions[r % regions.size()];
-        core::ReplayArena &arena = arenas[workerLane()];
         try {
             core::Machine *warm = nullptr;
             std::unique_ptr<core::MeasureContext> context;
@@ -169,12 +215,12 @@ class SweepPipeline
         } catch (...) {
             std::lock_guard<std::mutex> lk(mu);
             failed = true;
-            regionFree.notify_all();
+            callerWake.notify_one();
             throw;
         }
         std::lock_guard<std::mutex> lk(mu);
         if (--readers[r % regions.size()] == 0)
-            regionFree.notify_all();
+            callerWake.notify_one();
     }
 
     const func::Program &program;
@@ -183,11 +229,15 @@ class SweepPipeline
     const std::vector<core::Cluster> schedule;
     std::vector<std::unique_ptr<core::RegionConsumer>> consumers;
     std::vector<std::unique_ptr<core::ReplayLedger>> ledgers; // per policy
-    std::vector<core::ReplayArena> arenas; // one per worker lane
+    // One per pool worker, then the calling thread's.
+    std::vector<core::ReplayArena> arenas;
     std::vector<core::RegionLog> regions;
 
     std::mutex mu; // guards the fields below
-    std::condition_variable regionFree;
+    // The calling thread waits here: a buffer freed, a task queued, or
+    // a failure.
+    std::condition_variable callerWake;
+    std::deque<std::pair<std::size_t, std::size_t>> queued; // (policy, region)
     std::vector<std::size_t> readers; // per buffer: policies yet to measure
     std::size_t produced = 0;         // regions published so far
     std::vector<std::size_t> next;    // per policy: its next region
@@ -260,31 +310,40 @@ replayStoreParallel(const core::LivePointStore &store, unsigned jobs)
 }
 
 std::vector<PolicySweepEntry>
+sweepPolicies(const func::Program &program,
+              const std::vector<core::WarmupPolicy *> &policies,
+              const core::SampledConfig &config, unsigned jobs)
+{
+    std::vector<PolicySweepEntry> out(policies.size());
+    if (policies.empty())
+        return out;
+    SweepPipeline pipeline(program, policies, config, jobs);
+    std::vector<core::SampledResult> results = pipeline.run();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].cliName = out[i].displayName = policies[i]->name();
+        out[i].result = std::move(results[i]);
+        out[i].producerSeconds = pipeline.producerSeconds;
+    }
+    return out;
+}
+
+std::vector<PolicySweepEntry>
 runPolicySweep(const func::Program &program,
                const std::vector<std::string> &policy_names,
                const core::SampledConfig &config, unsigned jobs)
 {
     // Build every policy up front so a typo late in the list cannot
     // waste the whole sweep.
-    std::vector<PolicySweepEntry> out(policy_names.size());
     std::vector<std::unique_ptr<core::WarmupPolicy>> policies;
-    for (std::size_t i = 0; i < policy_names.size(); ++i) {
-        policies.push_back(core::makePolicyByName(policy_names[i]));
-        out[i].cliName = policy_names[i];
-        out[i].displayName = policies.back()->name();
-    }
-    if (policies.empty())
-        return out;
-
     std::vector<core::WarmupPolicy *> raw;
-    for (const auto &p : policies)
-        raw.push_back(p.get());
-    SweepPipeline pipeline(program, std::move(raw), config, jobs);
-    std::vector<core::SampledResult> results = pipeline.run();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i].result = std::move(results[i]);
-        out[i].producerSeconds = pipeline.producerSeconds;
+    for (const std::string &name : policy_names) {
+        policies.push_back(core::makePolicyByName(name));
+        raw.push_back(policies.back().get());
     }
+    std::vector<PolicySweepEntry> out =
+        sweepPolicies(program, raw, config, jobs);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i].cliName = policy_names[i];
     return out;
 }
 

@@ -2,14 +2,16 @@
  * @file
  * Sampled simulation on a ThreadPool, on top of the phase driver's one
  * pipeline (core/phase_driver.hh): the calling thread runs the
- * functional pass (RegionProducer) and pool workers run each policy's
- * RegionConsumer, which warms its machine from the region log, copies it
- * onto the worker's replay arena and measures the cluster there on the
- * cycle-accurate timing model. A policy's next region warms while its
- * last cluster is measured. Statistics are merged in schedule order, so
- * the result is bit-identical for any worker count — including jobs ==
- * 1, which is core::runSampled(): the same producer and consumer,
- * alternating on the calling thread.
+ * functional pass (RegionProducer), and each policy's RegionConsumer
+ * warms its machine from the region log, copies it onto the running
+ * thread's replay arena and measures the cluster there on the
+ * cycle-accurate timing model. Consumer tasks run on the pool workers
+ * and, whenever the producer would wait (for a free region buffer, or
+ * for the last clusters), on the calling thread. A policy's next region
+ * warms while its last cluster is measured. Statistics are merged in
+ * schedule order, so the result is bit-identical for any worker count —
+ * including jobs == 1 in runSampledParallel, which is core::runSampled():
+ * the same producer and consumer, alternating on the calling thread.
  */
 
 #ifndef RSR_HARNESS_PARALLEL_RUN_HH
@@ -78,11 +80,13 @@ struct PolicySweepEntry
  * Evaluate several warm-up policies over the same workload and schedule
  * with one functional pass: the calling thread steps the program once,
  * logging each skip region as `rsr100` does and recording each cluster's
- * trace (core::RegionProducer), and @p jobs pool workers run one
- * core::RegionConsumer per policy, which warms its own machine from that
- * log and measures the cluster. The pipeline buffers max(2, 1 +
- * ceil(jobs / policies)) regions: 2 for a sweep whose policies outnumber
- * its workers, one per worker plus one for a solo run.
+ * trace (core::RegionProducer), and one core::RegionConsumer per policy
+ * warms its own machine from that log and measures the cluster, as
+ * tasks on @p jobs pool workers and on the calling thread, which runs
+ * queued tasks whenever it would otherwise wait. The pipeline buffers
+ * max(2, 1 + ceil((jobs + 1) / policies)) regions: 2 for a sweep whose
+ * policies outnumber its threads, one per thread plus one for a solo
+ * run.
  * Results come back in the order of @p policy_names; unknown names throw
  * UserError before any work starts, and a deadline that expires throws
  * TimeoutError with no task left running.
@@ -91,6 +95,13 @@ std::vector<PolicySweepEntry>
 runPolicySweep(const func::Program &program,
                const std::vector<std::string> &policy_names,
                const core::SampledConfig &config, unsigned jobs);
+
+/** runPolicySweep over policies the caller built and owns; each entry's
+ *  cliName is the policy's name(). */
+std::vector<PolicySweepEntry>
+sweepPolicies(const func::Program &program,
+              const std::vector<core::WarmupPolicy *> &policies,
+              const core::SampledConfig &config, unsigned jobs);
 
 } // namespace rsr::harness
 

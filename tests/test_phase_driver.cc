@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -361,10 +362,11 @@ TEST_F(ParallelReplay, OnDemandReconstructionWorkIsJobIndependent)
 }
 
 /**
- * runSampledParallel is the sweep pipeline with one policy, holding
- * max(2, 1 + jobs) region buffers: 3, 5 and 9 at jobs 2, 4 and 8. Every
- * count must reproduce core::runSampled field by field, also when the
- * buffers outnumber the regions (3 clusters).
+ * runSampledParallel is the sweep pipeline with one policy on jobs + 1
+ * threads (the calling thread is a lane), holding max(2, 2 + jobs)
+ * region buffers: 4, 5, 6 and 10 at jobs 2, 3, 4 and 8. Every count
+ * must reproduce core::runSampled field by field, also when the buffers
+ * outnumber the regions (3 clusters).
  */
 TEST_F(ParallelReplay, OnePolicyPipelineMatchesRunSampledAtEveryBufferCount)
 {
@@ -380,7 +382,7 @@ TEST_F(ParallelReplay, OnePolicyPipelineMatchesRunSampledAtEveryBufferCount)
                 const core::SampledResult solo =
                     core::runSampled(*prog, *core::makePolicyByName(name), c);
                 ASSERT_EQ(solo.clusterIpc.size(), clusters);
-                for (const unsigned jobs : {2u, 4u, 8u}) {
+                for (const unsigned jobs : {2u, 3u, 4u, 8u}) {
                     const core::SampledResult got =
                         harness::runSampledParallel(
                             *prog, *core::makePolicyByName(name), c, jobs);
@@ -411,6 +413,89 @@ TEST_F(ParallelReplay, OnePolicyPipelineMatchesRunSampledAtEveryBufferCount)
                 }
             }
         }
+    }
+}
+
+/** What the LatchPolicy tasks of one sweep share. */
+struct CallerLatch
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool callerRan = false; // a task ran on the sweep's calling thread
+    std::atomic<int> running{0};
+};
+
+/**
+ * A test-only policy that warms nothing (so its results are those of
+ * `none`) and tells which thread runs its consumer tasks. A task on a
+ * pool worker blocks until some task of the sweep has run on the calling
+ * thread (ThreadPool::workerIndex() == -1), and throws InternalError if
+ * none has within 20 s, so a calling thread that never helps fails the
+ * sweep rather than hanging it. With @p fail set, the first task that
+ * runs on the calling thread releases the latch and then calls @p fail.
+ */
+class LatchPolicy final : public core::WarmupPolicy
+{
+  public:
+    LatchPolicy(CallerLatch &latch, std::string label,
+                std::function<void()> fail = {})
+        : WarmupPolicy(false, false), latch(latch), label(std::move(label)),
+          fail(std::move(fail))
+    {}
+
+    std::string name() const override { return label; }
+
+    void
+    consumeRegion(const core::SkipLog &, core::LogCursor) override
+    {
+        ++latch.running;
+        struct Leave
+        {
+            std::atomic<int> &running;
+            ~Leave() { --running; }
+        } leave{latch.running};
+        std::unique_lock<std::mutex> lk(latch.mu);
+        if (harness::ThreadPool::workerIndex() < 0) {
+            const bool first = !latch.callerRan;
+            latch.callerRan = true;
+            latch.cv.notify_all();
+            lk.unlock();
+            if (first && fail)
+                fail();
+        } else if (!latch.cv.wait_for(lk, std::chrono::seconds(20),
+                                      [&] { return latch.callerRan; })) {
+            rsr_throw_internal("no consumer task ran on the calling thread");
+        }
+    }
+
+  private:
+    CallerLatch &latch;
+    const std::string label;
+    const std::function<void()> fail;
+};
+
+/**
+ * At jobs 1 the sweep has one pool worker, and the LatchPolicy task it
+ * takes first blocks until the calling thread has run a consumer task:
+ * the sweep completes only if the producer's thread runs queued tasks
+ * while it waits for a free buffer (8 regions, 2 buffers). The results
+ * stay those of `none`, whichever thread ran which task.
+ */
+TEST_F(ParallelReplay, CallingThreadRunsQueuedConsumerTasks)
+{
+    CallerLatch latch;
+    LatchPolicy a(latch, "latch-a"), b(latch, "latch-b");
+    const auto sweep = harness::sweepPolicies(*prog, {&a, &b}, *cfg, 1);
+    EXPECT_TRUE(latch.callerRan);
+    EXPECT_EQ(latch.running.load(), 0);
+    const auto none = core::makePolicyByName("none");
+    const core::SampledResult solo = core::runSampled(*prog, *none, *cfg);
+    ASSERT_EQ(sweep.size(), 2u);
+    for (const harness::PolicySweepEntry &e : sweep) {
+        EXPECT_EQ(e.cliName, e.displayName);
+        EXPECT_EQ(e.result.clusterIpc, solo.clusterIpc) << e.cliName;
+        EXPECT_EQ(e.result.hotCycles, solo.hotCycles) << e.cliName;
+        EXPECT_EQ(e.result.skippedInsts, solo.skippedInsts) << e.cliName;
     }
 }
 
@@ -867,6 +952,55 @@ TEST(SweepDeadline, ExpiryMidRegionThrowsTimeoutAndStopsEveryTask)
         EXPECT_NE(what.find("inside a skip region"), std::string::npos)
             << entry << " got: '" << what << "'";
         EXPECT_TRUE(deadline.expired()) << entry;
+    }
+}
+
+/**
+ * A consumer task that fails on the calling thread, while it helps
+ * during production (8 regions: its first task runs while it waits for
+ * buffer 0 at region 2) or during the final drain (2 regions: both are
+ * produced before any buffer is reused), must fail the sweep with that
+ * task's own typed error, after the pool has drained. The pool worker's
+ * first LatchPolicy task blocks until the calling thread runs one, so
+ * the calling thread runs a task in each phase.
+ */
+TEST(SweepDeadline, CallingThreadTaskFailureStopsEveryTaskInEitherPhase)
+{
+    const func::Program prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    const std::vector<std::pair<const char *, std::function<void()>>>
+        failures{
+            {"timeout",
+             [] { throw TimeoutError("injected consumer timeout"); }},
+            {"corrupt",
+             [] { rsr_throw_corrupt("injected consumer fault"); }},
+        };
+    for (const std::uint64_t clusters : {8u, 2u}) {
+        for (const auto &[kind, fail] : failures) {
+            core::SampledConfig cfg;
+            cfg.totalInsts = 150'000;
+            cfg.regimen = {clusters, 1500};
+            cfg.machine = core::MachineConfig::scaledDefault();
+            CallerLatch latch;
+            LatchPolicy a(latch, "latch-a", fail), b(latch, "latch-b", fail);
+            const std::string what = std::string(kind) + " clusters " +
+                                     std::to_string(clusters);
+            std::string caught;
+            try {
+                harness::sweepPolicies(prog, {&a, &b}, cfg, 1);
+            } catch (const TimeoutError &e) {
+                caught = std::string("timeout: ") + e.what();
+            } catch (const CorruptInputError &e) {
+                caught = std::string("corrupt: ") + e.what();
+            } catch (const SimError &e) {
+                caught = std::string("other: ") + e.what();
+            }
+            EXPECT_NE(caught.find(std::string(kind) + ": injected consumer"),
+                      std::string::npos)
+                << what << " got: '" << caught << "'";
+            EXPECT_TRUE(latch.callerRan) << what;
+            EXPECT_EQ(latch.running.load(), 0) << what;
+        }
     }
 }
 
