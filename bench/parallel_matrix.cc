@@ -6,10 +6,15 @@
  * Leg 1 — replay scaling: capture one live-point store per cluster
  * count, then measure the pure consumer pass (replayStoreParallel —
  * zero functional simulation, the embarrassingly parallel half of the
- * RSR pipeline) at jobs ∈ {1, 2, 4}. Every parallel run must be
- * bit-identical to the serial run; `efficiency_jobs4` is
- * t(1) / (4 · t(4)) on the larger store, the number the perf-smoke gate
- * enforces (≥ 0.7 on a ≥ 4-core runner). Each cell's time is the median
+ * RSR pipeline) at jobs ∈ {1, 2, 4}. Jobs 1 replays inline on the
+ * calling thread; jobs N runs N pool workers plus the calling thread,
+ * N + 1 lanes. Every parallel run must be bit-identical to the serial
+ * run. `efficiency_jobsN` is t(1) / (N · t(N)) on the larger store: the
+ * speedup per requested job, which exceeds 1 where the extra lane finds
+ * an idle core (up to 1.5 at jobs 2 on four cores) and, where N lanes
+ * already fill the cores, is the speedup per core. `efficiency_jobs4`
+ * is the number the perf-smoke gate enforces (≥ 0.7 on a ≥ 4-core
+ * runner). Each cell's time is the median
  * of `trials` replays, run in rounds over the jobs counts, of a store
  * large enough (400 clusters, ~0.13 s at jobs=1 even in --quick) that
  * pool start-up and scheduler jitter do not decide the ratio.
@@ -119,7 +124,8 @@ runBench(const ArgParser &args)
     bool identical = true;
     double eff2 = 0.0, eff4 = 0.0;
 
-    TextTable t({"clusters", "jobs", "seconds", "speedup", "identical"});
+    TextTable t(
+        {"clusters", "jobs", "lanes", "seconds", "speedup", "identical"});
     for (std::uint64_t n_clusters : cluster_counts) {
         core::SampledConfig cfg = setup.cfg;
         cfg.regimen = {n_clusters, cluster_size};
@@ -172,6 +178,7 @@ runBench(const ArgParser &args)
                     eff4 = speedup / 4.0;
             }
             t.addRow({std::to_string(n_clusters), std::to_string(jobs),
+                      std::to_string(jobs <= 1 ? 1 : jobs + 1),
                       TextTable::num(secs), TextTable::num(speedup),
                       same[c] ? "yes" : "NO"});
             j.put("seconds_c" + std::to_string(n_clusters) + "_j" +
@@ -230,8 +237,8 @@ runBench(const ArgParser &args)
                 shard_seconds[0], shard_seconds[1],
                 shards_identical ? "identical" : "DIVERGED");
 
-    std::printf("replay efficiency: jobs=2 %.2f, jobs=4 %.2f "
-                "(%u cores)\n",
+    std::printf("replay speedup per job (jobs N = N workers + the "
+                "calling thread): jobs=2 %.2f, jobs=4 %.2f (%u cores)\n",
                 eff2, eff4, cores);
     if (!scaling_valid)
         std::printf("note: only %u hardware core(s) visible; efficiency "

@@ -144,11 +144,13 @@ class LivePointStore
 
     /**
      * Decode stored cluster @p index into a ready-to-measure replay
-     * task. Const and thread-safe: replay workers decode concurrently.
-     * The consumer is harness::replayStoreParallel(), which measures
-     * every task under a machine configuration whose cache/predictor
-     * geometry matches the capture (the core may differ — that is what
-     * makes one capture serve a design-space sweep).
+     * task. Const and thread-safe: replay lanes decode concurrently.
+     * The consumer is harness::replayStoreParallel(), whose lanes (the
+     * calling thread and any pool workers) each decode the cluster they
+     * pulled and measure it under a machine configuration whose
+     * cache/predictor geometry matches the capture (the core may
+     * differ — that is what makes one capture serve a design-space
+     * sweep; other geometry fails to restore as CorruptInputError).
      */
     ClusterReplayTask makeReplayTask(std::size_t index) const;
 

@@ -1,6 +1,7 @@
 #include "parallel_run.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -271,21 +272,53 @@ replayStoreParallel(const core::LivePointStore &store,
 {
     WallTimer timer;
     const std::size_t n = store.clusterCount();
-    if (jobs == 0)
-        jobs = 1;
-
     core::ReplayLedger ledger(n, machine_config);
-    std::vector<core::ReplayArena> arenas(jobs); // one per worker lane
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < n; ++i) {
-        // Out-of-order consumer pass: each worker decodes and measures
-        // its cluster independently (makeReplayTask is const).
-        pool.submit([&store, &ledger, &arenas, i] {
-            core::ClusterReplayTask task = store.makeReplayTask(i);
-            ledger.replay(task, arenas[workerLane()]);
-        });
+
+    // A lane pulls cluster indices from one shared counter, decodes each
+    // cluster's blobs (makeReplayTask is const) and measures it on the
+    // lane's own arena. A failing lane stops the others at their next
+    // pull.
+    std::atomic<std::size_t> nextCluster{0};
+    std::atomic<bool> failed{false};
+    const auto lane = [&](core::ReplayArena &arena) {
+        try {
+            while (!failed.load(std::memory_order_relaxed)) {
+                const std::size_t i = nextCluster.fetch_add(1);
+                if (i >= n)
+                    break;
+                core::ClusterReplayTask task = store.makeReplayTask(i);
+                ledger.replay(task, arena);
+            }
+        } catch (...) {
+            failed.store(true, std::memory_order_relaxed);
+            throw;
+        }
+    };
+
+    if (jobs <= 1) {
+        core::ReplayArena arena;
+        lane(arena);
+    } else {
+        // jobs pool workers, then the calling thread, each on its own
+        // arena, passed by position: on a campaign or serve worker,
+        // ThreadPool::workerIndex() names the outer pool's lane.
+        std::vector<core::ReplayArena> arenas(jobs + 1);
+        ThreadPool pool(jobs);
+        for (unsigned w = 0; w < jobs; ++w)
+            pool.submit([&lane, &arenas, w] { lane(arenas[w]); });
+        try {
+            lane(arenas[jobs]);
+        } catch (...) {
+            // No lane may outlive the ledger and arenas it writes.
+            try {
+                pool.wait();
+            } catch (...) {
+                // The calling thread's exception is the one to report.
+            }
+            throw;
+        }
+        pool.wait(); // rethrows a worker lane's failure
     }
-    pool.wait();
 
     core::SampledResult res;
     ledger.fold(res);

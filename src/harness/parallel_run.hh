@@ -40,15 +40,21 @@ core::SampledResult runSampledParallel(const func::Program &program,
 
 /**
  * Consumer pass over a live-point store — the one store replay entry:
- * measure every stored cluster under @p machine_config on @p jobs
- * ThreadPool workers, out of order — zero functional simulation. Each
- * worker decodes its own blobs (makeReplayTask is const/thread-safe),
- * so decode parallelizes with the timing replay. Statistics merge in
+ * measure every stored cluster under @p machine_config, out of order —
+ * zero functional simulation. At @p jobs <= 1 the calling thread
+ * replays every cluster inline, with no pool; otherwise @p jobs pool
+ * workers and the calling thread are the lanes. Each lane pulls the
+ * next cluster index from one shared counter, decodes that cluster's
+ * blobs itself (makeReplayTask is const/thread-safe), so decode
+ * parallelizes with the timing replay, and measures it on its own
+ * replay arena. A lane's exception stops the others at their next pull
+ * and is rethrown once every lane has stopped. Statistics merge in
  * schedule order, and the estimate is the one the store's capture-time
  * estimator calls for (core::estimateFor over the stored groups; the
  * plain cluster estimate for uniform stores). The result is
  * bit-identical to the direct `runSampledParallel` / `runEstimator` run
- * that the capture mirrors, for any worker count.
+ * that the capture mirrors, for any @p jobs, including a call from
+ * inside another pool's task.
  */
 core::SampledResult replayStoreParallel(const core::LivePointStore &store,
                                         const core::MachineConfig &machine_config,

@@ -1,7 +1,8 @@
 /**
  * @file
- * The harness worker pool for campaign jobs, per-cluster timing replays
- * (parallel_run.hh) and serve requests: one FIFO queue under one mutex.
+ * The harness worker pool for campaign jobs, the sampled-run pipeline's
+ * consumer tasks and store replay's lanes (parallel_run.hh), and serve
+ * requests: one FIFO queue under one mutex.
  * Its tasks are independent and, within a sampled run, equally long, so
  * any idle worker serves the next task as well as any other. Execution
  * order varies between runs; results do not, because callers commit them
@@ -52,7 +53,9 @@ class ThreadPool
 
     /**
      * The calling thread's 0-based index in its own pool, or -1 off any
-     * pool: measurements use it to pick their private ReplayArena.
+     * pool: the sweep pipeline's tasks use it to pick their private
+     * ReplayArena. A task of one pool that runs another pool's work
+     * still sees its own pool's index.
      */
     static int workerIndex();
 

@@ -162,15 +162,27 @@ class Ring
     T &operator[](std::size_t i) { return buf[(head + i) & mask]; }
     T &front() { return buf[head]; }
 
-    /** Append a value-initialized entry and return it. */
+    /**
+     * Append an entry and return it as the slot last held it: the
+     * caller sets every field, so nothing is written twice.
+     */
     T &
-    emplace_back()
+    push()
     {
         if (count == buf.size())
             grow();
-        T &slot = buf[(head + count++) & mask];
-        slot = T{};
-        return slot;
+        return buf[(head + count++) & mask];
+    }
+
+    /** Call @p f(first, n) on the entries, oldest first, as at most two
+     *  contiguous runs. */
+    template <typename F>
+    void
+    forEachRun(F f) const
+    {
+        const std::size_t first = std::min(count, buf.size() - head);
+        f(buf.data() + head, first);
+        f(buf.data(), count - first);
     }
 
     void
@@ -214,7 +226,6 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         /** Earliest issue cycle from operand availability; raised by
          *  each producer as it issues. */
         std::uint64_t readyBase = 0;
-        std::uint64_t completeCycle = 0;
         /** Head of this producer's chain of waiting operands, as a
          *  `consumer seq << 1 | operand` link (noSeq ends a chain). */
         std::uint64_t firstWaiter = noSeq;
@@ -247,6 +258,11 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
 
     Ring<Fetched> fetchBuf;
     Ring<Flight> rob;
+    // Each ROB entry's completion cycle, at the same position in a ring
+    // that grows and retires in step with the ROB: 0 until the entry
+    // issues, then final. An idle cycle's search for the next event
+    // scans these packed words instead of whole Flight entries.
+    Ring<std::uint64_t> completion;
     // Age-ordered work lists over the ROB, so the per-cycle stages visit
     // exactly the entries they can act on: sequence numbers of
     // instructions whose producers have all issued but which have not
@@ -277,13 +293,6 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
     const std::uint64_t line_mask =
         ~std::uint64_t{hier.il1().params().lineBytes - 1};
 
-    auto flight_of = [&](std::uint64_t seq) -> Flight * {
-        if (rob.empty() || seq < rob.front().d.seq)
-            return nullptr; // already retired
-        const std::uint64_t idx = seq - rob.front().d.seq;
-        return idx < rob.size() ? &rob[idx] : nullptr;
-    };
-
     const std::uint64_t cycle_limit =
         max_insts * 2000 + 10'000'000ull; // runaway-model guard
 
@@ -305,14 +314,15 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         // and resolution gates commit, so every listed seq is still in
         // the ROB.
         for (auto it = br_seqs.begin(); it != br_seqs.end();) {
-            Flight &f = rob[*it - rob.front().d.seq];
-            if (f.issued && f.completeCycle <= now) {
+            const std::size_t idx = *it - rob.front().d.seq;
+            Flight &f = rob[idx];
+            const std::uint64_t done = completion[idx];
+            if (f.issued && done <= now) {
                 f.resolved = true;
                 ++resolved_n;
                 if (f.mispredicted && waiting_branch == f.d.seq) {
-                    fetch_blocked_until =
-                        std::max(now, f.completeCycle +
-                                          params_.minMispredictPenalty);
+                    fetch_blocked_until = std::max(
+                        now, done + params_.minMispredictPenalty);
                     waiting_branch = noSeq;
                     cur_fetch_block = ~std::uint64_t{0};
                 }
@@ -325,7 +335,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         // -------------------------------------------------------- commit
         while (!rob.empty() && committed < params_.retireWidth) {
             Flight &f = rob.front();
-            if (!(f.issued && f.completeCycle <= now))
+            if (!(f.issued && completion.front() <= now))
                 break;
             if (f.isBranch && !f.resolved)
                 break;
@@ -342,11 +352,12 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
             ++res.insts;
             ++committed;
             rob.pop_front();
+            completion.pop_front();
         }
 
         // --------------------------------------------------------- issue
         // Visit exactly the ready entries, oldest first. An issuing
-        // producer's completeCycle is final, so it wakes its consumers
+        // producer's completion cycle is final, so it wakes its consumers
         // now: each latches that time into readyBase and joins the ready
         // list at its age position once nothing else holds it back. A
         // consumer is younger than its producer, so it lands after the
@@ -361,6 +372,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 ++i;
                 continue;
             }
+            std::uint64_t &done = completion[ready[i] - base];
 
             f.issued = true;
             ++issued_n;
@@ -369,7 +381,7 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 ++res.loads;
                 // Store-to-load forwarding: the youngest older in-flight
                 // store to the same word supplies the data from the LSQ.
-                const Flight *fwd = nullptr;
+                const std::uint64_t *fwd = nullptr;
                 if (params_.storeForwarding) {
                     for (const std::uint64_t sseq : st_seqs) {
                         if (sseq >= f.d.seq)
@@ -377,34 +389,32 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         const Flight &st = rob[sseq - base];
                         if (st.issued &&
                             (st.d.effAddr & ~7ull) == (f.d.effAddr & ~7ull))
-                            fwd = &st;
+                            fwd = &completion[sseq - base];
                     }
                 }
                 if (fwd) {
                     ++res.forwardedLoads;
-                    f.completeCycle =
-                        std::max(now, fwd->completeCycle) +
-                        params_.forwardLatency;
+                    done = std::max(now, *fwd) + params_.forwardLatency;
                 } else {
-                    f.completeCycle = hier.timedLoad(now, f.d.effAddr);
+                    done = hier.timedLoad(now, f.d.effAddr);
                 }
             } else {
                 if (f.isMem) {
                     ++res.stores;
                     hier.timedStore(now, f.d.effAddr);
                 }
-                f.completeCycle = now + f.latency;
+                done = now + f.latency;
             }
             // Publish the value-ready time only while this is still the
             // youngest writer; younger writers' consumers are woken by
             // them instead.
             if (f.dst >= 0 && last_writer[f.dst] == f.d.seq)
-                reg_ready[f.dst] = f.completeCycle;
+                reg_ready[f.dst] = done;
             ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(i));
             for (std::uint64_t link = f.firstWaiter; link != noSeq;) {
                 Flight &c = rob[(link >> 1) - base];
                 link = c.nextWaiter[link & 1];
-                c.readyBase = std::max(c.readyBase, f.completeCycle);
+                c.readyBase = std::max(c.readyBase, done);
                 if (--c.waitingOn == 0)
                     ready.insert(std::lower_bound(ready.begin() +
                                      static_cast<std::ptrdiff_t>(i),
@@ -436,32 +446,46 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                 break;
             }
 
-            Flight &f = rob.emplace_back();
+            // Every field is set here, once: the slot holds a retired
+            // entry's leftovers.
+            Flight &f = rob.push();
+            completion.push() = 0;
             f.d = fe.d;
+            f.readyBase = now + 1;
+            f.firstWaiter = noSeq;
+            f.nextWaiter[0] = f.nextWaiter[1] = noSeq;
+            f.latency = is_mem ? params_.intAluLat
+                               : params_.latencyFor(fe.d.inst.opClass());
+            f.dst = destOf(fe.d.inst);
+            f.waitingOn = 0;
+            f.issued = false;
             f.isMem = is_mem;
             f.isLoad = fe.d.inst.isLoad();
             f.isBranch = is_br;
             f.mispredicted = fe.mispredicted;
-            f.readyBase = now + 1;
-            f.latency = is_mem ? params_.intAluLat
-                               : params_.latencyFor(fe.d.inst.opClass());
-            f.dst = destOf(fe.d.inst);
+            f.resolved = false;
 
+            // The new entry is the youngest, so any in-flight producer
+            // sits at a smaller index; a retired one is below the head.
+            const std::uint64_t head_seq = rob.front().d.seq;
             unsigned srcs[2];
             const unsigned nsrc = gatherSrcs(fe.d.inst, srcs);
             for (unsigned i = 0; i < nsrc; ++i) {
                 const unsigned s = srcs[i];
                 const std::uint64_t wseq = last_writer[s];
-                Flight *w = wseq == noSeq ? nullptr : flight_of(wseq);
-                if (w && !w->issued) {
-                    // Wait on the producer's chain until it issues.
-                    f.nextWaiter[i] = w->firstWaiter;
-                    w->firstWaiter = (f.d.seq << 1) | i;
-                    ++f.waitingOn;
-                } else if (w) {
-                    f.readyBase = std::max(f.readyBase, w->completeCycle);
-                } else {
+                if (wseq == noSeq || wseq < head_seq) {
                     f.readyBase = std::max(f.readyBase, reg_ready[s]);
+                    continue;
+                }
+                Flight &w = rob[wseq - head_seq];
+                if (!w.issued) {
+                    // Wait on the producer's chain until it issues.
+                    f.nextWaiter[i] = w.firstWaiter;
+                    w.firstWaiter = (f.d.seq << 1) | i;
+                    ++f.waitingOn;
+                } else {
+                    f.readyBase =
+                        std::max(f.readyBase, completion[wseq - head_seq]);
                 }
             }
             if (f.dst >= 0)
@@ -508,9 +532,10 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
                         break;
                     }
                 }
-                Fetched &fe = fetchBuf.emplace_back();
+                Fetched &fe = fetchBuf.push();
                 fe.d = pending;
                 fe.availCycle = now + params_.frontendDelay;
+                fe.mispredicted = false;
                 bool stop = false;
                 if (pending.isBranch()) {
                     const BranchKind kind = pending.inst.branchKind();
@@ -552,11 +577,11 @@ OoOCore::run(InstSource &src, std::uint64_t max_insts)
         // Nothing moved, so the issue pass visited every ready entry:
         // jump to the first cycle at which something can.
         std::uint64_t next = ~std::uint64_t{0};
-        for (std::size_t i = 0; i < rob.size(); ++i) {
-            const Flight &f = rob[i];
-            if (f.issued && f.completeCycle > now)
-                next = std::min(next, f.completeCycle);
-        }
+        completion.forEachRun([&](const std::uint64_t *c, std::size_t n) {
+            // An unissued entry's 0 is never later than now.
+            for (std::size_t i = 0; i < n; ++i)
+                next = std::min(next, c[i] > now ? c[i] : ~std::uint64_t{0});
+        });
         for (const std::uint64_t seq : ready) {
             const Flight &f = rob[seq - rob.front().d.seq];
             if (f.readyBase > now)

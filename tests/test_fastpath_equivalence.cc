@@ -607,6 +607,26 @@ TEST(OoOCore, GoldenCountersAcrossCoreParams)
         {"paper machine", true, [](uarch::CoreParams &) {},
          {16000, 244227, 741, 1102, 2622, 223, 0, 178672, 154429},
          0x440bdd2c19a50f04ull},
+        // The corners of the perfbench design_sweep grid, recorded from
+        // the core whose idle-cycle search scanned the whole ROB.
+        {"rob 32, issue 2", false,
+         [](uarch::CoreParams &c) {
+             c.robSize = 32;
+             c.issueWidth = 2;
+         },
+         {16000, 257902, 543, 1102, 2622, 223, 0, 183858, 153116},
+         0x7108902c44321265ull},
+        {"rob 128, issue 8", false,
+         [](uarch::CoreParams &c) {
+             c.robSize = 128;
+             c.issueWidth = 8;
+         },
+         {16000, 239945, 527, 1102, 2622, 223, 0, 155517, 138397},
+         0xc6cf9c31c853d0f2ull},
+        {"paper machine, rob 128", true,
+         [](uarch::CoreParams &c) { c.robSize = 128; },
+         {16000, 238606, 735, 1102, 2622, 223, 0, 167631, 147535},
+         0xcc7076d574b9e788ull},
     };
 
     const core::MachineConfig bases[] = {

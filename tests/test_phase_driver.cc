@@ -12,10 +12,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -792,6 +795,107 @@ TEST_F(ParallelReplay, StressByteIdenticalCsvAcrossJobs)
                           stores[i], cfg->machine, jobs);
                   }))
             << "store-replay CSV diverged at jobs=" << jobs;
+    }
+}
+
+/** The fields a store replay must reproduce at any job count. */
+void
+expectSameReplay(const core::SampledResult &r, const core::SampledResult &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(r.clusterIpc, want.clusterIpc) << what;
+    EXPECT_EQ(r.hotCycles, want.hotCycles) << what;
+    EXPECT_EQ(r.hotInsts, want.hotInsts) << what;
+    EXPECT_EQ(r.branchMispredicts, want.branchMispredicts) << what;
+    EXPECT_EQ(r.warmWork.reconstructionUpdates,
+              want.warmWork.reconstructionUpdates)
+        << what;
+    EXPECT_EQ(r.estimate.mean, want.estimate.mean) << what;
+    EXPECT_EQ(r.estimate.stdErr, want.estimate.stdErr) << what;
+    EXPECT_EQ(r.estimate.ciLow, want.estimate.ciLow) << what;
+    EXPECT_EQ(r.estimate.ciHigh, want.estimate.ciHigh) << what;
+}
+
+/** The number of threads in this process, or 0 where that is unknown. */
+std::size_t
+processThreads()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    if (ec)
+        return 0;
+    return static_cast<std::size_t>(
+        std::distance(it, std::filesystem::directory_iterator()));
+}
+
+/**
+ * Store replay runs inline at jobs <= 1 and on jobs pool workers plus
+ * the calling thread otherwise, every lane pulling clusters from one
+ * counter. Every job count, a store with fewer clusters than lanes, and
+ * replays called from inside another pool's tasks (as campaign jobs and
+ * serve requests call it) reproduce jobs 1 exactly.
+ */
+TEST_F(ParallelReplay, StoreReplayOnEveryLaneMatchesJobsOne)
+{
+    const auto store = core::LivePointStore::create(
+        *prog, *core::makePolicyByName("rsr40"), *cfg, "gcc", "rsr40");
+    ASSERT_EQ(store.clusterCount(), 8u);
+    const core::SampledResult ref = harness::replayStoreParallel(store, 1);
+    EXPECT_GT(ref.warmWork.reconstructionUpdates, 0u);
+    for (const unsigned jobs : {0u, 1u, 2u, 3u, 4u, 8u})
+        expectSameReplay(harness::replayStoreParallel(store, jobs), ref,
+                         "jobs " + std::to_string(jobs));
+
+    core::SampledConfig small = *cfg;
+    small.regimen.numClusters = 3;
+    const auto store3 = core::LivePointStore::create(
+        *prog, *core::makePolicyByName("rsr40"), small, "gcc", "rsr40");
+    ASSERT_EQ(store3.clusterCount(), 3u);
+    expectSameReplay(harness::replayStoreParallel(store3, 8),
+                     harness::replayStoreParallel(store3, 1),
+                     "3 clusters at jobs 8");
+
+    const std::vector<unsigned> inner{1, 3, 4};
+    std::vector<core::SampledResult> nested(inner.size());
+    harness::ThreadPool outer(2);
+    for (std::size_t k = 0; k < inner.size(); ++k)
+        outer.submit([&store, &nested, &inner, k] {
+            nested[k] = harness::replayStoreParallel(store, inner[k]);
+        });
+    outer.wait();
+    for (std::size_t k = 0; k < inner.size(); ++k)
+        expectSameReplay(nested[k], ref,
+                         "inside a pool task at jobs " +
+                             std::to_string(inner[k]));
+}
+
+/**
+ * A replay onto a machine whose cache geometry the stored snapshots
+ * refuse throws CorruptInputError at every job count, and returns only
+ * once every lane has stopped: the store is destroyed right after each
+ * call, and the process has no more threads than before it.
+ */
+TEST_F(ParallelReplay, RefusedStoreReplayThrowsAtEveryJobCount)
+{
+    const auto capture = [] {
+        return std::make_unique<core::LivePointStore>(
+            core::LivePointStore::create(*prog,
+                                         *core::makePolicyByName("smarts"),
+                                         *cfg, "gcc", "smarts"));
+    };
+    core::MachineConfig halved = cfg->machine;
+    halved.hier.dl1.sizeBytes /= 2;
+    // Count after one replay that succeeds, so a thread that a runtime
+    // starts with the process's first pool is counted on both sides.
+    harness::replayStoreParallel(*capture(), 8);
+    const std::size_t threads = processThreads();
+    for (const unsigned jobs : {0u, 1u, 2u, 3u, 4u, 8u}) {
+        auto store = capture();
+        EXPECT_THROW(harness::replayStoreParallel(*store, halved, jobs),
+                     CorruptInputError)
+            << "jobs " << jobs;
+        store.reset();
+        EXPECT_EQ(processThreads(), threads) << "jobs " << jobs;
     }
 }
 
