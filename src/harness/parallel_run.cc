@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -19,32 +20,55 @@ namespace rsr::harness
 namespace
 {
 
-/** The calling pool worker's index, which picks its ReplayArena. */
-std::size_t
-workerLane()
+/**
+ * Run lane(w) on each of @p workers pool workers (w < workers) and
+ * lane(workers) on the calling thread — inline, with no pool, at 0
+ * workers — and return once every lane has returned. A failing lane must
+ * make the others return; its exception is rethrown after they all did:
+ * the calling thread's if it threw, else the first worker's.
+ */
+template <typename Lane>
+void
+runLanes(unsigned workers, const Lane &lane)
 {
-    return static_cast<std::size_t>(ThreadPool::workerIndex());
+    if (workers == 0)
+        return lane(0);
+    ThreadPool pool(workers);
+    for (unsigned w = 0; w < workers; ++w)
+        pool.submit([&lane, w] { lane(w); });
+    try {
+        lane(workers);
+    } catch (...) {
+        // No lane may outlive the state it reads.
+        try {
+            pool.wait();
+        } catch (...) {
+            // The calling thread's exception is the one to report.
+        }
+        throw;
+    }
+    pool.wait(); // rethrows a worker lane's failure
 }
 
 /**
- * The sampled-run pipeline on a pool. The calling thread runs the
- * producer, filling the RegionLog buffers in turn; each (region, policy)
+ * The sampled-run pipeline on lanes. The calling thread's lane runs the
+ * producer, filling the RegionLog buffers in turn; each (policy, region)
  * pair is one consumer task. A policy's tasks warm one at a time, in
  * region order: each task warms the policy's machine and copies it onto
- * its thread's arena, queues the policy's next task (once that region is
+ * its lane's arena, queues the policy's next task (once that region is
  * produced), and only then measures its cluster, so the measurement
  * overlaps the next region's warm-up. No policy waits for another: one
  * slow task (a heavier policy, a preempted worker) holds up only its own
  * chain. The producer refills a buffer only after every policy has
  * measured the region in it.
  *
- * The calling thread is a consumer lane too. Tasks wait in the
- * pipeline's own queue; each queued task also submits one pool task that
- * runs the oldest queued one, if any is left. While the calling thread
- * waits for a free buffer, and once it has produced the last region, it
- * runs queued tasks itself on its own arena, and blocks only when none
- * is queued. Whichever thread runs a task, the policy's chain stays in
- * region order and its ledger commits by cluster index.
+ * Every lane, the calling thread's included, loops over the pipeline's
+ * one task queue under its one mutex; the calling thread produces the
+ * next region instead whenever that region's buffer is free. The queue
+ * starts with each policy's prepare() (MRRL and BLRL profile the
+ * schedule), and production waits for all of them. Whichever lane runs a
+ * task, the policy's chain stays in region order and its ledger commits
+ * by cluster index.
  *
  * The buffer count is derived, not tuned: max(2, 1 + ceil(lanes /
  * policies)), where lanes = jobs + 1 counts the calling thread. Two
@@ -59,67 +83,30 @@ class SweepPipeline
                   std::vector<core::WarmupPolicy *> policies,
                   const core::SampledConfig &config, unsigned jobs)
         : program(program), policies(std::move(policies)), config(config),
-          schedule(core::scheduleFor(config)),
-          arenas(std::max(jobs, 1u) + 1),
-          regions(bufferCount(jobs, this->policies.size())),
-          readers(regions.size(), 0), next(this->policies.size(), 0),
-          pool(jobs)
+          schedule(core::scheduleFor(config)), arenas(std::max(jobs, 1u) + 1),
+          regions(bufferCount(arenas.size(), this->policies.size())),
+          readers(regions.size(), 0), next(this->policies.size(), 0)
     {
         for (std::size_t k = 0; k < this->policies.size(); ++k) {
             consumers.push_back(std::make_unique<core::RegionConsumer>(
                 *this->policies[k], k, config));
             ledgers.push_back(std::make_unique<core::ReplayLedger>(
                 schedule.size(), config.machine));
+            queued.emplace_back(k, kPrepare);
         }
+        left = this->policies.size() * (schedule.size() + 1);
     }
 
     std::vector<core::SampledResult>
     run()
     {
-        // Profiled policies (MRRL, BLRL) profile the schedule first.
-        for (auto &c : consumers)
-            pool.submit([this, c = c.get()] {
-                c->prepare(program, schedule, config.deadline);
-            });
-        pool.wait();
-
         core::RegionProducer producer(
             program, schedule,
             std::vector<const core::WarmupPolicy *>(policies.begin(),
                                                     policies.end()),
             config);
-        try {
-            for (std::size_t r = 0; r < schedule.size(); ++r) {
-                const std::size_t b = r % regions.size();
-                if (!helpUntil([&] { return readers[b] == 0; }))
-                    break;
-                producer.produce(regions[b]);
-
-                std::lock_guard<std::mutex> lk(mu);
-                produced = r + 1;
-                readers[b] = consumers.size();
-                for (std::size_t k = 0; k < consumers.size(); ++k)
-                    if (next[k] == r)
-                        submit(k, r);
-            }
-            helpUntil([&] {
-                return std::all_of(readers.begin(), readers.end(),
-                                   [](std::size_t n) { return n == 0; });
-            });
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                failed = true;
-            }
-            // No task may outlive the buffers it reads.
-            try {
-                pool.wait();
-            } catch (...) {
-                // The calling thread's exception is the one to report.
-            }
-            throw;
-        }
-        pool.wait(); // rethrows a consumer's failure
+        runLanes(arenas.size() - 1,
+                 [&](std::size_t w) { lane(w, producer); });
 
         const core::PhaseCounters &pc = producer.counters();
         producerSeconds = pc.skipSeconds + pc.captureSeconds;
@@ -137,91 +124,106 @@ class SweepPipeline
     double producerSeconds = 0.0;
 
   private:
+    /** The region of a queued prepare() task. */
+    static constexpr std::size_t kPrepare = SIZE_MAX;
+
     static std::size_t
-    bufferCount(unsigned jobs, std::size_t policies)
+    bufferCount(std::size_t lanes, std::size_t policies)
     {
-        const std::size_t lanes = std::max(jobs, 1u) + 1;
         return std::max<std::size_t>(
             2, 1 + (lanes + policies - 1) / policies);
     }
 
-    /** Queue policy @p k's task for region @p r; the caller holds mu. */
+    /**
+     * Lane @p w: run queued tasks on arena @p w until every task has
+     * run or some lane failed. The last lane is the calling thread's: it
+     * produces the next region, rather than run a task, whenever that
+     * region's buffer is free.
+     */
     void
-    submit(std::size_t k, std::size_t r)
+    lane(std::size_t w, core::RegionProducer &producer)
     {
-        queued.emplace_back(k, r);
-        pool.submit([this] {
-            std::pair<std::size_t, std::size_t> task;
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                if (queued.empty())
-                    return; // the calling thread ran it
-                task = queued.front();
-                queued.pop_front();
+        const bool producing = w + 1 == arenas.size();
+        try {
+            std::unique_lock<std::mutex> lk(mu);
+            const auto canProduce = [&] {
+                return producing && produced < schedule.size() &&
+                       prepared == consumers.size() &&
+                       readers[produced % regions.size()] == 0;
+            };
+            for (;;) {
+                wake.wait(lk, [&] {
+                    return failed || left == 0 || canProduce() ||
+                           !queued.empty();
+                });
+                if (failed || left == 0)
+                    return;
+                if (canProduce()) {
+                    const std::size_t r = produced;
+                    lk.unlock();
+                    producer.produce(regions[r % regions.size()]);
+                    lk.lock();
+                    produced = r + 1;
+                    readers[r % regions.size()] = consumers.size();
+                    for (std::size_t k = 0; k < consumers.size(); ++k)
+                        if (next[k] == r)
+                            queued.emplace_back(k, r);
+                    wake.notify_all();
+                } else {
+                    const auto [k, task] = queued.front();
+                    queued.pop_front();
+                    lk.unlock();
+                    if (task == kPrepare)
+                        prepare(k);
+                    else
+                        consume(k, task, arenas[w]);
+                    lk.lock();
+                }
             }
-            consume(task.first, task.second, arenas[workerLane()]);
-        });
-        callerWake.notify_one();
+        } catch (...) {
+            std::lock_guard<std::mutex> lk(mu);
+            failed = true;
+            wake.notify_all();
+            throw;
+        }
     }
 
-    /**
-     * On the calling thread: run queued tasks on its own arena until
-     * @p done (evaluated under mu) holds, blocking only while none is
-     * queued. Returns false, at once, when the pipeline has failed.
-     */
-    template <typename Done>
-    bool
-    helpUntil(Done done)
+    void
+    prepare(std::size_t k)
     {
-        std::unique_lock<std::mutex> lk(mu);
-        for (;;) {
-            callerWake.wait(lk, [&] {
-                return failed || done() || !queued.empty();
-            });
-            if (failed || done())
-                return !failed;
-            const auto [k, r] = queued.front();
-            queued.pop_front();
-            lk.unlock();
-            consume(k, r, arenas.back());
-            lk.lock();
-        }
+        consumers[k]->prepare(program, schedule, config.deadline);
+        std::lock_guard<std::mutex> lk(mu);
+        --left;
+        if (++prepared == consumers.size())
+            wake.notify_all(); // the producer may start
     }
 
     void
     consume(std::size_t k, std::size_t r, core::ReplayArena &arena)
     {
+        const core::RegionLog &region = regions[r % regions.size()];
+        core::Machine *warm = nullptr;
+        std::unique_ptr<core::MeasureContext> context;
+        consumers[k]->consume(
+            region, [&](const core::Machine &m,
+                        std::unique_ptr<core::MeasureContext> c) {
+                warm = &arena.copy(m);
+                context = std::move(c);
+            });
         {
             std::lock_guard<std::mutex> lk(mu);
-            if (failed)
-                return;
-        }
-        const core::RegionLog &region = regions[r % regions.size()];
-        try {
-            core::Machine *warm = nullptr;
-            std::unique_ptr<core::MeasureContext> context;
-            consumers[k]->consume(
-                region, [&](const core::Machine &m,
-                            std::unique_ptr<core::MeasureContext> c) {
-                    warm = &arena.copy(m);
-                    context = std::move(c);
-                });
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                next[k] = r + 1;
-                if (r + 1 < produced && !failed)
-                    submit(k, r + 1);
+            next[k] = r + 1;
+            if (r + 1 < produced) {
+                queued.emplace_back(k, r + 1);
+                wake.notify_one();
             }
-            ledgers[k]->measure(r, *warm, context.get(), region.trace);
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(mu);
-            failed = true;
-            callerWake.notify_one();
-            throw;
         }
+        ledgers[k]->measure(r, *warm, context.get(), region.trace);
         std::lock_guard<std::mutex> lk(mu);
+        --left;
+        // The producer may refill the buffer, or every lane may stop.
         if (--readers[r % regions.size()] == 0)
-            callerWake.notify_one();
+            wake.notify_all();
     }
 
     const func::Program &program;
@@ -230,22 +232,21 @@ class SweepPipeline
     const std::vector<core::Cluster> schedule;
     std::vector<std::unique_ptr<core::RegionConsumer>> consumers;
     std::vector<std::unique_ptr<core::ReplayLedger>> ledgers; // per policy
-    // One per pool worker, then the calling thread's.
+    // One per lane: per pool worker, then the calling thread's.
     std::vector<core::ReplayArena> arenas;
     std::vector<core::RegionLog> regions;
 
     std::mutex mu; // guards the fields below
-    // The calling thread waits here: a buffer freed, a task queued, or
-    // a failure.
-    std::condition_variable callerWake;
+    // Lanes wait here: a task queued, a buffer freed, every prepare()
+    // done, the last region measured, or a failure.
+    std::condition_variable wake;
     std::deque<std::pair<std::size_t, std::size_t>> queued; // (policy, region)
     std::vector<std::size_t> readers; // per buffer: policies yet to measure
+    std::size_t prepared = 0;         // policies whose prepare() returned
     std::size_t produced = 0;         // regions published so far
+    std::size_t left = 0;             // tasks yet to finish
     std::vector<std::size_t> next;    // per policy: its next region
     bool failed = false;
-
-    // Last: destroyed first, so no task outlives the state above.
-    ThreadPool pool;
 };
 
 } // namespace
@@ -274,51 +275,29 @@ replayStoreParallel(const core::LivePointStore &store,
     const std::size_t n = store.clusterCount();
     core::ReplayLedger ledger(n, machine_config);
 
-    // A lane pulls cluster indices from one shared counter, decodes each
-    // cluster's blobs (makeReplayTask is const) and measures it on the
-    // lane's own arena. A failing lane stops the others at their next
-    // pull.
+    // The lanes are jobs pool workers and the calling thread, or the
+    // calling thread alone at jobs <= 1. A lane pulls cluster indices
+    // from one shared counter, decodes each cluster's blobs
+    // (makeReplayTask is const) and measures it on the lane's own arena.
+    // A failing lane stops the others at their next pull.
+    const unsigned workers = jobs <= 1 ? 0 : jobs;
+    std::vector<core::ReplayArena> arenas(workers + 1);
     std::atomic<std::size_t> nextCluster{0};
     std::atomic<bool> failed{false};
-    const auto lane = [&](core::ReplayArena &arena) {
+    runLanes(workers, [&](std::size_t w) {
         try {
             while (!failed.load(std::memory_order_relaxed)) {
                 const std::size_t i = nextCluster.fetch_add(1);
                 if (i >= n)
                     break;
                 core::ClusterReplayTask task = store.makeReplayTask(i);
-                ledger.replay(task, arena);
+                ledger.replay(task, arenas[w]);
             }
         } catch (...) {
             failed.store(true, std::memory_order_relaxed);
             throw;
         }
-    };
-
-    if (jobs <= 1) {
-        core::ReplayArena arena;
-        lane(arena);
-    } else {
-        // jobs pool workers, then the calling thread, each on its own
-        // arena, passed by position: on a campaign or serve worker,
-        // ThreadPool::workerIndex() names the outer pool's lane.
-        std::vector<core::ReplayArena> arenas(jobs + 1);
-        ThreadPool pool(jobs);
-        for (unsigned w = 0; w < jobs; ++w)
-            pool.submit([&lane, &arenas, w] { lane(arenas[w]); });
-        try {
-            lane(arenas[jobs]);
-        } catch (...) {
-            // No lane may outlive the ledger and arenas it writes.
-            try {
-                pool.wait();
-            } catch (...) {
-                // The calling thread's exception is the one to report.
-            }
-            throw;
-        }
-        pool.wait(); // rethrows a worker lane's failure
-    }
+    });
 
     core::SampledResult res;
     ledger.fold(res);

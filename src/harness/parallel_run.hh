@@ -4,14 +4,15 @@
  * pipeline (core/phase_driver.hh): the calling thread runs the
  * functional pass (RegionProducer), and each policy's RegionConsumer
  * warms its machine from the region log, copies it onto the running
- * thread's replay arena and measures the cluster there on the
- * cycle-accurate timing model. Consumer tasks run on the pool workers
- * and, whenever the producer would wait (for a free region buffer, or
- * for the last clusters), on the calling thread. A policy's next region
- * warms while its last cluster is measured. Statistics are merged in
- * schedule order, so the result is bit-identical for any worker count —
- * including jobs == 1 in runSampledParallel, which is core::runSampled():
- * the same producer and consumer, alternating on the calling thread.
+ * lane's replay arena and measures the cluster there on the
+ * cycle-accurate timing model. The lanes, the pool workers and the
+ * calling thread, pull work from one queue, which the calling thread
+ * fills whenever a region buffer is free; store replay's lanes pull
+ * clusters the same way. A policy's next region warms while its last
+ * cluster is measured. Statistics are merged in schedule order, so the
+ * result is bit-identical for any worker count — including jobs == 1 in
+ * runSampledParallel, which is core::runSampled(): the same producer and
+ * consumer, alternating on the calling thread.
  */
 
 #ifndef RSR_HARNESS_PARALLEL_RUN_HH
@@ -89,7 +90,7 @@ struct PolicySweepEntry
  * trace (core::RegionProducer), and one core::RegionConsumer per policy
  * warms its own machine from that log and measures the cluster, as
  * tasks on @p jobs pool workers and on the calling thread, which runs
- * queued tasks whenever it would otherwise wait. The pipeline buffers
+ * queued tasks whenever it cannot produce. The pipeline buffers
  * max(2, 1 + ceil((jobs + 1) / policies)) regions: 2 for a sweep whose
  * policies outnumber its threads, one per thread plus one for a solo
  * run.

@@ -1,5 +1,6 @@
 #include "thread_pool.hh"
 
+#include <system_error>
 #include <utility>
 
 #include "util/logging.hh"
@@ -26,11 +27,19 @@ ThreadPool::ThreadPool(unsigned threads)
     if (threads == 0)
         threads = 1;
     workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        workers.emplace_back([this, t] { workerLoop(t); });
+    try {
+        for (unsigned t = 0; t < threads; ++t)
+            workers.emplace_back([this, t] { workerLoop(t); });
+    } catch (const std::system_error &e) {
+        // A joinable std::thread must not be destroyed.
+        stop();
+        rsr_throw_io("cannot start pool worker ", workers.size() + 1,
+                     " of ", threads, ": ", e.what());
+    }
 }
 
-ThreadPool::~ThreadPool()
+void
+ThreadPool::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu);

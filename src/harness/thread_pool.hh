@@ -1,10 +1,10 @@
 /**
  * @file
- * The harness worker pool for campaign jobs, the sampled-run pipeline's
- * consumer tasks and store replay's lanes (parallel_run.hh), and serve
- * requests: one FIFO queue under one mutex.
- * Its tasks are independent and, within a sampled run, equally long, so
- * any idle worker serves the next task as well as any other. Execution
+ * The harness worker pool for campaign jobs, serve requests, and the
+ * lanes of the sampled-run pipeline and store replay (parallel_run.hh,
+ * which submits one long task per worker): one FIFO queue under one
+ * mutex. Its tasks are independent, so any idle worker serves the next
+ * task as well as any other. Execution
  * order varies between runs; results do not, because callers commit them
  * by index, never by completion order. The destructor discards tasks
  * that have not started, lets running ones finish, and joins.
@@ -30,9 +30,10 @@ namespace rsr::harness
 class ThreadPool
 {
   public:
-    /** @param threads worker count; clamped to at least 1. */
+    /** @param threads worker count, clamped to at least 1. Throws
+     *  IoError, with no worker left running, if one cannot start. */
     explicit ThreadPool(unsigned threads);
-    ~ThreadPool();
+    ~ThreadPool() { stop(); }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -53,14 +54,16 @@ class ThreadPool
 
     /**
      * The calling thread's 0-based index in its own pool, or -1 off any
-     * pool: the sweep pipeline's tasks use it to pick their private
-     * ReplayArena. A task of one pool that runs another pool's work
-     * still sees its own pool's index.
+     * pool. A task of one pool that runs another pool's work still sees
+     * its own pool's index, so the library passes per-lane state by
+     * position instead (parallel_run.cc); tests and perfbench read it.
      */
     static int workerIndex();
 
   private:
     void workerLoop(unsigned self);
+    /** Discard unstarted tasks, let running ones finish, and join. */
+    void stop();
 
     std::mutex mu; // guards every field below but workers
     std::condition_variable cvWork;

@@ -1108,5 +1108,103 @@ TEST(SweepDeadline, CallingThreadTaskFailureStopsEveryTaskInEitherPhase)
     }
 }
 
+/** What the WorkerFaultPolicy tasks of one sweep share. */
+struct WorkerFault
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    bool thrown = false; // a task threw on a pool worker
+    std::atomic<int> running{0};
+};
+
+/**
+ * A test-only policy that warms nothing and, from its region @p failFrom
+ * on, fails on a pool worker: a task there (ThreadPool::workerIndex() >=
+ * 0) throws CorruptInputError, and a task on the sweep's calling thread
+ * blocks until one has (InternalError after 20 s), so the calling thread
+ * cannot run every remaining task itself and some worker must fail.
+ */
+class WorkerFaultPolicy final : public core::WarmupPolicy
+{
+  public:
+    WorkerFaultPolicy(WorkerFault &fault, std::string label,
+                      std::size_t failFrom)
+        : WarmupPolicy(false, false), fault(fault), label(std::move(label)),
+          failFrom(failFrom)
+    {}
+
+    std::string name() const override { return label; }
+
+    void
+    consumeRegion(const core::SkipLog &, core::LogCursor) override
+    {
+        ++fault.running;
+        struct Leave
+        {
+            std::atomic<int> &running;
+            ~Leave() { --running; }
+        } leave{fault.running};
+        if (region++ < failFrom)
+            return;
+        std::unique_lock<std::mutex> lk(fault.mu);
+        if (harness::ThreadPool::workerIndex() >= 0) {
+            fault.thrown = true;
+            fault.cv.notify_all();
+            lk.unlock();
+            rsr_throw_corrupt("injected worker fault");
+        }
+        if (!fault.cv.wait_for(lk, std::chrono::seconds(20),
+                               [&] { return fault.thrown; }))
+            rsr_throw_internal("no consumer task failed on a pool worker");
+    }
+
+  private:
+    WorkerFault &fault;
+    const std::string label;
+    const std::size_t failFrom;
+    std::size_t region = 0; // this policy's tasks run one at a time
+};
+
+/**
+ * A consumer task that fails on a pool worker must fail the sweep with
+ * its own typed error once every lane has stopped, at any worker count:
+ * during production (8 regions, failing from region 0, whose buffer then
+ * never frees) and during the final drain (2 regions, failing from the
+ * last, whose tasks are queued only once it is produced). Lanes waiting
+ * for work must be woken by the failure, or the sweep never returns.
+ */
+TEST(SweepDeadline, WorkerLaneTaskFailureStopsEveryLaneInEitherPhase)
+{
+    const func::Program prog = workload::buildSynthetic(
+        workload::standardWorkloadParams("gcc"));
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        for (const std::uint64_t clusters : {8u, 2u}) {
+            core::SampledConfig cfg;
+            cfg.totalInsts = 150'000;
+            cfg.regimen = {clusters, 1500};
+            cfg.machine = core::MachineConfig::scaledDefault();
+            WorkerFault fault;
+            const std::size_t failFrom = clusters == 8 ? 0 : clusters - 1;
+            WorkerFaultPolicy a(fault, "fault-a", failFrom),
+                b(fault, "fault-b", failFrom);
+            const std::string what = "jobs " + std::to_string(jobs) +
+                                     " clusters " + std::to_string(clusters);
+            std::string caught;
+            try {
+                harness::sweepPolicies(prog, {&a, &b}, cfg, jobs);
+            } catch (const CorruptInputError &e) {
+                caught = std::string("corrupt: ") + e.what();
+            } catch (const SimError &e) {
+                caught = std::string("other: ") + e.what();
+            }
+            EXPECT_NE(caught.find("corrupt: injected worker fault"),
+                      std::string::npos)
+                << what << " got: '" << caught << "'";
+            EXPECT_TRUE(fault.thrown) << what;
+            EXPECT_EQ(fault.running.load(), 0) << what;
+        }
+    }
+}
+
 } // namespace
 } // namespace rsr

@@ -1,15 +1,18 @@
 /**
  * @file
- * Perf-smoke gate: compare a freshly measured hot-loop benchmark record
- * against the committed baseline.
+ * Perf-smoke gate: compare freshly measured benchmark records against
+ * the committed baseline.
  *
  * Only the machine-normalized `norm_*` keys are compared (absolute
  * rates vary with the runner); the gate fails if any normalized metric
- * regresses by more than the tolerance. Improvements never fail — the
- * baseline is refreshed deliberately, not ratcheted automatically.
+ * regresses by more than the tolerance. `--current` may be repeated:
+ * each metric's median over the records is compared, so one noisy run
+ * cannot fail the gate, and a metric missing from any record fails it.
+ * Improvements never fail — the baseline is refreshed deliberately, not
+ * ratcheted automatically.
  *
  *   bench_compare --baseline BENCH_hot_loops.json \
- *                 --current build/bench/BENCH_hot_loops.json \
+ *                 --current run1.json --current run2.json ... \
  *                 [--tolerance 0.15]
  *
  * Two records are only comparable when they describe the same
@@ -26,10 +29,12 @@
  * `bench_compare --help` prints the exit-status table for CI authors.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harness/json.hh"
 #include "util/args.hh"
@@ -51,19 +56,31 @@ loadRecord(const std::string &path)
         std::string(bytes.begin(), bytes.end()));
 }
 
+/** The median of @p values (the mean of the middle two for an even count). */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
 int
 run(const rsr::ArgParser &args)
 {
     using namespace rsr;
     const std::string base_path = args.get("baseline");
-    const std::string cur_path = args.get("current");
+    const std::vector<std::string> cur_paths = args.getAll("current");
     const double tolerance = args.getDouble("tolerance", 0.15);
-    if (base_path.empty() || cur_path.empty())
+    if (base_path.empty() || cur_paths.empty() ||
+        std::count(cur_paths.begin(), cur_paths.end(), std::string()))
         rsr_throw_user("usage: bench_compare --baseline FILE --current "
-                       "FILE [--tolerance 0.15]");
+                       "FILE [--current FILE ...] [--tolerance 0.15]");
 
     const auto baseline = loadRecord(base_path);
-    const auto current = loadRecord(cur_path);
+    std::vector<std::map<std::string, std::string>> currents;
+    for (const std::string &path : cur_paths)
+        currents.push_back(loadRecord(path));
 
     // Typed comparability checks before any metric math: silently
     // comparing records of different experiments yields verdicts that
@@ -73,25 +90,31 @@ run(const rsr::ArgParser &args)
         const auto it = rec.find(key);
         return it == rec.end() ? std::string() : it->second;
     };
-    const std::string base_jobs = field(baseline, "jobs");
-    const std::string cur_jobs = field(current, "jobs");
-    if (base_jobs != cur_jobs) {
-        std::fprintf(stderr,
-                     "bench_compare: INCOMPARABLE records: baseline %s "
-                     "ran with jobs=%s but current %s ran with jobs=%s; "
-                     "regenerate one side with the other's job count "
-                     "(or point --baseline/--current at the right "
-                     "files)\n",
-                     base_path.c_str(),
-                     base_jobs.empty() ? "<missing>" : base_jobs.c_str(),
-                     cur_path.c_str(),
-                     cur_jobs.empty() ? "<missing>" : cur_jobs.c_str());
-        return 3;
-    }
     const bool scaling_record =
         baseline.count("parallel_scaling_valid") != 0 ||
-        current.count("parallel_scaling_valid") != 0;
-    if (scaling_record) {
+        std::any_of(currents.begin(), currents.end(), [](const auto &rec) {
+            return rec.count("parallel_scaling_valid") != 0;
+        });
+    const std::string base_jobs = field(baseline, "jobs");
+    for (std::size_t i = 0; i < currents.size(); ++i) {
+        const auto &current = currents[i];
+        const std::string &cur_path = cur_paths[i];
+        const std::string cur_jobs = field(current, "jobs");
+        if (base_jobs != cur_jobs) {
+            std::fprintf(stderr,
+                         "bench_compare: INCOMPARABLE records: baseline %s "
+                         "ran with jobs=%s but current %s ran with "
+                         "jobs=%s; regenerate one side with the other's "
+                         "job count (or point --baseline/--current at the "
+                         "right files)\n",
+                         base_path.c_str(),
+                         base_jobs.empty() ? "<missing>" : base_jobs.c_str(),
+                         cur_path.c_str(),
+                         cur_jobs.empty() ? "<missing>" : cur_jobs.c_str());
+            return 3;
+        }
+        if (!scaling_record)
+            continue;
         // An honest 1-core record cannot gate scaling: skip, loudly.
         if (field(baseline, "parallel_scaling_valid") == "false" ||
             field(current, "parallel_scaling_valid") == "false") {
@@ -118,6 +141,9 @@ run(const rsr::ArgParser &args)
         }
     }
 
+    if (currents.size() > 1)
+        std::printf("current: the median of %zu records\n",
+                    currents.size());
     std::printf("%-12s %12s %12s %9s  %s\n", "metric", "baseline",
                 "current", "ratio", "verdict");
     bool ok = true;
@@ -126,19 +152,23 @@ run(const rsr::ArgParser &args)
         if (key.rfind("norm_", 0) != 0)
             continue;
         ++compared;
-        const auto it = current.find(key);
-        if (it == current.end()) {
+        std::vector<double> values;
+        for (const auto &current : currents) {
+            const auto it = current.find(key);
+            if (it != current.end())
+                values.push_back(std::strtod(it->second.c_str(), nullptr));
+        }
+        if (values.size() < currents.size()) {
             std::printf("%-12s %12s %12s %9s  MISSING\n", key.c_str(),
                         base_text.c_str(), "-", "-");
             ok = false;
             continue;
         }
         const double base = std::strtod(base_text.c_str(), nullptr);
-        const double cur = std::strtod(it->second.c_str(), nullptr);
+        const double cur = median(values);
         if (base <= 0.0) {
-            std::printf("%-12s %12s %12s %9s  BAD-BASELINE\n",
-                        key.c_str(), base_text.c_str(),
-                        it->second.c_str(), "-");
+            std::printf("%-12s %12s %12.4f %9s  BAD-BASELINE\n",
+                        key.c_str(), base_text.c_str(), cur, "-");
             ok = false;
             continue;
         }
@@ -172,14 +202,15 @@ main(int argc, char **argv)
           {{"baseline", "FILE"}, {"current", "FILE"}, {"tolerance", "F"}},
           run}},
         "Only the machine-normalized norm_* metrics are compared (default\n"
-        "tolerance 0.15). Improvements never fail; the baseline is\n"
-        "refreshed deliberately, not ratcheted automatically.\n"
+        "tolerance 0.15). --current may be repeated: each metric's median\n"
+        "over the records is compared. Improvements never fail; the\n"
+        "baseline is refreshed deliberately, not ratcheted automatically.\n"
         "\n"
         "exit status:\n"
         "  0  every norm_* metric within tolerance, or the scaling\n"
         "     comparison was honestly skipped"
         " (parallel_scaling_valid=false)\n"
-        "  1  regression, metric missing from the current record, bad\n"
+        "  1  regression, metric missing from a current record, bad\n"
         "     baseline value, or no norm_* metrics to compare\n"
         "  2  error: unreadable file, malformed JSON, or bad flags\n"
         "  3  INCOMPARABLE records: jobs mismatch, or cores mismatch\n"

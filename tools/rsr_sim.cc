@@ -46,6 +46,8 @@ namespace
 using namespace rsr;
 
 constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+/** The most threads `--jobs` or `--threads` may start; more is refused. */
+constexpr std::uint64_t kMaxThreads = 256;
 /** The largest `--*-mb` value whose byte count fits in 64 bits. */
 constexpr std::uint64_t kMaxMegabytes =
     std::numeric_limits<std::uint64_t>::max() >> 20;
@@ -189,12 +191,12 @@ estimatorOptionsFor(const ArgParser &args)
 int
 cmdRun(const ArgParser &args)
 {
+    const unsigned jobs =
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kMaxThreads));
     const auto program = workloadFor(args);
     const auto cfg = sampledConfigFor(args);
     const auto opts = estimatorOptionsFor(args);
     const std::string policy_name = args.get("policy", "rsr20");
-    const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
 
     const auto er =
         harness::runEstimator(program, policy_name, cfg, opts, jobs);
@@ -272,6 +274,8 @@ cmdMkLvpt(const ArgParser &args)
 int
 cmdReplay(const ArgParser &args)
 {
+    const unsigned jobs =
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kMaxThreads));
     const std::string path = args.get("store");
     if (path.empty())
         rsr_throw_user("--store FILE is required (create one with: "
@@ -327,8 +331,6 @@ cmdReplay(const ArgParser &args)
         machine = withMachineFlags(args, machine);
     }
 
-    const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
     // The replay computes the estimate the store's capture calls for
     // (ranked-set / stratified from the stored groups), bit-identical to
     // a direct run.
@@ -411,10 +413,10 @@ cmdSimPoint(const ArgParser &args)
 int
 cmdCompare(const ArgParser &args)
 {
+    const unsigned jobs =
+        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kMaxThreads));
     const auto program = workloadFor(args);
     const auto cfg = sampledConfigFor(args);
-    const unsigned jobs =
-        static_cast<unsigned>(args.getPositiveU64("jobs", 1, kUnsignedMax));
 
     // Default to the paper's full Table-2 matrix.
     const auto names = args.has("policies") ? splitList(args.get("policies"))
@@ -606,7 +608,7 @@ cmdServe(const ArgParser &args)
     cfg.port = static_cast<std::uint16_t>(args.getU64(
         "port", 0, std::numeric_limits<std::uint16_t>::max()));
     cfg.threads = static_cast<unsigned>(
-        args.getPositiveU64("threads", 2, kUnsignedMax));
+        args.getPositiveU64("threads", 2, kMaxThreads));
     cfg.queueCapacity = args.getPositiveU64("queue-capacity", 16);
     cfg.shedFillFraction = args.getDouble("shed-fill", 0.75);
     cfg.ioDeadlineSec = args.getDouble("io-timeout", 5.0);
